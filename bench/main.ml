@@ -12,13 +12,19 @@
                                      synthetic reference strings x policies
                                      x machines, with gating trend
                                      invariants (--json for JSONL rows)
+     bench/main.exe serve-sweep      cold vs warm daemon throughput over
+                                     --jobs workers and connections
+                                     (default: min 4 and the recommended
+                                     domain count; --json for JSONL rows)
      bench/main.exe --json [M...]    machine-readable trajectories: one JSON
                                      object per scheme x machine (JSONL),
                                      machines default to the three
                                      commercial ones
      bench/main.exe --scale N ...    override the cache-capacity divisor of
                                      the experiments / sweep machines
-                                     (default: 16 full, 64 quick)
+                                     (default: 16 full, 64 quick for the
+                                     experiments; 16 for the --json sweep
+                                     and micro, whatever --quick says)
      bench/main.exe --jobs N ...     domains for the sweep / experiment
                                      drivers (default: $CTAM_JOBS or
                                      Domain.recommended_domain_count)
@@ -572,7 +578,9 @@ let serve_sweep ~quick ~json ~jobs () =
   let module J = Ctam_util.Json in
   let module Server = Ctam_serve.Server in
   let module Client = Ctam_serve.Client in
-  let workers = Option.value jobs ~default:4 in
+  let workers =
+    Option.value jobs ~default:(min 4 (Domain.recommended_domain_count ()))
+  in
   let concurrency = workers in
   let program, machine_name, scale = ("cg", "harpertown", 64) in
   let socket =
@@ -779,7 +787,9 @@ let () =
           | runner -> Printf.printf "%s%!" (runner ~quick ?scale ())
           | exception Not_found ->
               Printf.eprintf
-                "unknown experiment %s (known: %s, micro, scale-sweep)\n" name
+                "unknown experiment %s (known: %s, micro, scale-sweep, \
+                 policy-sweep, serve-sweep)\n"
+                name
                 (String.concat ", " Experiments.names);
               exit 1)
         names

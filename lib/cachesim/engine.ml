@@ -1,7 +1,9 @@
 type phase = int array array
 
 let encode_access ~addr ~write = (addr * 2) + if write then 1 else 0
-let decode_access e = (e / 2, e land 1 = 1)
+let access_addr e = e / 2
+let access_write e = e land 1 = 1
+let decode_access e = (access_addr e, access_write e)
 
 type config = { issue_cost : int; barrier_cost : int }
 
@@ -447,7 +449,8 @@ let run_streams ?(config = default_config) ?max_cycles ?memo h
                 if pending.(c) >= 0 then begin
                   (* The sampled access buffered by the previous skip
                      batch, issued at its true clock. *)
-                  let addr, write = decode_access pending.(c) in
+                  let e = pending.(c) in
+                  let addr = access_addr e and write = access_write e in
                   pending.(c) <- -1;
                   incr sampled_count;
                   let lat = Hierarchy.access h ~core:c ~addr ~write in
@@ -512,7 +515,8 @@ let run_streams ?(config = default_config) ?max_cycles ?memo h
                   if !skipped = 0 then begin
                     (* First access of the run is sampled: issue it
                        now (its clock is unchanged). *)
-                    let addr, write = decode_access !found in
+                    let addr = access_addr !found
+                    and write = access_write !found in
                     incr sampled_count;
                     let lat = Hierarchy.access h ~core:c ~addr ~write in
                     lat_sum.(c) <- lat_sum.(c) + lat;
@@ -545,7 +549,9 @@ let run_streams ?(config = default_config) ?max_cycles ?memo h
               in
               pos.(c) <- pos.(c) + 1;
               incr total_accesses;
-              let addr, write = decode_access e in
+              (* Decoded in place: [decode_access] would allocate its
+                 pair on every access. *)
+              let addr = access_addr e and write = access_write e in
               if observed then
                 probe.Probe.on_access ~core:c ~addr ~line:(addr / line_size)
                   ~write;

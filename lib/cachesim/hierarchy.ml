@@ -209,14 +209,13 @@ let access t ~core ~addr ~write =
     if observed then t.probe.Probe.on_mem ~core ~line
   end;
   (* Inclusive fill: bring the line into every cache on the path below
-     the hit point (all of them on a memory miss). *)
+     the hit point (all of them on a memory miss).  Each of those just
+     missed, so the line is known absent. *)
   let fill_upto = if !hit_at < 0 then n - 1 else !hit_at - 1 in
   for j = 0 to fill_upto do
-    match Setassoc.insert caches.(j) line with
-    | None -> ()
-    | Some victim ->
-        if observed then
-          t.probe.Probe.on_evict ~core ~level:levels.(j) ~line:victim
+    let victim = Setassoc.fill caches.(j) line in
+    if victim >= 0 && observed then
+      t.probe.Probe.on_evict ~core ~level:levels.(j) ~line:victim
   done;
   (* Write-invalidate: peers not on this core's path lose the line. *)
   if write && t.coherence then begin

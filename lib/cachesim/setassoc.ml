@@ -4,8 +4,9 @@
    ordered MRU-first with -1 = empty: promotion is a shift, which
    beats pointer chasing at the associativities we model (<= 24), and
    the recency order needs no state beyond the array itself.  That
-   code path is kept verbatim — the LRU-as-policy bit-identity
-   differential in the test suite holds by construction.
+   code path does the seed's array operations in the seed's order —
+   the LRU-as-policy bit-identity differential in the test suite holds
+   by construction.
 
    Every other policy keeps [lines] in PHYSICAL way order and packs
    its per-set replacement state into one int of [state] (tree bits,
@@ -269,13 +270,15 @@ let set_of_line t line =
 
 let set_base t line = set_of_line t line * t.assoc
 
+(* The tag scans are loops, not local recursive functions: a local
+   [let rec] that reads [t], [base] and [line] is a closure allocated on
+   every call, and the coherence sweep scans up to 17 sets per write. *)
 let find_way t base line =
-  let rec go w =
-    if w >= t.assoc then -1
-    else if t.lines.(base + w) = line then w
-    else go (w + 1)
-  in
-  go 0
+  let w = ref 0 in
+  while !w < t.assoc && t.lines.(base + !w) <> line do
+    incr w
+  done;
+  if !w < t.assoc then !w else -1
 
 let promote t base w =
   (* LRU: move way [w] to MRU position, shifting the younger ways down. *)
@@ -313,53 +316,51 @@ let access t line =
         false
       end
 
-let first_empty t base =
-  let rec go w =
-    if w >= t.assoc then -1 else if t.lines.(base + w) = -1 then w else go (w + 1)
-  in
-  go 0
+let first_empty t base = find_way t base (-1)
 
-let insert t line =
+let fill t line =
   match t.ops with
   | None ->
+      (* LRU: the last way is the victim (or empty); shift the others
+         down and insert as MRU. *)
       let base = set_base t line in
-      let w = find_way t base line in
-      if w >= 0 then begin
-        promote t base w;
-        None
-      end
-      else begin
-        let victim = t.lines.(base + t.assoc - 1) in
-        for k = t.assoc - 1 downto 1 do
-          t.lines.(base + k) <- t.lines.(base + k - 1)
-        done;
-        t.lines.(base) <- line;
-        if victim = -1 then None else Some victim
-      end
+      let victim = t.lines.(base + t.assoc - 1) in
+      for k = t.assoc - 1 downto 1 do
+        t.lines.(base + k) <- t.lines.(base + k - 1)
+      done;
+      t.lines.(base) <- line;
+      victim
   | Some ops ->
       let set = set_of_line t line in
       let base = set * t.assoc in
-      let w = find_way t base line in
-      if w >= 0 then begin
-        t.state.(set) <- ops.o_hit ~assoc:t.assoc ~state:t.state.(set) ~way:w;
-        None
+      let e = first_empty t base in
+      if e >= 0 then begin
+        t.lines.(base + e) <- line;
+        t.state.(set) <- ops.o_fill ~assoc:t.assoc ~state:t.state.(set) ~way:e;
+        -1
       end
       else begin
-        let e = first_empty t base in
-        if e >= 0 then begin
-          t.lines.(base + e) <- line;
-          t.state.(set) <-
-            ops.o_fill ~assoc:t.assoc ~state:t.state.(set) ~way:e;
-          None
-        end
-        else begin
-          let vw, st = ops.o_victim ~assoc:t.assoc ~state:t.state.(set) in
-          let victim = t.lines.(base + vw) in
-          t.lines.(base + vw) <- line;
-          t.state.(set) <- ops.o_fill ~assoc:t.assoc ~state:st ~way:vw;
-          Some victim
-        end
+        let vw, st = ops.o_victim ~assoc:t.assoc ~state:t.state.(set) in
+        let victim = t.lines.(base + vw) in
+        t.lines.(base + vw) <- line;
+        t.state.(set) <- ops.o_fill ~assoc:t.assoc ~state:st ~way:vw;
+        victim
       end
+
+let insert t line =
+  let set = set_of_line t line in
+  let base = set * t.assoc in
+  let w = find_way t base line in
+  if w >= 0 then begin
+    (match t.ops with
+    | None -> promote t base w
+    | Some ops ->
+        t.state.(set) <- ops.o_hit ~assoc:t.assoc ~state:t.state.(set) ~way:w);
+    None
+  end
+  else
+    let victim = fill t line in
+    if victim = -1 then None else Some victim
 
 let contains t line = find_way t (set_base t line) line >= 0
 

@@ -70,8 +70,16 @@ val set_of_line : t -> int -> int
 val access : t -> int -> bool
 
 (** [insert t line] fills [line] (LRU: as MRU), evicting the policy's
-    victim if the set is full.  Returns the evicted line, if any. *)
+    victim if the set is full.  Returns the evicted line, if any.  A
+    [line] already resident gets the hit update instead. *)
 val insert : t -> int -> int option
+
+(** [fill t line] is {!insert} for a [line] known to be absent (say, one
+    {!access} just missed): it skips the tag scan and returns the
+    evicted line unboxed, -1 for none.  A hierarchy access fills its
+    missed levels with it, so a miss scans each set once and allocates
+    nothing. *)
+val fill : t -> int -> int
 
 (** Pure lookup without policy-state update or counter changes. *)
 val contains : t -> int -> bool

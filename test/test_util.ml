@@ -125,6 +125,257 @@ let test_roundtrip () =
          ("mix", Json.List [ Json.Bool false; Json.Null; Json.Float 3.5 ]);
        ])
 
+(* Regression: JSON has no infinity, so every non-finite float prints as
+   null.  The printer once emitted inf and -inf — text its own parser
+   rejects — because only NaN was caught. *)
+let test_non_finite_floats () =
+  List.iter
+    (fun (name, f) ->
+      check_str name "null" (Json.to_string (Json.Float f));
+      check_str (name ^ ", minified") "null"
+        (Json.to_string ~minify:true (Json.Float f)))
+    [ ("nan", Float.nan); ("infinity", Float.infinity);
+      ("negative infinity", Float.neg_infinity) ];
+  check_bool "an infinite member reparses as null" true
+    (parse_ok (Json.to_string (Json.Obj [ ("x", Json.Float Float.neg_infinity) ]))
+    = Json.Obj [ ("x", Json.Null) ])
+
+(* --- differential tests against the oracle codec ---------------------- *)
+
+module O = Json_oracle
+
+let rec to_oracle : Json.t -> O.t = function
+  | Json.Null -> O.Null
+  | Json.Bool b -> O.Bool b
+  | Json.Int i -> O.Int i
+  | Json.Float f -> O.Float f
+  | Json.String s -> O.String s
+  | Json.List vs -> O.List (List.map to_oracle vs)
+  | Json.Obj ms -> O.Obj (List.map (fun (k, v) -> (k, to_oracle v)) ms)
+
+let rec of_oracle : O.t -> Json.t = function
+  | O.Null -> Json.Null
+  | O.Bool b -> Json.Bool b
+  | O.Int i -> Json.Int i
+  | O.Float f -> Json.Float f
+  | O.String s -> Json.String s
+  | O.List vs -> Json.List (List.map of_oracle vs)
+  | O.Obj ms -> Json.Obj (List.map (fun (k, v) -> (k, of_oracle v)) ms)
+
+let gen_str =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          string_size (int_range 0 12)
+            ~gen:
+              (frequency
+                 [
+                   (6, char_range 'a' 'z');
+                   (2, oneofl [ '"'; '\\'; '/'; ' '; 'u'; '\127' ]);
+                   (2, char_range '\000' '\031');
+                   (2, char_range '\128' '\255');
+                 ]) );
+        ( 1,
+          oneofl
+            [ ""; "\xf0\x9f\x98\x80"; "\xf4\x8f\xbf\xbf"; "caché θ";
+              "\xed\xa0\x80"; "a\"b\\c\n"; String.make 70 'x' ] );
+      ])
+
+let gen_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int_range (-1000) 1000);
+        (2, int);
+        ( 1,
+          oneofl
+            [ min_int; max_int; min_int + 1; max_int - 1; 0; -1;
+              999_999_999_999_999_999; -999_999_999_999_999_999;
+              1_000_000_000_000_000_000; -1_000_000_000_000_000_000 ] );
+      ])
+
+(* Finite floats and NaN; infinities are the one intended difference
+   from the oracle (see [test_non_finite_floats]). *)
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun f -> if Float.is_finite f then f else Float.nan) float);
+        (1, map float_of_int (int_range (-100000) 100000));
+        ( 1,
+          oneofl
+            [ 0.0; -0.0; 0.1; 1.5; 1e15; 1e15 -. 1.; -1e15; 1e-300; 5e-324;
+              Float.max_float; Float.min_float; Float.epsilon; Float.nan ] );
+      ])
+
+let gen_value =
+  QCheck.Gen.(
+    sized_size (int_range 0 4)
+    @@ fix (fun self depth ->
+           let leaf =
+             frequency
+               [
+                 (1, return Json.Null);
+                 (1, map (fun b -> Json.Bool b) bool);
+                 (3, map (fun i -> Json.Int i) gen_int);
+                 (2, map (fun f -> Json.Float f) gen_float);
+                 (2, map (fun s -> Json.String s) gen_str);
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 1,
+                   map (fun vs -> Json.List vs)
+                     (list_size (int_range 0 5) (self (depth - 1))) );
+                 ( 1,
+                   map (fun ms -> Json.Obj ms)
+                     (list_size (int_range 0 5) (pair gen_str (self (depth - 1))))
+                 );
+               ]))
+
+let show_oracle v = O.to_string ~minify:true (to_oracle v)
+
+let prop_print_matches_oracle =
+  QCheck.Test.make ~name:"to_string matches the oracle byte for byte" ~count:500
+    (QCheck.make ~print:show_oracle gen_value)
+    (fun v ->
+      let o = to_oracle v in
+      Json.to_string v = O.to_string o
+      && Json.to_string ~minify:true v = O.to_string ~minify:true o)
+
+(* JSON text the printer never writes: whitespace everywhere, every
+   escape (surrogate halves, pairs and strays included), leading zeros,
+   exponents, and integer literals up to 21 digits. *)
+let gen_text =
+  QCheck.Gen.(
+    let ws = string_size ~gen:(oneofl [ ' '; '\t'; '\n'; '\r' ]) (int_range 0 2) in
+    let padded g = map3 (fun a x b -> a ^ x ^ b) ws g ws in
+    let digits lo hi = string_size ~gen:(char_range '0' '9') (int_range lo hi) in
+    let number =
+      frequency
+        [
+          ( 4,
+            map4
+              (fun sign int frac exp -> sign ^ int ^ frac ^ exp)
+              (oneofl [ ""; "-" ]) (digits 1 21)
+              (frequency [ (3, return ""); (1, map (( ^ ) ".") (digits 0 4)) ])
+              (frequency
+                 [
+                   (3, return "");
+                   ( 1,
+                     map3
+                       (fun e s d -> e ^ s ^ d)
+                       (oneofl [ "e"; "E" ]) (oneofl [ ""; "+"; "-" ]) (digits 0 3) );
+                 ]) );
+          ( 1,
+            oneofl
+              [ "4611686018427387903"; "4611686018427387904";
+                "-4611686018427387904"; "-4611686018427387905";
+                "999999999999999999"; "-999999999999999999";
+                "-99999999999999999"; "99999999999999999999"; "-0"; "1e999" ] );
+        ]
+    in
+    let hex4 =
+      frequency
+        [
+          (2, string_size ~gen:(oneofl (String.to_seq "0123456789abcdefABCDEF" |> List.of_seq)) (return 4));
+          (3, oneofl [ "d83d"; "DE00"; "dbff"; "dfff"; "d800"; "dc00"; "0041"; "00e9"; "0000"; "001f" ]);
+        ]
+    in
+    let piece =
+      frequency
+        [
+          (4, string_size ~gen:(char_range 'a' 'z') (int_range 1 4));
+          (2, oneofl [ {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|}; {|\n|}; {|\r|}; {|\t|} ]);
+          (3, map (( ^ ) {|\u|}) hex4);
+          (1, oneofl [ {|\x|}; {|\u12|}; {|\u12_3|}; "\x01"; "\xc3\xa9" ]);
+        ]
+    in
+    let string_lit =
+      map (fun ps -> "\"" ^ String.concat "" ps ^ "\"") (list_size (int_range 0 5) piece)
+    in
+    sized_size (int_range 0 3)
+    @@ fix (fun self depth ->
+           let leaf =
+             frequency
+               [ (3, number); (3, string_lit); (1, oneofl [ "true"; "false"; "null" ]) ]
+           in
+           if depth = 0 then padded leaf
+           else
+             frequency
+               [
+                 (2, padded leaf);
+                 ( 1,
+                   map
+                     (fun vs -> "[" ^ String.concat "," vs ^ "]")
+                     (list_size (int_range 0 4) (padded (self (depth - 1)))) );
+                 ( 1,
+                   map
+                     (fun ms ->
+                       "{"
+                       ^ String.concat "," (List.map (fun (k, v) -> k ^ ":" ^ v) ms)
+                       ^ "}")
+                     (list_size (int_range 0 4)
+                        (pair (padded string_lit) (padded (self (depth - 1))))) );
+               ]))
+
+let gen_byte =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl (String.to_seq "{}[]\":,\\-+.eE0123456789 tfnul" |> List.of_seq));
+        (1, char);
+      ])
+
+(* One of: the text unchanged, a truncation, one byte replaced, one
+   inserted, or one deleted. *)
+let mutate s =
+  QCheck.Gen.(
+    let n = String.length s in
+    let splice i drop ins =
+      String.sub s 0 i ^ ins ^ String.sub s (i + drop) (n - i - drop)
+    in
+    if n = 0 then map (String.make 1) gen_byte
+    else
+      frequency
+        [
+          (2, return s);
+          (2, map (fun k -> String.sub s 0 k) (int_range 0 (n - 1)));
+          (2, map2 (fun i c -> splice i 1 (String.make 1 c)) (int_range 0 (n - 1)) gen_byte);
+          (1, map2 (fun i c -> splice i 0 (String.make 1 c)) (int_range 0 n) gen_byte);
+          (1, map (fun i -> splice i 1 "") (int_range 0 (n - 1)));
+        ])
+
+let gen_input =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map2 (fun v minify -> O.to_string ~minify (to_oracle v)) gen_value bool);
+        (3, gen_text);
+        (1, string_size ~gen:gen_byte (int_range 0 40));
+      ]
+    >>= mutate)
+
+let prop_parse_matches_oracle =
+  QCheck.Test.make ~name:"parse matches the oracle and never raises" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_input)
+    (fun s ->
+      let show = function
+        | Ok v -> "Ok " ^ show_oracle v
+        | Error e -> "Error " ^ e
+      in
+      let got =
+        try Json.parse s
+        with e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      in
+      let want = Result.map of_oracle (O.parse s) in
+      got = want
+      || QCheck.Test.fail_reportf "got %s, want %s" (show got) (show want))
+
 let test_accessors () =
   let v = parse_ok {|{"a": {"b": [10, 20]}, "f": 2.0}|} in
   check_int "member chain" 20
@@ -179,6 +430,10 @@ let () =
             test_unicode_escapes;
           Alcotest.test_case "round-trips" `Quick test_roundtrip;
           Alcotest.test_case "accessors" `Quick test_accessors;
+          Alcotest.test_case "non-finite floats print as null" `Quick
+            test_non_finite_floats;
+          QCheck_alcotest.to_alcotest prop_print_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_parse_matches_oracle;
         ] );
       ( "stats",
         [ Alcotest.test_case "to_json/of_json" `Quick test_stats_roundtrip ] );

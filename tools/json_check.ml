@@ -1,7 +1,13 @@
 (* Validate that each argument file parses as JSON (one document per
-   file, or one per line when the file looks like JSON Lines).  Exits
-   nonzero on the first failure; used by tools/check_report.sh and as a
-   standalone linter for bench_output.json. *)
+   file, or one per line when the file looks like JSON Lines), and that
+   every document survives a round-trip through the library's printer:
+   [parse (to_string ~minify:true v) = Ok v].  Exits nonzero on the
+   first failure; used by tools/check_report.sh and as a standalone
+   linter for bench_output.json. *)
+
+module Json = Ctam_util.Json
+
+let roundtrips v = Json.parse (Json.to_string ~minify:true v) = Ok v
 
 let check_file path =
   let ic = open_in_bin path in
@@ -12,13 +18,17 @@ let check_file path =
     Printf.eprintf "%s: %s\n" path msg;
     exit 1
   in
+  let check_value what v =
+    if not (roundtrips v) then
+      fail (Printf.sprintf "%s: does not survive print and reparse" what)
+  in
   let check_doc what doc =
-    match Ctam_util.Json.parse doc with
-    | Ok _ -> ()
+    match Json.parse doc with
+    | Ok v -> check_value what v
     | Error e -> fail (Printf.sprintf "%s: %s" what e)
   in
-  match Ctam_util.Json.parse s with
-  | Ok _ -> ()
+  match Json.parse s with
+  | Ok v -> check_value "document" v
   | Error whole_err -> (
       (* Maybe JSON Lines: every non-empty line must parse on its own. *)
       let lines =
