@@ -50,10 +50,11 @@ let validate opts =
    dealing and lossy counting come out identical in both. *)
 type line_state = {
   mutable rr : int;
-  mutable lines : int;
+  mutable lines : int;  (* also the current line's number *)
   mutable records : int;
   mutable malformed : int;
   last_time : int array;  (* per core; -1 = none seen *)
+  fields : Lackey.fields;
 }
 
 let fresh_state opts =
@@ -63,77 +64,75 @@ let fresh_state opts =
     records = 0;
     malformed = 0;
     last_time = Array.make opts.cores (-1);
+    fields = Lackey.fields ();
   }
 
-(* One line -> the core it lands on plus its (addr, write) accesses,
-   in issue order; [None] for noise, dropped instruction fetches, and
-   (lossy mode) malformed lines. *)
-let process opts st ~check_times lnum line : (int * (int * bool) list) option =
+let malformed opts st msg =
+  if opts.lossy then st.malformed <- st.malformed + 1
+  else fail "line %d: %s" st.lines msg
+
+(* [emit core addr write] for each access of one record, in issue
+   order: with [split], one per [split]-byte line its [addr, addr+size)
+   span touches (the first keeps the record's address); else its base
+   address alone. *)
+let emit_span opts (f : Lackey.fields) ~emit core write =
+  emit core f.addr write;
+  match opts.split with
+  | None -> ()
+  | Some l ->
+      for i = (f.addr / l) + 1 to (f.addr + f.size - 1) / l do
+        emit core (i * l) write
+      done
+
+(* One line of a pass: count it and emit its accesses to the core it
+   lands on.  Noise, dropped instruction fetches and (lossy mode)
+   malformed lines emit nothing. *)
+let process opts st ~check_times ~emit b pos len =
   st.lines <- st.lines + 1;
-  match Lackey.parse_line line with
-  | Error msg ->
-      if opts.lossy then begin
-        st.malformed <- st.malformed + 1;
-        None
-      end
-      else fail "line %d: %s" lnum msg
-  | Ok None -> None
-  | Ok (Some r) ->
+  let f = st.fields in
+  match Lackey.parse f b pos len with
+  | Lackey.Noise -> ()
+  | Lackey.Malformed msg -> malformed opts st msg
+  | Lackey.Record
+    when Option.is_some opts.split && f.addr > max_int - f.size + 1 ->
+      malformed opts st
+        (Printf.sprintf "%d-byte span at 0x%x overflows the address space"
+           f.size f.addr)
+  | Lackey.Record -> (
       st.records <- st.records + 1;
-      if r.kind = Lackey.Instr && not opts.instr then None
-      else begin
-        let core =
-          match opts.interleave with
-          | Round_robin ->
-              let c = st.rr mod opts.cores in
-              st.rr <- st.rr + 1;
-              c
-          | Tagged -> (
-              match r.core with
-              | None -> 0
-              | Some c when c < opts.cores -> c
-              | Some c ->
-                  if opts.lossy then -1
-                  else
-                    fail "line %d: core tag %d out of range (cores = %d)" lnum
-                      c opts.cores)
-        in
-        if core < 0 then begin
-          st.malformed <- st.malformed + 1;
-          None
-        end
-        else begin
-          (if check_times && opts.interleave = Tagged then
-             match r.time with
-             | Some t ->
-                 if t < st.last_time.(core) && not opts.lossy then
-                   fail "line %d: timestamp %d goes backwards for core %d" lnum
-                     t core;
-                 st.last_time.(core) <- max t st.last_time.(core)
-             | None -> ());
-          let base =
-            match r.kind with
-            | Lackey.Instr | Lackey.Load -> [ (r.addr, false) ]
-            | Lackey.Store -> [ (r.addr, true) ]
-            | Lackey.Modify -> [ (r.addr, false); (r.addr, true) ]
+      match f.kind with
+      | Lackey.Instr when not opts.instr -> ()
+      | kind ->
+          let core =
+            match opts.interleave with
+            | Round_robin ->
+                let c = st.rr mod opts.cores in
+                st.rr <- st.rr + 1;
+                c
+            | Tagged ->
+                if f.core < 0 then 0
+                else if f.core < opts.cores then f.core
+                else if opts.lossy then -1
+                else
+                  fail "line %d: core tag %d out of range (cores = %d)"
+                    st.lines f.core opts.cores
           in
-          let accesses =
-            match opts.split with
-            | None -> base
-            | Some l ->
-                (* One access per cache line the [addr, addr+size)
-                   span touches. *)
-                List.concat_map
-                  (fun (a, w) ->
-                    let first = a / l and last = (a + r.size - 1) / l in
-                    List.init
-                      (last - first + 1)
-                      (fun i -> ((if i = 0 then a else (first + i) * l), w)))
-                  base
-          in
-          Some (core, accesses)
-        end
-      end
+          if core < 0 then st.malformed <- st.malformed + 1
+          else begin
+            (match opts.interleave with
+            | Tagged when check_times && f.time >= 0 ->
+                if f.time < st.last_time.(core) && not opts.lossy then
+                  fail "line %d: timestamp %d goes backwards for core %d"
+                    st.lines f.time core;
+                st.last_time.(core) <- max f.time st.last_time.(core)
+            | _ -> ());
+            match kind with
+            | Lackey.Instr | Lackey.Load -> emit_span opts f ~emit core false
+            | Lackey.Store -> emit_span opts f ~emit core true
+            | Lackey.Modify ->
+                emit_span opts f ~emit core false;
+                emit_span opts f ~emit core true
+          end)
 
 type scan = {
   scanned_lines : int;
@@ -149,16 +148,19 @@ let scan opts src =
   let st = fresh_state opts in
   let per_core = Array.make opts.cores 0 in
   let min_a = ref max_int and max_a = ref (-1) in
-  Reader.fold src ~init:() ~f:(fun () lnum line ->
-      match process opts st ~check_times:true lnum line with
-      | None -> ()
-      | Some (core, accs) ->
-          per_core.(core) <- per_core.(core) + List.length accs;
-          List.iter
-            (fun (a, _) ->
-              if a < !min_a then min_a := a;
-              if a > !max_a then max_a := a)
-            accs);
+  let emit core a _ =
+    per_core.(core) <- per_core.(core) + 1;
+    if a < !min_a then min_a := a;
+    if a > !max_a then max_a := a
+  in
+  let ch = Reader.open_source src in
+  Fun.protect
+    ~finally:(fun () -> Reader.close ch)
+    (fun () ->
+      while Reader.next ch do
+        process opts st ~check_times:true ~emit (Reader.line_buf ch)
+          (Reader.line_pos ch) (Reader.line_len ch)
+      done);
   {
     scanned_lines = st.lines;
     records = st.records;
@@ -174,7 +176,6 @@ let chunk_size = 4096
 
 type cursor_state = {
   mutable chan : Reader.chan option;
-  mutable lnum : int;
   mutable st : line_state;
   buf : int array;
   mutable len : int;
@@ -188,7 +189,6 @@ let make_cursor opts src ~core ~length ~base ~mask : Engine.cursor =
   let cs =
     {
       chan = None;
-      lnum = 0;
       st = fresh_state opts;
       buf = Array.make chunk_size 0;
       len = 0;
@@ -197,13 +197,16 @@ let make_cursor opts src ~core ~length ~base ~mask : Engine.cursor =
       eof = false;
     }
   in
-  let encode (addr, write) = Engine.encode_access ~addr:((addr - base) land mask) ~write in
   let push e =
     if cs.len < chunk_size then begin
       cs.buf.(cs.len) <- e;
       cs.len <- cs.len + 1
     end
     else cs.spill <- e :: cs.spill
+  in
+  let emit c addr write =
+    if c = core then
+      push (Engine.encode_access ~addr:((addr - base) land mask) ~write)
   in
   let close_chan () =
     match cs.chan with
@@ -229,19 +232,14 @@ let make_cursor opts src ~core ~length ~base ~mask : Engine.cursor =
               cs.chan <- Some c;
               c
         in
-        let continue = ref true in
-        while !continue && cs.len < chunk_size do
-          match Reader.next_line chan with
-          | None ->
-              cs.eof <- true;
-              close_chan ();
-              continue := false
-          | Some line -> (
-              cs.lnum <- cs.lnum + 1;
-              match process opts cs.st ~check_times:false cs.lnum line with
-              | None -> ()
-              | Some (c, accs) ->
-                  if c = core then List.iter (fun a -> push (encode a)) accs)
+        while (not cs.eof) && cs.len < chunk_size do
+          if Reader.next chan then
+            process opts cs.st ~check_times:false ~emit (Reader.line_buf chan)
+              (Reader.line_pos chan) (Reader.line_len chan)
+          else begin
+            cs.eof <- true;
+            close_chan ()
+          end
         done
       end;
       cs.len > 0
@@ -258,7 +256,6 @@ let make_cursor opts src ~core ~length ~base ~mask : Engine.cursor =
   in
   let reset () =
     close_chan ();
-    cs.lnum <- 0;
     cs.st <- fresh_state opts;
     cs.len <- 0;
     cs.pos <- 0;

@@ -33,7 +33,8 @@ type options = {
   rebase : bool;  (** subtract the smallest address in the trace *)
   split : int option;
       (** emit one access per [split]-byte line an access's
-          [addr, addr+size) span touches (default: base address only) *)
+          [addr, addr+size) span touches (default: base address only);
+          a record whose span runs past [max_int] is then malformed *)
   interleave : interleave;
 }
 

@@ -4,7 +4,11 @@
     cursors in {!Ingest} rewind by reopening — and gzip-compressed
     files are detected by their magic bytes (not the extension) and
     decompressed through the system [gzip], so callers never care
-    whether a trace is compressed. *)
+    whether a trace is compressed.
+
+    Lines are handed out as slices of one buffer per handle, refilled
+    in blocks, so reading a line allocates nothing; a [Text] source is
+    sliced in place. *)
 
 type source =
   | File of string  (** path to a plain or gzip-compressed trace *)
@@ -16,12 +20,17 @@ type chan
     @raise Sys_error when a [File] does not exist. *)
 val open_source : source -> chan
 
-(** Next line without its terminator ([\r\n] is handled); [None] at end
-    of input. *)
-val next_line : chan -> string option
+(** Advance to the next line; [false] at end of input.  The line, without
+    its terminator ([\r\n] is handled), is then the {!line_len} bytes of
+    {!line_buf} from {!line_pos}, valid until the next call.
+    @raise Sys_error naming the file when a gzip trace's decompressor
+    fails (truncated or corrupt input). *)
+val next : chan -> bool
 
+val line_buf : chan -> Bytes.t
+val line_pos : chan -> int
+val line_len : chan -> int
+
+(** Release the handle, at any point; idempotent.  An early close never
+    reports a decompressor failure. *)
 val close : chan -> unit
-
-(** [fold src ~init ~f] folds [f acc lnum line] over all lines
-    (1-based line numbers), opening and closing its own handle. *)
-val fold : source -> init:'a -> f:('a -> int -> string -> 'a) -> 'a

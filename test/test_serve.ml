@@ -445,6 +445,59 @@ let test_trace_request_parse () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("lossy trace rejected: " ^ e)
 
+(* One request to a live daemon, giving up after 10 s: a daemon that
+   died mid-request leaves the connection open but silent. *)
+let ask ~socket j =
+  let fd = Client.connect socket in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.1;
+      let deadline = Unix.gettimeofday () +. 10. in
+      let on_idle () =
+        if Unix.gettimeofday () > deadline then `Stop else `Continue
+      in
+      Protocol.write_json fd j;
+      match Protocol.read_frame ~on_idle fd with
+      | Ok payload -> (
+          match J.parse payload with
+          | Ok reply -> reply
+          | Error e -> Alcotest.fail e)
+      | Error _ -> Alcotest.fail "no reply from the daemon")
+
+(* A trace that breaks ingestion is one bad request, never the end of
+   the daemon: an overflowing --split span once escaped as an
+   exception and stopped it, leaving its socket file behind. *)
+let test_daemon_survives_bad_trace () =
+  let socket =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ctam-serve-test-%d.sock" (Unix.getpid ()))
+  in
+  let t =
+    Server.create { Server.default_config with Server.socket; workers = 1 }
+  in
+  let daemon = Domain.spawn (fun () -> Server.serve t) in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop t;
+      Domain.join daemon)
+    (fun () ->
+      let req =
+        match trace_req " L 0x3ffffffffffffff0,100\n" with
+        | J.Obj ms -> J.Obj (ms @ [ ("split", J.Int 64) ])
+        | j -> j
+      in
+      (match Protocol.response_error (ask ~socket req) with
+      | Some (code, msg) ->
+          Alcotest.(check string) "error code" "bad_request" code;
+          check_bool "names line 1" true
+            (Astring.String.is_infix ~affix:"line 1" msg)
+      | None -> Alcotest.fail "overflowing trace accepted");
+      let ping = ask ~socket (J.Obj [ ("op", J.String "ping") ]) in
+      check_bool "still answers ping" true (Protocol.response_ok ping));
+  check_bool "socket removed on stop" false (Sys.file_exists socket)
+
 (* --- cache maintenance ------------------------------------------------- *)
 
 let test_purge_then_recompute () =
@@ -517,6 +570,8 @@ let () =
         [
           Alcotest.test_case "parse, key, strict errors" `Quick
             test_trace_request_parse;
+          Alcotest.test_case "daemon survives a bad trace" `Quick
+            test_daemon_survives_bad_trace;
         ] );
       ( "cache maintenance",
         [

@@ -62,6 +62,198 @@ let test_parse_forms () =
         (match Lackey.parse_line line with Error _ -> true | Ok _ -> false))
     [ " X 0xnonsense"; "L"; "L 0xzz,4"; "L 0x10,q"; "9x: L 0x10" ]
 
+(* --- differential tests against the oracle parser --------------------- *)
+
+module O = Lackey_oracle
+
+let of_oracle : (O.record option, string) result -> _ = function
+  | Ok None -> Ok None
+  | Error e -> Error e
+  | Ok (Some (r : O.record)) ->
+      let kind =
+        match r.kind with
+        | O.Instr -> Lackey.Instr
+        | O.Load -> Lackey.Load
+        | O.Store -> Lackey.Store
+        | O.Modify -> Lackey.Modify
+      in
+      Ok
+        (Some
+           { Lackey.kind; addr = r.addr; size = r.size; core = r.core;
+             time = r.time })
+
+let show_parsed = function
+  | Ok None -> "noise"
+  | Error e -> "Error " ^ e
+  | Ok (Some (r : Lackey.record)) ->
+      let opt = function None -> "-" | Some v -> string_of_int v in
+      Printf.sprintf "addr=0x%x size=%d core=%s time=%s" r.addr r.size
+        (opt r.core) (opt r.time)
+
+(* Numbers as traces write them, and as they should not: plain runs,
+   leading zeros, signs, underscores, radix prefixes, the empty token,
+   and runs past max_int. *)
+let gen_dec =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map string_of_int (int_range 0 4096));
+        (1, map string_of_int (int_range (-5) 0));
+        (1, map (fun n -> "0" ^ string_of_int n) (int_range 0 99));
+        (1, map (fun n -> "+" ^ string_of_int n) (int_range 0 99));
+        (1, map (fun n -> "1_" ^ string_of_int n) (int_range 0 99));
+        (1, map (Printf.sprintf "0x%x") (int_range 0 4096));
+        (1, oneofl [ ""; "_1"; "0b101"; "0o17"; "0u9"; "1e3"; "x" ]);
+        (1, map (fun n -> String.make n '0' ^ "7") (int_range 15 22));
+        ( 1,
+          oneofl
+            [
+              "999999999999999999"; "4611686018427387903";
+              "4611686018427387904"; "99999999999999999999";
+            ] );
+      ])
+
+(* Addresses of 1–17 hex digits, many of them close to 2^62 (where
+   [int] runs out) or to 2^64. *)
+let gen_hex_body =
+  QCheck.Gen.(
+    let near_limit =
+      oneofl
+        [
+          "3fffffffffffffff"; "4000000000000000"; "3ffffffffffffff0";
+          "7fffffffffffffff"; "8000000000000000"; "ffffffffffffffff";
+          "10000000000000000"; "0ffffffffffffffff"; "00000000000000001";
+          "fffffffffffffff"; "3FFFFFFFFFFFFFFF";
+        ]
+    in
+    frequency
+      [
+        (6, map (Printf.sprintf "%x") (int_range 0 0xfffffff));
+        (2, map (Printf.sprintf "%x") (map abs int));
+        (2, near_limit);
+        ( 2,
+          string_size
+            ~gen:(oneofl (List.of_seq (String.to_seq "0123456789abcdefABCDEF")))
+            (int_range 1 17) );
+        (1, oneofl [ ""; "zz"; "1_0"; "+1"; "-1"; "0x10"; "g" ]);
+      ])
+
+let gen_sep = QCheck.Gen.oneofl [ " "; "\t"; "  "; " \t "; "\t\t" ]
+let gen_edge =
+  QCheck.Gen.oneofl [ ""; ""; " "; "\t"; "\r"; "\012"; " \r"; "\r\n" ]
+
+let gen_record =
+  QCheck.Gen.(
+    let opt g = frequency [ (2, return None); (1, map Option.some g) ] in
+    let* kind =
+      frequency
+        [
+          (8, oneofl [ "I"; "L"; "S"; "M"; "R"; "W" ]);
+          (1, oneofl [ "X"; "l"; "LL"; "@1"; "3:"; "#" ]);
+        ]
+    in
+    let* prefix = oneofl [ ""; ""; "0x"; "0X" ] in
+    let* body = gen_hex_body in
+    let* size = opt gen_dec in
+    let* core = opt (map (fun d -> d ^ ":") gen_dec) in
+    let* time = opt (map (fun d -> "@" ^ d) gen_dec) in
+    let* extra = opt (oneofl [ "x"; "0x10"; "@"; "1:"; "," ]) in
+    let operand =
+      prefix ^ body ^ match size with None -> "" | Some s -> "," ^ s
+    in
+    let tokens =
+      Option.to_list core
+      @ (kind :: operand :: Option.to_list extra)
+      @ Option.to_list time
+    in
+    let* seps = list_repeat (List.length tokens - 1) gen_sep in
+    let* lead = gen_edge in
+    let* trail = gen_edge in
+    let joined =
+      List.hd tokens ^ String.concat "" (List.map2 ( ^ ) seps (List.tl tokens))
+    in
+    return (lead ^ joined ^ trail))
+
+let gen_byte =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            (List.of_seq
+               (String.to_seq "ILSMRW0123456789abcdefx,:@#=- \t\r\012")) );
+        (1, char);
+      ])
+
+(* One of: the line unchanged, a truncation, or one byte replaced,
+   inserted or deleted. *)
+let mutate s =
+  QCheck.Gen.(
+    let n = String.length s in
+    let splice i drop ins =
+      String.sub s 0 i ^ ins ^ String.sub s (i + drop) (n - i - drop)
+    in
+    if n = 0 then map (String.make 1) gen_byte
+    else
+      frequency
+        [
+          (3, return s);
+          (2, map (fun k -> String.sub s 0 k) (int_range 0 (n - 1)));
+          ( 2,
+            map2
+              (fun i c -> splice i 1 (String.make 1 c))
+              (int_range 0 (n - 1)) gen_byte );
+          ( 1,
+            map2
+              (fun i c -> splice i 0 (String.make 1 c))
+              (int_range 0 n) gen_byte );
+          (1, map (fun i -> splice i 1 "") (int_range 0 (n - 1)));
+        ])
+
+let gen_line =
+  QCheck.Gen.(
+    frequency
+      [ (5, gen_record); (1, string_size ~gen:gen_byte (int_range 0 30)) ]
+    >>= mutate)
+
+(* Every parse writes into this one record, so a field left over from
+   an earlier line would show. *)
+let shared_fields = Lackey.fields ()
+
+let parse_slice pre line post =
+  let b = Bytes.of_string (pre ^ line ^ post) in
+  let f = shared_fields in
+  match Lackey.parse f b (String.length pre) (String.length line) with
+  | Lackey.Noise -> Ok None
+  | Lackey.Malformed e -> Error e
+  | Lackey.Record ->
+      let tag v = if v < 0 then None else Some v in
+      Ok
+        (Some
+           { Lackey.kind = f.kind; addr = f.addr; size = f.size;
+             core = tag f.core; time = tag f.time })
+
+(* A line, alone and as a slice between junk bytes. *)
+let prop_parse_matches_oracle =
+  let junk = QCheck.Gen.(string_size ~gen:gen_byte (int_range 0 3)) in
+  QCheck.Test.make ~name:"parse matches the oracle and never raises"
+    ~count:5000
+    (QCheck.make
+       ~print:(fun (pre, line, post) ->
+         Printf.sprintf "%S between %S and %S" line pre post)
+       QCheck.Gen.(triple junk gen_line junk))
+    (fun (pre, line, post) ->
+      let want = of_oracle (O.parse_line line) in
+      let check what got =
+        got = want
+        || QCheck.Test.fail_reportf "%s: got %s, want %s" what
+             (show_parsed got) (show_parsed want)
+      in
+      match (Lackey.parse_line line, parse_slice pre line post) with
+      | whole, slice -> check "parse_line" whole && check "slice" slice
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 (* --- the counting pass ------------------------------------------------- *)
 
 let sample_trace =
@@ -112,6 +304,33 @@ let test_split_spans () =
   (* The first sub-access keeps the original address; the rest are the
      base addresses of the further lines the span touches. *)
   check_bool "split addresses" true (addrs = [ 0x38; 0x40; 0x40 ])
+
+let test_split_overflow () =
+  (* Under --split, a span past max_int is malformed: strict mode names
+     its line, lossy mode counts it and keeps the other records. *)
+  let trace = " L 0x3ffffffffffffff0,100\n S 0x40,8\n" in
+  let opts = { Ingest.default with Ingest.split = Some 64 } in
+  List.iter
+    (fun (what, f) ->
+      check_bool what true
+        (match f () with
+        | exception Ingest.Error msg ->
+            Astring.String.is_infix ~affix:"line 1:" msg
+        | _ -> false))
+    [
+      ("strict scan", fun () -> ignore (Ingest.scan opts (Reader.Text trace)));
+      ("strict load", fun () -> ignore (Ingest.load opts (Reader.Text trace)));
+    ];
+  let lossy = { opts with Ingest.lossy = true } in
+  let scan = Ingest.scan lossy (Reader.Text trace) in
+  check_int "lossy counts it" 1 scan.Ingest.malformed;
+  check_int "the other record survives" 1 scan.Ingest.records;
+  check_bool "lossy load" true
+    (Ingest.load lossy (Reader.Text trace)
+    = [| [| Engine.encode_access ~addr:0x40 ~write:true |] |]);
+  (* Without --split the base address alone is replayed. *)
+  check_int "no split, no overflow" 2
+    (Ingest.scan Ingest.default (Reader.Text trace)).Ingest.records
 
 (* --- strict / lossy --------------------------------------------------- *)
 
@@ -266,16 +485,6 @@ let test_run_rejects_too_many_cores () =
 
 (* --- sources ----------------------------------------------------------- *)
 
-let test_file_matches_text () =
-  let path = tmp_trace big_trace in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let opts = { Ingest.default with Ingest.cores = 2 } in
-      let from_file = Ingest.load opts (Reader.File path) in
-      let from_text = Ingest.load opts (Reader.Text big_trace) in
-      check_bool "File == Text" true (from_file = from_text))
-
 let gzip_available () = Sys.command "gzip --version > /dev/null 2>&1" = 0
 
 let test_gzip_roundtrip () =
@@ -294,6 +503,91 @@ let test_gzip_roundtrip () =
         Sys.rename (path ^ ".gz") path;
         let gz = Ingest.load Ingest.default (Reader.File path) in
         check_bool "compressed == plain" true (gz = plain))
+
+let gzip_copy path =
+  check_int "gzip ok" 0
+    (Sys.command
+       (Printf.sprintf "gzip -c %s > %s" (Filename.quote path)
+          (Filename.quote (path ^ ".gz"))));
+  path ^ ".gz"
+
+let test_gzip_truncated () =
+  (* A cut-off gzip stream decompresses to a prefix of the trace; the
+     decompressor's failure must surface, not a shorter replay. *)
+  if gzip_available () then begin
+    let path = tmp_trace big_trace in
+    let cut = path ^ ".cut" in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun p -> if Sys.file_exists p then Sys.remove p)
+          [ path; path ^ ".gz"; cut ])
+      (fun () ->
+        let gz =
+          In_channel.with_open_bin (gzip_copy path) In_channel.input_all
+        in
+        Out_channel.with_open_bin cut (fun oc ->
+            Out_channel.output_string oc (String.sub gz 0 300));
+        check_bool "truncated gzip raises Sys_error naming the file" true
+          (match Ingest.scan Ingest.default (Reader.File cut) with
+          | exception Sys_error msg -> Astring.String.is_infix ~affix:cut msg
+          | _ -> false))
+  end
+
+(* Inputs whose line splitting a block reader could get wrong, each
+   with its line count or its strict error. *)
+let source_inputs =
+  let long n c = String.make n c in
+  [
+    ("CRLF", " L 0x1000,8\r\n S 0x1040,8\r\n# note\r\n M 0x80,4\r\n", Ok 4);
+    ("no final newline", " L 0x1000,8\n S 0x1040,8", Ok 2);
+    ("lone CR line", " L 0x1000,8\n\r\n S 0x1040,8\n", Ok 3);
+    ("empty", "", Ok 0);
+    ("noise only", "==1== lackey\n# comment\n\n--1-- warning\n  \t\n", Ok 5);
+    (* Lines several times the reader's 16 KB buffer, one of them a
+       record whose size has 150000 leading zeros. *)
+    ( "long lines",
+      "# " ^ long 200_000 'x' ^ "\n L 0x10," ^ long 150_000 '0' ^ "4\n"
+      ^ long 100_000 ' ' ^ " S 0x40,8\n R 0x80",
+      Ok 4 );
+    ( "strict error",
+      long 70_000 ' ' ^ " L 0x10,4\n X bad\n L 0x20,4\n",
+      Error "line 2: unknown record kind 'X'" );
+    ("big trace", big_trace, Ok 500);
+  ]
+
+let test_sources_agree () =
+  let opts = { Ingest.default with Ingest.cores = 2 } in
+  let observe src =
+    let guard f =
+      match f () with v -> Ok v | exception Ingest.Error m -> Error m
+    in
+    ( guard (fun () -> Ingest.scan opts src),
+      guard (fun () -> Ingest.load opts src) )
+  in
+  List.iter
+    (fun (name, text, expect) ->
+      let path = tmp_trace text in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (fun p -> if Sys.file_exists p then Sys.remove p)
+            [ path; path ^ ".gz" ])
+        (fun () ->
+          let from_text = observe (Reader.Text text) in
+          let outcome =
+            match from_text with
+            | Ok scan, Ok _ -> Ok scan.Ingest.scanned_lines
+            | Error msg, Error msg' when msg = msg' -> Error msg
+            | _ -> Alcotest.fail (name ^ ": scan and load disagree")
+          in
+          check_bool (name ^ ": lines read") true (outcome = expect);
+          check_bool (name ^ ": File == Text") true
+            (observe (Reader.File path) = from_text);
+          if gzip_available () then
+            check_bool (name ^ ": gzip File == Text") true
+              (observe (Reader.File (gzip_copy path)) = from_text)))
+    source_inputs
 
 let test_missing_file () =
   check_bool "missing file raises Sys_error" true
@@ -327,13 +621,17 @@ let () =
   Alcotest.run "tracein"
     [
       ( "lackey",
-        [ Alcotest.test_case "parse forms" `Quick test_parse_forms ] );
+        [
+          Alcotest.test_case "parse forms" `Quick test_parse_forms;
+          QCheck_alcotest.to_alcotest prop_parse_matches_oracle;
+        ] );
       ( "scan",
         [
           Alcotest.test_case "counts" `Quick test_scan_counts;
           Alcotest.test_case "modify expands" `Quick
             test_modify_is_load_then_store;
           Alcotest.test_case "split spans" `Quick test_split_spans;
+          Alcotest.test_case "split overflow" `Quick test_split_overflow;
         ] );
       ( "errors",
         [
@@ -359,8 +657,9 @@ let () =
         ] );
       ( "sources",
         [
-          Alcotest.test_case "file == text" `Quick test_file_matches_text;
+          Alcotest.test_case "file == text" `Quick test_sources_agree;
           Alcotest.test_case "gzip" `Quick test_gzip_roundtrip;
+          Alcotest.test_case "truncated gzip" `Quick test_gzip_truncated;
         ] );
       ( "report",
         [ Alcotest.test_case "simtrace json" `Quick test_report_json ] );

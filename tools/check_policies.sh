@@ -8,7 +8,8 @@
 #      per-level --policy bindings, and emits a ctam-simtrace-v1
 #      report that parses as JSON (tools/json_check.exe);
 #   3. malformed trace lines are rejected WITH their line position in
-#      strict mode, and merely counted in --lossy mode;
+#      strict mode, and merely counted in --lossy mode (an overflowing
+#      --split span included); a truncated gzip trace fails;
 #   4. a bogus --policy spec is rejected before any work happens.
 # Wired into `dune runtest` from tools/dune; also runnable by hand:
 #
@@ -73,6 +74,53 @@ grep -q "line 3" "$tmp/err" || {
 "$JSON_CHECK" "$tmp/lossy.json" > /dev/null
 grep -q '"malformed": 1' "$tmp/lossy.json"
 grep -q '"records": 3' "$tmp/lossy.json"
+
+# 3c. Under --split, a span running past max_int is a malformed line:
+#     strict mode names it and exits like 3a (not with an uncaught
+#     exception's 125), lossy mode counts it.
+printf ' L 0x3ffffffffffffff0,100\n' > "$tmp/overflow.trace"
+strict=0
+"$CTAMAP" simtrace "$tmp/bad.trace" -m dunnington > /dev/null 2>&1 \
+  || strict=$?
+status=0
+"$CTAMAP" simtrace "$tmp/overflow.trace" -m dunnington --split 64 \
+  > /dev/null 2> "$tmp/err" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -ne "$strict" ]; then
+  echo "check_policies: overflowing --split span exited $status" \
+    "(malformed lines exit $strict)" >&2
+  cat "$tmp/err" >&2
+  exit 1
+fi
+grep -q "line 1" "$tmp/err" || {
+  echo "check_policies: overflow error lost the line position:" >&2
+  cat "$tmp/err" >&2
+  exit 1
+}
+"$CTAMAP" simtrace "$tmp/overflow.trace" -m dunnington --split 64 --lossy \
+  --json > "$tmp/overflow.json"
+grep -q '"malformed": 1' "$tmp/overflow.json"
+
+# 3d. A truncated gzip trace fails (naming the file) instead of
+#     replaying the part that decompressed.
+if command -v gzip > /dev/null 2>&1; then
+  i=0
+  while [ $i -lt 200 ]; do
+    printf ' L 0x%x,8\n' $((4096 + (i * 7919) % 4096 * 64))
+    i=$((i + 1))
+  done > "$tmp/200.trace"
+  gzip -c "$tmp/200.trace" > "$tmp/200.gz"
+  dd if="$tmp/200.gz" of="$tmp/cut.gz" bs=300 count=1 2> /dev/null
+  if "$CTAMAP" simtrace "$tmp/cut.gz" -m dunnington > /dev/null \
+    2> "$tmp/err"; then
+    echo "check_policies: truncated gzip trace replayed with exit 0" >&2
+    exit 1
+  fi
+  grep -q "cut.gz" "$tmp/err" || {
+    echo "check_policies: gzip failure does not name the file:" >&2
+    cat "$tmp/err" >&2
+    exit 1
+  }
+fi
 
 # 4. Policy spec validation happens before the trace is touched.
 if "$CTAMAP" simtrace "$tmp/good.trace" -m dunnington --policy bogus \
