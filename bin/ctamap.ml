@@ -2021,8 +2021,12 @@ let simtrace_cmd =
       & opt (some int) None
       & info [ "split" ] ~docv:"BYTES"
           ~doc:
-            "Expand each record into one access per $(docv)-byte line its \
-             [addr, addr+size) span touches (default: base address only).")
+            (Printf.sprintf
+               "Expand each record into one access per $(docv)-byte line \
+                its [addr, addr+size) span touches (default: base address \
+                only).  A record whose span covers more than %d lines is \
+                malformed."
+               Ingest.max_split_lines))
   in
   let json =
     Arg.(

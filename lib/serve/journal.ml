@@ -171,25 +171,17 @@ let request_json ~ctx ~key ~bytes_in ~bytes_out ~total_seconds ~request
     (envelope_members ~ctx ~key ~bytes_in ~bytes_out ~total_seconds ~request
     @ [ ("response", response) ])
 
-(* [record_request] splices [response_text] — the already-minified
-   wire payload — into the record as fragments instead of
+(* [record_request] splices [response] — the pieces of the
+   already-minified wire payload — into the record instead of
    re-serialising (or even re-concatenating) the response document.
    The response dominates a run record by two orders of magnitude;
    both encoding it a second time and materialising the joined line
    showed up as the journal's warm-path overhead
    (EXPERIMENTS.md, "Journal overhead"). *)
 let record_request t ~ctx ~key ~bytes_in ~bytes_out ~total_seconds ~request
-    ~response_text =
-  let envelope =
-    J.to_string ~minify:true
-      (J.Obj
-         (envelope_members ~ctx ~key ~bytes_in ~bytes_out ~total_seconds
-            ~request))
-  in
+    ~response =
   record_parts t
-    [
-      String.sub envelope 0 (String.length envelope - 1);
-      {|,"response":|};
-      response_text;
-      "}";
-    ]
+    (Protocol.splice
+       (envelope_members ~ctx ~key ~bytes_in ~bytes_out ~total_seconds
+          ~request)
+       "response" response)

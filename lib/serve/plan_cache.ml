@@ -4,11 +4,13 @@
    verification reports, whole tune reports), with an in-memory LRU
    tier over the shared atomic on-disk tier (Ctam_util.Diskstore).
 
-   The memory tier is bounded both in entries and in bytes (the size
-   of an entry is its minified serialization, i.e. roughly what it
-   costs to hold and to send); inserting past either bound evicts from
-   the cold end.  A disk hit is promoted into memory, so a restarted
-   daemon re-warms its working set on first touch.
+   The memory tier holds each entry as its minified text, the bytes a
+   reply carries, so a hit is served without encoding anything
+   (Protocol.ok_pieces splices the envelope around them).  It is
+   bounded both in entries and in bytes (the length of that text);
+   inserting past either bound evicts from the cold end.  A disk hit is
+   encoded once and promoted into memory, so a restarted daemon
+   re-warms its working set on first touch.
 
    All operations take the cache mutex: the server's worker domains
    share one instance.  The on-disk tier needs no lock — Diskstore
@@ -53,8 +55,7 @@ let count tier result =
 (* Doubly-linked LRU node; [node.key] doubles as the hashtable key. *)
 type node = {
   key : string;
-  value : J.t;
-  bytes : int;
+  text : string;  (** the value, minified *)
   mutable prev : node option;  (** towards hot end *)
   mutable next : node option;  (** towards cold end *)
 }
@@ -142,27 +143,27 @@ let evict_one t reason =
       unlink t n;
       Hashtbl.remove t.table n.key;
       t.entries <- t.entries - 1;
-      t.bytes <- t.bytes - n.bytes;
+      t.bytes <- t.bytes - String.length n.text;
       t.c.evicted_entries <- t.c.evicted_entries + 1;
-      t.c.evicted_bytes <- t.c.evicted_bytes + n.bytes;
+      t.c.evicted_bytes <- t.c.evicted_bytes + String.length n.text;
       Tel.Metrics.Counter.inc
         (Tel.Metrics.Counter.series tel_evictions [ reason ])
 
-(* Insert (or refresh) [key] in the memory tier and trim to bounds. *)
-let insert_locked t key value =
+(* Insert (or refresh) [key] with the minified [text] of its value in
+   the memory tier and trim to bounds. *)
+let insert_locked t key text =
   (match Hashtbl.find_opt t.table key with
   | Some old ->
       unlink t old;
       Hashtbl.remove t.table key;
       t.entries <- t.entries - 1;
-      t.bytes <- t.bytes - old.bytes
+      t.bytes <- t.bytes - String.length old.text
   | None -> ());
-  let bytes = String.length (J.to_string ~minify:true value) in
-  let n = { key; value; bytes; prev = None; next = None } in
+  let n = { key; text; prev = None; next = None } in
   push_hot t n;
   Hashtbl.replace t.table key n;
   t.entries <- t.entries + 1;
-  t.bytes <- t.bytes + bytes;
+  t.bytes <- t.bytes + String.length text;
   while t.entries > t.max_entries do
     evict_one t "entries"
   done;
@@ -179,8 +180,8 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* Which tier answered — the journal's and the span metrics' "cache
-   outcome" dimension. *)
-type lookup_result = Memory of J.t | Disk of J.t | Absent
+   outcome" dimension — with the entry's minified text. *)
+type lookup_result = Memory of string | Disk of string | Absent
 
 let lookup t key =
   locked t (fun () ->
@@ -190,7 +191,7 @@ let lookup t key =
           push_hot t n;
           t.c.mem_hits <- t.c.mem_hits + 1;
           count "memory" "hit";
-          Memory n.value
+          Memory n.text
       | None -> (
           t.c.mem_misses <- t.c.mem_misses + 1;
           count "memory" "miss";
@@ -203,8 +204,9 @@ let lookup t key =
               | Store.Hit v ->
                   t.c.disk_hits <- t.c.disk_hits + 1;
                   count "disk" "hit";
-                  insert_locked t key v;
-                  Disk v
+                  let text = J.to_string ~minify:true v in
+                  insert_locked t key text;
+                  Disk text
               | Store.Miss ->
                   t.c.disk_misses <- t.c.disk_misses + 1;
                   count "disk" "miss";
@@ -230,10 +232,14 @@ let lookup t key =
 let find t key =
   match lookup t key with Memory v | Disk v -> Some v | Absent -> None
 
-let add t key value =
+(* [store t key value] caches [value] under [key] in both tiers and
+   returns its minified text, which the memory tier now holds: a
+   computed reply is spliced around these bytes, so it is encoded once. *)
+let store t key value =
+  let text = J.to_string ~minify:true value in
   locked t (fun () ->
-      insert_locked t key value;
-      match t.dir with
+      insert_locked t key text;
+      (match t.dir with
       | None -> ()
       | Some dir -> (
           match
@@ -247,7 +253,10 @@ let add t key value =
               Tel.Metrics.Counter.inc0 tel_store_failures;
               Tel.Log.warn ~src:"serve.cache"
                 ~fields:[ ("dir", J.String dir) ]
-                (fun () -> "plan-cache store failed (" ^ what ^ ")")))
+                (fun () -> "plan-cache store failed (" ^ what ^ ")"))));
+  text
+
+let add t key value = ignore (store t key value)
 
 let stats_json t =
   locked t (fun () ->

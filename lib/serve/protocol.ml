@@ -83,23 +83,32 @@ let read_frame ?(max_bytes = default_max_frame) ?(on_idle = fun () -> `Continue)
         | Ok payload -> Ok (Bytes.unsafe_to_string payload)
         | Error e -> Error e)
 
-let write_frame fd payload =
-  let n = String.length payload in
-  if n > 0xFFFFFFFF then invalid_arg "Protocol.write_frame: frame too large";
-  let msg = Bytes.create (4 + n) in
-  Bytes.set msg 0 (Char.chr ((n lsr 24) land 0xFF));
-  Bytes.set msg 1 (Char.chr ((n lsr 16) land 0xFF));
-  Bytes.set msg 2 (Char.chr ((n lsr 8) land 0xFF));
-  Bytes.set msg 3 (Char.chr (n land 0xFF));
-  Bytes.blit_string payload 0 msg 4 n;
-  let total = 4 + n in
-  let rec go off =
-    if off < total then
-      match Unix.write fd msg off (total - off) with
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+(* [write_pieces fd pieces] writes one frame whose payload is the
+   concatenation of [pieces]: the 4-byte header, then each piece as it
+   is.  A cached run report is tens of kilobytes; copying it into one
+   frame buffer per reply would cost as much as the rest of a warm hit. *)
+let write_pieces fd pieces =
+  let n = List.fold_left (fun a s -> a + String.length s) 0 pieces in
+  if n > 0xFFFFFFFF then invalid_arg "Protocol.write_pieces: frame too large";
+  let hdr = Bytes.create 4 in
+  Bytes.set hdr 0 (Char.chr ((n lsr 24) land 0xFF));
+  Bytes.set hdr 1 (Char.chr ((n lsr 16) land 0xFF));
+  Bytes.set hdr 2 (Char.chr ((n lsr 8) land 0xFF));
+  Bytes.set hdr 3 (Char.chr (n land 0xFF));
+  let write_all s =
+    let len = String.length s in
+    let rec go off =
+      if off < len then
+        match Unix.write_substring fd s off (len - off) with
+        | k -> go (off + k)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+    in
+    go 0
   in
-  go 0
+  write_all (Bytes.unsafe_to_string hdr);
+  List.iter write_all pieces
+
+let write_frame fd payload = write_pieces fd [ payload ]
 
 let write_json fd j = write_frame fd (J.to_string ~minify:true j)
 
@@ -114,11 +123,38 @@ let request_id_members = function
   | None -> []
   | Some rid -> [ ("request_id", J.Int rid) ]
 
+let ok_members ~id ~request_id ~cached =
+  [ ("id", id) ]
+  @ request_id_members request_id
+  @ [ ("ok", J.Bool true); ("cached", J.Bool cached) ]
+
 let ok_response ?(id = J.Null) ?request_id ?(cached = false) result =
-  J.Obj
-    ([ ("id", id) ]
-    @ request_id_members request_id
-    @ [ ("ok", J.Bool true); ("cached", J.Bool cached); ("result", result) ])
+  J.Obj (ok_members ~id ~request_id ~cached @ [ ("result", result) ])
+
+(* [splice members name pieces] is the minified text of
+   [J.Obj (members @ [ (name, v) ])] as pieces, where [pieces] already
+   are the minified text of [v] and [name] needs no escaping.  Only
+   [members] are encoded; the value's pieces are passed through. *)
+let splice members name pieces =
+  let head = J.to_string ~minify:true (J.Obj members) in
+  String.concat ""
+    [
+      String.sub head 0 (String.length head - 1);
+      (if members = [] then "" else ",");
+      "\"";
+      name;
+      "\":";
+    ]
+  :: (pieces @ [ "}" ])
+
+(* [ok_pieces ... result_text] is the payload of [ok_response ...
+   result] as pieces, given [result_text], the minified text of
+   [result]: the envelope is encoded around the stored bytes of a
+   cached plan instead of re-encoding the plan on every hit.  The
+   concatenation is byte-identical to
+   [J.to_string ~minify:true (ok_response ... result)]. *)
+let ok_pieces ?(id = J.Null) ?request_id ?(cached = false) result_text =
+  splice (ok_members ~id ~request_id ~cached) "result" [ result_text ]
 
 let error_response ?(id = J.Null) ?request_id ~code message =
   J.Obj

@@ -257,13 +257,20 @@ let slowlog_limit j =
       | Some _ -> Error "\"limit\" must be a non-negative integer")
   | _ -> Ok None
 
+(* A reply before it is written: a document, encoded in the [encode]
+   span, or the pieces of a payload already spliced around a cached
+   plan's stored bytes (Protocol.ok_pieces). *)
+type reply = Json of J.t | Spliced of string list
+
 (* Shared cached-compute tail of every plan-carrying op (map / run /
    tune / check / trace): plan-cache lookup, deadline-guarded
    execution, store.  [compute] returns the result JSON plus its
-   execution spans. *)
+   execution spans.  A cached or stored result is replied as its
+   stored text, so it is encoded at most once, when it is stored; only
+   a [nocache] result is encoded with its reply. *)
 let run_cached t (ctx : Reqctx.t) ~finish ~id ~request_id ~opname ~key ~nocache
     ~timeout_ms compute =
-  let cached_value =
+  let cached_text =
     if nocache then begin
       ctx.Reqctx.cache <- Reqctx.Bypass;
       None
@@ -272,20 +279,20 @@ let run_cached t (ctx : Reqctx.t) ~finish ~id ~request_id ~opname ~key ~nocache
       match
         Reqctx.span ctx "cache_lookup" (fun () -> Plan_cache.lookup t.cache key)
       with
-      | Plan_cache.Memory v ->
+      | Plan_cache.Memory text ->
           ctx.Reqctx.cache <- Reqctx.Memory;
-          Some v
-      | Plan_cache.Disk v ->
+          Some text
+      | Plan_cache.Disk text ->
           ctx.Reqctx.cache <- Reqctx.Disk;
-          Some v
+          Some text
       | Plan_cache.Absent ->
           ctx.Reqctx.cache <- Reqctx.Miss;
           None
   in
-  match cached_value with
-  | Some v ->
+  match cached_text with
+  | Some text ->
       ( finish ~op:opname ~outcome:"cached"
-          (Protocol.ok_response ~id ~request_id ~cached:true v),
+          (Spliced (Protocol.ok_pieces ~id ~request_id ~cached:true text)),
         false,
         Some key )
   | None -> (
@@ -303,22 +310,30 @@ let run_cached t (ctx : Reqctx.t) ~finish ~id ~request_id ~opname ~key ~nocache
       with
       | Ok (v, spans) ->
           Reqctx.add_spans ctx spans;
-          if not nocache then Plan_cache.add t.cache key v;
-          ( finish ~op:opname ~outcome:"ok"
-              (Protocol.ok_response ~id ~request_id v),
+          let reply =
+            if nocache then Json (Protocol.ok_response ~id ~request_id v)
+            else
+              Spliced
+                (Protocol.ok_pieces ~id ~request_id
+                   (Plan_cache.store t.cache key v))
+          in
+          ( finish ~op:opname ~outcome:"ok" reply,
             false,
             Some key )
       | Error (`Timeout ms) ->
           Reqctx.error ctx "timeout";
           ( finish ~op:opname ~outcome:"timeout"
-              (Protocol.error_response ~id ~request_id ~code:"timeout"
-                 (Printf.sprintf "request exceeded %d ms" ms)),
+              (Json
+                 (Protocol.error_response ~id ~request_id ~code:"timeout"
+                    (Printf.sprintf "request exceeded %d ms" ms))),
             false,
             Some key )
       | Error (`Internal msg) ->
           Reqctx.error ctx "internal";
           ( finish ~op:opname ~outcome:"error"
-              (Protocol.error_response ~id ~request_id ~code:"internal" msg),
+              (Json
+                 (Protocol.error_response ~id ~request_id ~code:"internal"
+                    msg)),
             false,
             Some key ))
 
@@ -378,7 +393,8 @@ let handle t (ctx : Reqctx.t) j =
   let bad_request ~op msg =
     Reqctx.error ctx "bad_request";
     ( finish ~op ~outcome:"error"
-        (Protocol.error_response ~id ~request_id ~code:"bad_request" msg),
+        (Json
+           (Protocol.error_response ~id ~request_id ~code:"bad_request" msg)),
       false,
       None )
   in
@@ -386,19 +402,21 @@ let handle t (ctx : Reqctx.t) j =
   | None ->
       Reqctx.error ctx "bad_request";
       ( finish ~op:"?" ~outcome:"error"
-          (Protocol.error_response ~id ~request_id ~code:"bad_request"
-             "request must be an object with a string \"op\" member"),
+          (Json
+             (Protocol.error_response ~id ~request_id ~code:"bad_request"
+                "request must be an object with a string \"op\" member")),
         false,
         None )
   | Some "ping" ->
       ( finish ~op:"ping" ~outcome:"ok"
-          (Protocol.ok_response ~id ~request_id
-             (J.Obj [ ("pong", J.Bool true) ])),
+          (Json
+             (Protocol.ok_response ~id ~request_id
+                (J.Obj [ ("pong", J.Bool true) ]))),
         false,
         None )
   | Some "stats" ->
       ( finish ~op:"stats" ~outcome:"ok"
-          (Protocol.ok_response ~id ~request_id (stats_json t)),
+          (Json (Protocol.ok_response ~id ~request_id (stats_json t))),
         false,
         None )
   | Some "metrics" -> (
@@ -406,7 +424,8 @@ let handle t (ctx : Reqctx.t) j =
       | Error msg -> bad_request ~op:"metrics" msg
       | Ok format ->
           ( finish ~op:"metrics" ~outcome:"ok"
-              (Protocol.ok_response ~id ~request_id (metrics_json format)),
+              (Json
+                 (Protocol.ok_response ~id ~request_id (metrics_json format))),
             false,
             None ))
   | Some "slowlog" -> (
@@ -414,13 +433,14 @@ let handle t (ctx : Reqctx.t) j =
       | Error msg -> bad_request ~op:"slowlog" msg
       | Ok limit ->
           ( finish ~op:"slowlog" ~outcome:"ok"
-              (Protocol.ok_response ~id ~request_id
-                 (Slowlog.to_json ?limit t.slowlog)),
+              (Json
+                 (Protocol.ok_response ~id ~request_id
+                    (Slowlog.to_json ?limit t.slowlog))),
             false,
             None ))
   | Some "version" ->
       ( finish ~op:"version" ~outcome:"ok"
-          (Protocol.ok_response ~id ~request_id version_json),
+          (Json (Protocol.ok_response ~id ~request_id version_json)),
         false,
         None )
   | Some "trace" -> (
@@ -435,8 +455,9 @@ let handle t (ctx : Reqctx.t) j =
   | Some "shutdown" ->
       Atomic.set t.stop true;
       ( finish ~op:"shutdown" ~outcome:"ok"
-          (Protocol.ok_response ~id ~request_id
-             (J.Obj [ ("stopping", J.Bool true) ])),
+          (Json
+             (Protocol.ok_response ~id ~request_id
+                (J.Obj [ ("stopping", J.Bool true) ]))),
         true,
         None )
   | Some opname -> (
@@ -454,33 +475,36 @@ let handle t (ctx : Reqctx.t) j =
 
 (* Replies are best-effort: when the client vanished mid-reply the
    write raises (EPIPE) and only this connection ends.  Returns the
-   payload bytes written (0 on failure) so the journal can record
+   payload bytes written (None on failure) so the journal can record
    [bytes_out]. *)
-let try_write fd payload =
-  match Protocol.write_frame fd payload with
-  | () -> Some (String.length payload)
+let try_write fd pieces =
+  match Protocol.write_pieces fd pieces with
+  | () -> Some (List.fold_left (fun a s -> a + String.length s) 0 pieces)
   | exception Unix.Unix_error (_, _, _) -> None
 
-(* Seal one finished request: write the reply inside an [encode] span,
-   publish the context's metric samples, and feed the journal and the
-   slowlog.  The encoded payload is reused as the journal record's
-   response member — a run reply is tens of kilobytes and encoding it
-   twice per request would dominate the journal's cost.  Returns the
-   write result. *)
+(* Seal one finished request: encode (a [Json] reply) and write it
+   inside an [encode] span, publish the context's metric samples, and
+   feed the journal and the slowlog.  The payload's pieces are reused
+   as the journal record's response member — a run reply is tens of
+   kilobytes and encoding or copying it again per request would
+   dominate the journal's cost.  Returns the write result. *)
 let complete t (ctx : Reqctx.t) fd ~key ~bytes_in ~request reply =
-  let wrote =
+  let wrote, pieces =
     Reqctx.span ctx "encode" (fun () ->
-        let payload = J.to_string ~minify:true reply in
-        (try_write fd payload, payload))
+        let pieces =
+          match reply with
+          | Json j -> [ J.to_string ~minify:true j ]
+          | Spliced pieces -> pieces
+        in
+        (try_write fd pieces, pieces))
   in
-  let wrote, payload = wrote in
   let total_seconds = Reqctx.finish ctx in
   (match t.journal with
   | None -> ()
   | Some jn ->
       Journal.record_request jn ~ctx ~key ~bytes_in
         ~bytes_out:(Option.value ~default:0 wrote)
-        ~total_seconds ~request ~response_text:payload);
+        ~total_seconds ~request ~response:pieces);
   Slowlog.note t.slowlog ctx ~total_seconds;
   wrote
 
@@ -511,10 +535,12 @@ let serve_connection t fd =
               Tel.Log.warn ~src:"serve" (fun () ->
                   Printf.sprintf "refusing oversized frame (%d bytes)" length);
               complete t ctx fd ~key:None ~bytes_in:length ~request:J.Null
-                (Protocol.error_response ~request_id:ctx.Reqctx.id
-                   ~code:"oversized_frame"
-                   (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit"
-                      length t.config.max_frame)))
+                (Json
+                   (Protocol.error_response ~request_id:ctx.Reqctx.id
+                      ~code:"oversized_frame"
+                      (Printf.sprintf
+                         "frame of %d bytes exceeds the %d-byte limit" length
+                         t.config.max_frame))))
         in
         (* A drained frame leaves the stream framed; an undrainable
            length means the peer never spoke the protocol. *)
@@ -533,9 +559,10 @@ let serve_connection t fd =
             let sent =
               Reqctx.with_logging ctx (fun () ->
                   complete t ctx fd ~key:None ~bytes_in ~request:J.Null
-                    (Protocol.error_response ~request_id:ctx.Reqctx.id
-                       ~code:"malformed_json"
-                       ("request is not valid JSON: " ^ e)))
+                    (Json
+                       (Protocol.error_response ~request_id:ctx.Reqctx.id
+                          ~code:"malformed_json"
+                          ("request is not valid JSON: " ^ e))))
             in
             if sent <> None then loop ()
         | Ok j ->

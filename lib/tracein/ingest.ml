@@ -71,22 +71,39 @@ let malformed opts st msg =
   if opts.lossy then st.malformed <- st.malformed + 1
   else fail "line %d: %s" st.lines msg
 
-(* [emit core addr write] for each access of one record, in issue
-   order: with [split], one per [split]-byte line its [addr, addr+size)
-   span touches (the first keeps the record's address); else its base
-   address alone. *)
-let emit_span opts (f : Lackey.fields) ~emit core write =
-  emit core f.addr write;
+let max_split_lines = 65536
+
+(* The accesses of one record, in issue order: with [split], one per
+   [split]-byte line its [addr, addr+size) span touches (the first
+   keeps the record's address); else its base address alone.  Every
+   one after the first is a line start above [addr], so [addr] is the
+   lowest address and [span_last] the highest. *)
+let span_lines opts (f : Lackey.fields) =
+  match opts.split with
+  | None -> 1
+  | Some l -> ((f.addr + f.size - 1) / l) - (f.addr / l) + 1
+
+let span_last opts (f : Lackey.fields) =
+  match opts.split with
+  | None -> f.addr
+  | Some l -> max f.addr ((f.addr + f.size - 1) / l * l)
+
+(* [emit addr write] for each access of one record. *)
+let emit_span opts (f : Lackey.fields) ~emit write =
+  emit f.addr write;
   match opts.split with
   | None -> ()
   | Some l ->
       for i = (f.addr / l) + 1 to (f.addr + f.size - 1) / l do
-        emit core (i * l) write
+        emit (i * l) write
       done
 
-(* One line of a pass: count it and emit its accesses to the core it
-   lands on.  Noise, dropped instruction fetches and (lossy mode)
-   malformed lines emit nothing. *)
+(* One line of a pass: count it and hand each access span of its
+   record to [emit fields core write] (a modify is a read span, then a
+   write span).  Noise, dropped instruction fetches and (lossy mode)
+   malformed lines emit nothing.  A split record that overflows the
+   address space or covers more than [max_split_lines] lines is
+   malformed, so no pass ever expands one. *)
 let process opts st ~check_times ~emit b pos len =
   st.lines <- st.lines + 1;
   let f = st.fields in
@@ -98,6 +115,11 @@ let process opts st ~check_times ~emit b pos len =
       malformed opts st
         (Printf.sprintf "%d-byte span at 0x%x overflows the address space"
            f.size f.addr)
+  | Lackey.Record when span_lines opts f > max_split_lines ->
+      malformed opts st
+        (Printf.sprintf
+           "%d-byte span at 0x%x covers %d split lines (at most %d)" f.size
+           f.addr (span_lines opts f) max_split_lines)
   | Lackey.Record -> (
       st.records <- st.records + 1;
       match f.kind with
@@ -127,11 +149,11 @@ let process opts st ~check_times ~emit b pos len =
                 st.last_time.(core) <- max f.time st.last_time.(core)
             | _ -> ());
             match kind with
-            | Lackey.Instr | Lackey.Load -> emit_span opts f ~emit core false
-            | Lackey.Store -> emit_span opts f ~emit core true
+            | Lackey.Instr | Lackey.Load -> emit f core false
+            | Lackey.Store -> emit f core true
             | Lackey.Modify ->
-                emit_span opts f ~emit core false;
-                emit_span opts f ~emit core true
+                emit f core false;
+                emit f core true
           end)
 
 type scan = {
@@ -148,10 +170,12 @@ let scan opts src =
   let st = fresh_state opts in
   let per_core = Array.make opts.cores 0 in
   let min_a = ref max_int and max_a = ref (-1) in
-  let emit core a _ =
-    per_core.(core) <- per_core.(core) + 1;
-    if a < !min_a then min_a := a;
-    if a > !max_a then max_a := a
+  (* A span is counted, not expanded: O(1) whatever its length. *)
+  let emit (f : Lackey.fields) core _ =
+    per_core.(core) <- per_core.(core) + span_lines opts f;
+    if f.addr < !min_a then min_a := f.addr;
+    let last = span_last opts f in
+    if last > !max_a then max_a := last
   in
   let ch = Reader.open_source src in
   Fun.protect
@@ -204,9 +228,11 @@ let make_cursor opts src ~core ~length ~base ~mask : Engine.cursor =
     end
     else cs.spill <- e :: cs.spill
   in
-  let emit c addr write =
-    if c = core then
-      push (Engine.encode_access ~addr:((addr - base) land mask) ~write)
+  let emit_access addr write =
+    push (Engine.encode_access ~addr:((addr - base) land mask) ~write)
+  in
+  let emit f c write =
+    if c = core then emit_span opts f ~emit:emit_access write
   in
   let close_chan () =
     match cs.chan with

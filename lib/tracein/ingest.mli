@@ -34,9 +34,17 @@ type options = {
   split : int option;
       (** emit one access per [split]-byte line an access's
           [addr, addr+size) span touches (default: base address only);
-          a record whose span runs past [max_int] is then malformed *)
+          a record whose span runs past [max_int] or covers more than
+          {!max_split_lines} lines is then malformed *)
   interleave : interleave;
 }
+
+(** The most [split]-byte lines one record's span may cover: 65536,
+    far wider than any single access Lackey records.  The counting
+    pass sizes a span in O(1), so validating a trace costs O(lines)
+    whatever its spans; the bound keeps the cursors, which expand each
+    span into its accesses, from doing unbounded work per record. *)
+val max_split_lines : int
 
 (** One core, strict, no instruction fetches, no address transforms,
     round-robin. *)

@@ -21,7 +21,11 @@ let fresh_dir =
       (Printf.sprintf "ctam-serve-test-%d-%d" (Unix.getpid ()) !counter)
 
 let v s = J.Obj [ ("payload", J.String s) ]
-let size j = String.length (J.to_string ~minify:true j)
+
+(* What the plan cache holds and returns for a value: its minified
+   text, the bytes a reply carries. *)
+let text j = J.to_string ~minify:true j
+let size j = String.length (text j)
 
 (* --- Plan_cache ------------------------------------------------------- *)
 
@@ -33,19 +37,20 @@ let test_lru_eviction_order () =
   check_keys "insertion order" [ "k3"; "k2"; "k1" ]
     (Plan_cache.keys_hot_to_cold c);
   (* A hit promotes. *)
-  check_bool "hit" true (Plan_cache.find c "k1" = Some (v "1"));
+  check_bool "hit" true (Plan_cache.find c "k1" = Some (text (v "1")));
   check_keys "promoted" [ "k1"; "k3"; "k2" ] (Plan_cache.keys_hot_to_cold c);
   (* A fourth insert evicts the coldest — k2, not the oldest k1. *)
   Plan_cache.add c "k4" (v "4");
   check_keys "evicted the coldest" [ "k4"; "k1"; "k3" ]
     (Plan_cache.keys_hot_to_cold c);
   check_bool "evicted key misses" true (Plan_cache.find c "k2" = None);
-  check_bool "survivor hits" true (Plan_cache.find c "k3" = Some (v "3"));
+  check_bool "survivor hits" true
+    (Plan_cache.find c "k3" = Some (text (v "3")));
   (* Re-adding an existing key refreshes in place, no growth. *)
   Plan_cache.add c "k4" (v "4'");
   check_int "refresh does not grow" 3 (Plan_cache.resident_entries c);
   check_bool "refresh replaces the value" true
-    (Plan_cache.find c "k4" = Some (v "4'"))
+    (Plan_cache.find c "k4" = Some (text (v "4'")))
 
 let test_byte_bound () =
   let unit_bytes = size (v "x") in
@@ -64,7 +69,7 @@ let test_byte_bound () =
   check_keys "oversized value admitted alone" [ "huge" ]
     (Plan_cache.keys_hot_to_cold c);
   check_int "its bytes are accounted" (size huge) (Plan_cache.resident_bytes c);
-  check_bool "and it hits" true (Plan_cache.find c "huge" = Some huge)
+  check_bool "and it hits" true (Plan_cache.find c "huge" = Some (text huge))
 
 (* Two domains hammer overlapping keys through a memory tier bounded
    well below the key-set size, forcing constant eviction and disk
@@ -88,7 +93,7 @@ let test_concurrent_hit_or_miss () =
           match Plan_cache.find c (key k) with
           | None -> ()
           | Some got ->
-              if got <> value k then Atomic.incr wrong
+              if got <> text (value k) then Atomic.incr wrong
       done)
     [ 0; 1 ];
   check_int "only ever a miss or the stored value" 0 (Atomic.get wrong);
@@ -99,7 +104,7 @@ let test_concurrent_hit_or_miss () =
     check_bool
       (Printf.sprintf "fresh cache reloads %s" (key i))
       true
-      (Plan_cache.find c2 (key i) = Some (value i))
+      (Plan_cache.find c2 (key i) = Some (text (value i)))
   done
 
 (* --- Protocol --------------------------------------------------------- *)
@@ -200,6 +205,40 @@ let test_response_shapes () =
     (Protocol.response_request_id err = Some 42);
   check_bool "request id absent by default" true
     (Protocol.response_request_id (Protocol.ok_response (v "r")) = None)
+
+(* A cached plan is replied as its stored text with the envelope
+   spliced around it; the pieces must be the canonical encoding of the
+   whole reply, whatever the client's id and the result hold. *)
+let prop_ok_pieces_canonical =
+  QCheck.Test.make ~name:"spliced ok reply is the canonical encoding"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (id, rid, cached, result) ->
+         Printf.sprintf "id=%s request_id=%s cached=%b result=%s" (text id)
+           (match rid with None -> "-" | Some r -> string_of_int r)
+           cached (text result))
+       QCheck.Gen.(
+         quad Json_gen.gen_value
+           (opt Json_gen.gen_int)
+           bool Json_gen.gen_value))
+    (fun (id, request_id, cached, result) ->
+      String.concat ""
+        (Protocol.ok_pieces ~id ?request_id ~cached (text result))
+      = text (Protocol.ok_response ~id ?request_id ~cached result))
+
+(* The same splice writes a journal record around the wire payload. *)
+let prop_splice_canonical =
+  QCheck.Test.make ~name:"splice is the canonical encoding" ~count:300
+    (QCheck.make
+       ~print:(fun (ms, v) -> text (J.Obj ms) ^ " + " ^ text v)
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 4)
+              (pair Json_gen.gen_str Json_gen.gen_value))
+           Json_gen.gen_value))
+    (fun (members, v) ->
+      String.concat "" (Protocol.splice members "response" [ text v ])
+      = text (J.Obj (members @ [ ("response", v) ])))
 
 (* The resync contract under pipelining: an oversized frame with valid
    frames already queued behind it.  The drain must consume exactly
@@ -386,13 +425,14 @@ let test_lookup_tiers () =
   check_bool "absent" true (Plan_cache.lookup c "a" = Plan_cache.Absent);
   Plan_cache.add c "a" (v "1");
   check_bool "memory tier" true
-    (Plan_cache.lookup c "a" = Plan_cache.Memory (v "1"));
+    (Plan_cache.lookup c "a" = Plan_cache.Memory (text (v "1")));
   (* Evict from memory (entry bound 1); the disk tier answers and the
      entry is promoted back. *)
   Plan_cache.add c "b" (v "2");
-  check_bool "disk tier" true (Plan_cache.lookup c "a" = Plan_cache.Disk (v "1"));
+  check_bool "disk tier" true
+    (Plan_cache.lookup c "a" = Plan_cache.Disk (text (v "1")));
   check_bool "promoted back to memory" true
-    (Plan_cache.lookup c "a" = Plan_cache.Memory (v "1"))
+    (Plan_cache.lookup c "a" = Plan_cache.Memory (text (v "1")))
 
 (* --- trace requests ---------------------------------------------------- *)
 
@@ -465,38 +505,151 @@ let ask ~socket j =
           | Error e -> Alcotest.fail e)
       | Error _ -> Alcotest.fail "no reply from the daemon")
 
-(* A trace that breaks ingestion is one bad request, never the end of
-   the daemon: an overflowing --split span once escaped as an
-   exception and stopped it, leaving its socket file behind. *)
-let test_daemon_survives_bad_trace () =
+(* Run [f socket] against a daemon served in-process on its own
+   domain, stopped and joined when [f] returns; returns the socket
+   path. *)
+let with_daemon ?(config = Server.default_config) name f =
   let socket =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ctam-serve-test-%d.sock" (Unix.getpid ()))
+      (Printf.sprintf "ctam-serve-test-%d-%s.sock" (Unix.getpid ()) name)
   in
-  let t =
-    Server.create { Server.default_config with Server.socket; workers = 1 }
-  in
+  let t = Server.create { config with Server.socket } in
   let daemon = Domain.spawn (fun () -> Server.serve t) in
   Fun.protect
     ~finally:(fun () ->
       Server.stop t;
       Domain.join daemon)
-    (fun () ->
-      let req =
-        match trace_req " L 0x3ffffffffffffff0,100\n" with
-        | J.Obj ms -> J.Obj (ms @ [ ("split", J.Int 64) ])
-        | j -> j
-      in
-      (match Protocol.response_error (ask ~socket req) with
-      | Some (code, msg) ->
-          Alcotest.(check string) "error code" "bad_request" code;
-          check_bool "names line 1" true
-            (Astring.String.is_infix ~affix:"line 1" msg)
-      | None -> Alcotest.fail "overflowing trace accepted");
-      let ping = ask ~socket (J.Obj [ ("op", J.String "ping") ]) in
-      check_bool "still answers ping" true (Protocol.response_ok ping));
+    (fun () -> f socket);
+  socket
+
+let with_member name v = function
+  | J.Obj ms -> J.Obj (ms @ [ (name, v) ])
+  | j -> j
+
+(* A trace that breaks ingestion is one bad request, never the end of
+   the daemon: an overflowing --split span once escaped as an
+   exception and stopped it, leaving its socket file behind, and a
+   span of 10^12 split lines was expanded at parse time, outside any
+   timeout, wedging the worker. *)
+let test_daemon_survives_bad_trace () =
+  let socket =
+    with_daemon ~config:{ Server.default_config with Server.workers = 1 }
+      "bad-trace"
+    @@ fun socket ->
+    List.iter
+      (fun (trace, split) ->
+        let req =
+          trace_req trace
+          |> with_member "split" (J.Int split)
+          |> with_member "timeout_ms" (J.Int 100)
+        in
+        (match Protocol.response_error (ask ~socket req) with
+        | Some (code, msg) ->
+            Alcotest.(check string) "error code" "bad_request" code;
+            check_bool "names line 1" true
+              (Astring.String.is_infix ~affix:"line 1" msg)
+        | None -> Alcotest.fail "bad trace accepted");
+        let ping = ask ~socket (J.Obj [ ("op", J.String "ping") ]) in
+        check_bool "still answers ping" true (Protocol.response_ok ping))
+      [ (" L 0x3ffffffffffffff0,100\n", 64); (" L 0,1000000000000\n", 1) ]
+  in
   check_bool "socket removed on stop" false (Sys.file_exists socket)
+
+(* Cold, warm-memory and disk-promoted replies to one request, read as
+   raw frames: each is the canonical minified encoding of its own
+   parse, all carry the same result bytes, and the journal records
+   each wire payload byte for byte as its response member. *)
+let test_daemon_replies_canonical () =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  let journal = Filename.concat dir "journal.jsonl" in
+  let config =
+    {
+      Server.default_config with
+      Server.workers = 1;
+      cache_dir = Some (Filename.concat dir "cache");
+      cache_entries = 1;
+      journal_path = Some journal;
+    }
+  in
+  let id =
+    J.Obj
+      [
+        ("tag", J.String "a\"b\\c\n\001\xc3\xa9/");
+        ("n", J.List [ J.Int (-7); J.Float 2.5; J.Null ]);
+      ]
+  in
+  let request trace = trace_req trace |> with_member "id" id in
+  let a = request " L 0x1000,8\n S 0x1040,8\n M 0x1080,4\n" in
+  let b = request " L 0x2000,8\n" in
+  let payloads = ref [] in
+  ignore
+    (with_daemon ~config "splice" @@ fun socket ->
+     let fd = Client.connect socket in
+     Fun.protect
+       ~finally:(fun () -> Unix.close fd)
+       (fun () ->
+         let send j =
+           Protocol.write_json fd j;
+           match Protocol.read_frame fd with
+           | Ok payload -> payload
+           | Error _ -> Alcotest.fail "no reply from the daemon"
+         in
+         (* cache_entries = 1: [b] evicts [a] from memory, so the third
+            [a] is answered from disk. *)
+         let cold = send a in
+         let warm = send a in
+         ignore (send b);
+         let disk = send a in
+         payloads := [ ("miss", cold); ("memory", warm); ("disk", disk) ]));
+  let parse s =
+    match J.parse s with Ok j -> j | Error e -> Alcotest.fail e
+  in
+  let result_bytes =
+    List.map
+      (fun (tier, payload) ->
+        let reply = parse payload in
+        Alcotest.(check string) (tier ^ " reply is canonical") (text reply)
+          payload;
+        check_bool (tier ^ " reply ok") true (Protocol.response_ok reply);
+        check_bool (tier ^ " cached flag") (tier <> "miss")
+          (Protocol.response_cached reply);
+        check_bool (tier ^ " echoes the id") true
+          (J.member "id" reply = Some id);
+        match Protocol.response_result reply with
+        | Some r -> text r
+        | None -> Alcotest.fail (tier ^ " reply has no result"))
+      !payloads
+  in
+  (match result_bytes with
+  | r :: rest ->
+      List.iter (Alcotest.(check string) "same result bytes" r) rest
+  | [] -> Alcotest.fail "no replies");
+  (* The journal holds one line per request, in order; [a]'s carry
+     the wire payloads as their response members, and the cache
+     outcome names the tier that answered. *)
+  let ic = open_in_bin journal in
+  let lines =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        let rec go acc =
+          match input_line ic with
+          | l -> go (l :: acc)
+          | exception End_of_file -> List.rev acc
+        in
+        go [])
+  in
+  check_int "one journal line per request" 4 (List.length lines);
+  List.iter2
+    (fun line (tier, payload) ->
+      check_bool (tier ^ ": journal response is the wire payload") true
+        (String.ends_with ~suffix:({|,"response":|} ^ payload ^ "}") line);
+      check_bool (tier ^ ": journal cache outcome") true
+        (J.member "cache" (parse line) = Some (J.String tier)))
+    [ List.nth lines 0; List.nth lines 1; List.nth lines 3 ]
+    !payloads
 
 (* --- cache maintenance ------------------------------------------------- *)
 
@@ -529,12 +682,12 @@ let test_purge_then_recompute () =
        res);
   check_int "store empty" 0 (plan_entries ());
   check_bool "memory tier still answers" true
-    (Plan_cache.lookup c "b" = Plan_cache.Memory (v "2"));
+    (Plan_cache.lookup c "b" = Plan_cache.Memory (text (v "2")));
   check_bool "evicted entry must be recomputed" true
     (Plan_cache.lookup c "a" = Plan_cache.Absent);
   Plan_cache.add c "a" (v "1");
   check_bool "store accepts the recomputed entry" true
-    (Plan_cache.lookup c "a" = Plan_cache.Memory (v "1"));
+    (Plan_cache.lookup c "a" = Plan_cache.Memory (text (v "1")));
   check_int "recomputed entry persisted" 1 (plan_entries ())
 
 let () =
@@ -553,6 +706,8 @@ let () =
           Alcotest.test_case "read-error classification" `Quick
             test_read_error_classification;
           Alcotest.test_case "response shapes" `Quick test_response_shapes;
+          QCheck_alcotest.to_alcotest prop_ok_pieces_canonical;
+          QCheck_alcotest.to_alcotest prop_splice_canonical;
           Alcotest.test_case "resync under pipelining" `Quick
             test_resync_pipelined;
         ] );
@@ -572,6 +727,8 @@ let () =
             test_trace_request_parse;
           Alcotest.test_case "daemon survives a bad trace" `Quick
             test_daemon_survives_bad_trace;
+          Alcotest.test_case "daemon replies are canonical" `Quick
+            test_daemon_replies_canonical;
         ] );
       ( "cache maintenance",
         [

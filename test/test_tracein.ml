@@ -306,31 +306,154 @@ let test_split_spans () =
   check_bool "split addresses" true (addrs = [ 0x38; 0x40; 0x40 ])
 
 let test_split_overflow () =
-  (* Under --split, a span past max_int is malformed: strict mode names
+  (* Under --split, a span past max_int, or one covering more than
+     max_split_lines lines (10^12 one-byte lines here, which a pass
+     once expanded access by access), is malformed: strict mode names
      its line, lossy mode counts it and keeps the other records. *)
-  let trace = " L 0x3ffffffffffffff0,100\n S 0x40,8\n" in
-  let opts = { Ingest.default with Ingest.split = Some 64 } in
   List.iter
-    (fun (what, f) ->
-      check_bool what true
-        (match f () with
-        | exception Ingest.Error msg ->
-            Astring.String.is_infix ~affix:"line 1:" msg
-        | _ -> false))
+    (fun (trace, split) ->
+      let opts = { Ingest.default with Ingest.split = Some split } in
+      List.iter
+        (fun (what, f) ->
+          check_bool what true
+            (match f () with
+            | exception Ingest.Error msg ->
+                Astring.String.is_infix ~affix:"line 1:" msg
+            | _ -> false))
+        [
+          ( "strict scan",
+            fun () -> ignore (Ingest.scan opts (Reader.Text trace)) );
+          ( "strict load",
+            fun () -> ignore (Ingest.load opts (Reader.Text trace)) );
+        ];
+      let lossy = { opts with Ingest.lossy = true } in
+      let scan = Ingest.scan lossy (Reader.Text trace) in
+      check_int "lossy counts it" 1 scan.Ingest.malformed;
+      check_int "the other record survives" 1 scan.Ingest.records;
+      check_bool "lossy load" true
+        (Ingest.load lossy (Reader.Text trace)
+        = [| [| Engine.encode_access ~addr:0x40 ~write:true |] |]);
+      (* Without --split the base address alone is replayed. *)
+      check_int "no split, no overflow" 2
+        (Ingest.scan Ingest.default (Reader.Text trace)).Ingest.records)
     [
-      ("strict scan", fun () -> ignore (Ingest.scan opts (Reader.Text trace)));
-      ("strict load", fun () -> ignore (Ingest.load opts (Reader.Text trace)));
-    ];
-  let lossy = { opts with Ingest.lossy = true } in
-  let scan = Ingest.scan lossy (Reader.Text trace) in
-  check_int "lossy counts it" 1 scan.Ingest.malformed;
-  check_int "the other record survives" 1 scan.Ingest.records;
-  check_bool "lossy load" true
-    (Ingest.load lossy (Reader.Text trace)
-    = [| [| Engine.encode_access ~addr:0x40 ~write:true |] |]);
-  (* Without --split the base address alone is replayed. *)
-  check_int "no split, no overflow" 2
-    (Ingest.scan Ingest.default (Reader.Text trace)).Ingest.records
+      (" L 0x3ffffffffffffff0,100\n S 0x40,8\n", 64);
+      (" L 0,1000000000000\n S 0x40,1\n", 1);
+    ]
+
+(* The counting pass sizes a split span in O(1).  Its reference
+   expands every span access by access, as the cursors do, and finds a
+   too-wide span by counting to one past [max_split_lines]. *)
+let reference_split_scan ~cores ~split text =
+  let per_core = Array.make cores 0 in
+  let records = ref 0 and malformed = ref 0 and first_bad = ref 0 in
+  let rr = ref 0 and lo = ref max_int and hi = ref (-1) in
+  let bad n =
+    incr malformed;
+    if !first_bad = 0 then first_bad := n
+  in
+  List.iteri
+    (fun i line ->
+      match Lackey.parse_line line with
+      | Ok None -> ()
+      | Error _ -> bad (i + 1)
+      | Ok (Some { Lackey.kind; addr; size; _ }) ->
+          if addr > max_int - size + 1 then bad (i + 1)
+          else begin
+            let n = ref 1 and top = ref addr in
+            let j = ref ((addr / split) + 1) in
+            while
+              !j <= (addr + size - 1) / split && !n <= Ingest.max_split_lines
+            do
+              top := max !top (!j * split);
+              incr n;
+              incr j
+            done;
+            if !n > Ingest.max_split_lines then bad (i + 1)
+            else begin
+              incr records;
+              if kind <> Lackey.Instr then begin
+                let core = !rr mod cores in
+                incr rr;
+                let spans = if kind = Lackey.Modify then 2 else 1 in
+                per_core.(core) <- per_core.(core) + (spans * !n);
+                lo := min !lo addr;
+                hi := max !hi !top
+              end
+            end
+          end)
+    (String.split_on_char '\n' text);
+  ( !records,
+    !malformed,
+    !first_bad,
+    per_core,
+    (if !lo = max_int then 0 else !lo),
+    !hi )
+
+(* Split records around the bound: sizes of a few bytes, of many
+   lines, of about [max_split_lines] lines either side of it, and far
+   past it; addresses low, random, and near max_int. *)
+let gen_split_trace =
+  QCheck.Gen.(
+    oneofl [ 1; 2; 7; 64; 4096; 1 lsl 20 ] >>= fun split ->
+    let addr =
+      frequency
+        [
+          (3, int_range 0 (1 lsl 20));
+          (2, map (fun k -> max_int - k) (int_range 0 (1 lsl 17)));
+          (1, int_range 0 max_int);
+        ]
+    in
+    let bound = split * Ingest.max_split_lines in
+    let size =
+      frequency
+        [
+          (4, int_range 1 256);
+          (2, int_range 1 (1 lsl 18));
+          (2, int_range (max 1 (bound - split)) (bound + split));
+          (1, oneofl [ 1_000_000_000_000; max_int / 2; max_int ]);
+        ]
+    in
+    let record =
+      map3
+        (fun k a s -> Printf.sprintf " %c %x,%d" k a s)
+        (oneofl [ 'L'; 'S'; 'M'; 'I' ]) addr size
+    in
+    quad (return split) (int_range 1 4)
+      (list_size (int_range 1 12) record)
+      bool)
+
+let prop_split_scan_matches_reference =
+  QCheck.Test.make ~name:"split scan equals a looping reference" ~count:300
+    (QCheck.make
+       ~print:(fun (split, cores, lines, _) ->
+         Printf.sprintf "split=%d cores=%d\n%s" split cores
+           (String.concat "\n" lines))
+       gen_split_trace)
+    (fun (split, cores, lines, newline) ->
+      let text = String.concat "\n" lines ^ if newline then "\n" else "" in
+      let opts = { Ingest.default with Ingest.split = Some split; cores } in
+      let records, malformed, first_bad, per_core, min_addr, max_addr =
+        reference_split_scan ~cores ~split text
+      in
+      let sc =
+        Ingest.scan { opts with Ingest.lossy = true } (Reader.Text text)
+      in
+      let strict_ok =
+        match Ingest.scan opts (Reader.Text text) with
+        | strict -> malformed = 0 && strict = sc
+        | exception Ingest.Error msg ->
+            malformed > 0
+            && Astring.String.is_prefix
+                 ~affix:(Printf.sprintf "line %d:" first_bad)
+                 msg
+      in
+      strict_ok
+      && sc.Ingest.records = records
+      && sc.Ingest.malformed = malformed
+      && sc.Ingest.per_core = per_core
+      && sc.Ingest.min_addr = min_addr
+      && sc.Ingest.max_addr = max_addr)
 
 (* --- strict / lossy --------------------------------------------------- *)
 
@@ -632,6 +755,7 @@ let () =
             test_modify_is_load_then_store;
           Alcotest.test_case "split spans" `Quick test_split_spans;
           Alcotest.test_case "split overflow" `Quick test_split_overflow;
+          QCheck_alcotest.to_alcotest prop_split_scan_matches_reference;
         ] );
       ( "errors",
         [

@@ -9,7 +9,8 @@
 #      report that parses as JSON (tools/json_check.exe);
 #   3. malformed trace lines are rejected WITH their line position in
 #      strict mode, and merely counted in --lossy mode (an overflowing
-#      --split span included); a truncated gzip trace fails;
+#      or too wide --split span included); a truncated gzip trace
+#      fails;
 #   4. a bogus --policy spec is rejected before any work happens.
 # Wired into `dune runtest` from tools/dune; also runnable by hand:
 #
@@ -75,30 +76,48 @@ grep -q "line 3" "$tmp/err" || {
 grep -q '"malformed": 1' "$tmp/lossy.json"
 grep -q '"records": 3' "$tmp/lossy.json"
 
-# 3c. Under --split, a span running past max_int is a malformed line:
+# 3c. Under --split, a span running past max_int, or one covering more
+#     than 65536 split lines (10^12 one-byte lines here, once expanded
+#     access by access, which never finished), is a malformed line:
 #     strict mode names it and exits like 3a (not with an uncaught
-#     exception's 125), lossy mode counts it.
+#     exception's 125), lossy mode counts it.  Each run is bounded by
+#     `timeout` where the host has one, so a regression to expanding
+#     the span fails the gate instead of hanging it; a timed-out run
+#     prints no line position.
 printf ' L 0x3ffffffffffffff0,100\n' > "$tmp/overflow.trace"
+printf ' L 0,1000000000000\n' > "$tmp/wide.trace"
+limit=""
+command -v timeout > /dev/null 2>&1 && limit="timeout 10"
 strict=0
 "$CTAMAP" simtrace "$tmp/bad.trace" -m dunnington > /dev/null 2>&1 \
   || strict=$?
-status=0
-"$CTAMAP" simtrace "$tmp/overflow.trace" -m dunnington --split 64 \
-  > /dev/null 2> "$tmp/err" || status=$?
-if [ "$status" -eq 0 ] || [ "$status" -ne "$strict" ]; then
-  echo "check_policies: overflowing --split span exited $status" \
-    "(malformed lines exit $strict)" >&2
-  cat "$tmp/err" >&2
-  exit 1
-fi
-grep -q "line 1" "$tmp/err" || {
-  echo "check_policies: overflow error lost the line position:" >&2
-  cat "$tmp/err" >&2
-  exit 1
+split_malformed() { # TRACE SPLIT
+  status=0
+  $limit "$CTAMAP" simtrace "$1" -m dunnington --split "$2" \
+    > /dev/null 2> "$tmp/err" || status=$?
+  if [ "$status" -eq 0 ] || [ "$status" -ne "$strict" ]; then
+    echo "check_policies: $1 under --split $2 exited $status" \
+      "(malformed lines exit $strict)" >&2
+    cat "$tmp/err" >&2
+    exit 1
+  fi
+  grep -q "line 1" "$tmp/err" || {
+    echo "check_policies: $1 under --split $2 lost the line position" \
+      "(or timed out):" >&2
+    cat "$tmp/err" >&2
+    exit 1
+  }
+  status=0
+  $limit "$CTAMAP" simtrace "$1" -m dunnington --split "$2" --lossy \
+    --json > "$tmp/split.json" || status=$?
+  [ "$status" -eq 0 ] && grep -q '"malformed": 1' "$tmp/split.json" || {
+    echo "check_policies: lossy $1 under --split $2 exited $status" \
+      "without counting it malformed" >&2
+    exit 1
+  }
 }
-"$CTAMAP" simtrace "$tmp/overflow.trace" -m dunnington --split 64 --lossy \
-  --json > "$tmp/overflow.json"
-grep -q '"malformed": 1' "$tmp/overflow.json"
+split_malformed "$tmp/overflow.trace" 64
+split_malformed "$tmp/wide.trace" 1
 
 # 3d. A truncated gzip trace fails (naming the file) instead of
 #     replaying the part that decompressed.

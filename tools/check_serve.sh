@@ -2,10 +2,13 @@
 # End-to-end check of the mapping daemon (`ctamap serve`): a served
 # answer must equal the one-shot answer modulo volatile report members,
 # a repeated request must come from the plan cache byte-identically,
-# hostile input (garbage/oversized/malformed frames, mid-frame
-# disconnects, bad requests) must get structured error replies with the
-# daemon still alive, a corrupt on-disk cache entry must only cost a
-# recompute, and shutdown must be clean (socket removed, exit 0).
+# every reply frame of a plan-carrying request must be canonical
+# minified JSON with the same result bytes whichever tier answered
+# (computed, memory, promoted from disk), hostile input
+# (garbage/oversized/malformed frames, mid-frame disconnects, bad
+# requests) must get structured error replies with the daemon still
+# alive, a corrupt on-disk cache entry must only cost a recompute, and
+# shutdown must be clean (socket removed, exit 0).
 # Wired into `dune runtest` from tools/dune; also runnable by hand from
 # the repo root:
 #
@@ -25,6 +28,7 @@ trap cleanup EXIT
 
 sock="$tmp/daemon.sock"
 run_args="cg -m harpertown --scale 64"
+wire_req='{"op":"run","program":"cg","machine":"harpertown","scale":64}'
 
 start_daemon() {
   "$CTAMAP" serve --socket "$sock" --workers 2 --cache-dir "$tmp/cache" \
@@ -70,6 +74,23 @@ grep -q '"cached": [1-9]' "$tmp/stats.json" || {
 # probe's pings and by the shutdown below succeeding).
 "$PROBE" abuse "$sock" > /dev/null
 
+# Wire bytes, not re-encoded results: the probe reads the raw frames of
+# one run request sent twice and requires each payload to be canonical
+# minified JSON, with identical result bytes.
+"$PROBE" wire "$sock" "$wire_req" > /dev/null
+
+# Restart over the intact persistent cache: the memory tier is empty,
+# so the first reply must come from disk (cached) and the second from
+# the entry that promoted into memory.
+stop_daemon
+start_daemon
+"$PROBE" wire "$sock" "$wire_req" > "$tmp/wire.txt"
+grep -q "cached: true true" "$tmp/wire.txt" || {
+  echo "check_serve: restarted daemon did not serve the entry from disk:" >&2
+  cat "$tmp/wire.txt" >&2
+  exit 1
+}
+
 # Restart over a corrupted persistent cache: every entry replaced by
 # valid-JSON-but-not-an-entry garbage.  The daemon must recompute (not
 # crash), and the answer must still match the one-shot report.
@@ -82,6 +103,7 @@ done
 start_daemon
 "$CTAMAP" client --socket "$sock" --op run $run_args > "$tmp/served3.json"
 "$PROBE" compare "$tmp/oneshot.json" "$tmp/served3.json" > /dev/null
+"$PROBE" wire "$sock" "$wire_req" > /dev/null
 "$CTAMAP" client --socket "$sock" --op ping > /dev/null
 
 # Load-generator plumbing: a small cached burst with zero errors.

@@ -11,6 +11,15 @@
    that a ping on the same connection still answers.  Exit 0 means
    the daemon never died and never replied out of frame.
 
+   [serve_probe wire SOCKET REQUEST] sends the JSON request object
+   REQUEST twice on one raw connection, under a client id full of
+   escapes, and checks the reply frames byte for byte: each payload
+   must be the canonical minified encoding of its own parse (what the
+   daemon splices around a cached plan's stored bytes must be exactly
+   what encoding the whole reply would give), must echo the id, and
+   both must carry identical result bytes.  It prints the two replies'
+   [cached] flags, so a caller can tell which tier answered.
+
    [serve_probe compare A B] checks two JSON documents are equal
    modulo the volatile report members ("timings_seconds",
    "telemetry" — wall clocks and process state), i.e. that a served
@@ -77,6 +86,13 @@ let recv_json fd =
   | Error e -> fail "reply is not JSON: %s" e
 
 let member name j = match j with J.Obj _ -> J.member name j | _ -> None
+
+(* Offset of the first byte at which [a] and [b] differ. *)
+let first_diff a b =
+  let n = min (String.length a) (String.length b) in
+  let i = ref 0 in
+  while !i < n && a.[!i] = b.[!i] do incr i done;
+  !i
 
 let expect_error what fd code =
   let j = recv_json fd in
@@ -187,6 +203,57 @@ let abuse socket =
 
   print_endline "serve_probe: abuse ok"
 
+(* --- wire mode -------------------------------------------------------- *)
+
+let wire socket request =
+  let id =
+    J.Obj
+      [
+        ("probe", J.String "wire \"bytes\"\\ \n\t\001 \xc3\xa9");
+        ("n", J.List [ J.Int (-1); J.Float 0.5; J.Null ]);
+      ]
+  in
+  let request =
+    match J.parse request with
+    | Ok (J.Obj ms) ->
+        J.to_string ~minify:true
+          (J.Obj (("id", id) :: List.filter (fun (k, _) -> k <> "id") ms))
+    | Ok _ | Error _ -> fail "wire: REQUEST is not a JSON object"
+  in
+  let fd = connect socket in
+  let reply n =
+    send_frame fd request;
+    let payload = recv_frame fd in
+    let j =
+      match J.parse payload with
+      | Ok j -> j
+      | Error e -> fail "wire: reply %d is not JSON: %s" n e
+    in
+    let canonical = J.to_string ~minify:true j in
+    if not (String.equal canonical payload) then
+      fail "wire: reply %d is not canonical minified JSON (byte %d of %d)" n
+        (first_diff canonical payload)
+        (String.length payload);
+    (match member "ok" j with
+    | Some (J.Bool true) -> ()
+    | _ ->
+        fail "wire: reply %d is not ok: %s" n
+          (String.sub payload 0 (min 200 (String.length payload))));
+    if member "id" j <> Some id then fail "wire: reply %d lost the client id" n;
+    let result =
+      match member "result" j with
+      | Some r -> J.to_string ~minify:true r
+      | None -> fail "wire: reply %d carries no result" n
+    in
+    (result, member "cached" j = Some (J.Bool true))
+  in
+  let r1, c1 = reply 1 in
+  let r2, c2 = reply 2 in
+  Unix.close fd;
+  if not (String.equal r1 r2) then
+    fail "wire: the two replies' result bytes differ";
+  Printf.printf "serve_probe: wire ok (cached: %b %b)\n" c1 c2
+
 (* --- compare mode ----------------------------------------------------- *)
 
 let volatile = [ "timings_seconds"; "telemetry" ]
@@ -214,20 +281,20 @@ let compare_files a b =
   let ja = J.to_string ~minify:true (strip (load a)) in
   let jb = J.to_string ~minify:true (strip (load b)) in
   if String.equal ja jb then print_endline "serve_probe: compare ok"
-  else begin
-    let n = min (String.length ja) (String.length jb) in
-    let i = ref 0 in
-    while !i < n && ja.[!i] = jb.[!i] do incr i done;
+  else
+    let i = first_diff ja jb in
     fail "%s and %s differ beyond the volatile members (byte %d: %s vs %s)" a b
-      !i
-      (String.sub ja !i (min 40 (String.length ja - !i)))
-      (String.sub jb !i (min 40 (String.length jb - !i)))
-  end
+      i
+      (String.sub ja i (min 40 (String.length ja - i)))
+      (String.sub jb i (min 40 (String.length jb - i)))
 
 let () =
   match Array.to_list Sys.argv with
   | [ _; "abuse"; socket ] -> abuse socket
+  | [ _; "wire"; socket; request ] -> wire socket request
   | [ _; "compare"; a; b ] -> compare_files a b
   | _ ->
-      prerr_endline "usage: serve_probe abuse SOCKET | compare A.json B.json";
+      prerr_endline
+        "usage: serve_probe abuse SOCKET | wire SOCKET REQUEST | compare \
+         A.json B.json";
       exit 2
