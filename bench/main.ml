@@ -57,6 +57,23 @@ let micro ?(scale = 16) () =
   let assignment = Ctam_core.Distribute.run machine groups in
   let stream = Ctam_core.Trace.serial layout nest in
   let hierarchy = Ctam_cachesim.Hierarchy.create machine in
+  (* Small galgel never builds a large candidate heap.  These 256 groups
+     with four of 32 blocks each share every block among about 32
+     groups (under the fanout cap of 64), with weights in 1..4 and first
+     keys four to a lattice point, so one clustering pushes over 10^4
+     mostly tied candidates. *)
+  let tied_groups =
+    let rng = Random.State.make [| 15 |] in
+    let enc = Ctam_poly.Iterset.encoder_of_box [| 0 |] [| 255 |] in
+    List.init 256 (fun id ->
+        {
+          Ctam_blocks.Iter_group.id;
+          tag =
+            Ctam_blocks.Bitset.of_list 32
+              (List.init 4 (fun _ -> Random.State.int rng 32));
+          iters = Ctam_poly.Iterset.of_list enc [ [| 4 * (id / 4) |] ];
+        })
+  in
   let tag_a = groups.(0).Ctam_blocks.Iter_group.tag in
   let tag_b = groups.(Array.length groups - 1).Ctam_blocks.Iter_group.tag in
   (* The serial stream as a phase, for the heap-vs-scan engine pair. *)
@@ -79,6 +96,9 @@ let micro ?(scale = 16) () =
           (Staged.stage (fun () -> Ctam_blocks.Tags.group nest bm));
         Test.make ~name:"distribute (Figure 6)"
           (Staged.stage (fun () -> Ctam_core.Distribute.run machine groups));
+        Test.make ~name:"cluster_into (256 tied groups, big heap)"
+          (Staged.stage (fun () ->
+               Ctam_core.Distribute.cluster_into 2 tied_groups));
         Test.make ~name:"schedule (Figure 7)"
           (Staged.stage (fun () ->
                Ctam_core.Schedule.run machine assignment dg));

@@ -28,60 +28,105 @@ let cluster_groups c = List.rev c.members
 
 (* --- a max-heap of candidate merges with lazy invalidation --------- *)
 
+(* Max-heap ordered by weight [w]; iteration-space proximity (smaller
+   [d]) breaks ties, which keeps merged clusters contiguous when
+   affinity alone cannot discriminate (e.g. regular stencils).  Entries
+   with equal (w, d) pop in whatever order the sifts leave them, so
+   that order is part of the model: the sifts make exactly the
+   comparisons of a swap-based binary heap (sift-up while the entry
+   strictly beats its parent; sift-down compares the left child with
+   the moving entry, then the right child with the better of the two),
+   and so leave the same arrangement after every operation.
+
+   A compile pushes millions of mostly stale candidates, so entries
+   live unboxed in parallel arrays and sifts move a hole instead of
+   swapping.  [pair] and [vers] are payloads the heap never reads. *)
 module Heap = struct
-  type entry = { w : int; d : int; a : int; b : int; va : int; vb : int }
+  type t = {
+    mutable w : int array;
+    mutable d : int array;
+    mutable pair : int array;
+    mutable vers : int array;
+    mutable len : int;
+  }
 
-  (* Max-heap ordered by weight; iteration-space proximity (smaller
-     [d]) breaks ties, which keeps merged clusters contiguous when
-     affinity alone cannot discriminate (e.g. regular stencils). *)
-  let gt e1 e2 = e1.w > e2.w || (e1.w = e2.w && e1.d < e2.d)
-
-  type t = { mutable data : entry array; mutable len : int }
+  (* [w1 > w2 || (w1 = w2 && d1 < d2)], exactly, for every int.  Weights
+     tie constantly, so the short-circuit form mispredicts on almost
+     every sift step; this one has no branch. *)
+  let[@inline] beats w1 d1 w2 d2 =
+    (2 * compare (w1 : int) w2) + compare (d2 : int) d1 > 0
 
   let create () =
-    { data = Array.make 64 { w = 0; d = 0; a = 0; b = 0; va = 0; vb = 0 };
-      len = 0 }
+    let a () = Array.make 64 0 in
+    { w = a (); d = a (); pair = a (); vers = a (); len = 0 }
 
-  let swap h i j =
-    let t = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- t
+  let is_empty h = h.len = 0
 
-  let push h e =
-    if h.len = Array.length h.data then begin
-      let bigger = Array.make (2 * h.len) e in
-      Array.blit h.data 0 bigger 0 h.len;
-      h.data <- bigger
+  (* Payloads of the best entry; the heap must not be empty. *)
+  let top_pair h = h.pair.(0)
+  let top_vers h = h.vers.(0)
+
+  let[@inline] set h i w d pair vers =
+    h.w.(i) <- w;
+    h.d.(i) <- d;
+    h.pair.(i) <- pair;
+    h.vers.(i) <- vers
+
+  let[@inline] move h ~src ~dst =
+    set h dst h.w.(src) h.d.(src) h.pair.(src) h.vers.(src)
+
+  let push h w d pair vers =
+    if h.len = Array.length h.w then begin
+      let grow a =
+        let bigger = Array.make (2 * h.len) 0 in
+        Array.blit a 0 bigger 0 h.len;
+        bigger
+      in
+      h.w <- grow h.w;
+      h.d <- grow h.d;
+      h.pair <- grow h.pair;
+      h.vers <- grow h.vers
     end;
-    h.data.(h.len) <- e;
+    let i = ref h.len in
     h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && gt h.data.(!i) h.data.((!i - 1) / 2) do
-      swap h ((!i - 1) / 2) !i;
-      i := (!i - 1) / 2
-    done
+    let continue = ref true in
+    while !continue && !i > 0 do
+      let p = (!i - 1) / 2 in
+      if beats w d h.w.(p) h.d.(p) then begin
+        move h ~src:p ~dst:!i;
+        i := p
+      end
+      else continue := false
+    done;
+    set h !i w d pair vers
 
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.len <- h.len - 1;
-      h.data.(0) <- h.data.(h.len);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let largest = ref !i in
-        if l < h.len && gt h.data.(l) h.data.(!largest) then largest := l;
-        if r < h.len && gt h.data.(r) h.data.(!largest) then largest := r;
-        if !largest <> !i then begin
-          swap h !i !largest;
-          i := !largest
+  (* Remove the best entry; the heap must not be empty. *)
+  let drop h =
+    let n = h.len - 1 in
+    h.len <- n;
+    let w = h.w.(n) and d = h.d.(n) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let c = ref !i and cw = ref w and cd = ref d in
+        if beats h.w.(l) h.d.(l) w d then begin
+          c := l;
+          cw := h.w.(l);
+          cd := h.d.(l)
+        end;
+        let r = l + 1 in
+        if r < n && beats h.w.(r) h.d.(r) !cw !cd then c := r;
+        if !c = !i then continue := false
+        else begin
+          move h ~src:!c ~dst:!i;
+          i := !c
         end
-        else continue := false
-      done;
-      Some top
-    end
+      end
+    done;
+    move h ~src:n ~dst:!i
 end
 
 (* Agglomerate the clusters in [arr] down to [k] alive clusters by
@@ -89,6 +134,11 @@ end
    zero affinity are merged smallest-first at the end. *)
 let agglomerate arr k =
   let n = Array.length arr in
+  (* Heap payloads pack two cluster indices, or two versions, into one
+     int.  Indices are below [n], and so are versions: each merge bumps
+     one version and there are fewer than [n] merges. *)
+  if n > 1 lsl 31 then invalid_arg "Distribute.cluster_into: too many groups";
+  let pack x y = (x lsl 31) lor y in
   let alive = ref n in
   let heap = Heap.create () in
   (* Only clusters sharing at least one data block can have a positive
@@ -117,15 +167,10 @@ let agglomerate arr k =
     if a <> b && arr.(a).alive && arr.(b).alive then begin
       let w = Bitset.dot arr.(a).tag arr.(b).tag in
       if w > 0 then
-        Heap.push heap
-          {
-            Heap.w;
-            d = abs (arr.(a).first_key - arr.(b).first_key);
-            a;
-            b;
-            va = arr.(a).version;
-            vb = arr.(b).version;
-          }
+        Heap.push heap w
+          (abs (arr.(a).first_key - arr.(b).first_key))
+          (pack a b)
+          (pack arr.(a).version arr.(b).version)
     end
   in
   Hashtbl.iter
@@ -170,32 +215,35 @@ let agglomerate arr k =
   in
   let rec drain () =
     if !alive > k then
-      match Heap.pop heap with
-      | Some e ->
-          if
-            arr.(e.Heap.a).alive && arr.(e.Heap.b).alive
-            && arr.(e.Heap.a).version = e.Heap.va
-            && arr.(e.Heap.b).version = e.Heap.vb
-          then merge e.Heap.a e.Heap.b;
-          drain ()
-      | None ->
-          (* No data sharing left: merge the two smallest clusters so
-             that sizes stay mergeable-balanced. *)
-          let smallest_two () =
-            let s1 = ref (-1) and s2 = ref (-1) in
-            for c = 0 to n - 1 do
-              if arr.(c).alive then
-                if !s1 < 0 || arr.(c).size < arr.(!s1).size then begin
-                  s2 := !s1;
-                  s1 := c
-                end
-                else if !s2 < 0 || arr.(c).size < arr.(!s2).size then s2 := c
-            done;
-            (!s1, !s2)
-          in
-          let a, b = smallest_two () in
-          merge (min a b) (max a b);
-          drain ()
+      if not (Heap.is_empty heap) then begin
+        let pair = Heap.top_pair heap and vers = Heap.top_vers heap in
+        Heap.drop heap;
+        let a = pair lsr 31 and b = pair land ((1 lsl 31) - 1) in
+        if
+          arr.(a).alive && arr.(b).alive
+          && pack arr.(a).version arr.(b).version = vers
+        then merge a b;
+        drain ()
+      end
+      else begin
+        (* No data sharing left: merge the two smallest clusters so
+           that sizes stay mergeable-balanced. *)
+        let smallest_two () =
+          let s1 = ref (-1) and s2 = ref (-1) in
+          for c = 0 to n - 1 do
+            if arr.(c).alive then
+              if !s1 < 0 || arr.(c).size < arr.(!s1).size then begin
+                s2 := !s1;
+                s1 := c
+              end
+              else if !s2 < 0 || arr.(c).size < arr.(!s2).size then s2 := c
+          done;
+          (!s1, !s2)
+        in
+        let a, b = smallest_two () in
+        merge (min a b) (max a b);
+        drain ()
+      end
   in
   drain ()
 

@@ -158,6 +158,118 @@ let test_distribute_affinity_quality () =
     groups;
   check_bool "sharing pairs mostly affine" true (!affine >= !cross)
 
+(* Which of several equal-priority pairs merges first is part of the
+   model, so the clustering is compared with the pre-rewrite oracle on
+   inputs built to tie: tags of 1–130 bits (across the 62-bit word
+   boundary), duplicate tags, first keys on a coarse lattice so
+   proximities repeat, and hot blocks carried by most groups, which
+   past 64 groups the fanout cap skips, leaving pairs only the
+   zero-affinity fallback merges. *)
+type cluster_case = {
+  width : int;
+  groups : (int list * int * int) list;  (* set bits, first key, size *)
+  k : int;
+  allow_splits : bool;
+}
+
+let gen_cluster_case =
+  QCheck.Gen.(
+    let* width = int_range 1 130 in
+    let* n = int_range 2 300 in
+    let* hot = list_size (int_range 1 2) (int_bound (width - 1)) in
+    let* hot_pct = oneofl [ 0; 30; 90 ] in
+    let gen_group =
+      let* own = list_size (int_range 0 3) (int_bound (width - 1)) in
+      let* is_hot = map (fun p -> p < hot_pct) (int_bound 99) in
+      let* first = map (fun l -> 8 * l) (int_bound 40) in
+      let+ size = int_range 1 5 in
+      ((if is_hot then hot @ own else own), first, size)
+    in
+    let* fresh = list_repeat n gen_group in
+    (* A duplicate copies the tag of an earlier group. *)
+    let* dups =
+      list_repeat n (frequency [ (1, map Option.some nat); (4, return None) ])
+    in
+    let bits = Array.of_list (List.map (fun (b, _, _) -> b) fresh) in
+    let groups =
+      List.mapi
+        (fun i ((_, first, size), dup) ->
+          match dup with
+          | Some j when i > 0 -> (bits.(j mod i), first, size)
+          | _ -> (bits.(i), first, size))
+        (List.combine fresh dups)
+    in
+    let* k = int_range 1 (n + 2) in
+    let+ allow_splits = bool in
+    { width; groups; k; allow_splits })
+
+let show_cluster_case c =
+  Printf.sprintf "width %d, k %d, allow_splits %b, groups [%s]" c.width c.k
+    c.allow_splits
+    (String.concat "; "
+       (List.map
+          (fun (bits, first, size) ->
+            Printf.sprintf "{%s}@%d+%d"
+              (String.concat "," (List.map string_of_int bits))
+              first size)
+          c.groups))
+
+let prop_cluster_into_matches_oracle =
+  let enc = Iterset.encoder_of_box [| 0 |] [| 400 |] in
+  QCheck.Test.make ~name:"cluster_into equals the pre-rewrite oracle"
+    ~count:300
+    (QCheck.make ~print:show_cluster_case gen_cluster_case)
+    (fun c ->
+      let groups =
+        List.mapi
+          (fun id (bits, first, size) ->
+            {
+              Iter_group.id;
+              tag = Bitset.of_list c.width bits;
+              iters =
+                Iterset.of_list enc (List.init size (fun i -> [| first + i |]));
+            })
+          c.groups
+      in
+      let view =
+        List.map
+          (List.map (fun g ->
+               ( g.Iter_group.id,
+                 Bitset.to_string g.Iter_group.tag,
+                 Iterset.keys g.Iter_group.iters )))
+      in
+      let allow_splits = c.allow_splits in
+      view (Distribute.cluster_into ~allow_splits c.k groups)
+      = view (Distribute_oracle.cluster_into ~allow_splits c.k groups))
+
+(* The sweep's heaviest distribution: mesa's reduced-size grouping
+   (2141 groups whose tags span 68 blocks, so weights tie constantly)
+   on Dunnington at capacity divisor 16.  The digest of every core's
+   group ids and iteration keys was recorded before the candidate heap
+   was rewritten. *)
+let test_distribute_mesa_pinned () =
+  let machine = Machines.dunnington ~scale:16 () in
+  let prog = Ctam_workloads.Kernel.small_program Ctam_workloads.Suite.mesa in
+  let nest = List.hd (Program.parallel_nests prog) in
+  let _, groups, _ =
+    Mapping.grouping_for ~params:Mapping.default_params ~machine prog nest
+  in
+  check_int "groups" 2141 (Array.length groups);
+  let buf = Buffer.create 65536 in
+  Array.iteri
+    (fun c gs ->
+      Printf.bprintf buf "core%d|" c;
+      List.iter
+        (fun g ->
+          Printf.bprintf buf "%d:" g.Iter_group.id;
+          Array.iter (Printf.bprintf buf "%d,") (Iterset.keys g.Iter_group.iters);
+          Buffer.add_char buf ';')
+        gs)
+    (Distribute.run machine groups);
+  Alcotest.(check string)
+    "assignment digest" "e9f3f1f17a28616eb944e31653eb093d"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- Schedule -------------------------------------------------------- *)
 
 let test_schedule_preserves_groups () =
@@ -685,6 +797,8 @@ let () =
           Alcotest.test_case "weights" `Quick test_balance_respects_weights;
           Alcotest.test_case "affinity quality" `Quick
             test_distribute_affinity_quality;
+          QCheck_alcotest.to_alcotest prop_cluster_into_matches_oracle;
+          Alcotest.test_case "mesa pinned" `Slow test_distribute_mesa_pinned;
         ] );
       ( "schedule",
         [
