@@ -156,10 +156,6 @@ let memo_arg =
            access stream, cache state and hierarchy replay cached stat \
            deltas.  Exact — results are byte-identical, only faster.")
 
-let validate_sample_sets n =
-  if n >= 1 && n land (n - 1) = 0 then Ok ()
-  else Error "--sample-sets must be a positive power of two"
-
 let block_arg =
   let doc = "Data block size in bytes (the paper's default is 2048)." in
   Arg.(value & opt int 2048 & info [ "b"; "block" ] ~doc)
@@ -301,28 +297,7 @@ let policy_arg =
 let apply_policy spec machine =
   match spec with
   | None -> Ok machine
-  | Some s -> (
-      match Policy.parse_spec s with
-      | Error e -> Error e
-      | Ok bindings -> (
-          let known =
-            List.map
-              (fun c -> c.Topology.level)
-              (Topology.caches machine)
-          in
-          match
-            List.find_opt
-              (fun (lvl, _) ->
-                match lvl with
-                | Some l -> not (List.mem l known)
-                | None -> false)
-              bindings
-          with
-          | Some (Some l, _) ->
-              Error
-                (Printf.sprintf "--policy: machine %s has no L%d cache"
-                   machine.Topology.name l)
-          | _ -> Ok (Topology.with_policy_spec bindings machine)))
+  | Some s -> Topology.apply_policy_spec s machine
 
 let ( let* ) r f = match r with Ok v -> f v | Error e -> `Error (false, e)
 
@@ -435,7 +410,7 @@ let run_cmd =
       | Some w when w <= 0 -> Error "--window must be positive"
       | _ -> Ok ()
     in
-    let* () = validate_sample_sets sample_sets in
+    let* () = Hierarchy.check_sample_sets machine sample_sets in
     let* params, file_scheme =
       apply_tuning
         { Mapping.default_params with block_size = block }
@@ -636,7 +611,7 @@ let compare_cmd =
     let* prog = load_program source in
     let* machine = get_machine machine scale in
     let* machine = apply_policy policy machine in
-    let* () = validate_sample_sets sample_sets in
+    let* () = Hierarchy.check_sample_sets machine sample_sets in
     (* The tuned point's parameters apply to every scheme in the table
        (its scheme coordinate is ignored; each scheme reads the knobs
        it uses). *)
@@ -709,7 +684,7 @@ let tune_cmd =
       | Some b when b < 0 -> Error "--budget must be non-negative"
       | _ -> Ok ()
     in
-    let* () = validate_sample_sets sample_sets in
+    let* () = Hierarchy.check_sample_sets machine sample_sets in
     let base_params = { Mapping.default_params with block_size = block } in
     let* () = Mapping.validate_params base_params in
     let settings =
@@ -1517,7 +1492,6 @@ let client_cmd =
       limit load concurrency out_json log_level log_format policy =
     let* () = set_log_level log_level in
     let* () = set_log_format log_format in
-    let* () = validate_sample_sets sample_sets in
     let* req =
       build_request ~op ~source ~machine ~scale ~scheme ~block ~stream
         ~sample_sets ~check ~strategy ~budget ~nocache ~timeout_ms ~trace
@@ -1925,7 +1899,7 @@ let simtrace_cmd =
     let* () = set_log_level log_level in
     let* machine = get_machine machine scale in
     let* machine = apply_policy policy machine in
-    let* () = validate_sample_sets sample_sets in
+    let* () = Hierarchy.check_sample_sets machine sample_sets in
     let* interleave =
       match interleave with
       | "round-robin" | "rr" -> Ok Ingest.Round_robin

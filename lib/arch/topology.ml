@@ -171,6 +171,20 @@ let with_policy_spec bindings t =
       { p with policy })
     t
 
+let apply_policy_spec spec t =
+  match Policy.parse_spec spec with
+  | Error e -> Error e
+  | Ok bindings -> (
+      let known = levels t in
+      match
+        List.find_map
+          (function
+            | Some l, _ when not (List.mem l known) -> Some l | _ -> None)
+          bindings
+      with
+      | Some l -> Error (Printf.sprintf "machine %s has no L%d cache" t.name l)
+      | None -> Ok (with_policy_spec bindings t))
+
 let truncate_levels l t =
   let rec prune = function
     | Core c -> [ Core c ]

@@ -72,6 +72,11 @@ val map_caches : (cache_params -> cache_params) -> t -> t
     wins. *)
 val with_policy_spec : (int option * Policy.t) list -> t -> t
 
+(** Parse a policy spec ({!Policy.parse_spec}) and apply it with
+    {!with_policy_spec}.  [Error] carries the parse error, or names a
+    bound level the machine does not have. *)
+val apply_policy_spec : string -> t -> (t, string) result
+
 (** Drop all cache levels above [l] (keep levels [<= l]), re-rooting the
     forest.  Used for the "L1+L2" / "L1+L2+L3" versions of Figure 20. *)
 val truncate_levels : int -> t -> t

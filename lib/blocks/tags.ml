@@ -95,6 +95,7 @@ let group ?(unit = 1) ?tile nest bm =
   let order : int list list ref = ref [] in
   List.iter
     (fun (blocks, keys) ->
+      Ctam_util.Deadline.tick ();
       match Hashtbl.find_opt by_blocks blocks with
       | Some cell -> cell := keys @ !cell
       | None ->
@@ -105,6 +106,8 @@ let group ?(unit = 1) ?tile nest bm =
   let groups =
     List.rev !order
     |> List.mapi (fun id blocks ->
+           (* Each group sorts its keys: poll the deadline per group. *)
+           Ctam_util.Deadline.check ();
            let keys = Array.of_list !(Hashtbl.find by_blocks blocks) in
            {
              Iter_group.id;

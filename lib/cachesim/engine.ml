@@ -20,15 +20,15 @@ type cursor = {
   length : int;
   pull : unit -> int;
   reset : unit -> unit;
-  skip_to_sample : (shift:int -> mask:int -> skipped:int ref -> int) option;
+  skip_to_sample : shift:int -> mask:int -> skipped:int ref -> int;
 }
 (* [skip_to_sample] is the sampled fast path: consume accesses while
    [(e lsr shift) land mask <> 0], counting each into [skipped], and
    return the first access that passes the filter (consumed) or -1 at
-   end of stream.  Semantically it is exactly the pull loop the engine
-   would otherwise run, but implemented where the generator's chunk
-   buffer is local, so a skipped access costs an array read and a mask
-   test instead of a closure call.  [None] falls back to [pull]. *)
+   end of stream.  Semantically it is exactly a loop of [pull]s, but
+   implemented where the generator's chunk buffer is local, so a
+   skipped access costs an array read and a mask test instead of a
+   closure call. *)
 
 type stream = Dense of int array | Gen of cursor
 type stream_phase = stream array
@@ -97,7 +97,7 @@ let stream_concat streams =
     (* The sampled fast path must survive concatenation (mapped streams
        are per-group cursors chained per core), so delegate part by
        part: dense parts scan in place, generator parts use their own
-       fast path when they have one and fall back to pulls when not. *)
+       fast path. *)
     let skip_to_sample ~shift ~mask ~skipped =
       let found = ref (-1) in
       let finished = ref false in
@@ -121,28 +121,16 @@ let stream_concat streams =
                   else incr skipped
                 done;
                 pos := !i
-            | Gen c -> (
-                match c.skip_to_sample with
-                | Some sk ->
-                    let n0 = !skipped in
-                    let f = sk ~shift ~mask ~skipped in
-                    pos :=
-                      !pos + (!skipped - n0) + (if f >= 0 then 1 else 0);
-                    if f >= 0 then found := f
-                | None ->
-                    let i = ref !pos in
-                    while !found < 0 && !i < slen do
-                      let e = c.pull () in
-                      incr i;
-                      if e lsr shift land mask = 0 then found := e
-                      else incr skipped
-                    done;
-                    pos := !i)
+            | Gen c ->
+                let n0 = !skipped in
+                let f = c.skip_to_sample ~shift ~mask ~skipped in
+                pos := !pos + (!skipped - n0) + (if f >= 0 then 1 else 0);
+                if f >= 0 then found := f
         end
       done;
       !found
     in
-    Gen { length = total; pull; reset; skip_to_sample = Some skip_to_sample }
+    Gen { length = total; pull; reset; skip_to_sample }
   end
 
 (* Self-telemetry: aggregates recorded once per run (never inside the
@@ -288,6 +276,10 @@ let run_streams ?(config = default_config) ?max_cycles ?memo h
      unobserved fast path; a core clock can never reach it. *)
   let cap = match max_cycles with Some c -> c | None -> max_int in
   let capped = ref false in
+  (* Events so far.  The event loop, too hot for a call per event,
+     polls the request deadline once per [Deadline.stride] of them;
+     every phase also polls it on entry. *)
+  let events = ref 0 in
   (* Memoization requires phase purity: no probe (its event stream is a
      side effect replay cannot reproduce) and no cap (a capped phase's
      deltas describe a prefix).  Phase-entry clocks are always uniform
@@ -343,6 +335,7 @@ let run_streams ?(config = default_config) ?max_cycles ?memo h
     (fun pi streams ->
       if !capped then ()
       else begin
+        Ctam_util.Deadline.check ();
         (* Phase key: hierarchy configuration, engine costs, entry
            cache state, and every stream's length and contents.  A
            dense stream and the cursor that would generate it mix the
@@ -436,6 +429,9 @@ let run_streams ?(config = default_config) ?max_cycles ?memo h
           done;
           while !size > 0 do
             let c = heap.(0) in
+            incr events;
+            if !events land (Ctam_util.Deadline.stride - 1) = 0 then
+              Ctam_util.Deadline.check ();
             (* The heap minimum is the globally smallest clock, so once
                it reaches the cap every remaining access lies past the
                cap and the rest of the run can be cut — without pulling
@@ -482,35 +478,18 @@ let run_streams ?(config = default_config) ?max_cycles ?memo h
                       done;
                       total_accesses := !total_accesses + (!i - pos.(c));
                       pos.(c) <- !i
-                  | Gen cur -> (
-                      match cur.skip_to_sample with
-                      | Some sk ->
-                          (* The cursor scans its own chunk buffer —
-                             identical consumption, no closure call per
-                             skipped access. *)
-                          let f =
-                            sk ~shift:(1 + line_shift) ~mask:sample_mask
-                              ~skipped
-                          in
-                          found := f;
-                          let consumed =
-                            !skipped + if f >= 0 then 1 else 0
-                          in
-                          total_accesses := !total_accesses + consumed;
-                          pos.(c) <- pos.(c) + consumed
-                      | None ->
-                          let len = lens.(c) in
-                          let pull = cur.pull in
-                          let i = ref pos.(c) in
-                          while !found < 0 && !i < len do
-                            let e = pull () in
-                            incr i;
-                            if e lsr (1 + line_shift) land sample_mask = 0
-                            then found := e
-                            else incr skipped
-                          done;
-                          total_accesses := !total_accesses + (!i - pos.(c));
-                          pos.(c) <- !i));
+                  | Gen cur ->
+                      (* The cursor scans its own chunk buffer —
+                         identical consumption, no closure call per
+                         skipped access. *)
+                      let f =
+                        cur.skip_to_sample ~shift:(1 + line_shift)
+                          ~mask:sample_mask ~skipped
+                      in
+                      found := f;
+                      let consumed = !skipped + if f >= 0 then 1 else 0 in
+                      total_accesses := !total_accesses + consumed;
+                      pos.(c) <- pos.(c) + consumed);
                   skipped_count := !skipped_count + !skipped;
                   if !skipped = 0 then begin
                     (* First access of the run is sampled: issue it

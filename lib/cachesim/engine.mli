@@ -34,12 +34,12 @@ type cursor = {
   length : int;            (** total accesses the cursor yields *)
   pull : unit -> int;      (** next encoded access; effectful *)
   reset : unit -> unit;    (** rewind to the first access *)
-  skip_to_sample : (shift:int -> mask:int -> skipped:int ref -> int) option;
-      (** optional sampled fast path: consume accesses while
+  skip_to_sample : shift:int -> mask:int -> skipped:int ref -> int;
+      (** sampled fast path: consume accesses while
           [(e lsr shift) land mask <> 0], counting each into [skipped],
           and return the first passing access (consumed) or -1 at end
-          of stream.  Must consume exactly as [pull] would; [None]
-          falls back to the engine's pull loop. *)
+          of stream.  Must consume exactly as a loop of [pull]s
+          would. *)
 }
 (** A restartable generator of encoded accesses.  Consumers call
     [reset] before the first [pull]; the engine resets every cursor at

@@ -43,6 +43,25 @@ let log2_exact n =
   let rec go s = if 1 lsl s = n then s else go (s + 1) in
   if n > 0 && n land (n - 1) = 0 then go 0 else -1
 
+let sets_of (p : Topology.cache_params) = p.size_bytes / (p.assoc * p.line)
+
+let check_sample_sets topo n =
+  if n < 1 || n land (n - 1) <> 0 then
+    Error "sample_sets must be a positive power of two"
+  else
+    match
+      List.find_opt
+        (fun p -> sets_of p mod n <> 0)
+        (Topology.caches topo)
+    with
+    | None -> Ok ()
+    | Some p ->
+        Error
+          (Printf.sprintf
+             "sample_sets %d does not divide the %d sets of %s (pick a power \
+              of two dividing every cache's set count)"
+             n (sets_of p) p.Topology.cache_name)
+
 let create ?(coherence = true) ?(probe = Probe.null) ?(sample_sets = 1) topo =
   let params = Topology.caches topo in
   let line =
@@ -60,10 +79,11 @@ let create ?(coherence = true) ?(probe = Probe.null) ?(sample_sets = 1) topo =
     Array.of_list
       (List.map
          (fun (p : Topology.cache_params) ->
-           let sets = p.size_bytes / (p.assoc * p.line) in
            {
              params = p;
-             cache = Setassoc.create ~policy:p.policy ~sets ~assoc:p.assoc ();
+             cache =
+               Setassoc.create ~policy:p.policy ~sets:(sets_of p)
+                 ~assoc:p.assoc ();
            })
          params)
   in
@@ -117,19 +137,9 @@ let create ?(coherence = true) ?(probe = Probe.null) ?(sample_sets = 1) topo =
         find 0)
       instances
   in
-  if sample_sets < 1 || sample_sets land (sample_sets - 1) <> 0 then
-    invalid_arg "Hierarchy.create: sample_sets must be a positive power of two";
-  if sample_sets > 1 then
-    Array.iter
-      (fun inst ->
-        let sets = Setassoc.sets inst.cache in
-        if sets mod sample_sets <> 0 then
-          invalid_arg
-            (Printf.sprintf
-               "Hierarchy.create: sample_sets %d does not divide the %d sets \
-                of %s (pick a power of two dividing every cache's set count)"
-               sample_sets sets inst.params.cache_name))
-      instances;
+  (match check_sample_sets topo sample_sets with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Hierarchy.create: " ^ e));
   let config_hash =
     let h =
       Array.fold_left

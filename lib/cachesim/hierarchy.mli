@@ -23,13 +23,19 @@ type t
     sampled lines land on the sets congruent to 0 mod the factor and
     on nothing else), so sampling error comes only from the estimated
     latencies of skipped accesses and cross-set interleaving shifts.
-    @raise Invalid_argument otherwise. *)
+    @raise Invalid_argument otherwise, with {!check_sample_sets}'s
+    message. *)
 val create :
   ?coherence:bool ->
   ?probe:Probe.t ->
   ?sample_sets:int ->
   Ctam_arch.Topology.t ->
   t
+
+(** [check_sample_sets topo n] is [Ok ()] when [n] is a valid
+    [sample_sets] factor for [topo] (see {!create}), else an error
+    naming the first cache whose set count it does not divide. *)
+val check_sample_sets : Ctam_arch.Topology.t -> int -> (unit, string) result
 
 val topology : t -> Ctam_arch.Topology.t
 

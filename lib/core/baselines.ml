@@ -57,6 +57,9 @@ let default_assignment ~topo groups =
       let result = Array.make n [] in
       Array.iter
         (fun g ->
+          (* Splitting a group sorts its parts: poll the request
+             deadline per group. *)
+          Ctam_util.Deadline.check ();
           let keys = Iterset.keys g.Iter_group.iters in
           let m = Array.length keys in
           let start = ref 0 in

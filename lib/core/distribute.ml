@@ -144,7 +144,9 @@ let agglomerate arr k =
   (* Only clusters sharing at least one data block can have a positive
      dot product: enumerate candidate pairs through a block -> clusters
      inverted index instead of all n^2 pairs. *)
-  let block_index : (int, int list ref) Hashtbl.t = Hashtbl.create 1024 in
+  let block_index : (int, int list ref) Hashtbl.t =
+    Hashtbl.create ~random:false 1024
+  in
   Array.iteri
     (fun a cl ->
       Bitset.iter
@@ -161,7 +163,7 @@ let agglomerate arr k =
      block is still generated, and purely-global affinity ties are
      broken by the zero-affinity smallest-first fallback below. *)
   let fanout_cap = 64 in
-  let seen_pairs = Hashtbl.create 4096 in
+  let seen_pairs = Hashtbl.create ~random:false 4096 in
   let push_pair a b =
     let a, b = (min a b, max a b) in
     if a <> b && arr.(a).alive && arr.(b).alive then begin
@@ -179,6 +181,7 @@ let agglomerate arr k =
       if List.length ms <= fanout_cap then
         List.iter
           (fun a ->
+            Ctam_util.Deadline.tick ();
             List.iter
               (fun b ->
                 if a < b && not (Hashtbl.mem seen_pairs (a, b)) then begin
@@ -199,9 +202,10 @@ let agglomerate arr k =
     decr alive;
     (* Refresh candidate merges against clusters sharing a block with
        the merged cluster (the only ones with a positive dot). *)
-    let neighbours = Hashtbl.create 64 in
+    let neighbours = Hashtbl.create ~random:false 64 in
     Bitset.iter
       (fun blk ->
+        Ctam_util.Deadline.tick ();
         match Hashtbl.find_opt block_index blk with
         | None -> ()
         | Some l ->
@@ -216,6 +220,7 @@ let agglomerate arr k =
   let rec drain () =
     if !alive > k then
       if not (Heap.is_empty heap) then begin
+        Ctam_util.Deadline.tick ();
         let pair = Heap.top_pair heap and vers = Heap.top_vers heap in
         Heap.drop heap;
         let a = pair lsr 31 and b = pair land ((1 lsl 31) - 1) in
@@ -384,7 +389,10 @@ let balance ?(allow_splits = true) ~threshold ~weights clusters =
   (* Every move strictly shrinks some donor's excess; group moves are
      bounded by a small multiple of the group count in practice. *)
   let guard = ref ((20 * total_members) + 200) in
+  (* Each move below scans the donor's groups with bitset products, so
+     both loops poll the request deadline once per move. *)
   let rec loop () =
+    Ctam_util.Deadline.check ();
     decr guard;
     if !guard <= 0 then ()
     else begin
@@ -484,6 +492,7 @@ let balance ?(allow_splits = true) ~threshold ~weights clusters =
   let polish_guard = ref ((4 * total_members) + 64) in
   let continue_polish = ref true in
   while !continue_polish && !polish_guard > 0 do
+    Ctam_util.Deadline.check ();
     decr polish_guard;
     continue_polish := false;
     let dmax = ref 0 and dmin = ref 0 in
@@ -602,7 +611,7 @@ let fuse_dependent ~dep_graph groups =
   List.iter
     (fun (a, b) -> if a < n && b < n then union a b)
     (Ctam_deps.Dep_graph.edges dep_graph);
-  let members = Hashtbl.create 16 in
+  let members = Hashtbl.create ~random:false 16 in
   Array.iteri
     (fun i g ->
       let r = find i in

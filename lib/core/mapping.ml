@@ -130,6 +130,8 @@ let grouping_for ~params ~machine program nest =
    lexicographic, so callers split order-sensitive sequences (tiles)
    into one pseudo-group per contiguous run. *)
 let pseudo_group ~encoder ~id iters =
+  (* Encoding sorts every iteration: poll the request deadline first. *)
+  Ctam_util.Deadline.check ();
   {
     Iter_group.id;
     tag = Bitset.create 0;
@@ -183,6 +185,7 @@ let compile ?(params = default_params) ?(clock = Sys.time) ?map_topo
   let n = map_topo.Topology.num_cores in
   let times = Hashtbl.create 8 in
   let timed key f =
+    Ctam_util.Deadline.check ();
     let t0 = clock () in
     let r = f () in
     let acc = try Hashtbl.find times key with Not_found -> 0. in

@@ -105,7 +105,10 @@ let run ?(alpha = default_alpha) ?(beta = default_beta) ?quantum topo
      remove and return it. *)
   let take st f =
     (* Ties prefer the earliest iterations (sequential order), which
-       preserves spatial locality when affinity cannot discriminate. *)
+       preserves spatial locality when affinity cannot discriminate.
+       A pick scores every pending group: poll the request deadline
+       once per pick. *)
+    Ctam_util.Deadline.check ();
     let m = Array.length st.groups in
     while st.first < m && not st.alive.(st.first) do
       st.first <- st.first + 1

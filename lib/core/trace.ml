@@ -8,37 +8,28 @@ let refs_of nest =
   |> List.map (fun r -> (r, Reference.is_write r))
   |> Array.of_list
 
-let of_iters layout nest iters =
+(* The accesses of [count] points visited by [iter], one encoded
+   access per reference in reference order, polling the request
+   deadline as it goes. *)
+let expand layout nest ~count iter =
   let refs = refs_of nest in
-  let nrefs = Array.length refs in
-  let out = Array.make (List.length iters * nrefs) 0 in
+  let out = Array.make (count * Array.length refs) 0 in
   let k = ref 0 in
-  List.iter
-    (fun iv ->
+  iter (fun iv ->
+      Ctam_util.Deadline.tick ();
       Array.iter
         (fun (r, write) ->
           out.(!k) <-
             Engine.encode_access ~addr:(Layout.ref_addr layout r iv) ~write;
           incr k)
-        refs)
-    iters;
+        refs);
   out
 
+let of_iters layout nest iters =
+  expand layout nest ~count:(List.length iters) (fun f -> List.iter f iters)
+
 let of_iterset layout nest s =
-  let refs = refs_of nest in
-  let nrefs = Array.length refs in
-  let out = Array.make (Iterset.cardinal s * nrefs) 0 in
-  let k = ref 0 in
-  Iterset.iter
-    (fun iv ->
-      Array.iter
-        (fun (r, write) ->
-          out.(!k) <-
-            Engine.encode_access ~addr:(Layout.ref_addr layout r iv) ~write;
-          incr k)
-        refs)
-    s;
-  out
+  expand layout nest ~count:(Iterset.cardinal s) (fun f -> Iterset.iter f s)
 
 let of_group layout nest g = of_iterset layout nest g.Iter_group.iters
 
@@ -68,6 +59,9 @@ let cursor_of_gen layout refs ~count ~next ~restart =
   let len = ref 0 in
   let at = ref 0 in
   let fill () =
+    (* A sampled skip can run through many refills in one engine
+       event: each refill ticks the request deadline. *)
+    Ctam_util.Deadline.tick ();
     len := 0;
     at := 0;
     let cap = Array.length buf in
@@ -129,7 +123,7 @@ let cursor_of_gen layout refs ~count ~next ~restart =
     Engine.length = count * nrefs;
     pull;
     reset;
-    skip_to_sample = Some skip_to_sample;
+    skip_to_sample;
   }
 
 let stream_of_iters layout nest iters =
@@ -176,17 +170,5 @@ let stream_serial layout nest =
        ~next:gen.Domain.next ~restart:gen.Domain.restart)
 
 let serial layout nest =
-  let refs = refs_of nest in
-  let nrefs = Array.length refs in
-  let out = Array.make (Nest.trip_count nest * nrefs) 0 in
-  let k = ref 0 in
-  Domain.iter
-    (fun iv ->
-      Array.iter
-        (fun (r, write) ->
-          out.(!k) <-
-            Engine.encode_access ~addr:(Layout.ref_addr layout r iv) ~write;
-          incr k)
-        refs)
-    nest.Nest.domain;
-  out
+  expand layout nest ~count:(Nest.trip_count nest) (fun f ->
+      Domain.iter f nest.Nest.domain)

@@ -7,8 +7,8 @@ type t = {
 let create n =
   {
     n;
-    succs = Array.init n (fun _ -> Hashtbl.create 4);
-    preds = Array.init n (fun _ -> Hashtbl.create 4);
+    succs = Array.init n (fun _ -> Hashtbl.create ~random:false 4);
+    preds = Array.init n (fun _ -> Hashtbl.create ~random:false 4);
   }
 
 let num_nodes t = t.n

@@ -11,7 +11,7 @@ let compute (grouping : Tags.grouping) =
     let layout = Block_map.layout grouping.Tags.block_map in
     let enc = grouping.Tags.encoder in
     (* iteration key -> group id *)
-    let group_of = Hashtbl.create 1024 in
+    let group_of = Hashtbl.create ~random:false 1024 in
     Array.iter
       (fun g ->
         Array.iter
@@ -21,7 +21,7 @@ let compute (grouping : Tags.grouping) =
     let refs = Array.of_list (Nest.refs nest) in
     (* addr -> accesses seen so far as (group, is_write), deduplicated *)
     let table : (int, (int * bool) list ref) Hashtbl.t =
-      Hashtbl.create 4096
+      Hashtbl.create ~random:false 4096
     in
     Domain.iter
       (fun iv ->

@@ -133,11 +133,14 @@ let per_core_json counters topo =
 
 let groups_json counters legend =
   let levels = Probe_sinks.Counters.levels counters in
+  (* Segment ids are unique; a table keeps the lookup constant-time
+     (a tiled Base+ plan has tens of thousands of segments). *)
+  let names = Hashtbl.of_seq (List.to_seq legend) in
   J.List
     (List.map
        (fun (seg, (g : Probe_sinks.Counters.group_stat)) ->
          let nest, group =
-           match List.assoc_opt seg legend with
+           match Hashtbl.find_opt names seg with
            | Some ng -> ng
            | None -> ("?", seg)
          in

@@ -52,11 +52,14 @@ let mem t iv =
       !ok)
   && Constrnt.sat_all t.guards iv
 
+(* Every enumeration of a domain ([iter], [fold], [to_list],
+   [cardinal]) ticks the request deadline once per point visited. *)
 let iter f t =
   let d = depth t in
   let iv = Array.make d 0 in
   let rec go j =
     if j = d then begin
+      Ctam_util.Deadline.tick ();
       if Constrnt.sat_all t.guards iv then f iv
     end
     else begin

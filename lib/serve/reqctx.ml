@@ -86,8 +86,7 @@ let log_fields ctx =
   [ ("request_id", J.Int ctx.id); ("conn", J.Int ctx.conn) ]
 
 (* Run [f] with this request's identity on every log line it emits
-   (on the calling domain — deadline domains re-enter the scope
-   themselves). *)
+   on the calling domain. *)
 let with_logging ctx f = Tel.Log.with_context (log_fields ctx) f
 
 let error ctx code =

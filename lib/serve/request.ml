@@ -72,6 +72,11 @@ let int_field j name =
   | Some (J.Int i) -> Some i
   | Some _ -> bad "member %S must be an integer" name
 
+let pos_field j name =
+  match int_field j name with
+  | Some v when v < 1 -> bad "%S must be >= 1 (got %d)" name v
+  | v -> v
+
 let num_field j name =
   match mem name j with
   | None -> None
@@ -115,6 +120,23 @@ let parse_machine j =
       match Ctam_arch.Topo_parse.parse text with
       | m -> m
       | exception Ctam_arch.Topo_parse.Error msg -> bad "bad topology: %s" msg)
+
+(* The policy spec is folded into the machine itself, so the plan-cache
+   key (whose topology fragments carry non-default policies) can never
+   serve a plan across policy changes. *)
+let parse_policy j machine =
+  match str_field j "policy" with
+  | None -> machine
+  | Some spec -> (
+      match Topology.apply_policy_spec spec machine with
+      | Ok m -> m
+      | Error e -> bad "bad \"policy\": %s" e)
+
+let parse_sample_sets j machine =
+  let n = Option.value ~default:1 (int_field j "sample_sets") in
+  match Ctam_cachesim.Hierarchy.check_sample_sets machine n with
+  | Ok () -> n
+  | Error e -> bad "bad \"sample_sets\": %s" e
 
 (* The point comes either whole (["params"], the [--params] file
    schema) or knob by knob; either way it is canonicalized so requests
@@ -176,32 +198,11 @@ let parse j =
           | None -> bad "unknown op %S" id)
     in
     let program_name, program = parse_program j in
-    let machine = parse_machine j in
-    (* The policy spec is folded into the machine itself, so the
-       plan-cache key (whose topology fragments carry non-default
-       policies) can never serve a plan across policy changes. *)
-    let machine =
-      match str_field j "policy" with
-      | None -> machine
-      | Some spec -> (
-          match Policy.parse_spec spec with
-          | Ok bindings -> Topology.with_policy_spec bindings machine
-          | Error e -> bad "bad \"policy\": %s" e)
-    in
+    let machine = parse_policy j (parse_machine j) in
     let point = parse_point j in
     let base_params = parse_base_params j in
-    let sample_sets =
-      match int_field j "sample_sets" with
-      | None -> 1
-      | Some n when n >= 1 -> n
-      | Some n -> bad "\"sample_sets\" must be >= 1 (got %d)" n
-    in
-    let timeout_ms =
-      match int_field j "timeout_ms" with
-      | None -> None
-      | Some ms when ms >= 1 -> Some ms
-      | Some ms -> bad "\"timeout_ms\" must be >= 1 (got %d)" ms
-    in
+    let sample_sets = parse_sample_sets j machine in
+    let timeout_ms = pos_field j "timeout_ms" in
     let strategy =
       match str_field j "strategy" with
       | None -> Search.default_settings.Search.strategy
@@ -211,12 +212,7 @@ let parse j =
           | Error e -> bad "%s" e)
     in
     let trace = Option.value ~default:false (bool_field j "trace") in
-    let trace_window =
-      match int_field j "trace_window" with
-      | None -> None
-      | Some w when w >= 1 -> Some w
-      | Some w -> bad "\"trace_window\" must be >= 1 (got %d)" w
-    in
+    let trace_window = pos_field j "trace_window" in
     if trace && op <> Run then bad "\"trace\" applies only to op \"run\"";
     if trace_window <> None && not trace then
       bad "\"trace_window\" requires \"trace\": true";
@@ -295,32 +291,13 @@ let parse_trace j =
       | Some s -> s
       | None -> bad "missing \"trace_text\" (inline trace contents)"
     in
-    let machine = parse_machine j in
-    let machine =
-      match str_field j "policy" with
-      | None -> machine
-      | Some spec -> (
-          match Policy.parse_spec spec with
-          | Ok bindings -> Topology.with_policy_spec bindings machine
-          | Error e -> bad "bad \"policy\": %s" e)
-    in
-    let cores =
-      match int_field j "cores" with
-      | None -> 1
-      | Some c when c >= 1 -> c
-      | Some c -> bad "\"cores\" must be >= 1 (got %d)" c
-    in
+    let machine = parse_policy j (parse_machine j) in
+    let cores = Option.value ~default:1 (pos_field j "cores") in
     let interleave =
       match str_field j "interleave" with
       | None | Some "round-robin" | Some "rr" -> Ingest.Round_robin
       | Some "tagged" -> Ingest.Tagged
       | Some s -> bad "unknown interleave %S (round-robin or tagged)" s
-    in
-    let pos_field name =
-      match int_field j name with
-      | None -> None
-      | Some v when v >= 1 -> Some v
-      | Some v -> bad "%S must be >= 1 (got %d)" name v
     in
     let opts =
       {
@@ -328,23 +305,13 @@ let parse_trace j =
         interleave;
         instr = Option.value ~default:false (bool_field j "instr");
         lossy = Option.value ~default:false (bool_field j "lossy");
-        fold_bits = pos_field "fold_bits";
+        fold_bits = pos_field j "fold_bits";
         rebase = Option.value ~default:false (bool_field j "rebase");
-        split = pos_field "split";
+        split = pos_field j "split";
       }
     in
-    let sample_sets =
-      match int_field j "sample_sets" with
-      | None -> 1
-      | Some n when n >= 1 -> n
-      | Some n -> bad "\"sample_sets\" must be >= 1 (got %d)" n
-    in
-    let timeout_ms =
-      match int_field j "timeout_ms" with
-      | None -> None
-      | Some ms when ms >= 1 -> Some ms
-      | Some ms -> bad "\"timeout_ms\" must be >= 1 (got %d)" ms
-    in
+    let sample_sets = parse_sample_sets j machine in
+    let timeout_ms = pos_field j "timeout_ms" in
     (* Parsing stays total: strict-mode trace errors (with their line
        positions) surface here as [bad_request], not as [internal]
        failures mid-execution. *)

@@ -18,7 +18,9 @@
    poll the listening socket with a short [select] timeout and check
    the stop flag in between, and blocked reads use a receive timeout
    plus the protocol's [on_idle] hook, so shutdown never needs to
-   interrupt anything mid-frame. *)
+   interrupt anything mid-frame.  Every request runs inline on the
+   worker that read it, a timed one under a cooperative deadline, so
+   the daemon never runs more than [workers] domains. *)
 
 module J = Ctam_util.Json
 module Tel = Ctam_telemetry
@@ -88,9 +90,7 @@ type t = {
   started : float;  (** wall clock at [create] (stats uptime) *)
   stop : bool Atomic.t;
   c : counters;
-  lock : Mutex.t;  (** counters + zombie list *)
-  mutable zombies : (bool Atomic.t * unit Domain.t) list;
-      (** timed-out request domains still running; reaped when done *)
+  lock : Mutex.t;  (** counters *)
 }
 
 let locked t f =
@@ -141,65 +141,14 @@ let create config =
     stop = Atomic.make false;
     c = { served = 0; errors = 0; timeouts = 0; cached = 0 };
     lock = Mutex.create ();
-    zombies = [];
   }
 
 let stop t = Atomic.set t.stop true
-
-let reap t ~wait =
-  let ready, running =
-    locked t (fun () ->
-        let ready, running =
-          List.partition (fun (done_, _) -> wait || Atomic.get done_) t.zombies
-        in
-        t.zombies <- running;
-        (ready, running))
-  in
-  ignore running;
-  List.iter (fun (_, d) -> Domain.join d) ready
 
 (* --- per-request execution ------------------------------------------- *)
 
 let internal_error e =
   "request failed: " ^ Printexc.to_string e
-
-(* Run [f] with a deadline.  The work runs in its own domain; the
-   waiter polls its result slot and gives up at the deadline, parking
-   the still-running domain on the zombie list (the computation is
-   abandoned, not cancelled — OCaml domains cannot be killed safely —
-   and its domain is joined once it finishes).  Requests without a
-   timeout run inline on the worker. *)
-let with_deadline t timeout_ms f =
-  match timeout_ms with
-  | None -> ( try Ok (f ()) with e -> Error (`Internal (internal_error e)))
-  | Some ms ->
-      let slot = Atomic.make None in
-      let done_ = Atomic.make false in
-      let d =
-        Domain.spawn (fun () ->
-            let r =
-              try Ok (f ()) with e -> Error (`Internal (internal_error e))
-            in
-            Atomic.set slot (Some r);
-            Atomic.set done_ true)
-      in
-      let deadline = Unix.gettimeofday () +. (float_of_int ms /. 1000.) in
-      let rec wait () =
-        match Atomic.get slot with
-        | Some r ->
-            Domain.join d;
-            r
-        | None ->
-            if Unix.gettimeofday () >= deadline then begin
-              locked t (fun () -> t.zombies <- (done_, d) :: t.zombies);
-              Error (`Timeout ms)
-            end
-            else begin
-              Unix.sleepf 0.002;
-              wait ()
-            end
-      in
-      wait ()
 
 let stats_json t =
   let served, errors, timeouts, cached =
@@ -301,14 +250,22 @@ let run_cached t (ctx : Reqctx.t) ~finish ~id ~request_id ~opname ~key ~nocache
         | Some _ as ms -> ms
         | None -> t.config.default_timeout_ms
       in
+      let fail ~outcome code msg =
+        Reqctx.error ctx code;
+        ( finish ~op:opname ~outcome
+            (Json (Protocol.error_response ~id ~request_id ~code msg)),
+          false,
+          Some key )
+      in
+      (* Timed or not, the work runs inline on this worker.  A timed
+         request polls its deadline in every loop that grows with its
+         input, and unwinds here with [Expired] soon after it passes. *)
       match
-        with_deadline t timeout_ms (fun () ->
-            (* The deadline path runs on a fresh domain whose
-               log-context stack starts empty — re-establish the
-               request identity there. *)
-            Reqctx.with_logging ctx compute)
+        match timeout_ms with
+        | None -> compute ()
+        | Some ms -> Ctam_util.Deadline.within ~ms compute
       with
-      | Ok (v, spans) ->
+      | v, spans ->
           Reqctx.add_spans ctx spans;
           let reply =
             if nocache then Json (Protocol.ok_response ~id ~request_id v)
@@ -320,22 +277,11 @@ let run_cached t (ctx : Reqctx.t) ~finish ~id ~request_id ~opname ~key ~nocache
           ( finish ~op:opname ~outcome:"ok" reply,
             false,
             Some key )
-      | Error (`Timeout ms) ->
-          Reqctx.error ctx "timeout";
-          ( finish ~op:opname ~outcome:"timeout"
-              (Json
-                 (Protocol.error_response ~id ~request_id ~code:"timeout"
-                    (Printf.sprintf "request exceeded %d ms" ms))),
-            false,
-            Some key )
-      | Error (`Internal msg) ->
-          Reqctx.error ctx "internal";
-          ( finish ~op:opname ~outcome:"error"
-              (Json
-                 (Protocol.error_response ~id ~request_id ~code:"internal"
-                    msg)),
-            false,
-            Some key ))
+      | exception Ctam_util.Deadline.Expired ->
+          (* Only a [within] scope raises it, so [timeout_ms] is set. *)
+          fail ~outcome:"timeout" "timeout"
+            (Printf.sprintf "request exceeded %d ms" (Option.get timeout_ms))
+      | exception e -> fail ~outcome:"error" "internal" (internal_error e))
 
 let name_desc_json entries =
   J.List
@@ -602,9 +548,8 @@ let accept_loop t =
   loop ()
 
 (* [serve t] blocks until a shutdown request or [stop t], then joins
-   every worker and outstanding timed-out request and removes the
-   socket.  Abandoned (timed-out) computations are waited for here —
-   they cannot be cancelled, only disowned from their reply. *)
+   every worker and removes the socket.  A worker finishes the request
+   in hand first; a timed one stops at its deadline. *)
 let serve t =
   let w = max 1 t.config.workers in
   Tel.Log.info ~src:"serve"
@@ -636,7 +581,6 @@ let serve t =
           ])
     (fun () -> "mapping daemon listening");
   Parallel.iter ~domains:w (fun _ -> accept_loop t) (List.init w Fun.id);
-  reap t ~wait:true;
   Option.iter Journal.close t.journal;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (try Unix.unlink t.config.socket with Unix.Unix_error _ -> ());

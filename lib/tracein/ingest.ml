@@ -106,6 +106,7 @@ let emit_span opts (f : Lackey.fields) ~emit write =
    malformed, so no pass ever expands one. *)
 let process opts st ~check_times ~emit b pos len =
   st.lines <- st.lines + 1;
+  Ctam_util.Deadline.tick ();
   let f = st.fields in
   match Lackey.parse f b pos len with
   | Lackey.Noise -> ()
@@ -247,8 +248,11 @@ let make_cursor opts src ~core ~length ~base ~mask : Engine.cursor =
     else begin
       cs.len <- 0;
       cs.pos <- 0;
-      List.iter push (List.rev cs.spill);
+      (* A split record can spill more than a chunk: what does not fit
+         again spills afresh. *)
+      let spilled = List.rev cs.spill in
       cs.spill <- [];
+      List.iter push spilled;
       if not cs.eof then begin
         let chan =
           match cs.chan with
@@ -306,7 +310,7 @@ let make_cursor opts src ~core ~length ~base ~mask : Engine.cursor =
     in
     go ()
   in
-  { Engine.length; pull; reset; skip_to_sample = Some skip_to_sample }
+  { Engine.length; pull; reset; skip_to_sample }
 
 let streams ?scan:sc opts src =
   validate opts;

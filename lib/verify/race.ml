@@ -77,6 +77,7 @@ let replay t phases =
         (fun core stream ->
           Array.iter
             (fun enc ->
+              Ctam_util.Deadline.tick ();
               let addr, write = Engine.decode_access enc in
               access t ~core ~addr ~write)
             stream)

@@ -166,6 +166,9 @@ let check_plan acc (plan : Mapping.nest_plan) =
     (fun round ->
       Array.iter
         (List.iter (fun (g : Iter_group.t) ->
+             (* Each group is re-encoded, intersected and decomposed:
+                poll the request deadline per group. *)
+             Ctam_util.Deadline.check ();
              acc.groups <- acc.groups + 1;
              acc.points <- acc.points + Iterset.cardinal g.Iter_group.iters;
              let gs =

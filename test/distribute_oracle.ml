@@ -3,7 +3,9 @@
    comparison, kept verbatim as the differential oracle for
    [Ctam_core.Distribute.cluster_into]: the rewrite must return every
    input's clusters exactly as this does, equal-priority merges
-   included. *)
+   included.  Its tables, like the library's, ignore the runtime's
+   hashtable seeding ([~random:false]), so the two agree under
+   OCAMLRUNPARAM=R as well. *)
 
 open Ctam_blocks
 
@@ -98,7 +100,9 @@ let agglomerate arr k =
   (* Only clusters sharing at least one data block can have a positive
      dot product: enumerate candidate pairs through a block -> clusters
      inverted index instead of all n^2 pairs. *)
-  let block_index : (int, int list ref) Hashtbl.t = Hashtbl.create 1024 in
+  let block_index : (int, int list ref) Hashtbl.t =
+    Hashtbl.create ~random:false 1024
+  in
   Array.iteri
     (fun a cl ->
       Bitset.iter
@@ -115,7 +119,7 @@ let agglomerate arr k =
      block is still generated, and purely-global affinity ties are
      broken by the zero-affinity smallest-first fallback below. *)
   let fanout_cap = 64 in
-  let seen_pairs = Hashtbl.create 4096 in
+  let seen_pairs = Hashtbl.create ~random:false 4096 in
   let push_pair a b =
     let a, b = (min a b, max a b) in
     if a <> b && arr.(a).alive && arr.(b).alive then begin
@@ -158,7 +162,7 @@ let agglomerate arr k =
     decr alive;
     (* Refresh candidate merges against clusters sharing a block with
        the merged cluster (the only ones with a positive dot). *)
-    let neighbours = Hashtbl.create 64 in
+    let neighbours = Hashtbl.create ~random:false 64 in
     Bitset.iter
       (fun blk ->
         match Hashtbl.find_opt block_index blk with

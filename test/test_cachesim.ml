@@ -577,16 +577,15 @@ let gen_of_array a =
        so the differential tests exercise the engine's skip plumbing
        too. *)
     skip_to_sample =
-      Some
-        (fun ~shift ~mask ~skipped ->
-          let n = Array.length a in
-          let found = ref (-1) in
-          while !found < 0 && !pos < n do
-            let e = a.(!pos) in
-            incr pos;
-            if e lsr shift land mask = 0 then found := e else incr skipped
-          done;
-          !found);
+      (fun ~shift ~mask ~skipped ->
+        let n = Array.length a in
+        let found = ref (-1) in
+        while !found < 0 && !pos < n do
+          let e = a.(!pos) in
+          incr pos;
+          if e lsr shift land mask = 0 then found := e else incr skipped
+        done;
+        !found);
   }
 
 let gen_phases phases =
@@ -641,9 +640,13 @@ let test_engine_capped_cursor () =
           (fun () ->
             incr pulls;
             g.Engine.pull ());
-        (* Counting pulls requires the pull path; the inherited skip
-           would bypass the counter. *)
-        skip_to_sample = None;
+        (* A skip consumes accesses too: count them as pulls. *)
+        skip_to_sample =
+          (fun ~shift ~mask ~skipped ->
+            let n0 = !skipped in
+            let f = g.Engine.skip_to_sample ~shift ~mask ~skipped in
+            pulls := !pulls + (!skipped - n0) + if f >= 0 then 1 else 0;
+            f);
       }
   in
   let gens = [ Array.map counting phase ] in

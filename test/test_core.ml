@@ -477,6 +477,29 @@ let test_stream_compile_matches_dense () =
         = Mapping.simulate ~sample_sets:2 dense2))
     Mapping.all_schemes
 
+(* Compiles and simulations poll the request deadline: under a 1 ms
+   deadline, a full-size compile and the simulation of a full-size plan
+   stop with [Expired] long before they would finish. *)
+let test_deadline_stops_compile_and_simulate () =
+  let module D = Ctam_util.Deadline in
+  let machine = Machines.dunnington ~scale:16 () in
+  let program k = Ctam_workloads.Kernel.program k in
+  let stops what f =
+    let t0 = Unix.gettimeofday () in
+    (match D.within ~ms:1 f with
+    | () -> Alcotest.fail (what ^ " finished within 1 ms")
+    | exception D.Expired -> ());
+    check_bool (what ^ " stops within 2 s") true
+      (Unix.gettimeofday () -. t0 < 2.)
+  in
+  let equake = program Ctam_workloads.Suite.equake in
+  stops "compile" (fun () ->
+      ignore (Mapping.compile Mapping.Topology_aware ~machine equake));
+  let plan =
+    Mapping.compile Mapping.Base ~machine (program Ctam_workloads.Suite.cg)
+  in
+  stops "simulate" (fun () -> ignore (Mapping.simulate plan))
+
 let test_port_shapes () =
   let p = fig5_program 256 in
   let c = Mapping.compile Mapping.Combined ~machine p in
@@ -824,6 +847,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_simulate_deterministic;
           Alcotest.test_case "streamed == dense" `Quick
             test_stream_compile_matches_dense;
+          Alcotest.test_case "deadline stops compile and simulate" `Quick
+            test_deadline_stops_compile_and_simulate;
           Alcotest.test_case "port" `Quick test_port_shapes;
           Alcotest.test_case "serial" `Quick test_serial_baseline;
           Alcotest.test_case "fig5 wins" `Quick test_topology_beats_base_on_fig5;

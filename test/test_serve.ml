@@ -556,6 +556,82 @@ let test_daemon_survives_bad_trace () =
   in
   check_bool "socket removed on stop" false (Sys.file_exists socket)
 
+(* A timed request stops at its deadline instead of running on behind
+   its reply: this split trace asks for 1.3 G simulated accesses, so
+   unless the work stops, a shutdown right after the [timeout] reply
+   waits for it. *)
+let test_deadline_stops_work () =
+  let text = String.concat "" (List.init 20_000 (fun _ -> " L 0,65536\n")) in
+  let req =
+    trace_req text
+    |> with_member "split" (J.Int 1)
+    |> with_member "timeout_ms" (J.Int 100)
+  in
+  let stopped = ref 0. in
+  let socket =
+    with_daemon ~config:{ Server.default_config with Server.workers = 1 }
+      "deadline"
+    @@ fun socket ->
+    (match Protocol.response_error (ask ~socket req) with
+    | Some (code, _) -> Alcotest.(check string) "error code" "timeout" code
+    | None -> Alcotest.fail "the split trace finished within 100 ms");
+    ignore (ask ~socket (J.Obj [ ("op", J.String "shutdown") ]));
+    (* [serve] removes the socket once every worker has returned. *)
+    let t0 = Unix.gettimeofday () in
+    while Sys.file_exists socket && Unix.gettimeofday () -. t0 < 5. do
+      Unix.sleepf 0.01
+    done;
+    stopped := Unix.gettimeofday () -. t0
+  in
+  check_bool "serve returned within 5 s of shutdown" true (!stopped < 5.);
+  check_bool "socket removed" false (Sys.file_exists socket)
+
+(* The policy spec and the sampling factor are checked against the
+   machine when the request is parsed: a level the machine lacks, or a
+   factor that does not divide its set counts, is a bad request for
+   every plan-carrying op, never an internal failure mid-execution. *)
+let test_machine_checked_members () =
+  let run extra =
+    J.Obj
+      ([
+         ("op", J.String "run");
+         ("program", J.String "cg");
+         ("machine", J.String "harpertown");
+         ("scale", J.Int 64);
+       ]
+      @ extra)
+  in
+  let trace extra =
+    List.fold_left
+      (fun j (k, v) -> with_member k v j)
+      (trace_req " L 0x1000,8\n") extra
+  in
+  ignore
+    ( with_daemon ~config:{ Server.default_config with Server.workers = 1 }
+        "checked"
+    @@ fun socket ->
+      List.iter
+        (fun (what, req, affix) ->
+          match Protocol.response_error (ask ~socket req) with
+          | Some (code, msg) ->
+              Alcotest.(check string) (what ^ ": code") "bad_request" code;
+              check_bool (what ^ ": names the problem") true
+                (Astring.String.is_infix ~affix msg)
+          | None -> Alcotest.fail (what ^ ": accepted"))
+        [
+          ("run L3 policy", run [ ("policy", J.String "L3=plru") ], "no L3");
+          ( "run sample_sets",
+            run [ ("sample_sets", J.Int 1024) ],
+            "does not divide" );
+          ("run sample_sets 3", run [ ("sample_sets", J.Int 3) ], "power of two");
+          ( "trace L4 policy",
+            trace [ ("policy", J.String "L4=plru") ],
+            "no L4" );
+          ( "trace sample_sets",
+            trace [ ("sample_sets", J.Int (1 lsl 20)) ],
+            "does not divide" );
+        ] )
+
 (* Cold, warm-memory and disk-promoted replies to one request, read as
    raw frames: each is the canonical minified encoding of its own
    parse, all carry the same result bytes, and the journal records
@@ -729,6 +805,10 @@ let () =
             test_daemon_survives_bad_trace;
           Alcotest.test_case "daemon replies are canonical" `Quick
             test_daemon_replies_canonical;
+          Alcotest.test_case "deadline stops abandoned work" `Quick
+            test_deadline_stops_work;
+          Alcotest.test_case "policy and sample_sets checked" `Quick
+            test_machine_checked_members;
         ] );
       ( "cache maintenance",
         [

@@ -305,6 +305,23 @@ let test_split_spans () =
      base addresses of the further lines the span touches. *)
   check_bool "split addresses" true (addrs = [ 0x38; 0x40; 0x40 ])
 
+let test_split_longer_than_chunks () =
+  (* A record whose split span fills more than two of the cursor's
+     4096-access chunks, then a record after it: every access comes
+     out, in order, and the run consumes exactly the scanned count. *)
+  let opts = { Ingest.default with Ingest.split = Some 1 } in
+  let src = Reader.Text " L 0,10000\n S 0x10,4\n" in
+  let expected =
+    Array.append
+      (Array.init 10000 (fun addr -> Engine.encode_access ~addr ~write:false))
+      (Array.init 4 (fun i -> Engine.encode_access ~addr:(0x10 + i) ~write:true))
+  in
+  Alcotest.(check (array int)) "every access" expected (Ingest.load opts src).(0);
+  let machine = Ctam_arch.Machines.dunnington ~scale:16 () in
+  let stats, scan = Ingest.run ~machine opts src in
+  check_int "scanned" 10004 scan.Ingest.per_core.(0);
+  check_int "simulated" 10004 stats.Stats.total_accesses
+
 let test_split_overflow () =
   (* Under --split, a span past max_int, or one covering more than
      max_split_lines lines (10^12 one-byte lines here, which a pass
@@ -754,6 +771,8 @@ let () =
           Alcotest.test_case "modify expands" `Quick
             test_modify_is_load_then_store;
           Alcotest.test_case "split spans" `Quick test_split_spans;
+          Alcotest.test_case "split longer than chunks" `Quick
+            test_split_longer_than_chunks;
           Alcotest.test_case "split overflow" `Quick test_split_overflow;
           QCheck_alcotest.to_alcotest prop_split_scan_matches_reference;
         ] );

@@ -344,6 +344,83 @@ let test_stats_roundtrip () =
        false
      with Invalid_argument _ -> true)
 
+(* --- Deadline ---------------------------------------------------------- *)
+
+let expired f =
+  match f () with () -> false | exception Deadline.Expired -> true
+
+(* Spin (polling) until the calling domain's deadline passes. *)
+let spin_until_expired () =
+  let t0 = Unix.gettimeofday () in
+  while Unix.gettimeofday () -. t0 < 5. do
+    Deadline.check ()
+  done
+
+let test_deadline_unset () =
+  check_bool "check without a deadline" false (expired Deadline.check);
+  check_bool "ticks without a deadline" false
+    (expired (fun () ->
+         for _ = 1 to 3 * Deadline.stride do
+           Deadline.tick ()
+         done));
+  check_bool "a far deadline has not passed" false
+    (expired (fun () -> Deadline.within ~ms:60_000 Deadline.check))
+
+let test_deadline_expires () =
+  check_bool "Expired once the deadline passed" true
+    (expired (fun () -> Deadline.within ~ms:1 spin_until_expired));
+  check_bool "unset again after the scope" false (expired Deadline.check);
+  (* Ticks read the clock within one stride, counted across loops:
+     many loops shorter than a stride still expire. *)
+  check_bool "tick raises within a stride" true
+    (expired (fun () ->
+         Deadline.within ~ms:1 (fun () ->
+             Unix.sleepf 0.005;
+             for _ = 1 to Deadline.stride do
+               Deadline.tick ()
+             done)));
+  check_bool "short loops share the countdown" true
+    (expired (fun () ->
+         Deadline.within ~ms:1 (fun () ->
+             Unix.sleepf 0.005;
+             for _ = 1 to Deadline.stride do
+               for _ = 1 to 3 do
+                 Deadline.tick ()
+               done
+             done)))
+
+let test_deadline_nesting () =
+  (* An inner scope cannot outlive the outer one... *)
+  check_bool "60 s scope inside a 1 ms scope" true
+    (expired (fun () ->
+         Deadline.within ~ms:1 (fun () ->
+             Deadline.within ~ms:60_000 spin_until_expired)));
+  Deadline.within ~ms:60_000 (fun () ->
+      (* ...and the outer expiry is back after an inner one, whether
+         the inner scope expired, raised or returned. *)
+      check_bool "inner scope expires" true
+        (expired (fun () -> Deadline.within ~ms:1 spin_until_expired));
+      check_bool "outer restored after Expired" false (expired Deadline.check);
+      (match Deadline.within ~ms:1 (fun () -> failwith "boom") with
+      | () -> Alcotest.fail "no exception"
+      | exception Failure _ -> ());
+      Unix.sleepf 0.005;
+      check_bool "outer restored after another exception" false
+        (expired Deadline.check);
+      Deadline.within ~ms:1 (fun () -> ());
+      Unix.sleepf 0.005;
+      check_bool "outer restored after a normal return" false
+        (expired Deadline.check));
+  check_bool "unset after the outer scope" false (expired Deadline.check)
+
+let test_deadline_domain_local () =
+  (* Another domain never sees this domain's deadline. *)
+  Deadline.within ~ms:1 (fun () ->
+      Unix.sleepf 0.005;
+      let other = Domain.spawn (fun () -> expired Deadline.check) in
+      check_bool "other domain unaffected" false (Domain.join other);
+      check_bool "this domain expired" true (expired Deadline.check))
+
 let () =
   Alcotest.run "util"
     [
@@ -364,4 +441,13 @@ let () =
         ] );
       ( "stats",
         [ Alcotest.test_case "to_json/of_json" `Quick test_stats_roundtrip ] );
+      ( "deadline",
+        [
+          Alcotest.test_case "no-op without a deadline" `Quick
+            test_deadline_unset;
+          Alcotest.test_case "expires" `Quick test_deadline_expires;
+          Alcotest.test_case "nesting restores the outer expiry" `Quick
+            test_deadline_nesting;
+          Alcotest.test_case "domain-local" `Quick test_deadline_domain_local;
+        ] );
     ]

@@ -7,8 +7,10 @@
 # (computed, memory, promoted from disk), hostile input
 # (garbage/oversized/malformed frames, mid-frame disconnects, bad
 # requests) must get structured error replies with the daemon still
-# alive, a corrupt on-disk cache entry must only cost a recompute, and
-# shutdown must be clean (socket removed, exit 0).
+# alive, a corrupt on-disk cache entry must only cost a recompute,
+# timed-out requests must stop at their deadline (typed replies, no
+# extra threads, correct answers afterwards), and shutdown must be
+# clean (socket removed, exit 0).
 # Wired into `dune runtest` from tools/dune; also runnable by hand from
 # the repo root:
 #
@@ -113,6 +115,15 @@ grep -q '"errors":0' "$tmp/load.json" || {
   echo "check_serve: load burst reported errors" >&2
   exit 1
 }
+
+# Deadlines: 200 nocache runs with a 1 ms timeout, more than the
+# runtime's domain cap, each get a typed timeout reply while the
+# daemon keeps its idle thread count; then it still computes the
+# one-shot answer.
+"$PROBE" deadline "$sock" "$pid" > /dev/null
+"$CTAMAP" client --socket "$sock" --op run $run_args --nocache \
+  > "$tmp/served4.json"
+"$PROBE" compare "$tmp/oneshot.json" "$tmp/served4.json" > /dev/null
 
 stop_daemon
 echo "check_serve: ok"

@@ -20,6 +20,15 @@
    both must carry identical result bytes.  It prints the two replies'
    [cached] flags, so a caller can tell which tier answered.
 
+   [serve_probe deadline SOCKET [PID]] sends 200 nocache [run]
+   requests with a 1 ms [timeout_ms] over 2 connections, one in flight
+   on each, and checks that every reply is a [timeout] error echoing
+   its id, that the burst takes under 20 s, that the daemon's
+   [timeouts] counter grows by exactly 200 and — when PID is given and
+   /proc exists — that the daemon's thread count never rises above
+   its idle count: timed-out work stops instead of running on in
+   domains of its own.
+
    [serve_probe compare A B] checks two JSON documents are equal
    modulo the volatile report members ("timings_seconds",
    "telemetry" — wall clocks and process state), i.e. that a served
@@ -254,6 +263,85 @@ let wire socket request =
     fail "wire: the two replies' result bytes differ";
   Printf.printf "serve_probe: wire ok (cached: %b %b)\n" c1 c2
 
+(* --- deadline mode ---------------------------------------------------- *)
+
+(* The [Threads:] count of process [pid]; None without /proc. *)
+let threads pid =
+  match open_in (Printf.sprintf "/proc/%d/status" pid) with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec find () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | l -> (
+            match String.split_on_char ':' l with
+            | [ "Threads"; n ] -> int_of_string_opt (String.trim n)
+            | _ -> find ())
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) find
+
+let timeouts fd =
+  send_frame fd {|{"op":"stats"}|};
+  match Option.bind (member "result" (recv_json fd)) (member "timeouts") with
+  | Some (J.Int n) -> n
+  | _ -> fail "deadline: stats reply carries no timeouts count"
+
+let deadline socket pid =
+  let rounds = 100 and conns = 2 in
+  let request n =
+    J.to_string ~minify:true
+      (J.Obj
+         [
+           ("id", J.Int n);
+           ("op", J.String "run");
+           ("program", J.String "cg");
+           ("machine", J.String "harpertown");
+           ("scale", J.Int 64);
+           ("nocache", J.Bool true);
+           ("timeout_ms", J.Int 1);
+         ])
+  in
+  let fds = Array.init conns (fun _ -> connect socket) in
+  let before = timeouts fds.(0) in
+  let idle = Option.bind pid threads in
+  let peak = ref (Option.value idle ~default:0) in
+  let t0 = Unix.gettimeofday () in
+  for r = 0 to rounds - 1 do
+    Array.iteri (fun c fd -> send_frame fd (request ((r * conns) + c))) fds;
+    Array.iteri
+      (fun c fd ->
+        let n = (r * conns) + c in
+        let j = recv_json fd in
+        if member "id" j <> Some (J.Int n) then
+          fail "deadline: reply %d does not echo its id" n;
+        match Option.bind (member "error" j) (member "code") with
+        | Some (J.String "timeout") -> ()
+        | _ ->
+            fail "deadline: reply %d is not a timeout: %s" n
+              (J.to_string ~minify:true j))
+      fds;
+    Option.iter
+      (fun n -> peak := max !peak n)
+      (Option.bind pid threads)
+  done;
+  let wall = Unix.gettimeofday () -. t0 in
+  let replies = rounds * conns in
+  if wall >= 20. then
+    fail "deadline: %d timed-out replies took %.1f s (bound 20 s)" replies wall;
+  let grew = timeouts fds.(0) - before in
+  if grew <> replies then
+    fail "deadline: stats.timeouts grew by %d, not %d" grew replies;
+  (match idle with
+  | Some n when !peak > n ->
+      fail "deadline: daemon threads rose from %d to %d" n !peak
+  | _ -> ());
+  Array.iter Unix.close fds;
+  Printf.printf "serve_probe: deadline ok (%d timeouts in %.2f s, threads %s)\n"
+    replies wall
+    (match idle with
+    | Some n -> Printf.sprintf "%d idle, %d peak" n !peak
+    | None -> "not checked")
+
 (* --- compare mode ----------------------------------------------------- *)
 
 let volatile = [ "timings_seconds"; "telemetry" ]
@@ -292,9 +380,11 @@ let () =
   match Array.to_list Sys.argv with
   | [ _; "abuse"; socket ] -> abuse socket
   | [ _; "wire"; socket; request ] -> wire socket request
+  | [ _; "deadline"; socket ] -> deadline socket None
+  | [ _; "deadline"; socket; pid ] -> deadline socket (int_of_string_opt pid)
   | [ _; "compare"; a; b ] -> compare_files a b
   | _ ->
       prerr_endline
-        "usage: serve_probe abuse SOCKET | wire SOCKET REQUEST | compare \
-         A.json B.json";
+        "usage: serve_probe abuse SOCKET | wire SOCKET REQUEST | deadline \
+         SOCKET [PID] | compare A.json B.json";
       exit 2
