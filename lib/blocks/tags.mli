@@ -19,22 +19,18 @@ val blocks_of_iteration : Block_map.t -> Nest.t -> int array -> int list
 (** Tag of one iteration as a bitset over all data blocks. *)
 val tag_of_iteration : Block_map.t -> Nest.t -> int array -> Bitset.t
 
-(** [group ?unit nest block_map] enumerates the nest's domain and
+(** [group ?tile nest block_map] enumerates the nest's domain and
     partitions it into iteration groups.  Groups are ordered by their
     first iteration (lexicographic).
 
-    [unit] (default 1) strip-mines the sequential iteration order into
-    units of that many consecutive iterations before tagging: a unit's
-    tag is the union of its members' tags and units are grouped by tag
-    equality.  This bounds the group count for access patterns whose
-    per-iteration tags are all distinct (e.g. transposed sweeps).
-
-    [tile] (exclusive with [unit]) coalesces by iteration-space tiles
-    instead: iterations with equal [iv.(k) / tile.(k)] form one unit.
-    Tiles preserve tag selectivity in *every* dimension, which
-    strip-mining cannot (a transposed reference makes any 1D unit
-    unselective in one direction). *)
-val group : ?unit:int -> ?tile:int array -> Nest.t -> Block_map.t -> grouping
+    [tile] coalesces iterations into iteration-space tiles before
+    tagging: iterations with equal [iv.(k) / tile.(k)] form one unit,
+    a unit's tag is the union of its members' tags, and units are
+    grouped by tag equality.  This bounds the group count for access
+    patterns whose per-iteration tags are all distinct (e.g.
+    transposed sweeps) while keeping tags selective in every
+    dimension.  Without [tile] each iteration is its own unit. *)
+val group : ?tile:int array -> Nest.t -> Block_map.t -> grouping
 
 (** [group_capped ~max_groups nest bm] grows a uniform coalescing tile
     until at most [max_groups] groups result (compile-time safeguard;

@@ -5,32 +5,17 @@ open Ctam_blocks
 
 let block_partition ~n nest =
   if n <= 0 then invalid_arg "Baselines.block_partition";
-  let iters = Domain.to_list nest.Nest.domain in
-  let total = List.length iters in
-  let result = Array.make n [] in
-  (* Chunk c gets iterations [c*total/n, (c+1)*total/n). *)
-  List.iteri
-    (fun i iv ->
-      let c = min (n - 1) (i * n / total) in
-      result.(c) <- iv :: result.(c))
-    iters;
-  Array.map List.rev result
-
-let block_partition_sets ~n groups =
-  match Array.length groups with
-  | 0 -> invalid_arg "Baselines.block_partition_sets: no groups"
-  | _ ->
-      let enc = Iterset.encoder groups.(0).Iter_group.iters in
-      let all =
-        Array.fold_left
-          (fun acc g -> Iterset.union acc g.Iter_group.iters)
-          (Iterset.empty enc) groups
-      in
-      let keys = Iterset.keys all in
-      let total = Array.length keys in
-      Array.init n (fun c ->
-          let lo = c * total / n and hi = (c + 1) * total / n in
-          Iterset.of_keys enc (Array.sub keys lo (hi - lo)))
+  let dom = nest.Nest.domain in
+  let enc = Iterset.encoder_of_domain dom in
+  let keys = Iterset.keys (Iterset.of_domain enc dom) in
+  let total = Array.length keys in
+  (* Chunk c holds the ranks i with i * n / total = c: the range
+     [ceil (c * total / n), ceil ((c + 1) * total / n)). *)
+  let start c = ((c * total) + n - 1) / n in
+  Array.init n (fun c ->
+      Ctam_util.Deadline.check ();
+      let lo = start c in
+      Iterset.of_sorted_keys enc (Array.sub keys lo (start (c + 1) - lo)))
 
 let default_assignment ~topo groups =
   let n = topo.Topology.num_cores in
@@ -57,7 +42,7 @@ let default_assignment ~topo groups =
       let result = Array.make n [] in
       Array.iter
         (fun g ->
-          (* Splitting a group sorts its parts: poll the request
+          (* Splitting a group copies its parts: poll the request
              deadline per group. *)
           Ctam_util.Deadline.check ();
           let keys = Iterset.keys g.Iter_group.iters in
@@ -72,7 +57,7 @@ let default_assignment ~topo groups =
             if !fin > !start then begin
               let part = Array.sub keys !start (!fin - !start) in
               result.(c) <-
-                { g with Iter_group.iters = Iterset.of_keys enc part }
+                { g with Iter_group.iters = Iterset.of_sorted_keys enc part }
                 :: result.(c)
             end;
             start := !fin

@@ -124,22 +124,20 @@ let grouping_for ~params ~machine program nest =
   grouping_with ~block_size ~line:(line_size machine)
     ~max_groups:params.max_groups program nest
 
-(* A chunk of explicitly ordered iterations as a pseudo-group (empty
-   tag): baselines are represented in the same structural form as the
-   topology-aware plans.  Iteration order within a pseudo-group is
-   lexicographic, so callers split order-sensitive sequences (tiles)
-   into one pseudo-group per contiguous run. *)
-let pseudo_group ~encoder ~id iters =
-  (* Encoding sorts every iteration: poll the request deadline first. *)
-  Ctam_util.Deadline.check ();
-  {
-    Iter_group.id;
-    tag = Bitset.create 0;
-    iters = Ctam_poly.Iterset.of_list encoder iters;
-  }
+(* A chunk of iterations as a pseudo-group (empty tag): baselines are
+   represented in the same structural form as the topology-aware plans.
+   Iteration order within a pseudo-group is lexicographic, so callers
+   split order-sensitive sequences (tiles) into one pseudo-group per
+   contiguous run. *)
+let pseudo_group ~id iters = { Iter_group.id; tag = Bitset.create 0; iters }
 
 (* One pseudo-group per tile, in tiled execution order. *)
 let tile_pseudo_groups ~encoder ~tile ~perm iters =
+  let pseudo_group ~id run =
+    (* Encoding sorts the run: poll the request deadline first. *)
+    Ctam_util.Deadline.check ();
+    pseudo_group ~id (Ctam_poly.Iterset.of_list encoder run)
+  in
   let ordered = Tiling.apply ~tile ~perm iters in
   let runs = ref [] and current = ref [] and cur_tc = ref None in
   let tc iv = Array.to_list (Array.mapi (fun k t -> iv.(k) / t) tile) in
@@ -156,7 +154,7 @@ let tile_pseudo_groups ~encoder ~tile ~perm iters =
       current := iv :: !current)
     ordered;
   if !current <> [] then runs := List.rev !current :: !runs;
-  List.rev !runs |> List.mapi (fun i run -> pseudo_group ~encoder ~id:i run)
+  List.rev !runs |> List.mapi (fun i run -> pseudo_group ~id:i run)
 
 (* Streams for a schedule.  Barriers exist to enforce dependences; for
    a dependence-free nest the rounds collapse into one phase (keeping
@@ -176,8 +174,8 @@ let phases_of_schedule ~stream ~with_barriers layout nest (sched : Schedule.t)
    order. *)
 let timing_keys = [ "group"; "distribute"; "schedule"; "trace" ]
 
-let compile ?(params = default_params) ?(clock = Sys.time) ?map_topo
-    ?(stream = false) scheme ~machine program =
+let compile ?(params = default_params) ?(clock = Ctam_telemetry.Profile.now)
+    ?map_topo ?(stream = false) scheme ~machine program =
   (match validate_params params with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Mapping.compile: " ^ msg));
@@ -192,7 +190,9 @@ let compile ?(params = default_params) ?(clock = Sys.time) ?map_topo
     Hashtbl.replace times key (acc +. (clock () -. t0));
     r
   in
-  let block_size = pick_block_size ~params ~machine:map_topo program in
+  let block_size =
+    timed "group" (fun () -> pick_block_size ~params ~machine:map_topo program)
+  in
   let line = line_size map_topo in
   let bm, layout = Block_map.for_program ~block_size ~line program in
   ignore bm;
@@ -220,20 +220,32 @@ let compile ?(params = default_params) ?(clock = Sys.time) ?map_topo
               used_block_size = block_size;
             }
             :: !infos;
-          let encoder = Ctam_poly.Iterset.encoder_of_domain nest.Nest.domain in
           let round = Array.make n [] in
           round.(0) <-
-            [ pseudo_group ~encoder ~id:0 (Ctam_poly.Domain.to_list nest.Nest.domain) ];
+            timed "distribute" (fun () ->
+                let dom = nest.Nest.domain in
+                let encoder = Ctam_poly.Iterset.encoder_of_domain dom in
+                [
+                  pseudo_group ~id:0
+                    (Ctam_poly.Iterset.of_domain encoder dom);
+                ]);
           push_plan nest [ round ] false;
           [ phase ]
         end
         else
+          let synchronized =
+            (scheme = Base || scheme = Base_plus)
+            && timed "group" (fun () -> Dep_test.nest_may_carry_deps nest)
+          in
           match scheme with
-          | Base when Dep_test.nest_may_carry_deps nest ->
+          | (Base | Base_plus) when synchronized ->
               (* The original parallel code must synchronize a loop
                  with carried dependences too: Base becomes the default
                  chunk distribution with dependence-only scheduling and
-                 barrier rounds. *)
+                 barrier rounds.  Intra-core reordering is
+                 dependence-constrained, so Base+ runs as this
+                 synchronized Base on such nests (the paper's Base+
+                 transformations must preserve dependences). *)
               let _grouping, groups, dag =
                 timed "group" (fun () ->
                     grouping_with ~block_size ~line
@@ -261,8 +273,17 @@ let compile ?(params = default_params) ?(clock = Sys.time) ?map_topo
                   phases_of_schedule ~stream ~with_barriers:true layout nest
                     sched)
           | Base ->
-              let chunks =
-                timed "distribute" (fun () -> Baselines.block_partition ~n nest)
+              (* The plan's pseudo-groups and the streams share each
+                 chunk's key array. *)
+              let chunks, round =
+                timed "distribute" (fun () ->
+                    let chunks = Baselines.block_partition ~n nest in
+                    ( chunks,
+                      Array.mapi
+                        (fun c s ->
+                          if Ctam_poly.Iterset.is_empty s then []
+                          else [ pseudo_group ~id:c s ])
+                        chunks ))
               in
               infos :=
                 {
@@ -273,59 +294,21 @@ let compile ?(params = default_params) ?(clock = Sys.time) ?map_topo
                   used_block_size = block_size;
                 }
                 :: !infos;
-              let encoder =
-                Ctam_poly.Iterset.encoder_of_domain nest.Nest.domain
-              in
-              push_plan nest
-                [
-                  Array.mapi
-                    (fun c iters ->
-                      if iters = [] then []
-                      else [ pseudo_group ~encoder ~id:c iters ])
-                    chunks;
-                ]
-                false;
+              push_plan nest [ round ] false;
               [
                 timed "trace" (fun () ->
                     Array.map
-                      (fun iters ->
-                        if stream then Trace.stream_of_iters layout nest iters
-                        else Engine.dense (Trace.of_iters layout nest iters))
+                      (fun s ->
+                        if stream then Trace.stream_of_iterset layout nest s
+                        else Engine.dense (Trace.of_iterset layout nest s))
                       chunks);
               ]
-          | Base_plus when Dep_test.nest_may_carry_deps nest ->
-              (* Intra-core reordering is dependence-constrained; treat
-                 Base+ as synchronized Base on such nests (the paper's
-                 Base+ transformations must preserve dependences). *)
-              let _grouping, groups, dag =
-                timed "group" (fun () ->
-                    grouping_with ~block_size ~line
-                      ~max_groups:params.max_groups program nest)
-              in
-              let assignment =
-                timed "distribute" (fun () ->
-                    Baselines.default_assignment ~topo:map_topo groups)
-              in
-              let sched =
-                timed "schedule" (fun () ->
-                    Schedule.run ~alpha:0. ~beta:0. map_topo assignment dag)
-              in
-              infos :=
-                {
-                  nest_name = nest.Nest.name;
-                  num_groups = Array.length groups;
-                  num_rounds = Schedule.num_rounds sched;
-                  dep_edges = Dep_graph.num_edges dag;
-                  used_block_size = block_size;
-                }
-                :: !infos;
-              push_plan nest sched.Schedule.rounds true;
-              timed "trace" (fun () ->
-                  phases_of_schedule ~stream ~with_barriers:true layout nest
-                    sched)
           | Base_plus ->
-              let chunks =
-                timed "distribute" (fun () -> Baselines.block_partition ~n nest)
+              (* Permutation and tiling reorder each chunk: decode it. *)
+              let sets, chunks =
+                timed "distribute" (fun () ->
+                    let sets = Baselines.block_partition ~n nest in
+                    (sets, Array.map Ctam_poly.Iterset.to_list sets))
               in
               let perm =
                 timed "schedule" (fun () -> Permute.best_order layout nest)
@@ -381,28 +364,22 @@ let compile ?(params = default_params) ?(clock = Sys.time) ?map_topo
                   used_block_size = block_size;
                 }
                 :: !infos;
-              let encoder =
-                Ctam_poly.Iterset.encoder_of_domain nest.Nest.domain
+              let round =
+                timed "schedule" (fun () ->
+                    Array.map2
+                      (fun s iters ->
+                        if Ctam_poly.Iterset.is_empty s then []
+                        else
+                          match best_tile with
+                          | None -> [ pseudo_group ~id:0 s ]
+                          | Some edge ->
+                              tile_pseudo_groups
+                                ~encoder:(Ctam_poly.Iterset.encoder s)
+                                ~tile:(Tiling.uniform (Nest.depth nest) edge)
+                                ~perm iters)
+                      sets chunks)
               in
-              push_plan nest
-                [
-                  Array.map
-                    (fun iters ->
-                      if iters = [] then []
-                      else
-                        match best_tile with
-                        | None ->
-                            [
-                              pseudo_group ~encoder ~id:0
-                                (Permute.sort_iters perm iters);
-                            ]
-                        | Some edge ->
-                            tile_pseudo_groups ~encoder
-                              ~tile:(Tiling.uniform (Nest.depth nest) edge)
-                              ~perm iters)
-                    chunks;
-                ]
-                false;
+              push_plan nest [ round ] false;
               [ best_phase ]
           | Local | Topology_aware | Combined ->
               let _grouping, groups, dag =

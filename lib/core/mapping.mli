@@ -79,7 +79,8 @@ type compiled = {
   infos : nest_info list;
   plans : nest_plan list;
   timings : (string * float) list;
-      (** seconds spent per compile phase, in {!timing_keys} order *)
+      (** wall-clock seconds spent per compile phase, in {!timing_keys}
+          order; the phases cover the whole compile *)
 }
 
 (** The compile-phase names reported in [compiled.timings]:
@@ -89,15 +90,15 @@ val timing_keys : string list
 (** [compile ?params ?clock ?map_topo ?stream scheme ~machine program]
     maps every nest of [program] (parallel nests under [scheme];
     serial nests run on core 0).  [map_topo] defaults to [machine].
-    [clock] (default [Sys.time]) supplies the timestamps for the
-    per-phase [timings]; pass a higher-resolution wall clock when
-    profiling.
+    [clock] (default {!Ctam_telemetry.Profile.now}, the wall clock)
+    supplies the timestamps for the per-phase [timings].
 
     With [~stream:true] the produced [phases] are generator-backed
     cursors (serial nests and schedule groups regenerate their
-    iterations on demand; explicit-order baseline chunks keep only the
-    iteration lists) instead of materialized access arrays — same
-    access sequence, a fraction of the memory. *)
+    iterations on demand, Base chunks walk their key sets, Base+
+    chunks keep only their ordered iteration lists) instead of
+    materialized access arrays — same access sequence, a fraction of
+    the memory. *)
 val compile :
   ?params:params ->
   ?clock:(unit -> float) ->

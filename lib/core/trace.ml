@@ -13,23 +13,30 @@ let refs_of nest =
    deadline as it goes. *)
 let expand layout nest ~count iter =
   let refs = refs_of nest in
-  let out = Array.make (count * Array.length refs) 0 in
+  let addr_fns = Array.map (fun (r, _) -> Layout.ref_addr_fn layout r) refs in
+  let nrefs = Array.length refs in
+  let out = Array.make (count * nrefs) 0 in
   let k = ref 0 in
   iter (fun iv ->
       Ctam_util.Deadline.tick ();
-      Array.iter
-        (fun (r, write) ->
-          out.(!k) <-
-            Engine.encode_access ~addr:(Layout.ref_addr layout r iv) ~write;
-          incr k)
-        refs);
+      for i = 0 to nrefs - 1 do
+        out.(!k + i) <-
+          Engine.encode_access ~addr:(addr_fns.(i) iv) ~write:(snd refs.(i))
+      done;
+      k := !k + nrefs);
   out
 
 let of_iters layout nest iters =
   expand layout nest ~count:(List.length iters) (fun f -> List.iter f iters)
 
 let of_iterset layout nest s =
-  expand layout nest ~count:(Iterset.cardinal s) (fun f -> Iterset.iter f s)
+  let count = Iterset.cardinal s in
+  let iv = Array.make (Nest.depth nest) 0 in
+  expand layout nest ~count (fun f ->
+      for i = 0 to count - 1 do
+        Iterset.decode_into s i iv;
+        f iv
+      done)
 
 let of_group layout nest g = of_iterset layout nest g.Iter_group.iters
 
@@ -144,6 +151,22 @@ let stream_of_iters layout nest iters =
   let restart () = idx := 0 in
   Engine.Gen
     (cursor_of_gen layout refs ~count:(Array.length pts) ~next ~restart)
+
+let stream_of_iterset layout nest s =
+  let refs = refs_of nest in
+  let count = Iterset.cardinal s in
+  let iv = Array.make (Nest.depth nest) 0 in
+  let idx = ref 0 in
+  let next () =
+    if !idx >= count then None
+    else begin
+      Iterset.decode_into s !idx iv;
+      incr idx;
+      Some iv
+    end
+  in
+  let restart () = idx := 0 in
+  Engine.Gen (cursor_of_gen layout refs ~count ~next ~restart)
 
 let stream_of_group layout nest g =
   (* Box decomposition gives a compact closed form of the group's

@@ -33,6 +33,11 @@ val of_iterset : Layout.t -> Nest.t -> Iterset.t -> int array
 val stream_of_iters :
   Layout.t -> Nest.t -> int array list -> Ctam_cachesim.Engine.stream
 
+(** Lazy {!of_iterset}: walks the set's keys in order, decoding each
+    into one vector the cursor reuses. *)
+val stream_of_iterset :
+  Layout.t -> Nest.t -> Iterset.t -> Ctam_cachesim.Engine.stream
+
 (** Lazy {!of_group}: walks a {!Ctam_poly.Codegen} box decomposition
     of the group's iteration set in global lexicographic order. *)
 val stream_of_group :

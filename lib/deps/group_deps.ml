@@ -2,58 +2,73 @@ open Ctam_poly
 open Ctam_ir
 open Ctam_blocks
 
+module Int_vec = Ctam_util.Int_vec
+module Int_table = Ctam_util.Int_table
+
 let compute (grouping : Tags.grouping) =
   let nest = grouping.Tags.nest in
-  let n = Array.length grouping.Tags.groups in
-  let dg = Dep_graph.create n in
+  let groups = grouping.Tags.groups in
+  let dg = Dep_graph.create (Array.length groups) in
   if not (Dep_test.nest_may_carry_deps nest) then dg
   else begin
     let layout = Block_map.layout grouping.Tags.block_map in
     let enc = grouping.Tags.encoder in
-    (* iteration key -> group id *)
-    let group_of = Hashtbl.create ~random:false 1024 in
+    (* iteration key - [lo] -> group id, over the groups' key range *)
+    let members = Array.map (fun g -> Iterset.keys g.Iter_group.iters) groups in
+    let lo = ref max_int and hi = ref min_int in
     Array.iter
-      (fun g ->
-        Array.iter
-          (fun key -> Hashtbl.replace group_of key g.Iter_group.id)
-          (Iterset.keys g.Iter_group.iters))
-      grouping.Tags.groups;
+      (fun ks ->
+        let n = Array.length ks in
+        if n > 0 then begin
+          lo := min !lo ks.(0);
+          hi := max !hi ks.(n - 1)
+        end)
+      members;
+    let lo = !lo in
+    let group_of = Array.make (if !hi < lo then 0 else !hi - lo + 1) (-1) in
+    Array.iteri
+      (fun i ks ->
+        let id = groups.(i).Iter_group.id in
+        Array.iter (fun key -> group_of.(key - lo) <- id) ks)
+      members;
     let refs = Array.of_list (Nest.refs nest) in
-    (* addr -> accesses seen so far as (group, is_write), deduplicated *)
-    let table : (int, (int * bool) list ref) Hashtbl.t =
-      Hashtbl.create ~random:false 4096
+    let addr_fns = Array.map (Layout.ref_addr_fn layout) refs in
+    let writes =
+      Array.map (fun r -> if Reference.is_write r then 1 else 0) refs
     in
+    (* Each address's distinct accessors so far, newest first: a list
+       threaded through two pooled arrays, [2 * group + is_write] in
+       [accessor] and the older entry's index (or -1) in [older]. *)
+    let newest = Int_table.create () in
+    let accessor = Int_vec.create () and older = Int_vec.create () in
     Domain.iter
       (fun iv ->
-        let key = Iterset.encode enc iv in
-        let g = Hashtbl.find group_of key in
-        Array.iter
-          (fun r ->
-            let addr = Layout.ref_addr layout r iv in
-            let w = Reference.is_write r in
-            let cell =
-              match Hashtbl.find_opt table addr with
-              | Some c -> c
-              | None ->
-                  let c = ref [] in
-                  Hashtbl.add table addr c;
-                  c
-            in
-            if not (List.mem (g, w) !cell) then begin
-              List.iter
-                (fun (g', w') ->
-                  if g' <> g && (w || w') then Dep_graph.add_edge dg g' g)
-                !cell;
-              cell := (g, w) :: !cell
-            end)
-          refs)
+        let g = group_of.(Iterset.encode enc iv - lo) in
+        for k = 0 to Array.length refs - 1 do
+          let w = writes.(k) in
+          let a = (2 * g) + w in
+          let s = Int_table.slot newest (addr_fns.(k) iv) in
+          let head = Int_table.value newest s in
+          let e = ref head in
+          while !e >= 0 && accessor.data.(!e) <> a do
+            e := older.data.(!e)
+          done;
+          if !e < 0 then begin
+            let e = ref head in
+            while !e >= 0 do
+              let a' = accessor.data.(!e) in
+              if a' lsr 1 <> g && w lor (a' land 1) = 1 then
+                Dep_graph.add_edge dg (a' lsr 1) g;
+              e := older.data.(!e)
+            done;
+            Int_table.set_value newest s accessor.length;
+            Int_vec.push accessor a;
+            Int_vec.push older head
+          end
+        done)
       nest.Nest.domain;
     dg
   end
-
-let min_key iters =
-  let ks = Iterset.keys iters in
-  if Array.length ks = 0 then max_int else ks.(0)
 
 let merge_cycles (grouping : Tags.grouping) dg =
   let comp, cond_dag = Dep_graph.condense dg in
@@ -83,8 +98,9 @@ let merge_cycles (grouping : Tags.grouping) dg =
   let order = Array.init k Fun.id in
   Array.sort
     (fun a b ->
-      compare (min_key merged.(a).Iter_group.iters)
-        (min_key merged.(b).Iter_group.iters))
+      compare
+        (Iterset.min_key merged.(a).Iter_group.iters)
+        (Iterset.min_key merged.(b).Iter_group.iters))
     order;
   let new_id = Array.make k 0 in
   Array.iteri (fun pos old -> new_id.(old) <- pos) order;

@@ -443,9 +443,9 @@ let overhead ?(quick = false) ?scale () =
       (fun k ->
         let prog = program_of ~quick k in
         let time f =
-          let t0 = Sys.time () in
+          let t0 = Ctam_telemetry.Profile.now () in
           ignore (f ());
-          Sys.time () -. t0
+          Ctam_telemetry.Profile.now () -. t0
         in
         let t_base =
           time (fun () -> Mapping.compile Mapping.Base ~machine prog)

@@ -43,7 +43,9 @@ let ref_addr t r iv = elem_addr t r.Reference.array_name (Reference.target r iv)
    the subscript values feed the row-major offset directly, so the
    per-iteration call does no hashing and allocates nothing.  Hot on
    the generator-stream path, where addresses are recomputed on every
-   simulation run instead of being materialized once. *)
+   simulation run instead of being materialized once.  A subscript out
+   of range fails with [Array_decl.linearize]'s own message, as
+   [ref_addr] does. *)
 let ref_addr_fn t r =
   let e = entry t r.Reference.array_name in
   let dims = e.decl.Array_decl.dims in
@@ -57,7 +59,7 @@ let ref_addr_fn t r =
       let v = Ctam_poly.Affine.eval subs.(k) iv in
       if v < 0 || v >= dims.(k) then
         invalid_arg
-          (Printf.sprintf "Layout.ref_addr_fn: %s index %d out of [0,%d)"
+          (Printf.sprintf "Array_decl.linearize: %s index %d out of [0,%d)"
              e.decl.Array_decl.name v dims.(k));
       off := (!off * dims.(k)) + v
     done;

@@ -30,8 +30,9 @@ val elem_addr : t -> string -> int array -> int
 
 (** [ref_addr_fn t r] is [ref_addr t r] with the layout entry resolved
     once: the returned function hashes nothing and allocates nothing
-    per call.  Use it when one reference's address is evaluated for
-    many iteration points (the generator-stream path). *)
+    per call, and raises the same [Invalid_argument] for a subscript
+    out of range.  Use it when one reference's address is evaluated
+    for many iteration points (tagging, dependence scans, streams). *)
 val ref_addr_fn : t -> Reference.t -> int array -> int
 
 (** [ref_addr t r iv] is the byte address touched by reference [r] at

@@ -53,14 +53,16 @@ let encode enc iv =
   done;
   !k
 
-let decode enc k =
-  let d = Array.length enc.los in
-  let iv = Array.make d 0 in
+let decode_to enc k iv =
   let k = ref k in
-  for j = 0 to d - 1 do
+  for j = 0 to Array.length enc.los - 1 do
     iv.(j) <- (!k / enc.strides.(j)) + enc.los.(j);
     k := !k mod enc.strides.(j)
-  done;
+  done
+
+let decode enc k =
+  let iv = Array.make (Array.length enc.los) 0 in
+  decode_to enc k iv;
   iv
 
 type t = { enc : encoder; keys : int array (* sorted, distinct *) }
@@ -87,12 +89,19 @@ let of_list enc l =
   Array.sort compare keys;
   { enc; keys = dedup_sorted keys }
 
+let of_sorted_keys enc keys =
+  for i = 1 to Array.length keys - 1 do
+    if keys.(i - 1) >= keys.(i) then
+      invalid_arg "Iterset.of_sorted_keys: keys not ascending"
+  done;
+  { enc; keys }
+
+(* [Domain.iter] visits points in lexicographic order, which row-major
+   keys preserve: the keys arrive ascending. *)
 let of_domain enc dom =
-  let acc = ref [] in
-  Domain.iter (fun iv -> acc := encode enc iv :: !acc) dom;
-  let keys = Array.of_list !acc in
-  Array.sort compare keys;
-  { enc; keys = dedup_sorted keys }
+  let keys = Ctam_util.Int_vec.create () in
+  Domain.iter (fun iv -> Ctam_util.Int_vec.push keys (encode enc iv)) dom;
+  of_sorted_keys enc (Ctam_util.Int_vec.sub keys 0 keys.length)
 
 let encoder t = t.enc
 let cardinal t = Array.length t.keys
@@ -150,6 +159,11 @@ let diff a b = { a with keys = merge_keys (fun x y -> x && not y) a.keys b.keys 
 let equal a b = a.keys = b.keys
 let subset a b = Array.for_all (fun k -> mem_key b k) a.keys
 let iter f t = Array.iter (fun k -> f (decode t.enc k)) t.keys
+
+let decode_into t i iv =
+  if Array.length iv <> Array.length t.enc.los then
+    invalid_arg "Iterset.decode_into: dimension";
+  decode_to t.enc t.keys.(i) iv
 
 let fold f init t =
   let acc = ref init in

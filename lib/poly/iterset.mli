@@ -25,6 +25,12 @@ type t
 val empty : encoder -> t
 val of_list : encoder -> int array list -> t
 
+(** [of_sorted_keys enc keys] is the set of [keys], which must be
+    strictly ascending (checked in one pass).  The array is taken, not
+    copied: the caller must not modify it afterwards.
+    @raise Invalid_argument if [keys] is not strictly ascending. *)
+val of_sorted_keys : encoder -> int array -> t
+
 (** [of_domain enc d] collects all points of [d]. *)
 val of_domain : encoder -> Domain.t -> t
 
@@ -41,6 +47,12 @@ val subset : t -> t -> bool
 
 (** Iterate in lexicographic order; the array is fresh per call. *)
 val iter : (int array -> unit) -> t -> unit
+
+(** [decode_into s i iv] writes the [i]-th point of [s] (0-based, in
+    lexicographic order) into [iv], allocating nothing.
+    @raise Invalid_argument if [i] is out of range or [iv] has the
+    wrong dimension. *)
+val decode_into : t -> int -> int array -> unit
 
 val fold : ('a -> int array -> 'a) -> 'a -> t -> 'a
 val to_list : t -> int array list

@@ -324,6 +324,54 @@ let prop_grouping_partitions =
       let g = Tags.group nest bm in
       Tags.total_iterations g = Nest.trip_count nest)
 
+(* --- Oracle: tagging before the int-array rewrite --------------------- *)
+
+(* Everything a grouping carries, or the [Invalid_argument] it raised. *)
+let outcome f =
+  match f () with
+  | g ->
+      Ok
+        ( g.Tags.encoder,
+          Array.map
+            (fun x ->
+              ( x.Iter_group.id,
+                Bitset.width x.Iter_group.tag,
+                Bitset.to_list x.Iter_group.tag,
+                Iterset.keys x.Iter_group.iters ))
+            g.Tags.groups )
+  | exception Invalid_argument m -> Error m
+
+let prop_group_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"group, tiled group and group_capped equal the pre-rewrite oracle"
+    Nest_gen.arbitrary (fun c ->
+      let bm = Nest_gen.block_map c and nest = c.Nest_gen.nest in
+      let tile = c.Nest_gen.tile and max_groups = c.Nest_gen.max_groups in
+      let untiled = outcome (fun () -> Tags.group nest bm) in
+      untiled = outcome (fun () -> Grouping_oracle.group nest bm)
+      && outcome (fun () -> Tags.group ~tile nest bm)
+         = outcome (fun () -> Grouping_oracle.group ~tile nest bm)
+      && outcome (fun () -> Tags.group_capped ~max_groups nest bm)
+         = outcome (fun () -> Grouping_oracle.group_capped ~max_groups nest bm)
+      (* A reference past its array's end must fail, not be tagged. *)
+      && ((not c.Nest_gen.leaves) || Result.is_error untiled))
+
+let test_suite_groups_match_oracle () =
+  List.iter
+    (fun (kernel, p, nest) ->
+      List.iter
+        (fun (block_size, max_groups) ->
+          let bm, _ = Block_map.for_program ~block_size ~line:64 p in
+          check_bool
+            (Printf.sprintf "%s/%s, %d B blocks, cap %d" kernel nest.Nest.name
+               block_size max_groups)
+            true
+            (outcome (fun () -> Tags.group_capped ~max_groups nest bm)
+            = outcome (fun () ->
+                  Grouping_oracle.group_capped ~max_groups nest bm)))
+        [ (2048, 3000); (512, 100) ])
+    (Nest_gen.suite_nests ())
+
 let () =
   Alcotest.run "blocks"
     [
@@ -353,6 +401,12 @@ let () =
           Alcotest.test_case "split" `Quick test_group_split;
           Alcotest.test_case "tile coalescing" `Quick test_tile_coalescing;
           QCheck_alcotest.to_alcotest prop_grouping_partitions;
+        ] );
+      ( "tags oracle",
+        [
+          QCheck_alcotest.to_alcotest prop_group_matches_oracle;
+          Alcotest.test_case "suite kernels" `Quick
+            test_suite_groups_match_oracle;
         ] );
       ( "block_size",
         [ Alcotest.test_case "section 4.1 rule" `Quick test_block_size_rule ] );

@@ -317,16 +317,42 @@ let test_block_partition () =
   let nest = List.hd (Program.parallel_nests p) in
   let chunks = Baselines.block_partition ~n:4 nest in
   check_int "4 chunks" 4 (Array.length chunks);
-  let sizes = Array.map List.length chunks in
+  let sizes = Array.map Iterset.cardinal chunks in
   let total = Array.fold_left ( + ) 0 sizes in
   check_int "covers" (Nest.trip_count nest) total;
   Array.iter
     (fun s -> check_bool "even" true (abs (s - (total / 4)) <= 1))
     sizes;
   (* Chunks are contiguous in lexicographic order. *)
-  let flat = List.concat (Array.to_list (Array.map (fun c -> c) chunks)) in
+  let flat = List.concat_map Iterset.to_list (Array.to_list chunks) in
   let sorted = List.sort compare (List.map (fun iv -> iv.(0)) flat) in
   Alcotest.(check (list int)) "in order" sorted (List.map (fun iv -> iv.(0)) flat)
+
+(* Base's chunks against the pre-rewrite partition, as the Base plan
+   encoded it: the same key set (and encoder) on every core. *)
+let chunks_view sets =
+  Array.map (fun s -> (Iterset.encoder s, Iterset.keys s)) sets
+
+let same_chunks ~n nest =
+  chunks_view (Baselines.block_partition ~n nest)
+  = chunks_view (Grouping_oracle.base_chunk_sets ~n nest)
+
+let prop_chunks_match_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"block_partition equals the pre-rewrite Base chunks"
+    Nest_gen.arbitrary (fun c ->
+      same_chunks ~n:c.Nest_gen.cores c.Nest_gen.nest)
+
+let test_suite_chunks_match_oracle () =
+  List.iter
+    (fun (kernel, _, nest) ->
+      List.iter
+        (fun n ->
+          check_bool
+            (Printf.sprintf "%s/%s on %d cores" kernel nest.Nest.name n)
+            true (same_chunks ~n nest))
+        [ 1; 7; 12; 24 ])
+    (Nest_gen.suite_nests ())
 
 let test_default_assignment () =
   let _, grouping = groups_of (fig5_program 256) in
@@ -499,6 +525,49 @@ let test_deadline_stops_compile_and_simulate () =
     Mapping.compile Mapping.Base ~machine (program Ctam_workloads.Suite.cg)
   in
   stops "simulate" (fun () -> ignore (Mapping.simulate plan))
+
+(* Compile timings are wall-clock seconds that cover the whole
+   compile.  With a second domain spinning, a process CPU clock would
+   count that domain's time too, and the phases would sum to more than
+   the compile took; and every part of a compile, Base's chunking and
+   plan building included, falls inside some phase. *)
+let test_timings_on_wall_clock () =
+  let timed_and_wall f =
+    let t0 = Unix.gettimeofday () in
+    let c = f () in
+    let wall = Unix.gettimeofday () -. t0 in
+    (List.fold_left (fun acc (_, s) -> acc +. s) 0. c.Mapping.timings, wall)
+  in
+  let program k =
+    Ctam_workloads.Kernel.program
+      ~size:(2 * k.Ctam_workloads.Kernel.default_size) k
+  in
+  let stop = Atomic.make false in
+  let spinner =
+    Stdlib.Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          ()
+        done)
+  in
+  let sp = Ctam_workloads.Kernel.small_program Ctam_workloads.Suite.sp in
+  let timed, wall =
+    timed_and_wall (fun () -> Mapping.compile Mapping.Combined ~machine sp)
+  in
+  Atomic.set stop true;
+  Stdlib.Domain.join spinner;
+  check_bool
+    (Printf.sprintf "phases (%.3f s) within the compile (%.3f s)" timed wall)
+    true (timed <= wall);
+  let applu = program Ctam_workloads.Suite.applu in
+  let timed, wall =
+    timed_and_wall (fun () ->
+        Mapping.compile ~stream:true Mapping.Base ~machine applu)
+  in
+  check_bool
+    (Printf.sprintf "phases (%.3f s) cover the Base compile (%.3f s)" timed
+       wall)
+    true
+    (timed >= 0.8 *. wall)
 
 let test_port_shapes () =
   let p = fig5_program 256 in
@@ -835,6 +904,12 @@ let () =
           Alcotest.test_case "block partition" `Quick test_block_partition;
           Alcotest.test_case "default assignment" `Quick test_default_assignment;
         ] );
+      ( "chunk oracle",
+        [
+          QCheck_alcotest.to_alcotest prop_chunks_match_oracle;
+          Alcotest.test_case "suite kernels" `Quick
+            test_suite_chunks_match_oracle;
+        ] );
       ( "transforms",
         [
           Alcotest.test_case "permute stride" `Quick test_permute_stride;
@@ -869,6 +944,8 @@ let () =
             test_base_plus_never_beaten_by_plain_permutation;
           Alcotest.test_case "dynamic scheduling" `Quick test_dynamic_sched;
           Alcotest.test_case "scheme names" `Quick test_scheme_names;
+          Alcotest.test_case "timings on the wall clock" `Quick
+            test_timings_on_wall_clock;
         ] );
       ( "tuning knobs",
         [

@@ -296,6 +296,40 @@ let prop_scc_condensation_acyclic =
       | _ -> true
       | exception Invalid_argument _ -> false)
 
+(* --- Oracle: the dependence scan before the int-array rewrite --------- *)
+
+let same_edges grouping =
+  Dep_graph.edges (Group_deps.compute grouping)
+  = Dep_graph.edges (Grouping_oracle.compute grouping)
+
+let prop_group_deps_match_oracle =
+  (* Both scans start with the nest-level dependence test, which
+     dominates on some generated nests: 200 cases over two groupings
+     each keep the property near a second. *)
+  QCheck.Test.make ~count:200
+    ~name:"compute's edges equal the pre-rewrite oracle's"
+    Nest_gen.arbitrary (fun c ->
+      (* A reference past its array's end fails in tagging already. *)
+      c.Nest_gen.leaves
+      ||
+      let bm = Nest_gen.block_map c and nest = c.Nest_gen.nest in
+      same_edges (Tags.group nest bm)
+      && same_edges (Tags.group ~tile:c.Nest_gen.tile nest bm))
+
+let test_suite_deps_match_oracle () =
+  List.iter
+    (fun (kernel, p, nest) ->
+      List.iter
+        (fun (block_size, max_groups) ->
+          let bm, _ = Block_map.for_program ~block_size ~line:64 p in
+          check_bool
+            (Printf.sprintf "%s/%s, %d B blocks, cap %d" kernel nest.Nest.name
+               block_size max_groups)
+            true
+            (same_edges (Tags.group_capped ~max_groups nest bm)))
+        [ (2048, 3000); (512, 100) ])
+    (Nest_gen.suite_nests ())
+
 let () =
   Alcotest.run "deps"
     [
@@ -330,5 +364,11 @@ let () =
           Alcotest.test_case "chain" `Quick test_group_deps_chain;
           Alcotest.test_case "free nest" `Quick test_group_deps_free_nest_empty;
           Alcotest.test_case "dependent fraction" `Quick test_dependent_fraction;
+        ] );
+      ( "deps oracle",
+        [
+          QCheck_alcotest.to_alcotest prop_group_deps_match_oracle;
+          Alcotest.test_case "suite kernels" `Quick
+            test_suite_deps_match_oracle;
         ] );
     ]
