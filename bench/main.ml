@@ -12,10 +12,6 @@
                                      synthetic reference strings x policies
                                      x machines, with gating trend
                                      invariants (--json for JSONL rows)
-     bench/main.exe serve-sweep      cold vs warm daemon throughput over
-                                     --jobs workers and connections
-                                     (default: min 4 and the recommended
-                                     domain count; --json for JSONL rows)
      bench/main.exe --json [M...]    machine-readable trajectories: one JSON
                                      object per scheme x machine (JSONL),
                                      machines default to the three
@@ -579,160 +575,6 @@ let policy_sweep ~quick ~json () =
   end;
   if not json then print_endline "policy-sweep: all invariants hold"
 
-(* --- serve sweep ----------------------------------------------------- *)
-
-(* Throughput and latency tail of the mapping daemon, cold vs warm: an
-   in-process server on a temp socket, loaded by the library's own
-   load generator.  The cold phase sends [nocache] requests (every
-   answer runs the full compile + simulate pipeline); the warm phase
-   repeats one cacheable request after priming, so it measures the
-   plan-cache fast path (memory-LRU hit + one frame round trip).  The
-   warm/cold throughput ratio is the headline number: it is what a
-   mapping service buys over forking one-shot processes.
-
-   The daemon runs with its audit journal on and the slowlog threshold
-   at zero, and each phase row carries the delta of journal records
-   written and slowlog entries noted during that phase — so a bench
-   run also exercises (and prices) the observability path. *)
-let serve_sweep ~quick ~json ~jobs () =
-  let module J = Ctam_util.Json in
-  let module Server = Ctam_serve.Server in
-  let module Client = Ctam_serve.Client in
-  let workers =
-    Option.value jobs ~default:(min 4 (Domain.recommended_domain_count ()))
-  in
-  let concurrency = workers in
-  let program, machine_name, scale = ("cg", "harpertown", 64) in
-  let socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ctam-serve-sweep-%d.sock" (Unix.getpid ()))
-  in
-  let journal =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ctam-serve-sweep-%d.jsonl" (Unix.getpid ()))
-  in
-  let request nocache =
-    J.Obj
-      [
-        ("op", J.String "run");
-        ("program", J.String program);
-        ("machine", J.String machine_name);
-        ("scale", J.Int scale);
-        ("scheme", J.String "combined");
-        ("nocache", J.Bool nocache);
-      ]
-  in
-  let server =
-    Server.create
-      {
-        Server.default_config with
-        Server.socket;
-        workers;
-        journal_path = Some journal;
-        slow_ms = 0.;
-      }
-  in
-  let daemon = Domain.spawn (fun () -> Server.serve server) in
-  (* Journal records written / slowlog entries noted so far, read over
-     the wire so the bench sees exactly what an operator would. *)
-  let obs_counters () =
-    match Client.one_shot ~socket (J.Obj [ ("op", J.String "stats") ]) with
-    | Ok reply ->
-        let int_at path =
-          let j =
-            List.fold_left
-              (fun j name -> Option.bind j (J.member name))
-              (J.member "result" reply) path
-          in
-          match j with Some (J.Int n) -> n | _ -> 0
-        in
-        (int_at [ "journal"; "records" ], int_at [ "slowlog"; "recorded" ])
-    | Error _ -> (0, 0)
-  in
-  let cold, warm, (cold_jr, cold_sl), (warm_jr, warm_sl) =
-    Fun.protect
-      ~finally:(fun () ->
-        ignore (Client.one_shot ~socket (J.Obj [ ("op", J.String "shutdown") ]));
-        Domain.join daemon;
-        List.iter
-          (fun p -> try Sys.remove p with Sys_error _ -> ())
-          [ journal; journal ^ ".1" ])
-      (fun () ->
-        let cold_n, warm_n = if quick then (8, 160) else (16, 400) in
-        let jr0, sl0 = obs_counters () in
-        let cold =
-          Client.load ~socket ~concurrency ~total:cold_n [ request true ]
-        in
-        let jr1, sl1 = obs_counters () in
-        (* Prime the cache once so the warm phase never pays a miss. *)
-        ignore (Client.one_shot ~socket (request false));
-        let jr2, sl2 = obs_counters () in
-        let warm =
-          Client.load ~socket ~concurrency ~total:warm_n [ request false ]
-        in
-        let jr3, sl3 = obs_counters () in
-        (cold, warm, (jr1 - jr0, sl1 - sl0), (jr3 - jr2, sl3 - sl2)))
-  in
-  let speedup = warm.Client.rps /. Float.max 1e-9 cold.Client.rps in
-  if json then begin
-    let row phase (s : Client.load_stats) (jr, sl) =
-      print_endline
-        (J.to_string ~minify:true
-           (J.Obj
-              [
-                ("experiment", J.String "serve_sweep");
-                ("phase", J.String phase);
-                ("program", J.String program);
-                ("machine", J.String machine_name);
-                ("scale", J.Int scale);
-                ("workers", J.Int workers);
-                ("concurrency", J.Int concurrency);
-                ("requests", J.Int s.Client.requests);
-                ("ok", J.Int s.Client.ok);
-                ("cached", J.Int s.Client.cached);
-                ("errors", J.Int s.Client.errors);
-                ("rps", J.Float s.Client.rps);
-                ("mean_ms", J.Float s.Client.mean_ms);
-                ("p50_ms", J.Float s.Client.p50_ms);
-                ("p90_ms", J.Float s.Client.p90_ms);
-                ("p99_ms", J.Float s.Client.p99_ms);
-                ("journal_records", J.Int jr);
-                ("slowlog_recorded", J.Int sl);
-                ("warm_over_cold", if phase = "warm" then J.Float speedup else J.Null);
-              ]))
-    in
-    row "cold" cold (cold_jr, cold_sl);
-    row "warm" warm (warm_jr, warm_sl)
-  end
-  else begin
-    let row phase (s : Client.load_stats) (jr, sl) =
-      [
-        phase;
-        string_of_int s.Client.requests;
-        string_of_int s.Client.cached;
-        string_of_int s.Client.errors;
-        Printf.sprintf "%.1f" s.Client.rps;
-        Printf.sprintf "%.2f" s.Client.p50_ms;
-        Printf.sprintf "%.2f" s.Client.p90_ms;
-        Printf.sprintf "%.2f" s.Client.p99_ms;
-        string_of_int jr;
-        string_of_int sl;
-      ]
-    in
-    Printf.printf
-      "Serve sweep: %s on %s /%d, %d workers, %d connections\n%s\n\
-       warm/cold throughput: %.1fx\n"
-      program machine_name scale workers concurrency
-      (Report.table
-         ~header:
-           [ "phase"; "requests"; "cached"; "errors"; "req/s"; "p50_ms";
-             "p90_ms"; "p99_ms"; "journal"; "slowlog" ]
-         [ row "cold" cold (cold_jr, cold_sl); row "warm" warm (warm_jr, warm_sl) ])
-      speedup
-  end
-
 (* --- experiment driver ---------------------------------------------- *)
 
 (* Extract "--FLAG N" / "--FLAG=N" (an integer option) from the
@@ -776,7 +618,6 @@ let () =
   in
   match args with
   | "policy-sweep" :: _ -> policy_sweep ~quick ~json ()
-  | "serve-sweep" :: _ -> serve_sweep ~quick ~json ~jobs ()
   | "scale-sweep" :: rest ->
       (* Positional integers select the sweep scales (default: 16 64
          quick, 64 256 full). *)
@@ -808,7 +649,7 @@ let () =
           | exception Not_found ->
               Printf.eprintf
                 "unknown experiment %s (known: %s, micro, scale-sweep, \
-                 policy-sweep, serve-sweep)\n"
+                 policy-sweep)\n"
                 name
                 (String.concat ", " Experiments.names);
               exit 1)

@@ -11,61 +11,12 @@ open Ctam_arch
 open Ctam_cachesim
 open Ctam_blocks
 open Ctam_core
-open Ctam_workloads
 
 (* --- shared helpers -------------------------------------------------- *)
 
-let load_program source =
-  (* [source] is a DSL file path or the name of a built-in workload. *)
-  if Sys.file_exists source then begin
-    let ic = open_in_bin source in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    try Ok (Ctam_frontend.Lower.compile text)
-    with Ctam_frontend.Parse_error.Error (pos, msg) ->
-      Error (Ctam_frontend.Parse_error.render ~source:text pos msg)
-  end
-  else
-    match Suite.by_name source with
-    | k -> Ok (Kernel.program k)
-    | exception Not_found ->
-        Error
-          (Printf.sprintf
-             "'%s' is neither a file nor a built-in workload (workloads: %s)"
-             source
-             (String.concat ", " (List.map (fun k -> k.Kernel.name) Suite.all)))
-
-(* Like [load_program], but times the parse and lower phases
-   separately (for the run report); built-in workloads report zeros. *)
-let load_program_timed source =
-  if Sys.file_exists source then begin
-    let ic = open_in_bin source in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    try
-      let t0 = Unix.gettimeofday () in
-      let ast = Ctam_frontend.Parser.parse text in
-      let t1 = Unix.gettimeofday () in
-      let prog = Ctam_frontend.Lower.lower_program ast in
-      let t2 = Unix.gettimeofday () in
-      Ok (prog, [ ("parse", t1 -. t0); ("lower", t2 -. t1) ])
-    with Ctam_frontend.Parse_error.Error (pos, msg) ->
-      Error (Ctam_frontend.Parse_error.render ~source:text pos msg)
-  end
-  else
-    match load_program source with
-    | Ok prog -> Ok (prog, [ ("parse", 0.); ("lower", 0.) ])
-    | Error e -> Error e
-
-let scheme_of_string = function
-  | "base" -> Ok Mapping.Base
-  | "base+" | "baseplus" -> Ok Mapping.Base_plus
-  | "local" -> Ok Mapping.Local
-  | "topology" | "topology-aware" | "ta" -> Ok Mapping.Topology_aware
-  | "combined" -> Ok Mapping.Combined
-  | s -> Error (Printf.sprintf "unknown scheme '%s'" s)
+module J = Ctam_util.Json
+module Request = Ctam_serve.Request
+module Space = Ctam_tune.Space
 
 let read_text path =
   let ic = open_in_bin path in
@@ -74,45 +25,72 @@ let read_text path =
   close_in ic;
   text
 
-(* A tuned-params file: the JSON [ctamap tune --save-params] writes
-   (schema {!Ctam_tune.Space.of_json}). *)
-let load_point path =
-  match try Ok (read_text path) with Sys_error m -> Error m with
-  | Error m -> Error m
-  | Ok text -> (
-      match Ctam_util.Json.parse text with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok j -> (
-          match Ctam_tune.Space.of_json j with
-          | Ok p -> Ok p
-          | Error e -> Error (Printf.sprintf "%s: %s" path e)))
-
-(* Fold the tuning inputs into [params]: the --params file first, then
-   any explicit --alpha/--beta/--balance override.  Also returns the
-   file's scheme so [run] can adopt it when -s is not given. *)
-let apply_tuning params ~params_file ~alpha ~beta ~balance =
+(* The one builder of request documents from flags.  [client] sends
+   what it builds; every other command that takes PROGRAM or machine
+   flags parses it in-process with [Serve.Request], the only resolver
+   of user input, so a one-shot answer is the served answer by
+   construction.  Each optional argument is one flag, and only the
+   flags given become members.  A PROGRAM, -m or --params naming a
+   file travels as the file's contents.  A [trace] request inlines its
+   TRACE file; without one it carries the replay members alone, which
+   is how [simtrace] streams its file. *)
+let build_request ~op ?source ?machine ?scale ?policy ?scheme ?block
+    ?params_file ?alpha ?beta ?balance ?stream ?sample_sets ?check
+    ?strategy ?budget ?nocache ?timeout_ms ?(trace = false) ?trace_window
+    ?cores ?interleave ?instr ?lossy ?fold_bits ?rebase ?split
+    ?metrics_format ?limit () =
+  let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
+  let str name = opt name (fun s -> J.String s)
+  and int name = opt name (fun i -> J.Int i)
+  and num name = opt name (fun f -> J.Float f)
+  and bool name = opt name (fun b -> J.Bool b) in
+  let text_or ~file ~name v =
+    [ (if Sys.file_exists v then (file, J.String (read_text v))
+       else (name, J.String v)) ]
+  in
   let ( let* ) = Result.bind in
-  let* point =
-    match params_file with
-    | None -> Ok None
-    | Some path -> Result.map Option.some (load_point path)
-  in
-  let params =
-    match point with
-    | Some p -> Ctam_tune.Space.params_of ~base:params p
-    | None -> params
-  in
-  let params =
-    {
-      params with
-      Mapping.alpha = Option.value alpha ~default:params.Mapping.alpha;
-      beta = Option.value beta ~default:params.Mapping.beta;
-      balance_threshold =
-        Option.value balance ~default:params.Mapping.balance_threshold;
-    }
-  in
-  let* () = Mapping.validate_params params in
-  Ok (params, Option.map (fun p -> p.Ctam_tune.Space.scheme) point)
+  let doc members = Ok (J.Obj (("op", J.String op) :: members)) in
+  match
+    match op with
+    | "ping" | "stats" | "version" | "shutdown" -> doc []
+    | "metrics" -> doc (str "format" metrics_format)
+    | "slowlog" -> doc (int "limit" limit)
+    | "map" | "run" | "tune" | "check" | "trace" ->
+        let program =
+          match source with
+          | None -> []
+          | Some path when op = "trace" ->
+              [ ("trace_text", J.String (read_text path)) ]
+          | Some source -> text_or ~file:"source" ~name:"program" source
+        in
+        let* params =
+          match params_file with
+          | None -> Ok []
+          | Some path -> (
+              match J.parse (read_text path) with
+              | Ok j -> Ok [ ("params", j) ]
+              | Error e -> Error (Printf.sprintf "%s: %s" path e))
+        in
+        doc
+          (program
+          @ Option.fold ~none:[] ~some:(text_or ~file:"topology" ~name:"machine")
+              machine
+          @ int "scale" scale @ str "policy" policy @ str "scheme" scheme
+          @ int "block" block @ params @ num "alpha" alpha @ num "beta" beta
+          @ num "balance" balance @ bool "stream" stream
+          @ int "sample_sets" sample_sets @ bool "check" check
+          @ bool "nocache" nocache @ str "strategy" strategy
+          @ int "budget" budget @ int "timeout_ms" timeout_ms
+          @ (if trace then
+               ("trace", J.Bool true) :: int "trace_window" trace_window
+             else [])
+          @ int "cores" cores @ str "interleave" interleave @ bool "instr" instr
+          @ bool "lossy" lossy @ int "fold_bits" fold_bits
+          @ bool "rebase" rebase @ int "split" split)
+    | op -> Error (Printf.sprintf "unknown op '%s'" op)
+  with
+  | doc -> doc
+  | exception Sys_error msg -> Error msg
 
 let machine_arg =
   let doc =
@@ -122,7 +100,10 @@ let machine_arg =
   Arg.(value & opt string "dunnington" & info [ "m"; "machine" ] ~doc)
 
 let scale_arg =
-  let doc = "Cache-capacity scale divisor (1 = the paper's Table 1 sizes)." in
+  let doc =
+    "Cache-capacity scale divisor, for presets and topology files alike (1 = \
+     the stated sizes, the paper's Table 1 for presets)."
+  in
   Arg.(value & opt int 16 & info [ "scale" ] ~doc)
 
 let scheme_arg =
@@ -254,33 +235,6 @@ let write_metrics = function
         Ok ()
       with Sys_error msg -> Error ("cannot write metrics: " ^ msg))
 
-let get_machine name scale =
-  if Sys.file_exists name then begin
-    let ic = open_in_bin name in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Topo_parse.parse text with
-    | t ->
-        (* Scale file-described machines the same way as presets. *)
-        Ok
-          (Topology.map_caches
-             (fun p ->
-               let set = p.Topology.assoc * p.Topology.line in
-               {
-                 p with
-                 Topology.size_bytes =
-                   max set (p.Topology.size_bytes / scale / set * set);
-               })
-             t)
-    | exception Topo_parse.Error msg ->
-        Error (Printf.sprintf "%s: %s" name msg)
-  end
-  else
-    match Machines.by_name ~scale name with
-    | m -> Ok m
-    | exception Not_found -> Error (Printf.sprintf "unknown machine '%s'" name)
-
 let policy_arg =
   let doc =
     Printf.sprintf
@@ -294,21 +248,24 @@ let policy_arg =
   in
   Arg.(value & opt (some string) None & info [ "policy" ] ~docv:"SPEC" ~doc)
 
-let apply_policy spec machine =
-  match spec with
-  | None -> Ok machine
-  | Some s -> Topology.apply_policy_spec s machine
-
 let ( let* ) r f = match r with Ok v -> f v | Error e -> `Error (false, e)
+let ( >>= ) = Result.bind
 
 (* --- commands --------------------------------------------------------- *)
 
 let machines_cmd =
   let run scale =
-    List.iter
-      (fun m -> Fmt.pr "%a@.@." Topology.pp m)
-      (Machines.commercial ~scale ()
-      @ [ Machines.arch_i ~scale (); Machines.arch_ii ~scale () ]);
+    let rec resolve = function
+      | [] -> Ok []
+      | name :: rest ->
+          build_request ~op:"map" ~machine:name ~scale ()
+          >>= Request.parse_machine
+          >>= fun m -> Result.map (List.cons m) (resolve rest)
+    in
+    let* machines =
+      resolve [ "harpertown"; "nehalem"; "dunnington"; "arch-i"; "arch-ii" ]
+    in
+    List.iter (fun m -> Fmt.pr "%a@.@." Topology.pp m) machines;
     `Ok ()
   in
   Cmd.v
@@ -317,9 +274,11 @@ let machines_cmd =
 
 let groups_cmd =
   let run source machine scale block limit =
-    let* prog = load_program source in
-    let* machine = get_machine machine scale in
-    let params = { Mapping.default_params with block_size = block } in
+    let* ({ Request.program = prog; machine; _ } as r) =
+      build_request ~op:"map" ~source ~machine ~scale ~block ()
+      >>= Request.parse
+    in
+    let params = Request.params r in
     match Program.parallel_nests prog with
     | [] -> `Error (false, "program has no parallel nest")
     | nest :: _ ->
@@ -347,11 +306,14 @@ let groups_cmd =
 
 let map_cmd =
   let run source machine scale scheme block =
-    let* prog = load_program source in
-    let* machine = get_machine machine scale in
-    let* scheme = scheme_of_string scheme in
-    let params = { Mapping.default_params with block_size = block } in
-    let compiled = Mapping.compile ~params scheme ~machine prog in
+    let* ({ Request.program = prog; machine; point; _ } as r) =
+      build_request ~op:"map" ~source ~machine ~scale ~scheme ~block ()
+      >>= Request.parse
+    in
+    let scheme = point.Space.scheme in
+    let compiled =
+      Mapping.compile ~params:(Request.params r) scheme ~machine prog
+    in
     Fmt.pr "program %s mapped with %s for %s@." prog.Program.name
       (Mapping.scheme_name scheme) machine.Topology.name;
     List.iter
@@ -379,12 +341,12 @@ let map_cmd =
 
 let simulate_cmd =
   let run source machine scale scheme block policy =
-    let* prog = load_program source in
-    let* machine = get_machine machine scale in
-    let* machine = apply_policy policy machine in
-    let* scheme = scheme_of_string scheme in
-    let params = { Mapping.default_params with block_size = block } in
-    let stats = Mapping.run ~params scheme ~machine prog in
+    let* ({ Request.program = prog; machine; point; _ } as r) =
+      build_request ~op:"run" ~source ~machine ~scale ?policy ~scheme ~block ()
+      >>= Request.parse
+    in
+    let scheme = point.Space.scheme in
+    let stats = Mapping.run ~params:(Request.params r) scheme ~machine prog in
     Fmt.pr "%s on %s (%s):@.%a@."
       prog.Program.name machine.Topology.name (Mapping.scheme_name scheme)
       Stats.pp stats;
@@ -399,38 +361,26 @@ let simulate_cmd =
 
 let run_cmd =
   let run source machine scale scheme block json profile check window alpha
-      beta balance params_file stream sample_sets memo log_level metrics_out
-      policy =
+      beta balance params_file stream sample_sets log_level metrics_out policy
+      =
     let* () = set_log_level log_level in
-    let* prog, frontend_timings = load_program_timed source in
-    let* machine = get_machine machine scale in
-    let* machine = apply_policy policy machine in
     let* () =
       match window with
       | Some w when w <= 0 -> Error "--window must be positive"
       | _ -> Ok ()
     in
-    let* () = Hierarchy.check_sample_sets machine sample_sets in
-    let* params, file_scheme =
-      apply_tuning
-        { Mapping.default_params with block_size = block }
-        ~params_file ~alpha ~beta ~balance
+    let* ({ Request.program = prog; machine; point; _ } as r) =
+      build_request ~op:"run" ~source ~machine ~scale ?policy ?scheme ~block
+        ?params_file ?alpha ?beta ?balance ~stream ~sample_sets ~check ()
+      >>= Request.parse
     in
-    let* scheme =
-      match scheme with
-      | Some s -> scheme_of_string s
-      | None -> Ok (Option.value file_scheme ~default:Mapping.Combined)
-    in
-    let* p =
-      (* Hierarchy.create rejects a sampling factor that does not
-         divide some cache's set count; surface that as a CLI error. *)
-      match
-        Ctam_exp.Run_report.profile ~params ?timeline_window:window
-          ~frontend_timings ~check ~stream ~sample_sets ~memo scheme ~machine
-          prog
-      with
-      | p -> Ok p
-      | exception Invalid_argument msg -> Error msg
+    let scheme = point.Space.scheme in
+    let frontend_timings = r.Request.frontend_timings in
+    let p =
+      Ctam_exp.Run_report.profile ~params:(Request.params r)
+        ?timeline_window:window ~frontend_timings ~check:r.Request.check
+        ~stream:r.Request.stream ~sample_sets:r.Request.sample_sets scheme
+        ~machine prog
     in
     let* () =
       match p.Ctam_exp.Run_report.verify with
@@ -592,7 +542,7 @@ let run_cmd =
         (const run $ source_arg $ machine_arg $ scale_arg $ scheme
        $ block_arg $ json $ profile $ check $ window $ alpha_arg $ beta_arg
        $ balance_arg $ params_file_arg $ stream_arg $ sample_sets_arg
-       $ memo_arg $ log_level_arg $ metrics_out_arg $ policy_arg))
+       $ log_level_arg $ metrics_out_arg $ policy_arg))
 
 let jobs_arg =
   Arg.(
@@ -608,18 +558,16 @@ let compare_cmd =
   let run source machine scale block jobs alpha beta balance params_file
       stream sample_sets memo log_level metrics_out policy =
     let* () = set_log_level log_level in
-    let* prog = load_program source in
-    let* machine = get_machine machine scale in
-    let* machine = apply_policy policy machine in
-    let* () = Hierarchy.check_sample_sets machine sample_sets in
+    let* { Request.program = prog; machine; knobs; base_params; stream;
+           sample_sets; _ } =
+      build_request ~op:"run" ~source ~machine ~scale ?policy ~block
+        ?params_file ?alpha ?beta ?balance ~stream ~sample_sets ()
+      >>= Request.parse
+    in
     (* The tuned point's parameters apply to every scheme in the table
        (its scheme coordinate is ignored; each scheme reads the knobs
        it uses). *)
-    let* params, _ =
-      apply_tuning
-        { Mapping.default_params with block_size = block }
-        ~params_file ~alpha ~beta ~balance
-    in
+    let params = Space.params_of ~base:base_params knobs in
     (* One memo table shared by all schemes: phases that coincide
        across schemes (e.g. identical Base chunks) replay.  The table
        is mutex-protected, so the parallel map below can share it. *)
@@ -628,6 +576,7 @@ let compare_cmd =
        serially so the Base-normalization and row order match the old
        one-scheme-at-a-time loop exactly. *)
     let* results =
+      (* Parallel.map rejects a --jobs below 1. *)
       match
         Ctam_util.Parallel.map ?domains:jobs
           (fun scheme ->
@@ -675,33 +624,21 @@ let tune_cmd =
       save_params verify jobs stream sample_sets memo log_level metrics_out
       policy =
     let* () = set_log_level log_level in
-    let* prog = load_program source in
-    let* machine = get_machine machine scale in
-    let* machine = apply_policy policy machine in
-    let* strategy = Ctam_tune.Search.strategy_of_id strategy in
-    let* () =
-      match budget with
-      | Some b when b < 0 -> Error "--budget must be non-negative"
-      | _ -> Ok ()
+    let* ({ Request.program = prog; machine; _ } as r) =
+      build_request ~op:"tune" ~source ~machine ~scale ?policy ~block ~strategy
+        ?budget ~check:verify ~stream ~sample_sets ()
+      >>= Request.parse
     in
-    let* () = Hierarchy.check_sample_sets machine sample_sets in
-    let base_params = { Mapping.default_params with block_size = block } in
-    let* () = Mapping.validate_params base_params in
     let settings =
       {
-        Ctam_tune.Search.default_settings with
-        strategy;
-        budget;
-        cache_dir;
+        (Request.search_settings r) with
+        Ctam_tune.Search.cache_dir;
         jobs;
-        base_params;
-        verify;
-        stream;
-        sample_sets;
         memo;
       }
     in
     let* result =
+      (* Parallel.map rejects a --jobs below 1. *)
       match
         Ctam_tune.Search.run settings ~machine
           ~program_name:prog.Program.name prog
@@ -807,9 +744,11 @@ let tune_cmd =
 
 let codegen_cmd =
   let run source machine scale core block =
-    let* prog = load_program source in
-    let* machine = get_machine machine scale in
-    let params = { Mapping.default_params with block_size = block } in
+    let* ({ Request.program = prog; machine; _ } as r) =
+      build_request ~op:"map" ~source ~machine ~scale ~block ()
+      >>= Request.parse
+    in
+    let params = Request.params r in
     match Program.parallel_nests prog with
     | [] -> `Error (false, "program has no parallel nest")
     | nest :: _ ->
@@ -854,7 +793,7 @@ let codegen_cmd =
 
 let dump_cmd =
   let run source output =
-    let* prog = load_program source in
+    let* prog = build_request ~op:"map" ~source () >>= Request.parse_program in
     let text = Ctam_frontend.Unparse.program prog in
     (match output with
     | Some path ->
@@ -878,11 +817,14 @@ let dump_cmd =
 
 let reuse_cmd =
   let run source machine scale scheme block =
-    let* prog = load_program source in
-    let* machine = get_machine machine scale in
-    let* scheme = scheme_of_string scheme in
-    let params = { Mapping.default_params with block_size = block } in
-    let compiled = Mapping.compile ~params scheme ~machine prog in
+    let* ({ Request.program = prog; machine; point; _ } as r) =
+      build_request ~op:"map" ~source ~machine ~scale ~scheme ~block ()
+      >>= Request.parse
+    in
+    let compiled =
+      Mapping.compile ~params:(Request.params r) point.Space.scheme ~machine
+        prog
+    in
     let line =
       match Topology.caches machine with p :: _ -> p.Topology.line | [] -> 64
     in
@@ -922,11 +864,14 @@ let reuse_cmd =
 
 let emit_c_cmd =
   let run source machine scale scheme block output =
-    let* prog = load_program source in
-    let* machine = get_machine machine scale in
-    let* scheme = scheme_of_string scheme in
-    let params = { Mapping.default_params with block_size = block } in
-    let compiled = Mapping.compile ~params scheme ~machine prog in
+    let* ({ Request.program = prog; machine; point; _ } as r) =
+      build_request ~op:"map" ~source ~machine ~scale ~scheme ~block ()
+      >>= Request.parse
+    in
+    let compiled =
+      Mapping.compile ~params:(Request.params r) point.Space.scheme ~machine
+        prog
+    in
     let code = Emit_c.program compiled in
     (match output with
     | Some path ->
@@ -956,14 +901,12 @@ let check_cmd =
   let run source machine scale scheme block all_schemes inject json log_level
       metrics_out =
     let* () = set_log_level log_level in
-    let* prog = load_program source in
-    let* machine = get_machine machine scale in
-    let* schemes =
-      if all_schemes then Ok Mapping.all_schemes
-      else
-        match scheme_of_string scheme with
-        | Ok s -> Ok [ s ]
-        | Error e -> Error e
+    let* ({ Request.program = prog; machine; point; _ } as r) =
+      build_request ~op:"check" ~source ~machine ~scale ~scheme ~block ()
+      >>= Request.parse
+    in
+    let schemes =
+      if all_schemes then Mapping.all_schemes else [ point.Space.scheme ]
     in
     let* inject =
       match inject with
@@ -973,7 +916,7 @@ let check_cmd =
           | Ok c -> Ok (Some c)
           | Error e -> Error e)
     in
-    let params = { Mapping.default_params with block_size = block } in
+    let params = Request.params r in
     let reports =
       List.map
         (fun scheme ->
@@ -1084,13 +1027,18 @@ let check_cmd =
 
 let trace_cmd =
   let run source machine scale scheme block output window heatmap =
-    let* prog, frontend_timings = load_program_timed source in
-    let* machine = get_machine machine scale in
-    let* scheme = scheme_of_string scheme in
-    let* () = if window <= 0 then Error "--window must be positive" else Ok () in
-    let params = { Mapping.default_params with block_size = block } in
+    let* () =
+      if window <= 0 then Error "--window must be positive" else Ok ()
+    in
+    let* ({ Request.program = prog; machine; point; frontend_timings; _ } as r)
+        =
+      build_request ~op:"run" ~source ~machine ~scale ~scheme ~block ()
+      >>= Request.parse
+    in
+    let scheme = point.Space.scheme in
     let compiled =
-      Mapping.compile ~params ~clock:Unix.gettimeofday scheme ~machine prog
+      Mapping.compile ~params:(Request.params r) ~clock:Unix.gettimeofday scheme
+        ~machine prog
     in
     let segments, legend = Mapping.segments compiled in
     let tl = Timeline.create ~window ~segments machine in
@@ -1406,96 +1354,15 @@ let serve_cmd =
        $ slowlog_entries $ log_level_arg $ log_format_arg $ metrics_out_arg))
 
 let client_cmd =
-  let module J = Ctam_util.Json in
-  let build_request ~op ~source ~machine ~scale ~scheme ~block ~stream
-      ~sample_sets ~check ~strategy ~budget ~nocache ~timeout_ms ~trace
-      ~trace_window ~metrics_format ~limit ~policy =
-    let machine_members () =
-      if Sys.file_exists machine then
-        (* Topology files are sent verbatim; --scale applies to
-           presets only, matching the server. *)
-        [ ("topology", J.String (read_text machine)) ]
-      else [ ("machine", J.String machine); ("scale", J.Int scale) ]
-    in
-    let opt name v f = match v with None -> [] | Some v -> [ (name, f v) ] in
-    match op with
-    | "ping" | "stats" | "version" | "shutdown" ->
-        Ok (J.Obj [ ("op", J.String op) ])
-    | "metrics" ->
-        Ok
-          (J.Obj
-             ([ ("op", J.String op) ]
-             @
-             match metrics_format with
-             | None -> []
-             | Some f -> [ ("format", J.String f) ]))
-    | "slowlog" ->
-        Ok
-          (J.Obj
-             ([ ("op", J.String op) ]
-             @ match limit with None -> [] | Some n -> [ ("limit", J.Int n) ]
-             ))
-    | "map" | "run" | "tune" | "check" -> (
-        match source with
-        | None -> Error (Printf.sprintf "op '%s' needs a PROGRAM argument" op)
-        | Some source ->
-            let program =
-              if Sys.file_exists source then
-                ("source", J.String (read_text source))
-              else ("program", J.String source)
-            in
-            Ok
-              (J.Obj
-                 ([ ("op", J.String op); program ]
-                 @ machine_members ()
-                 @ [
-                     ("scheme", J.String scheme);
-                     ("block", J.Int block);
-                     ("stream", J.Bool stream);
-                     ("sample_sets", J.Int sample_sets);
-                     ("check", J.Bool check);
-                     ("nocache", J.Bool nocache);
-                   ]
-                 @ opt "policy" policy (fun s -> J.String s)
-                 @ opt "strategy" strategy (fun s -> J.String s)
-                 @ opt "budget" budget (fun b -> J.Int b)
-                 @ opt "timeout_ms" timeout_ms (fun t -> J.Int t)
-                 @ (if trace then [ ("trace", J.Bool true) ] else [])
-                 @
-                 match trace_window with
-                 | Some w when trace -> [ ("trace_window", J.Int w) ]
-                 | _ -> [])))
-    | "trace" -> (
-        match source with
-        | None -> Error "op 'trace' needs a TRACE file argument"
-        | Some path ->
-            if not (Sys.file_exists path) then
-              Error (Printf.sprintf "trace file not found: %s" path)
-            else
-              Ok
-                (J.Obj
-                   ([
-                      ("op", J.String "trace");
-                      ("trace_text", J.String (read_text path));
-                    ]
-                   @ machine_members ()
-                   @ [
-                       ("sample_sets", J.Int sample_sets);
-                       ("nocache", J.Bool nocache);
-                     ]
-                   @ opt "policy" policy (fun s -> J.String s)
-                   @ opt "timeout_ms" timeout_ms (fun t -> J.Int t))))
-    | op -> Error (Printf.sprintf "unknown op '%s'" op)
-  in
   let run socket op source machine scale scheme block stream sample_sets check
       strategy budget nocache timeout_ms trace trace_window metrics_format
       limit load concurrency out_json log_level log_format policy =
     let* () = set_log_level log_level in
     let* () = set_log_format log_format in
     let* req =
-      build_request ~op ~source ~machine ~scale ~scheme ~block ~stream
-        ~sample_sets ~check ~strategy ~budget ~nocache ~timeout_ms ~trace
-        ~trace_window ~metrics_format ~limit ~policy
+      build_request ~op ?source ~machine ~scale ?policy ~scheme ~block ~stream
+        ~sample_sets ~check ?strategy ?budget ~nocache ?timeout_ms ~trace
+        ?trace_window ?metrics_format ?limit ()
     in
     match load with
     | Some total ->
@@ -1897,20 +1764,10 @@ let simtrace_cmd =
   let run file machine scale policy cores interleave instr lossy fold_bits
       rebase split sample_sets json log_level metrics_out =
     let* () = set_log_level log_level in
-    let* machine = get_machine machine scale in
-    let* machine = apply_policy policy machine in
-    let* () = Hierarchy.check_sample_sets machine sample_sets in
-    let* interleave =
-      match interleave with
-      | "round-robin" | "rr" -> Ok Ingest.Round_robin
-      | "tagged" -> Ok Ingest.Tagged
-      | s ->
-          Error
-            (Printf.sprintf
-               "unknown --interleave '%s' (round-robin or tagged)" s)
-    in
-    let opts =
-      { Ingest.cores; instr; lossy; fold_bits; rebase; split; interleave }
+    let* machine, opts, sample_sets =
+      build_request ~op:"trace" ~machine ~scale ?policy ~cores ~interleave
+        ~instr ~lossy ?fold_bits ~rebase ?split ~sample_sets ()
+      >>= Request.parse_replay
     in
     match
       Ingest.run ~sample_sets ~machine opts (Ctam_tracein.Reader.File file)

@@ -147,12 +147,16 @@ let arch_ii ?(scale = 1) () =
   in
   make ~name:"Arch-II" ~clock_ghz:2.4 ~mem_latency:160 [ socket 0; socket 1 ]
 
-let halve_caches t =
+let scale_caches ~scale t =
   map_caches
     (fun p ->
-      let set = p.assoc * p.line in
-      { p with size_bytes = max set (p.size_bytes / 2 / set * set) })
+      {
+        p with
+        size_bytes = scaled ~scale ~assoc:p.assoc ~line:p.line p.size_bytes;
+      })
     t
+
+let halve_caches = scale_caches ~scale:2
 
 let commercial ?(scale = 1) () =
   [ harpertown ~scale (); nehalem ~scale (); dunnington ~scale () ]

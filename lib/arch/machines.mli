@@ -26,6 +26,11 @@ val arch_ii : ?scale:int -> unit -> Topology.t
     of 6. *)
 val dunnington_scaled_cores : ?scale:int -> num_cores:int -> unit -> Topology.t
 
+(** [scale_caches ~scale t] divides every cache capacity of [t] by
+    [scale] with the presets' rounding: whole sets, at least one.  The
+    [scale] rule for topology files. *)
+val scale_caches : scale:int -> Topology.t -> Topology.t
+
 (** [halve_caches t] cuts every cache capacity in half (Figure 19). *)
 val halve_caches : Topology.t -> Topology.t
 

@@ -118,10 +118,14 @@ let require1 name items =
   | Some v -> v
   | None -> fail "missing (%s ...)" name
 
+let max_cores = 65536
+
 let parse text =
   let next_core = ref 0 in
+  (* Bounds the work a [(cores N)] form can ask for. *)
   let fresh_core () =
     let c = !next_core in
+    if c >= max_cores then fail "more than %d cores" max_cores;
     incr next_core;
     Topology.Core c
   in

@@ -13,8 +13,8 @@
     v}
 
     Sizes accept [K]/[M]/[G] suffixes.  [(cores n)] expands to [n]
-    automatically numbered cores.  Comments run from [;] to end of
-    line. *)
+    automatically numbered cores, at most 65536 in one machine.
+    Comments run from [;] to end of line. *)
 
 exception Error of string
 

@@ -40,7 +40,11 @@ let make ~name ~clock_ghz ~mem_latency roots =
     invalid_arg "Topology.make: duplicate cache names";
   List.iter
     (fun p ->
-      if p.size_bytes < p.assoc * p.line then
+      if p.assoc < 1 || p.line < 1 then
+        invalid_arg
+          (Printf.sprintf "Topology.make: cache %s needs assoc and line >= 1"
+             p.cache_name);
+      if p.size_bytes / p.line < p.assoc then
         invalid_arg
           (Printf.sprintf "Topology.make: cache %s smaller than one set"
              p.cache_name);

@@ -29,8 +29,9 @@ type t = private {
 
 (** [make ~name ~clock_ghz ~mem_latency roots] validates that cores are
     numbered [0..n-1] left-to-right with no gaps, that cache names are
-    unique, levels decrease toward the leaves, and every cache can hold
-    at least one set ([size >= assoc * line]).
+    unique, levels decrease toward the leaves, and every cache has a
+    positive associativity and line size and holds at least one set
+    ([size >= assoc * line]).
     @raise Invalid_argument otherwise. *)
 val make : name:string -> clock_ghz:float -> mem_latency:int -> tree list -> t
 

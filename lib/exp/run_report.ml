@@ -197,7 +197,7 @@ let conflicts_json reuse =
 
 let profile ?(params = Mapping.default_params) ?config ?timeline_window
     ?(frontend_timings = []) ?(check = false) ?(stream = false)
-    ?(sample_sets = 1) ?(memo = false) scheme ~machine program =
+    ?(sample_sets = 1) scheme ~machine program =
   let now = Unix.gettimeofday in
   (* GC image before any pipeline work, so the report's [telemetry]
      member charges compile + probe setup + simulation to this run. *)
@@ -229,12 +229,6 @@ let profile ?(params = Mapping.default_params) ?config ?timeline_window
       | Some tl -> [ Timeline.probe tl ])
   in
   let t0 = now () in
-  (* Profiling always attaches probes, and the engine's phase memo is
-     inert on an observed run (replay cannot reproduce the event
-     stream), so a [memo] profile records a table but never hits it —
-     memo speedups only materialize in unobserved runs (tune sweeps).
-     The member is still threaded so reports document the request. *)
-  let sim_memo = if memo then Some (Memo.create ()) else None in
   (* [Profile.phase] also charges the GC words the simulation
      allocates to ctam_phase_{minor,major}_words_total{phase=simulate}
      (and is just [f ()] when telemetry is disabled). *)
@@ -242,7 +236,7 @@ let profile ?(params = Mapping.default_params) ?config ?timeline_window
     Ctam_telemetry.Profile.phase "simulate" (fun () ->
         Mapping.simulate ?config ~probe
           ?sample_sets:(if sample_sets > 1 then Some sample_sets else None)
-          ?memo:sim_memo compiled)
+          compiled)
   in
   let sim_seconds = now () -. t0 in
   if Ctam_telemetry.Metrics.enabled () then
@@ -284,15 +278,13 @@ let profile ?(params = Mapping.default_params) ?config ?timeline_window
             [
               ("stream", J.Bool stream);
               ("sample_sets", J.Int sample_sets);
-              ("memo", J.Bool memo);
-              ( "memo_hits",
-                match sim_memo with
-                | None -> J.Null
-                | Some m -> J.Int (Memo.hits m) );
-              ( "memo_misses",
-                match sim_memo with
-                | None -> J.Null
-                | Some m -> J.Int (Memo.misses m) );
+              (* The engine's phase memo is inert on an observed run
+                 (replay cannot reproduce the event stream), so a
+                 profile never attaches one; the members keep the
+                 report's shape. *)
+              ("memo", J.Bool false);
+              ("memo_hits", J.Null);
+              ("memo_misses", J.Null);
             ] );
         ("per_core", per_core_json counters machine);
         ("groups", groups_json counters legend);

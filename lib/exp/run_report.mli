@@ -47,11 +47,10 @@ type profile = {
     [stream] compiles generator-backed phases; [sample_sets] runs a
     set-sampled hierarchy (the report's ["stats"] member is
     extrapolated, but sampled per-level probe members describe only
-    the simulated subset); [memo] attaches a phase-memo table.  The
-    three land in the report's ["simulation"] member.  Note the
-    profiler always attaches probes, which makes the memo inert (zero
-    hits) — memo wins show up in unobserved runs such as tune
-    sweeps. *)
+    the simulated subset).  Both land in the report's ["simulation"]
+    member.  The profiler always attaches probes, which would make an
+    engine phase memo inert, so it attaches none — memo wins show up
+    in unobserved runs such as tune sweeps. *)
 val profile :
   ?params:Mapping.params ->
   ?config:Engine.config ->
@@ -60,7 +59,6 @@ val profile :
   ?check:bool ->
   ?stream:bool ->
   ?sample_sets:int ->
-  ?memo:bool ->
   Mapping.scheme ->
   machine:Topology.t ->
   Program.t ->

@@ -1,7 +1,7 @@
 (* Client side of the mapping service: connect, exchange one frame per
    request, and a load-generator mode that measures the daemon's
-   throughput and latency tail (the measurement half of the
-   serve-sweep benchmark). *)
+   throughput and latency tail ([ctamap client --load]; the benchmark
+   ledger's [serve] workload times the warm path). *)
 
 module J = Ctam_util.Json
 module Parallel = Ctam_util.Parallel

@@ -1,15 +1,17 @@
-(* Compute requests of the mapping service: parsing the JSON request
-   shape into the pipeline's own types, deriving the plan-cache key,
-   and executing the operation.
+(* Compute requests of the mapping service, and the one resolver of
+   user input: parsing the JSON request shape into the pipeline's own
+   types, deriving the plan-cache key, and executing the operation.
+
+   The one-shot CLI builds the same documents [ctamap client] sends
+   and parses them here, in-process, so a served answer is
+   byte-identical to the corresponding [ctamap] invocation by
+   construction, modulo the volatile report members (wall-clock
+   timings, telemetry snapshot).
 
    Parsing is total — every malformed request becomes [Error _] for
    the server to answer with a structured [bad_request] reply; nothing
-   in here may raise on hostile input.  Execution reuses the same
-   entry points the one-shot CLI uses ([Mapping.compile],
-   [Run_report.profile], [Search.run], [Verify.check]), so a served
-   answer is byte-identical to the corresponding [ctamap] invocation
-   modulo the volatile report members (wall-clock timings, telemetry
-   snapshot). *)
+   in here may raise on hostile input.  Every bound is checked before
+   anything sized by it is built. *)
 
 open Ctam_arch
 open Ctam_ir
@@ -38,8 +40,13 @@ type t = {
   op : op;
   program_name : string;
   program : Program.t;
+  frontend_timings : (string * float) list;
+      (** parse and lower seconds of a DSL source; none for a builtin *)
   machine : Topology.t;
-  point : Space.point;  (** canonicalized: scheme + α/β/balance/tile *)
+  knobs : Space.point;
+      (** the point as given (validated): [compare] applies it to every
+          scheme *)
+  point : Space.point;  (** [knobs] canonicalized *)
   base_params : Mapping.params;
   stream : bool;
   sample_sets : int;
@@ -57,7 +64,7 @@ type t = {
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
+let total f = match f () with r -> Ok r | exception Bad msg -> Error msg
 let mem name = function J.Obj _ as j -> J.member name j | _ -> None
 
 let str_field j name =
@@ -90,36 +97,62 @@ let bool_field j name =
   | Some (J.Bool b) -> Some b
   | Some _ -> bad "member %S must be a boolean" name
 
-let parse_program j =
+let flag j name = Option.value ~default:false (bool_field j name)
+
+(* A DSL source is timed pass by pass, the one place frontend timings
+   are measured; a builtin reports none. *)
+let program_members j =
   match (str_field j "program", str_field j "source") with
   | Some _, Some _ -> bad "give either \"program\" or \"source\", not both"
   | None, None -> bad "missing \"program\" (builtin name) or \"source\" (DSL)"
   | Some name, None -> (
+      let module Kernel = Ctam_workloads.Kernel in
+      let size = pos_field j "size" in
       match Ctam_workloads.Suite.by_name name with
-      | k ->
-          let size = int_field j "size" in
-          (k.Ctam_workloads.Kernel.name, Ctam_workloads.Kernel.program ?size k)
-      | exception Not_found -> bad "unknown builtin program %S" name)
+      | k -> (
+          (* A size whose extents overflow is refused by the builder
+             before any storage exists. *)
+          match Kernel.program ?size k with
+          | p -> (k.Kernel.name, p, [])
+          | exception Invalid_argument msg ->
+              bad "bad \"size\" for %s: %s" k.Kernel.name msg)
+      | exception Not_found ->
+          bad "unknown builtin program %S (workloads: %s)" name
+            (String.concat ", "
+               (List.map (fun k -> k.Kernel.name) Ctam_workloads.Suite.all)))
   | None, Some src -> (
-      match Ctam_frontend.Lower.compile src with
-      | p -> (p.Program.name, p)
+      let module F = Ctam_frontend in
+      let now = Unix.gettimeofday in
+      match
+        let t0 = now () in
+        let ast = F.Parser.parse src in
+        let t1 = now () in
+        let p = F.Lower.lower_program ast in
+        (p, [ ("parse", t1 -. t0); ("lower", now () -. t1) ])
+      with
+      | p, timings -> (p.Program.name, p, timings)
+      | exception F.Parse_error.Error (pos, msg) ->
+          bad "%s" (F.Parse_error.render ~source:src pos msg)
       | exception e -> bad "source does not compile: %s" (Printexc.to_string e))
 
-let parse_machine j =
+(* [scale] divides presets and topology texts alike; without it a
+   machine keeps its stated capacities. *)
+let scaled_machine j =
+  let scale = pos_field j "scale" in
   match (str_field j "machine", str_field j "topology") with
   | Some _, Some _ -> bad "give either \"machine\" or \"topology\", not both"
   | None, None -> bad "missing \"machine\" (preset name) or \"topology\" (text)"
   | Some name, None -> (
-      let scale = int_field j "scale" in
-      match Ctam_arch.Machines.by_name ?scale name with
+      match Machines.by_name ?scale name with
       | m -> m
       | exception Not_found -> bad "unknown machine %S" name)
   | None, Some text -> (
-      if int_field j "scale" <> None then
-        bad "\"scale\" applies only to machine presets";
-      match Ctam_arch.Topo_parse.parse text with
-      | m -> m
-      | exception Ctam_arch.Topo_parse.Error msg -> bad "bad topology: %s" msg)
+      match Topo_parse.parse text with
+      | m -> (
+          match scale with
+          | None | Some 1 -> m
+          | Some scale -> Machines.scale_caches ~scale m)
+      | exception Topo_parse.Error msg -> bad "bad topology: %s" msg)
 
 (* The policy spec is folded into the machine itself, so the plan-cache
    key (whose topology fragments carry non-default policies) can never
@@ -138,10 +171,12 @@ let parse_sample_sets j machine =
   | Ok () -> n
   | Error e -> bad "bad \"sample_sets\": %s" e
 
+let machine_members j = parse_policy j (scaled_machine j)
+
 (* The point comes either whole (["params"], the [--params] file
-   schema) or knob by knob; either way it is canonicalized so requests
-   that compile to the same mapping share a cache key. *)
-let parse_point j =
+   schema) or knob by knob, explicit knobs winning; the whole point is
+   validated together with the base parameters. *)
+let parse_knobs j ~base_params =
   let scheme =
     match str_field j "scheme" with
     | None -> None
@@ -164,7 +199,8 @@ let parse_point j =
   let p =
     {
       base with
-      Space.alpha = Option.value ~default:base.Space.alpha (num_field j "alpha");
+      Space.alpha =
+        Option.value ~default:base.Space.alpha (num_field j "alpha");
       beta = Option.value ~default:base.Space.beta (num_field j "beta");
       balance =
         Option.value ~default:base.Space.balance (num_field j "balance");
@@ -174,69 +210,97 @@ let parse_point j =
         | None -> base.Space.tile_edge);
     }
   in
-  Space.canonical p
-
-let parse_base_params j =
-  let p = Mapping.default_params in
-  let p =
-    match int_field j "block" with
-    | None -> p
-    | Some b -> { p with Mapping.block_size = b; auto_block = false }
-  in
-  match Mapping.validate_params p with
+  match Mapping.validate_params (Space.params_of ~base:base_params p) with
   | Ok () -> p
   | Error e -> bad "bad parameters: %s" e
 
+let parse_base_params j =
+  match int_field j "block" with
+  | None -> Mapping.default_params
+  | Some b ->
+      { Mapping.default_params with Mapping.block_size = b; auto_block = false }
+
 let parse j =
-  match
-    let op =
-      match str_field j "op" with
-      | None -> bad "missing \"op\""
-      | Some id -> (
-          match op_of_id id with
-          | Some op -> op
-          | None -> bad "unknown op %S" id)
-    in
-    let program_name, program = parse_program j in
-    let machine = parse_policy j (parse_machine j) in
-    let point = parse_point j in
-    let base_params = parse_base_params j in
-    let sample_sets = parse_sample_sets j machine in
-    let timeout_ms = pos_field j "timeout_ms" in
-    let strategy =
-      match str_field j "strategy" with
-      | None -> Search.default_settings.Search.strategy
-      | Some id -> (
-          match Search.strategy_of_id id with
-          | Ok s -> s
-          | Error e -> bad "%s" e)
-    in
-    let trace = Option.value ~default:false (bool_field j "trace") in
-    let trace_window = pos_field j "trace_window" in
-    if trace && op <> Run then bad "\"trace\" applies only to op \"run\"";
-    if trace_window <> None && not trace then
-      bad "\"trace_window\" requires \"trace\": true";
-    {
-      id = Option.value ~default:J.Null (mem "id" j);
-      op;
-      program_name;
-      program;
-      machine;
-      point;
-      base_params;
-      stream = Option.value ~default:false (bool_field j "stream");
-      sample_sets;
-      check = Option.value ~default:false (bool_field j "check");
-      strategy;
-      budget = int_field j "budget";
-      nocache = Option.value ~default:false (bool_field j "nocache");
-      timeout_ms;
-      trace;
-      trace_window;
-    }
-  with
-  | r -> Ok r
-  | exception Bad msg -> Error msg
+  total @@ fun () ->
+  let op =
+    match str_field j "op" with
+    | None -> bad "missing \"op\""
+    | Some id -> (
+        match op_of_id id with
+        | Some op -> op
+        | None -> bad "unknown op %S" id)
+  in
+  let base_params = parse_base_params j in
+  let knobs = parse_knobs j ~base_params in
+  let budget =
+    match int_field j "budget" with
+    | Some b when b < 0 -> bad "\"budget\" must be >= 0 (got %d)" b
+    | b -> b
+  in
+  let strategy =
+    match str_field j "strategy" with
+    | None -> Search.default_settings.Search.strategy
+    | Some id -> (
+        match Search.strategy_of_id id with
+        | Ok s -> s
+        | Error e -> bad "%s" e)
+  in
+  let timeout_ms = pos_field j "timeout_ms" in
+  let trace = flag j "trace" in
+  let trace_window = pos_field j "trace_window" in
+  if trace && op <> Run then bad "\"trace\" applies only to op \"run\"";
+  if trace_window <> None && not trace then
+    bad "\"trace_window\" requires \"trace\": true";
+  let machine = machine_members j in
+  let sample_sets = parse_sample_sets j machine in
+  let program_name, program, frontend_timings = program_members j in
+  {
+    id = Option.value ~default:J.Null (mem "id" j);
+    op;
+    program_name;
+    program;
+    frontend_timings;
+    machine;
+    knobs;
+    point = Space.canonical knobs;
+    base_params;
+    stream = flag j "stream";
+    sample_sets;
+    check = flag j "check";
+    strategy;
+    budget;
+    nocache = flag j "nocache";
+    timeout_ms;
+    trace;
+    trace_window;
+  }
+
+(* The program members alone, for commands that take no machine. *)
+let parse_program j =
+  total @@ fun () ->
+  let _, program, _ = program_members j in
+  program
+
+(* The machine members alone: a preset or topology, its scale and its
+   policy. *)
+let parse_machine j = total @@ fun () -> machine_members j
+
+(* The mapping parameters [r] compiles with: its base parameters and
+   canonical point. *)
+let params r = Space.params_of ~base:r.base_params r.point
+
+(* The tune search [r] asks for; the caller adds its execution
+   settings (cache directory, domains, memo). *)
+let search_settings r =
+  {
+    Search.default_settings with
+    Search.strategy = r.strategy;
+    budget = r.budget;
+    base_params = r.base_params;
+    verify = r.check;
+    stream = r.stream;
+    sample_sets = r.sample_sets;
+  }
 
 (* --- plan-cache key --------------------------------------------------- *)
 
@@ -284,52 +348,65 @@ type trace_req = {
   t_timeout_ms : int option;
 }
 
-let parse_trace j =
-  match
-    let text =
-      match str_field j "trace_text" with
-      | Some s -> s
-      | None -> bad "missing \"trace_text\" (inline trace contents)"
-    in
-    let machine = parse_policy j (parse_machine j) in
-    let cores = Option.value ~default:1 (pos_field j "cores") in
-    let interleave =
-      match str_field j "interleave" with
-      | None | Some "round-robin" | Some "rr" -> Ingest.Round_robin
-      | Some "tagged" -> Ingest.Tagged
-      | Some s -> bad "unknown interleave %S (round-robin or tagged)" s
-    in
-    let opts =
-      {
-        Ingest.cores;
-        interleave;
-        instr = Option.value ~default:false (bool_field j "instr");
-        lossy = Option.value ~default:false (bool_field j "lossy");
-        fold_bits = pos_field j "fold_bits";
-        rebase = Option.value ~default:false (bool_field j "rebase");
-        split = pos_field j "split";
-      }
-    in
-    let sample_sets = parse_sample_sets j machine in
-    let timeout_ms = pos_field j "timeout_ms" in
-    (* Parsing stays total: strict-mode trace errors (with their line
-       positions) surface here as [bad_request], not as [internal]
-       failures mid-execution. *)
-    (match Ingest.scan opts (TraceReader.Text text) with
-    | _ -> ()
-    | exception Ingest.Error msg -> bad "bad trace: %s" msg);
+(* The replay members both trace paths share — machine, dealing
+   options, sampling factor — checked before anything is sized by
+   them: [cores] sizes the counting pass's per-core state. *)
+let replay_members j =
+  let machine = machine_members j in
+  let n = machine.Topology.num_cores in
+  let cores = Option.value ~default:1 (int_field j "cores") in
+  if cores < 1 || cores > n then
+    bad "\"cores\" must be in 1..%d on %s (got %d)" n machine.Topology.name
+      cores;
+  let interleave =
+    match str_field j "interleave" with
+    | None | Some "round-robin" | Some "rr" -> Ingest.Round_robin
+    | Some "tagged" -> Ingest.Tagged
+    | Some s -> bad "unknown interleave %S (round-robin or tagged)" s
+  in
+  let opts =
     {
-      t_id = Option.value ~default:J.Null (mem "id" j);
-      t_machine = machine;
-      t_opts = opts;
-      t_text = text;
-      t_sample_sets = sample_sets;
-      t_nocache = Option.value ~default:false (bool_field j "nocache");
-      t_timeout_ms = timeout_ms;
+      Ingest.cores;
+      interleave;
+      instr = flag j "instr";
+      lossy = flag j "lossy";
+      fold_bits = pos_field j "fold_bits";
+      rebase = flag j "rebase";
+      split = pos_field j "split";
     }
-  with
-  | r -> Ok r
-  | exception Bad msg -> Error msg
+  in
+  (match Ingest.validate opts with
+  | () -> ()
+  | exception Ingest.Error msg -> bad "bad trace options: %s" msg);
+  (machine, opts, parse_sample_sets j machine)
+
+(* [simtrace] streams its trace file, so it parses the replay members
+   alone. *)
+let parse_replay j = total @@ fun () -> replay_members j
+
+let parse_trace j =
+  total @@ fun () ->
+  let text =
+    match str_field j "trace_text" with
+    | Some s -> s
+    | None -> bad "missing \"trace_text\" (inline trace contents)"
+  in
+  let machine, opts, sample_sets = replay_members j in
+  let timeout_ms = pos_field j "timeout_ms" in
+  (* Strict-mode trace errors (with their line positions) surface here
+     as [bad_request], not as [internal] failures mid-execution. *)
+  (match Ingest.scan opts (TraceReader.Text text) with
+  | _ -> ()
+  | exception Ingest.Error msg -> bad "bad trace: %s" msg);
+  {
+    t_id = Option.value ~default:J.Null (mem "id" j);
+    t_machine = machine;
+    t_opts = opts;
+    t_text = text;
+    t_sample_sets = sample_sets;
+    t_nocache = flag j "nocache";
+    t_timeout_ms = timeout_ms;
+  }
 
 (* Same content-hash discipline as [key]: every behavioral input —
    including the trace text itself and the (policy-aware) topology
@@ -414,7 +491,7 @@ let timed spans name f =
    directory).  May raise — the server maps exceptions to structured
    [internal] errors. *)
 let execute ?cache_dir r =
-  let params = Space.params_of ~base:r.base_params r.point in
+  let params = params r in
   let scheme = r.point.Space.scheme in
   let spans = ref [] in
   let result =
@@ -436,7 +513,8 @@ let execute ?cache_dir r =
           else None
         in
         let p =
-          Ctam_exp.Run_report.profile ~params ?timeline_window ~check:r.check
+          Ctam_exp.Run_report.profile ~params ?timeline_window
+            ~frontend_timings:r.frontend_timings ~check:r.check
             ~stream:r.stream ~sample_sets:r.sample_sets scheme
             ~machine:r.machine r.program
         in
@@ -461,7 +539,8 @@ let execute ?cache_dir r =
               let tj =
                 Ctam_exp.Trace_export.trace_json
                   ~compile_timings:
-                    p.Ctam_exp.Run_report.compiled.Mapping.timings
+                    (r.frontend_timings
+                    @ p.Ctam_exp.Run_report.compiled.Mapping.timings)
                   ~program:r.program_name
                   ~machine:r.machine.Topology.name
                   ~scheme:(Space.scheme_id r.point.Space.scheme)
@@ -481,17 +560,11 @@ let execute ?cache_dir r =
     | Tune ->
         let settings =
           {
-            Search.default_settings with
-            Search.strategy = r.strategy;
-            budget = r.budget;
-            cache_dir;
+            (search_settings r) with
+            Search.cache_dir;
             (* One evaluation at a time: the daemon's parallelism budget
                belongs to the worker pool, not to a single request. *)
             jobs = Some 1;
-            base_params = r.base_params;
-            verify = r.check;
-            stream = r.stream;
-            sample_sets = r.sample_sets;
           }
         in
         let result =

@@ -50,6 +50,10 @@ val max_split_lines : int
     round-robin. *)
 val default : options
 
+(** @raise Error on options no trace can satisfy: fewer than one core,
+    fold bits outside 1..60, a split granularity below one. *)
+val validate : options -> unit
+
 type scan = {
   scanned_lines : int;  (** input lines read (including noise) *)
   records : int;  (** well-formed records *)

@@ -84,19 +84,6 @@ awk -v a="$t0" -v b="$t1" \
   'BEGIN { printf "{\"experiment\":\"policy_sweep\",\"sweep_seconds\":%.3f}\n", b - a }' \
   >> "$OUT"
 
-# Serve-sweep trajectory: throughput and latency tail of the mapping
-# daemon, cold (full pipeline per request) vs warm (plan-cache hits) —
-# experiment="serve_sweep" rows with req/s and p50/p90/p99, plus the
-# warm/cold throughput ratio on the warm row.  Catches regressions in
-# the serving path and the plan cache, not just the mapper.
-t0=$(date +%s.%N)
-./_build/default/bench/main.exe serve-sweep --quick --json --jobs 4 >> "$OUT" \
-  || echo '{"experiment":"serve_sweep","error":"sweep failed"}' >> "$OUT"
-t1=$(date +%s.%N)
-awk -v a="$t0" -v b="$t1" \
-  'BEGIN { printf "{\"experiment\":\"serve_sweep\",\"sweep_seconds\":%.3f}\n", b - a }' \
-  >> "$OUT"
-
 # Archive the daemon's own observability per machine: a short served
 # burst (cache miss + hit) with the audit journal on, keeping the
 # journal (serve_journal_$m.jsonl — replayable with

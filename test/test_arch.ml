@@ -201,7 +201,20 @@ let test_parse_errors () =
   expect_err "(machine \"X\" (clock 1.0) (mem 10) (cache \"c\" (level 1) (size 1K) (assoc 2) (line 64) (latency 1) (core)";
   (* duplicate cache names are caught by Topology.make *)
   expect_err
-    "(machine \"X\" (clock 1.0) (mem 10)\n     (cache \"c\" (level 1) (size 1K) (assoc 2) (line 64) (latency 1) (core))\n     (cache \"c\" (level 1) (size 1K) (assoc 2) (line 64) (latency 1) (core)))"
+    "(machine \"X\" (clock 1.0) (mem 10)\n     (cache \"c\" (level 1) (size 1K) (assoc 2) (line 64) (latency 1) (core))\n     (cache \"c\" (level 1) (size 1K) (assoc 2) (line 64) (latency 1) (core)))";
+  (* A zero associativity or line size once raised Division_by_zero,
+     and a (cores N) form expanded any N: a machine has at most 65536
+     cores. *)
+  let l1 ~assoc ~line ~cores =
+    Printf.sprintf
+      "(machine \"X\" (clock 1.0) (mem 10) (cache \"c\" (level 1) (size \
+       1K) (assoc %d) (line %d) (latency 1) (cores %d)))"
+      assoc line cores
+  in
+  expect_err (l1 ~assoc:0 ~line:64 ~cores:1);
+  expect_err (l1 ~assoc:2 ~line:0 ~cores:1);
+  expect_err (l1 ~assoc:(-1) ~line:(-64) ~cores:1);
+  expect_err (l1 ~assoc:2 ~line:64 ~cores:65_537)
 
 let test_parse_empty_string () =
   (* Regression: the tokenizer used to drop empty quoted strings (the

@@ -237,8 +237,8 @@ let test_profile_simulation_member () =
     Ctam_workloads.Kernel.small_program (Ctam_workloads.Suite.by_name "cg")
   in
   let p =
-    Run_report.profile ~stream:true ~sample_sets:2 ~memo:true
-      Ctam_core.Mapping.Combined ~machine prog
+    Run_report.profile ~stream:true ~sample_sets:2 Ctam_core.Mapping.Combined
+      ~machine prog
   in
   let sim =
     match J.member "simulation" p.Run_report.report with
@@ -247,11 +247,6 @@ let test_profile_simulation_member () =
   in
   check_bool "stream" true (J.member "stream" sim = Some (J.Bool true));
   check_bool "sample_sets" true (J.member "sample_sets" sim = Some (J.Int 2));
-  check_bool "memo" true (J.member "memo" sim = Some (J.Bool true));
-  (* Profiling attaches probes, which makes the memo inert: the table
-     is recorded in the report with zero hits. *)
-  check_bool "memo inert under probes" true
-    (J.member "memo_hits" sim = Some (J.Int 0));
   (* A default profile documents the defaults. *)
   let d = Run_report.profile Ctam_core.Mapping.Combined ~machine prog in
   (match J.member "simulation" d.Run_report.report with

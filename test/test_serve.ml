@@ -7,6 +7,7 @@
 open Ctam_serve
 module J = Ctam_util.Json
 module Parallel = Ctam_util.Parallel
+module Space = Ctam_tune.Space
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -485,6 +486,155 @@ let test_trace_request_parse () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("lossy trace rejected: " ^ e)
 
+(* Totality of the request parser: over generated documents for every
+   plan op — builtin or junk programs, presets or small topology
+   texts, integer members at the edges — [parse] and [parse_trace]
+   answer [Ok]/[Error] within a second, never raise.  [scale] 0 once
+   raised Division_by_zero out of [parse]. *)
+let gen_request =
+  let open QCheck.Gen in
+  let some_of names =
+    map
+      (fun s -> J.String s)
+      (frequency [ (4, oneofl names); (1, Json_gen.gen_str) ])
+  in
+  let edge_int =
+    map
+      (fun i -> J.Int i)
+      (frequency
+         [
+           (2, oneofl [ min_int; -1; 0; 1; max_int ]);
+           (3, map (fun k -> 1 lsl k) (int_range 0 62));
+         ])
+  in
+  let topology =
+    let cache name level size assoc line kids =
+      Printf.sprintf
+        "(cache %S (level %d) (size %s) (assoc %d) (line %d) (latency 3) %s)"
+        name level size assoc line kids
+    in
+    map
+      (fun (size, (assoc, line), cores) ->
+        Printf.sprintf "(machine \"T\" (clock 2.0) (mem 100) %s)"
+          (cache "L2" 2 "1M" 16 64
+             (cache "L1" 1 size assoc line
+                (Printf.sprintf "(cores %d)" cores))))
+      (triple
+         (oneofl [ "32K"; "64"; "0"; "-1"; "1G"; "8" ])
+         (pair (oneofl [ 8; 1; 0; -1 ]) (oneofl [ 64; 1; 0; -64 ]))
+         (oneofl [ 1; 2; 4; 8; 65_537 ]))
+  in
+  let trace_text =
+    map (String.concat "\n")
+      (list_size (int_range 0 4)
+         (oneofl
+            [ " L 0x1000,8"; " S 0x40,4"; "I  0x0,2"; "1: M 0x10,8 @5";
+              " L 0x3ffffffffffffff0,100"; "junk" ]))
+  in
+  let junk = map (fun v -> [ v ]) (pair Json_gen.gen_str Json_gen.gen_value) in
+  let one name value = map (fun v -> [ (name, v) ]) value in
+  (* The members a parse must get past to reach the deep checks are
+     nearly always present and well typed. *)
+  let required =
+    [
+      frequency
+        [
+          (9, one "op" (some_of [ "map"; "run"; "tune"; "check"; "trace" ]));
+          (1, junk);
+        ];
+      frequency
+        [
+          ( 6,
+            one "program"
+              (some_of
+                 (List.map
+                    (fun k -> k.Ctam_workloads.Kernel.name)
+                    Ctam_workloads.Suite.all)) );
+          ( 3,
+            one "source"
+              (some_of
+                 [
+                   "program p {";
+                   "";
+                   "program p; double A[64];\n\
+                    parallel for (i = 0; i < 64; i++) A[i] = A[i];";
+                 ]) );
+          (1, junk);
+        ];
+      frequency
+        [
+          ( 6,
+            one "machine"
+              (some_of
+                 [ "harpertown"; "nehalem"; "dunnington"; "arch-i"; "arch-ii" ])
+          );
+          (3, one "topology" (map (fun t -> J.String t) topology));
+          (1, junk);
+        ];
+      frequency
+        [ (4, one "trace_text" (map (fun t -> J.String t) trace_text)); (1, junk) ];
+    ]
+  in
+  let optional =
+    [
+      ( "scheme",
+        some_of [ "base"; "base+"; "local"; "topology-aware"; "combined" ] );
+      ("policy", some_of [ "lru"; "L1=plru"; "L3=qlru"; "random:7" ]);
+      ("strategy", some_of [ "grid"; "descent"; "halving" ]);
+      ("interleave", some_of [ "round-robin"; "tagged" ]);
+      ("alpha", map (fun f -> J.Float f) Json_gen.gen_float);
+      ("balance", edge_int);
+      ( "params",
+        oneof
+          [
+            map Space.to_json
+              (map
+                 (fun (scheme, tile_edge) ->
+                   { (Space.default_point ~scheme ()) with Space.tile_edge })
+                 (pair (oneofl Ctam_core.Mapping.all_schemes)
+                    (opt (oneofl [ 0; 8; max_int ]))));
+            Json_gen.gen_value;
+          ] );
+    ]
+    @ List.map
+        (fun name -> (name, edge_int))
+        [ "scale"; "size"; "block"; "sample_sets"; "budget"; "timeout_ms";
+          "trace_window"; "tile_edge"; "cores"; "fold_bits"; "split" ]
+    @ List.map
+        (fun name -> (name, map (fun b -> J.Bool b) bool))
+        [ "stream"; "check"; "trace"; "instr"; "lossy"; "rebase" ]
+  in
+  let member (name, value) =
+    frequency
+      [
+        (35, return []);
+        (4, one name value);
+        (1, one name Json_gen.gen_value);
+      ]
+  in
+  map
+    (fun ms -> J.Obj (List.concat ms))
+    (flatten_l (required @ List.map member optional))
+
+let prop_parse_total =
+  QCheck.Test.make ~name:"request parsing is total and fast" ~count:1000
+    (QCheck.make ~print:text gen_request)
+    (fun doc ->
+      let within_1s name f =
+        let t0 = Unix.gettimeofday () in
+        (match f doc with
+        | Ok _ | Error _ -> ()
+        | exception e ->
+            QCheck.Test.fail_reportf "%s raised %s" name
+              (Printexc.to_string e));
+        let dt = Unix.gettimeofday () -. t0 in
+        if dt > 1. then QCheck.Test.fail_reportf "%s took %.2f s" name dt
+      in
+      within_1s "parse" (fun d -> Result.map ignore (Request.parse d));
+      within_1s "parse_trace" (fun d ->
+          Result.map ignore (Request.parse_trace d));
+      true)
+
 (* One request to a live daemon, giving up after 10 s: a daemon that
    died mid-request leaves the connection open but silent. *)
 let ask ~socket j =
@@ -586,25 +736,36 @@ let test_deadline_stops_work () =
   check_bool "serve returned within 5 s of shutdown" true (!stopped < 5.);
   check_bool "socket removed" false (Sys.file_exists socket)
 
-(* The policy spec and the sampling factor are checked against the
-   machine when the request is parsed: a level the machine lacks, or a
-   factor that does not divide its set counts, is a bad request for
-   every plan-carrying op, never an internal failure mid-execution. *)
+(* Every input the resolver rejects is a bad request naming the
+   member, never the end of a worker: the policy spec and sampling
+   factor are checked against the machine, and every bound before
+   anything is sized by it.  [scale] 0, [size] 0 and 10^12 trace cores
+   once raised outside any handler and killed the only worker, so
+   each case is followed by a ping. *)
 let test_machine_checked_members () =
-  let run extra =
-    J.Obj
-      ([
-         ("op", J.String "run");
-         ("program", J.String "cg");
-         ("machine", J.String "harpertown");
-         ("scale", J.Int 64);
-       ]
-      @ extra)
+  let override extra = function
+    | J.Obj ms ->
+        J.Obj (List.filter (fun (k, _) -> not (List.mem_assoc k extra)) ms @ extra)
+    | j -> j
   in
-  let trace extra =
-    List.fold_left
-      (fun j (k, v) -> with_member k v j)
-      (trace_req " L 0x1000,8\n") extra
+  let run extra =
+    override extra
+      (J.Obj
+         [
+           ("op", J.String "run");
+           ("program", J.String "cg");
+           ("machine", J.String "harpertown");
+           ("scale", J.Int 64);
+         ])
+  in
+  let trace extra = override extra (trace_req " L 0x1000,8\n") in
+  let dsl =
+    J.Obj
+      [
+        ("op", J.String "run");
+        ("source", J.String "program p {");
+        ("machine", J.String "harpertown");
+      ]
   in
   ignore
     ( with_daemon ~config:{ Server.default_config with Server.workers = 1 }
@@ -612,12 +773,15 @@ let test_machine_checked_members () =
     @@ fun socket ->
       List.iter
         (fun (what, req, affix) ->
-          match Protocol.response_error (ask ~socket req) with
+          (match Protocol.response_error (ask ~socket req) with
           | Some (code, msg) ->
               Alcotest.(check string) (what ^ ": code") "bad_request" code;
               check_bool (what ^ ": names the problem") true
                 (Astring.String.is_infix ~affix msg)
-          | None -> Alcotest.fail (what ^ ": accepted"))
+          | None -> Alcotest.fail (what ^ ": accepted"));
+          let ping = ask ~socket (J.Obj [ ("op", J.String "ping") ]) in
+          check_bool (what ^ ": still answers ping") true
+            (Protocol.response_ok ping))
         [
           ("run L3 policy", run [ ("policy", J.String "L3=plru") ], "no L3");
           ( "run sample_sets",
@@ -630,6 +794,29 @@ let test_machine_checked_members () =
           ( "trace sample_sets",
             trace [ ("sample_sets", J.Int (1 lsl 20)) ],
             "does not divide" );
+          ("scale 0", run [ ("scale", J.Int 0) ], "scale");
+          ("scale -3", run [ ("scale", J.Int (-3)) ], "scale");
+          ("size 0", run [ ("size", J.Int 0) ], "size");
+          ("size -5", run [ ("size", J.Int (-5)) ], "size");
+          ( "trace cores 10^12",
+            trace [ ("cores", J.Int 1_000_000_000_000) ],
+            "cores" );
+          ( "trace cores 100 on harpertown",
+            trace [ ("machine", J.String "harpertown"); ("cores", J.Int 100) ],
+            "cores" );
+          ( "alpha -1 under base+",
+            run [ ("scheme", J.String "base+"); ("alpha", J.Int (-1)) ],
+            "alpha" );
+          ( "balance 0 under base+",
+            run [ ("scheme", J.String "base+"); ("balance", J.Int 0) ],
+            "balance" );
+          ( "tile_edge 0 under base+",
+            run [ ("scheme", J.String "base+"); ("tile_edge", J.Int 0) ],
+            "tile_edge" );
+          ( "budget -1",
+            run [ ("op", J.String "tune"); ("budget", J.Int (-1)) ],
+            "budget" );
+          ("DSL syntax error", dsl, "line 1");
         ] )
 
 (* Cold, warm-memory and disk-promoted replies to one request, read as
@@ -801,13 +988,14 @@ let () =
         [
           Alcotest.test_case "parse, key, strict errors" `Quick
             test_trace_request_parse;
+          QCheck_alcotest.to_alcotest prop_parse_total;
           Alcotest.test_case "daemon survives a bad trace" `Quick
             test_daemon_survives_bad_trace;
           Alcotest.test_case "daemon replies are canonical" `Quick
             test_daemon_replies_canonical;
           Alcotest.test_case "deadline stops abandoned work" `Quick
             test_deadline_stops_work;
-          Alcotest.test_case "policy and sample_sets checked" `Quick
+          Alcotest.test_case "rejected members cost no worker" `Quick
             test_machine_checked_members;
         ] );
       ( "cache maintenance",

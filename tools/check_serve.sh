@@ -60,6 +60,30 @@ start_daemon
 "$CTAMAP" client --socket "$sock" --op run $run_args > "$tmp/served.json"
 "$PROBE" compare "$tmp/oneshot.json" "$tmp/served.json" > /dev/null
 
+# Where the two paths once drifted apart: a topology file at the default
+# --scale (the client now sends the scale, and the daemon applies it to
+# topology text as to presets), and knobs a scheme ignores (reports show
+# the canonical point; the client has no --alpha, so its side is the
+# canonical base request).
+cat > "$tmp/quad.topo" << 'TOPO'
+(machine "Quad" (clock 2.0) (mem 150)
+  (cache "L2#0" (level 2) (size 1M) (assoc 16) (line 64) (latency 12)
+    (cache "L1#0" (level 1) (size 32K) (assoc 8) (line 64) (latency 3) (core))
+    (cache "L1#1" (level 1) (size 32K) (assoc 8) (line 64) (latency 3) (core)))
+  (cache "L2#1" (level 2) (size 1M) (assoc 16) (line 64) (latency 12)
+    (cache "L1#2" (level 1) (size 32K) (assoc 8) (line 64) (latency 3)
+      (cores 2))))
+TOPO
+"$CTAMAP" run cg -m "$tmp/quad.topo" --json "$tmp/topo_oneshot.json" > /dev/null
+"$CTAMAP" client --socket "$sock" --op run cg -m "$tmp/quad.topo" \
+  > "$tmp/topo_served.json"
+"$PROBE" compare "$tmp/topo_oneshot.json" "$tmp/topo_served.json" > /dev/null
+"$CTAMAP" run $run_args -s base --alpha=0.9 --json "$tmp/base_oneshot.json" \
+  > /dev/null
+"$CTAMAP" client --socket "$sock" --op run $run_args -s base \
+  > "$tmp/base_served.json"
+"$PROBE" compare "$tmp/base_oneshot.json" "$tmp/base_served.json" > /dev/null
+
 # The repeat must be answered from the plan cache, byte-identically.
 "$CTAMAP" client --socket "$sock" --op run $run_args > "$tmp/served2.json"
 cmp "$tmp/served.json" "$tmp/served2.json" || {
