@@ -10,8 +10,9 @@
     An access is encoded as [addr * 2 + (if write then 1 else 0)] so a
     stream is a flat [int array] (see {!encode_access}).  A stream may
     alternatively be a {!cursor} that generates the same encoded words
-    on demand — the engine pulls lazily, so generator-backed traces
-    never materialize. *)
+    a chunk at a time — the engine draws chunks lazily, so
+    generator-backed traces never materialize, and it reads every
+    access from an array either way. *)
 
 type phase = int array array
 (** [phase.(core)] is the encoded access stream of [core] in this
@@ -31,23 +32,19 @@ val default_config : config
 (** {2 Lazy streams} *)
 
 type cursor = {
-  length : int;            (** total accesses the cursor yields *)
-  pull : unit -> int;      (** next encoded access; effectful *)
-  reset : unit -> unit;    (** rewind to the first access *)
-  skip_to_sample : shift:int -> mask:int -> skipped:int ref -> int;
-      (** sampled fast path: consume accesses while
-          [(e lsr shift) land mask <> 0], counting each into [skipped],
-          and return the first passing access (consumed) or -1 at end
-          of stream.  Must consume exactly as a loop of [pull]s
-          would. *)
+  length : int;  (** total accesses the cursor yields *)
+  reset : unit -> unit;  (** rewind to the first access *)
+  refill : unit -> int array * int;
+      (** [(buf, n)]: the next [n] accesses are [buf.(0)]..[buf.(n-1)],
+          valid until the next [refill] or [reset].  [n] >= 1 while
+          accesses remain; effectful *)
 }
-(** A restartable generator of encoded accesses.  Consumers call
-    [reset] before the first [pull]; the engine resets every cursor at
-    the start of each phase, so a compiled stream can be run many
-    times.  Pulling more than [length] times after a reset is a
-    programming error.  [skip_to_sample] lets set-sampled runs skip
-    filtered-out accesses at chunk-buffer speed instead of one closure
-    call each (see {!Hierarchy.create}'s [sample_sets]). *)
+(** A restartable generator of encoded accesses, handed out in chunks.
+    Consumers call [reset] before the first [refill]; the engine resets
+    every cursor at the start of each phase, so a compiled stream can
+    be run many times.  Every consumer takes exactly [length] accesses:
+    a chunk that runs past [length] is cut, and a cursor whose chunks
+    end before it ([n] = 0) raises [Invalid_argument]. *)
 
 type stream = Dense of int array | Gen of cursor
 type stream_phase = stream array
@@ -55,8 +52,9 @@ type stream_phase = stream array
 val dense : int array -> stream
 val stream_length : stream -> int
 
-(** Materialize a stream.  A [Gen] is reset, then pulled in index
-    order. *)
+(** Materialize a stream: a [Dense] array itself, uncopied; a [Gen]
+    is reset, then its chunks are copied in order.
+    @raise Invalid_argument when a cursor ends before its length. *)
 val force_stream : stream -> int array
 
 (** Wrap every per-core array of a dense phase. *)
@@ -66,8 +64,9 @@ val of_phase : phase -> stream_phase
 val force_phase : stream_phase -> phase
 
 (** Concatenate streams in order.  All-dense inputs concatenate
-    eagerly into a [Dense]; otherwise the result is a [Gen] chaining
-    the parts lazily (resetting it resets every part). *)
+    eagerly into a [Dense]; otherwise the result is a [Gen] whose
+    chunks walk the parts lazily: a dense part is one chunk, uncopied,
+    and a generator part is reset when the walk reaches it. *)
 val stream_concat : stream list -> stream
 
 (** {2 Running} *)
@@ -90,8 +89,9 @@ val stream_concat : stream list -> stream
     [max_cycles] is an early-termination budget for search drivers
     (the autotuner's successive halving): once the smallest per-core
     clock reaches the cap, the rest of the run — including any
-    remaining phases — is cut without pulling further accesses from
-    any generator.  The returned statistics then describe only the
+    remaining phases — is cut without drawing another chunk from any
+    generator (a chunk is drawn only when its first access is about to
+    issue).  The returned statistics then describe only the
     executed prefix ([total_accesses] counts issued accesses; [cycles]
     is at least the cap), which is enough to classify the
     configuration as a loser.  Unobserved capped runs are the intended
@@ -111,7 +111,8 @@ val stream_concat : stream list -> stream
     recorded per-core clock/busy deltas, per-cache counter deltas and
     exit cache state instead of simulating — byte-identical
     statistics.  With a probe or a cap the memo is silently inert.
-    @raise Invalid_argument on core-count mismatch. *)
+    @raise Invalid_argument on core-count mismatch, or when a cursor
+    ends before its length. *)
 val run_streams :
   ?config:config ->
   ?max_cycles:int ->
@@ -125,11 +126,13 @@ val run_streams :
 val run :
   ?config:config -> ?max_cycles:int -> Hierarchy.t -> phase list -> Stats.t
 
-(** The seed engine over lazy streams: a linear scan over all cores
-    before every access instead of {!run_streams}'s index min-heap.
-    Identical semantics and event order (ties on equal clocks go to
-    the lowest core id in both); kept as the reference path for
-    differential tests and the heap-vs-scan micro-benchmark.  No
+(** The seed engine: a linear scan over all cores before every access
+    instead of {!run_streams}'s index min-heap, over each phase's
+    streams materialized with {!force_stream} (so it shares no chunk
+    handling with the engine it checks).  Identical semantics and
+    event order (ties on equal clocks go to the lowest core id in
+    both); kept as the reference path for differential tests, the
+    heap-vs-scan micro-benchmark and the policy sweep's LRU gate.  No
     sampling (@raise Invalid_argument on a sampled hierarchy), no cap,
     no memo. *)
 val run_reference_streams :

@@ -287,6 +287,7 @@ let clear t =
   t.mem_accesses <- 0
 
 let line_size t = t.line
+let line_shift t = t.line_shift
 
 let line_of t addr =
   if t.line_shift >= 0 then addr lsr t.line_shift else addr / t.line

@@ -79,6 +79,9 @@ val clear : t -> unit
     share it). *)
 val line_size : t -> int
 
+(** [log2] of {!line_size} when it is a power of two, else -1. *)
+val line_shift : t -> int
+
 (** [line_of t addr] is the line number of a byte address — the
     quantity set sampling filters on. *)
 val line_of : t -> int -> int

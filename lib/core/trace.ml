@@ -43,7 +43,7 @@ let of_group layout nest g = of_iterset layout nest g.Iter_group.iters
 let of_groups layout nest gs =
   Array.concat (List.map (of_group layout nest) gs)
 
-(* Lazy variants (PR 7): wrap a restartable point generator as an
+(* Lazy variants: wrap a restartable point generator as an
    {!Engine.cursor}, expanding each iteration into one encoded access
    per reference on demand.  The access sequence is identical to the
    eager builders' arrays (asserted by the differential tests), so the
@@ -52,25 +52,21 @@ let of_groups layout nest gs =
 
 let cursor_of_gen layout refs ~count ~next ~restart =
   let nrefs = Array.length refs in
-  (* Chunked refill: encoding whole points into a ~256-access buffer
-     amortizes the generator's odometer and closure cost, so a pull is
-     normally one bounds check and an array read.  The buffer holds
-     whole points only (capacity a multiple of [nrefs]), keeping the
-     emitted order exactly point-major. *)
+  (* A chunk of ~256 accesses amortizes the generator's odometer and
+     closure cost over many accesses.  It holds whole points only
+     (capacity a multiple of [nrefs]), keeping the emitted order
+     exactly point-major. *)
   let points_per_chunk = max 1 (256 / max 1 nrefs) in
   let buf = Array.make (max 1 (points_per_chunk * nrefs)) 0 in
   (* Address functions precompiled per reference (no table lookup or
      allocation per point — see {!Layout.ref_addr_fn}). *)
   let addr_fns = Array.map (fun (r, _) -> Layout.ref_addr_fn layout r) refs in
   let writes = Array.map snd refs in
-  let len = ref 0 in
-  let at = ref 0 in
-  let fill () =
+  let refill () =
     (* A sampled skip can run through many refills in one engine
        event: each refill ticks the request deadline. *)
     Ctam_util.Deadline.tick ();
-    len := 0;
-    at := 0;
+    let len = ref 0 in
     let cap = Array.length buf in
     let continue = ref true in
     while !continue && !len + nrefs <= cap do
@@ -82,56 +78,10 @@ let cursor_of_gen layout refs ~count ~next ~restart =
               Engine.encode_access ~addr:(addr_fns.(i) iv) ~write:writes.(i)
           done;
           len := !len + nrefs
-    done
-  in
-  let pull () =
-    if !at >= !len then begin
-      fill ();
-      if !len = 0 then invalid_arg "Trace: cursor pulled past end"
-    end;
-    let v = buf.(!at) in
-    incr at;
-    v
-  in
-  let reset () =
-    restart ();
-    len := 0;
-    at := 0
-  in
-  (* Sampled fast path: scan the chunk buffer in place for the next
-     access whose line survives the sampling filter.  A skipped access
-     costs an array read and a mask test — the same as the engine's
-     dense batched path — instead of a [pull] closure call; only the
-     refills still pay the generation cost (the filter needs every
-     address, so generation cannot be skipped). *)
-  let skip_to_sample ~shift ~mask ~skipped =
-    let found = ref (-1) in
-    let finished = ref false in
-    while !found < 0 && not !finished do
-      if !at >= !len then begin
-        fill ();
-        if !len = 0 then finished := true
-      end;
-      if not !finished then begin
-        let l = !len in
-        let b = buf in
-        let i = ref !at in
-        while !found < 0 && !i < l do
-          let e = b.(!i) in
-          incr i;
-          if e lsr shift land mask = 0 then found := e else incr skipped
-        done;
-        at := !i
-      end
     done;
-    !found
+    (buf, !len)
   in
-  {
-    Engine.length = count * nrefs;
-    pull;
-    reset;
-    skip_to_sample;
-  }
+  { Engine.length = count * nrefs; reset = restart; refill }
 
 let stream_of_iters layout nest iters =
   (* The iterations are already materialized (explicit-order chunks);

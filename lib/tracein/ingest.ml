@@ -204,7 +204,6 @@ type cursor_state = {
   mutable st : line_state;
   buf : int array;
   mutable len : int;
-  mutable pos : int;
   (* Accesses of the line that overflowed the chunk, issue order. *)
   mutable spill : int list;
   mutable eof : bool;
@@ -217,7 +216,6 @@ let make_cursor opts src ~core ~length ~base ~mask : Engine.cursor =
       st = fresh_state opts;
       buf = Array.make chunk_size 0;
       len = 0;
-      pos = 0;
       spill = [];
       eof = false;
     }
@@ -242,75 +240,45 @@ let make_cursor opts src ~core ~length ~base ~mask : Engine.cursor =
         cs.chan <- None
     | None -> ()
   in
-  (* Refill the chunk buffer; false at end of stream. *)
+  (* The engine refills only while the scanned count says accesses
+     remain, so an input that ends first was changed since the scan. *)
   let refill () =
-    if cs.eof && cs.spill = [] then false
-    else begin
-      cs.len <- 0;
-      cs.pos <- 0;
-      (* A split record can spill more than a chunk: what does not fit
-         again spills afresh. *)
-      let spilled = List.rev cs.spill in
-      cs.spill <- [];
-      List.iter push spilled;
-      if not cs.eof then begin
-        let chan =
-          match cs.chan with
-          | Some c -> c
-          | None ->
-              let c = Reader.open_source src in
-              cs.chan <- Some c;
-              c
-        in
-        while (not cs.eof) && cs.len < chunk_size do
-          if Reader.next chan then
-            process opts cs.st ~check_times:false ~emit (Reader.line_buf chan)
-              (Reader.line_pos chan) (Reader.line_len chan)
-          else begin
-            cs.eof <- true;
-            close_chan ()
-          end
-        done
-      end;
-      cs.len > 0
-    end
-  in
-  let rec pull () =
-    if cs.pos < cs.len then begin
-      let e = cs.buf.(cs.pos) in
-      cs.pos <- cs.pos + 1;
-      e
-    end
-    else if refill () then pull ()
-    else fail "trace cursor pulled past end of stream (core %d)" core
+    cs.len <- 0;
+    (* A split record can spill more than a chunk: what does not fit
+       again spills afresh. *)
+    let spilled = List.rev cs.spill in
+    cs.spill <- [];
+    List.iter push spilled;
+    if not cs.eof then begin
+      let chan =
+        match cs.chan with
+        | Some c -> c
+        | None ->
+            let c = Reader.open_source src in
+            cs.chan <- Some c;
+            c
+      in
+      while (not cs.eof) && cs.len < chunk_size do
+        if Reader.next chan then
+          process opts cs.st ~check_times:false ~emit (Reader.line_buf chan)
+            (Reader.line_pos chan) (Reader.line_len chan)
+        else begin
+          cs.eof <- true;
+          close_chan ()
+        end
+      done
+    end;
+    if cs.len = 0 then
+      fail "trace cursor pulled past end of stream (core %d)" core;
+    (cs.buf, cs.len)
   in
   let reset () =
     close_chan ();
     cs.st <- fresh_state opts;
-    cs.len <- 0;
-    cs.pos <- 0;
     cs.spill <- [];
     cs.eof <- false
   in
-  let skip_to_sample ~shift ~mask:smask ~skipped =
-    let rec go () =
-      let i = ref cs.pos in
-      while !i < cs.len && (cs.buf.(!i) lsr shift) land smask <> 0 do
-        incr i
-      done;
-      skipped := !skipped + (!i - cs.pos);
-      if !i < cs.len then begin
-        cs.pos <- !i + 1;
-        cs.buf.(!i)
-      end
-      else begin
-        cs.pos <- cs.len;
-        if refill () then go () else -1
-      end
-    in
-    go ()
-  in
-  { Engine.length; pull; reset; skip_to_sample }
+  { Engine.length; reset; refill }
 
 let streams ?scan:sc opts src =
   validate opts;

@@ -3,11 +3,11 @@
     A trace is read in two passes: a counting pass ({!scan}) sizes the
     per-core streams (the {!Ctam_cachesim.Engine.cursor} contract
     needs exact lengths) and finds the address range for rebasing; the
-    cursors then stream the accesses through a fixed-size chunk
-    buffer, so a multi-gigabyte trace never materializes.  Every
-    per-core cursor reads the whole input and keeps only its own
-    accesses — memory-bounded, and the engine may interleave pulls
-    across cores in any order. *)
+    cursors then hand the accesses out in fixed-size chunks, so a
+    multi-gigabyte trace never materializes.  Every per-core cursor
+    reads the whole input and keeps only its own accesses —
+    memory-bounded, and the engine may interleave refills across cores
+    in any order. *)
 
 exception Error of string
 (** Malformed input (with a line position) or invalid options. *)
@@ -68,10 +68,10 @@ type scan = {
 val scan : options -> Reader.source -> scan
 
 (** Per-core generator-backed streams.  Pass [?scan] to reuse a
-    counting pass; otherwise one is run.  The cursors support the
-    engine's [skip_to_sample] fast path, so set-sampled runs compose.
-    Strict-mode parse errors surface as [Error] from inside the
-    engine's pulls. *)
+    counting pass; otherwise one is run.  Strict-mode parse errors
+    surface as [Error] from inside the engine's refills, and so does an
+    input that ends before the scan's count (the trace changed since
+    the scan); the engine reads no access past the count. *)
 val streams :
   ?scan:scan -> options -> Reader.source -> Ctam_cachesim.Engine.stream array
 

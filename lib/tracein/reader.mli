@@ -17,7 +17,8 @@ type source =
 type chan
 
 (** Open a fresh read handle on the source.
-    @raise Sys_error when a [File] does not exist. *)
+    @raise Sys_error when a [File] does not exist or is not a regular
+    file (a pipe, say, which cannot be reopened). *)
 val open_source : source -> chan
 
 (** Advance to the next line; [false] at end of input.  The line, without

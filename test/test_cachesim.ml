@@ -560,47 +560,49 @@ let prop_reuse_agrees_with_fullassoc_lru =
 
 (* --- Streams / sampling / memo --------------------------------------- *)
 
-let gen_of_array a =
+(* A cursor over [a] handing out [chunk] accesses at a time (the last
+   chunk shorter) through one buffer that each refill overwrites, as
+   the library's cursors do. *)
+let gen_of_array ?(chunk = 7) a =
   let pos = ref 0 in
+  let buf = Array.make chunk 0 in
   {
     Engine.length = Array.length a;
-    pull =
-      (fun () ->
-        if !pos >= Array.length a then
-          invalid_arg "gen_of_array: pulled past end";
-        let v = a.(!pos) in
-        incr pos;
-        v);
     reset = (fun () -> pos := 0);
-    (* Reference implementation of the sampled fast path: a plain scan
-       of the backing array, trivially equivalent to the pull loop —
-       so the differential tests exercise the engine's skip plumbing
-       too. *)
-    skip_to_sample =
-      (fun ~shift ~mask ~skipped ->
-        let n = Array.length a in
-        let found = ref (-1) in
-        while !found < 0 && !pos < n do
-          let e = a.(!pos) in
-          incr pos;
-          if e lsr shift land mask = 0 then found := e else incr skipped
-        done;
-        !found);
+    refill =
+      (fun () ->
+        let n = min chunk (Array.length a - !pos) in
+        Array.blit a !pos buf 0 n;
+        pos := !pos + n;
+        (buf, n));
   }
 
-let gen_phases phases =
-  List.map (Array.map (fun a -> Engine.Gen (gen_of_array a))) phases
+let gen_phases ?(chunk = fun _ _ -> 7) phases =
+  List.mapi
+    (fun pi p ->
+      Array.mapi (fun c a -> Engine.Gen (gen_of_array ~chunk:(chunk pi c) a)) p)
+    phases
+
+(* Chunk sizes for the test cursors: one access per chunk, a few, or
+   more than any generated stream holds. *)
+let chunk_gen = QCheck.Gen.(oneof [ return 1; int_range 2 9; return 64 ])
 
 let prop_gen_cursor_matches_dense =
   (* A generator-backed stream must be indistinguishable from the
      dense array it encodes: same statistics AND the same probe event
-     sequence, on both the heap engine and the reference scan. *)
+     sequence, on both the heap engine and the reference scan, however
+     the cursor chunks it. *)
   QCheck.Test.make ~name:"Gen cursors == Dense arrays (stats + events)"
-    ~count:40 phases_gen
-    (fun spec ->
+    ~count:40
+    (QCheck.pair phases_gen
+       (QCheck.make ~print:QCheck.Print.(list int)
+          QCheck.Gen.(list_repeat 8 chunk_gen)))
+    (fun (spec, chunks) ->
       let phases = phases_of_spec spec in
       let dense = List.map Engine.of_phase phases in
-      let gens = gen_phases phases in
+      let gens =
+        gen_phases ~chunk:(fun pi c -> List.nth chunks ((2 * pi) + c)) phases
+      in
       List.for_all
         (fun (line, l1_sets, l2_sets, assoc) ->
           let machine = param_machine ~line ~l1_sets ~l2_sets ~assoc in
@@ -616,6 +618,67 @@ let prop_gen_cursor_matches_dense =
           s_d = s_g && e_d = e_g && s_d = s_r && e_d = e_r)
         diff_configs)
 
+(* Streams of 0-30 accesses per part, 0-5 parts per core: each part
+   dense, or a cursor with a drawn chunk size (empty parts included). *)
+let concat_gen =
+  let open QCheck.Gen in
+  let part =
+    triple bool chunk_gen
+      (list_size (int_range 0 30) (pair (int_range 0 4095) bool))
+  in
+  pair (list_size (int_range 0 5) part) (list_size (int_range 0 5) part)
+
+let prop_stream_concat_matches_dense =
+  (* A concatenation of dense, generated and empty parts is the
+     concatenated array: materialized, and run exactly, probed and set
+     sampled (batched and per access), over two phases so the chained
+     cursor is reset and re-run. *)
+  QCheck.Test.make ~name:"stream_concat == Array.concat (stats + events)"
+    ~count:60
+    (QCheck.make concat_gen)
+    (fun (parts0, parts1) ->
+      let arrays parts =
+        List.map
+          (fun (_, _, accs) ->
+            Array.of_list
+              (List.map
+                 (fun (a, w) -> Engine.encode_access ~addr:a ~write:w)
+                 accs))
+          parts
+      in
+      let concat parts =
+        Engine.stream_concat
+          (List.map2
+             (fun (is_gen, chunk, _) a ->
+               if is_gen then Engine.Gen (gen_of_array ~chunk a)
+               else Engine.dense a)
+             parts (arrays parts))
+      in
+      let flat parts = Array.concat (arrays parts) in
+      let chained = [| concat parts0; concat parts1 |] in
+      let dense = [| flat parts0; flat parts1 |] in
+      Engine.force_stream chained.(0) = dense.(0)
+      && Engine.force_stream chained.(1) = dense.(1)
+      && List.for_all
+           (fun (line, sample_sets) ->
+             let machine = param_machine ~line ~l1_sets:2 ~l2_sets:8 ~assoc:2 in
+             let plain p =
+               Engine.run_streams (Hierarchy.create ~sample_sets machine) p
+             in
+             let probed p =
+               let log = ref [] in
+               let h =
+                 Hierarchy.create ~probe:(recording_probe log) ~sample_sets
+                   machine
+               in
+               let s = Engine.run_streams h p in
+               (s, List.rev !log)
+             in
+             let ph_c = [ chained; chained ] in
+             let ph_d = [ Engine.of_phase dense; Engine.of_phase dense ] in
+             plain ph_c = plain ph_d && probed ph_c = probed ph_d)
+           [ (64, 1); (64, 2); (48, 2) ])
+
 let det_stream seed len =
   Array.init len (fun i ->
       Engine.encode_access
@@ -623,45 +686,71 @@ let det_stream seed len =
         ~write:((i + seed) mod 5 = 0))
 
 let test_engine_capped_cursor () =
-  (* An early [max_cycles] cutoff must stop pulling from the
-     generator: the cap check precedes every pull, so the cursor is
-     drained exactly as far as the executed prefix — and the capped
-     statistics are identical to the dense path's. *)
+  (* An early [max_cycles] cutoff must stop drawing from the
+     generator: the engine refills only before it issues an access, so
+     a one-access-per-chunk cursor hands out exactly the executed
+     prefix — and the capped statistics are identical to the dense
+     path's.  Also at [sample_sets] 2, where the cap selects the
+     per-access sampled step (the tuner's successive halving passes
+     both). *)
   let machine = param_machine ~line:64 ~l1_sets:4 ~l2_sets:16 ~assoc:2 in
   let phase = [| det_stream 0 400; det_stream 1 400 |] in
   let dense = [ Engine.of_phase phase ] in
-  let pulls = ref 0 in
-  let counting a =
-    let g = gen_of_array a in
-    Engine.Gen
-      {
-        g with
-        Engine.pull =
-          (fun () ->
-            incr pulls;
-            g.Engine.pull ());
-        (* A skip consumes accesses too: count them as pulls. *)
-        skip_to_sample =
-          (fun ~shift ~mask ~skipped ->
-            let n0 = !skipped in
-            let f = g.Engine.skip_to_sample ~shift ~mask ~skipped in
-            pulls := !pulls + (!skipped - n0) + if f >= 0 then 1 else 0;
-            f);
-      }
-  in
-  let gens = [ Array.map counting phase ] in
-  let full = Engine.run_streams (Hierarchy.create machine) dense in
-  let cap = full.Stats.cycles / 3 in
-  let s_dense =
-    Engine.run_streams ~max_cycles:cap (Hierarchy.create machine) dense
-  in
-  let s_gen =
-    Engine.run_streams ~max_cycles:cap (Hierarchy.create machine) gens
-  in
-  check_bool "capped stats identical" true (s_dense = s_gen);
-  check_bool "cut early" true (s_dense.Stats.total_accesses < 800);
-  check_bool "cycles reach cap" true (s_dense.Stats.cycles >= cap);
-  check_int "pulls == issued accesses" s_gen.Stats.total_accesses !pulls
+  List.iter
+    (fun sample_sets ->
+      let name what = Printf.sprintf "sample_sets %d: %s" sample_sets what in
+      let pulls = ref 0 in
+      let counting a =
+        let g = gen_of_array ~chunk:1 a in
+        Engine.Gen
+          {
+            g with
+            Engine.refill =
+              (fun () ->
+                let ((_, n) as chunk) = g.Engine.refill () in
+                pulls := !pulls + n;
+                chunk);
+          }
+      in
+      let gens = [ Array.map counting phase ] in
+      let create () = Hierarchy.create ~sample_sets machine in
+      let full = Engine.run_streams (create ()) dense in
+      let cap = full.Stats.cycles / 3 in
+      let s_dense = Engine.run_streams ~max_cycles:cap (create ()) dense in
+      let s_gen = Engine.run_streams ~max_cycles:cap (create ()) gens in
+      check_bool (name "capped stats identical") true (s_dense = s_gen);
+      check_bool (name "cut early") true (s_dense.Stats.total_accesses < 800);
+      check_bool (name "cycles reach cap") true (s_dense.Stats.cycles >= cap);
+      check_int
+        (name "pulls == issued accesses")
+        s_gen.Stats.total_accesses !pulls)
+    [ 1; 2 ]
+
+let test_engine_cursor_length_mismatch () =
+  (* Every mode takes exactly [length] accesses from a cursor: one that
+     ends early raises (it must not spin or read a bogus access), and
+     one that would hand out more is cut at its length. *)
+  let machine = param_machine ~line:64 ~l1_sets:4 ~l2_sets:16 ~assoc:2 in
+  let a = det_stream 0 300 and b = det_stream 1 200 in
+  let claiming length = Engine.Gen { (gen_of_array a) with Engine.length } in
+  List.iter
+    (fun (mode, sample_sets, probed) ->
+      let run phase =
+        let probe = if probed then recording_probe (ref []) else Probe.null in
+        Ctam_util.Deadline.within ~ms:5000 (fun () ->
+            Engine.run_streams
+              (Hierarchy.create ~probe ~sample_sets machine)
+              [ phase ])
+      in
+      check_bool (mode ^ ": short cursor raises") true
+        (match run [| claiming 350; Engine.dense b |] with
+        | exception Invalid_argument _ -> true
+        | _ -> false);
+      let long = run [| claiming 250; Engine.dense b |] in
+      check_bool (mode ^ ": long cursor cut at its length") true
+        (long = run [| Engine.dense (Array.sub a 0 250); Engine.dense b |]);
+      check_int (mode ^ ": accesses") 450 long.Stats.total_accesses)
+    [ ("exact", 1, false); ("probed sampled", 2, true); ("batched", 2, false) ]
 
 let test_engine_sampling_batched_matches_per_access () =
   (* Skip batching only engages on unobserved runs; attaching a probe
@@ -856,6 +945,8 @@ let () =
         [
           Alcotest.test_case "capped run stops pulling" `Quick
             test_engine_capped_cursor;
+          Alcotest.test_case "cursor length mismatch" `Quick
+            test_engine_cursor_length_mismatch;
           Alcotest.test_case "sampling: batched == per-access" `Quick
             test_engine_sampling_batched_matches_per_access;
           Alcotest.test_case "sampling: error bounds" `Quick
@@ -864,5 +955,6 @@ let () =
           Alcotest.test_case "rel_errors / approx_equal" `Quick
             test_stats_rel_errors_and_approx_equal;
           QCheck_alcotest.to_alcotest prop_gen_cursor_matches_dense;
+          QCheck_alcotest.to_alcotest prop_stream_concat_matches_dense;
         ] );
     ]

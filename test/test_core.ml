@@ -489,10 +489,10 @@ let test_stream_compile_matches_dense () =
         (force streamed = force dense);
       check_bool (name ^ ": bit-identical stats") true
         (Mapping.simulate streamed = Mapping.simulate dense);
-      (* Set-sampled runs take the cursors' [skip_to_sample] fast path
-         (chunk-buffer scans in Trace / part-wise delegation in
-         stream_concat); the extrapolated statistics must not depend on
-         the stream representation.  The scale-64 machine's L1 has a
+      (* Set-sampled runs scan the cursors' chunks for the next
+         sampled access (Trace's buffers, stream_concat's parts); the
+         extrapolated statistics must not depend on the stream
+         representation.  The scale-64 machine's L1 has a
          single set, so sample on a scale-16 one. *)
       let m2 = Machines.dunnington ~scale:16 () in
       let p2 = fig5_program 64 in

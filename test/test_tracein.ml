@@ -576,8 +576,8 @@ let test_streams_match_load () =
   check_bool "stats identical" true (st_dense = st_run)
 
 let test_sample_sets_compose () =
-  (* The cursors' skip_to_sample fast path must agree with sampling a
-     dense replay of the same trace. *)
+  (* The sampled skip scan over the cursors' chunks must agree with
+     sampling a dense replay of the same trace. *)
   let opts = { Ingest.default with Ingest.cores = 2 } in
   let src = Reader.Text big_trace in
   (* Full-size caches: sample_sets must divide every cache's set
@@ -593,6 +593,38 @@ let test_sample_sets_compose () =
   in
   let st_stream, _ = Ingest.run ~sample_sets:8 ~machine:m opts src in
   check_bool "sampled stats identical" true (st_dense = st_stream)
+
+let test_stale_scan () =
+  (* A scan of a different trace than the one replayed: every mode
+     takes exactly the scanned count.  A replay that ends first raises
+     (a set-sampled run once spun forever), and a longer one is cut at
+     the count (a set-sampled run once read past it). *)
+  let records n =
+    String.concat ""
+      (List.init n (fun i -> Printf.sprintf " L 0x%x,8\n" (0x10000 + (i * 72))))
+  in
+  let m = Ctam_arch.Machines.dunnington ~scale:1 () in
+  let replay ~scanned ~replayed sample_sets =
+    let opts = Ingest.default in
+    let sc = Ingest.scan opts (Reader.Text (records scanned)) in
+    let strs = Ingest.streams ~scan:sc opts (Reader.Text (records replayed)) in
+    let phase =
+      Array.init m.Ctam_arch.Topology.num_cores (fun i ->
+          if i < Array.length strs then strs.(i) else Engine.dense [||])
+    in
+    Ctam_util.Deadline.within ~ms:5000 (fun () ->
+        Engine.run_streams (Hierarchy.create ~sample_sets m) [ phase ])
+  in
+  List.iter
+    (fun sample_sets ->
+      let mode = Printf.sprintf "sample_sets %d" sample_sets in
+      check_bool (mode ^ ": short replay raises Ingest.Error") true
+        (match replay ~scanned:200 ~replayed:100 sample_sets with
+        | exception Ingest.Error _ -> true
+        | _ -> false);
+      check_int (mode ^ ": long replay cut at the scan") 100
+        (replay ~scanned:100 ~replayed:200 sample_sets).Stats.total_accesses)
+    [ 1; 16 ]
 
 let test_fold_and_rebase () =
   let src = Reader.Text " L 0xdeadb000,8\n S 0xdeadb040,8\n L 0xdeadf000,4\n" in
@@ -729,6 +761,23 @@ let test_sources_agree () =
               (observe (Reader.File (gzip_copy path)) = from_text)))
     source_inputs
 
+let test_fifo_rejected () =
+  (* Each core's cursor reopens the trace, and a pipe cannot be
+     reopened: a non-regular file is refused up front instead of
+     replaying as empty.  [stat] does not open the FIFO, so no writer
+     is needed. *)
+  let path = Filename.temp_file "ctam-trace" ".fifo" in
+  Sys.remove path;
+  Unix.mkfifo path 0o600;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      check_bool "FIFO raises Sys_error" true
+        (match Ingest.scan Ingest.default (Reader.File path) with
+        | exception Sys_error msg ->
+            Astring.String.is_infix ~affix:"not a regular file" msg
+        | _ -> false))
+
 let test_missing_file () =
   check_bool "missing file raises Sys_error" true
     (match Ingest.scan Ingest.default (Reader.File "/nonexistent/t.trace") with
@@ -781,6 +830,7 @@ let () =
           Alcotest.test_case "strict positions" `Quick test_strict_positions;
           Alcotest.test_case "lossy counts" `Quick test_lossy_counts;
           Alcotest.test_case "missing file" `Quick test_missing_file;
+          Alcotest.test_case "FIFO rejected" `Quick test_fifo_rejected;
         ] );
       ( "interleave",
         [
@@ -794,6 +844,7 @@ let () =
             test_streams_match_load;
           Alcotest.test_case "sample sets compose" `Quick
             test_sample_sets_compose;
+          Alcotest.test_case "stale scan" `Quick test_stale_scan;
           Alcotest.test_case "fold and rebase" `Quick test_fold_and_rebase;
           Alcotest.test_case "core bound" `Quick
             test_run_rejects_too_many_cores;

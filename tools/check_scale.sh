@@ -24,7 +24,8 @@ trap 'rm -rf "$tmp"' EXIT
 
 # Sampled cycle-error geomean must stay under 5% on the quick subset
 # (measured ~2%; the bound leaves noise headroom but catches
-# estimator regressions).
+# estimator regressions), and every row under scale_check's fixed
+# per-row bound of 20%.
 "$CHECK" --max-geomean 0.05 "$tmp/sweep.json"
 
 echo "check_scale: ok"

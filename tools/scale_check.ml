@@ -1,12 +1,13 @@
 (* Validate a `bench/main.exe scale-sweep --json` emission (JSON-lines,
    one row per machine × scale × kernel × scheme): every scale_sweep
-   row must carry positive exact cycle counts and speedups, and the
-   geometric mean of the sampled-run cycle errors must stay under the
-   bound (default 5%, override with --max-geomean).  The sweep itself
-   already asserts the streamed path bit-identical to the exact one
-   (it exits nonzero on mismatch), so this checker gates the
-   *approximate* half: set sampling staying inside its error budget.
-   Used by tools/check_scale.sh under `dune runtest`. *)
+   row must carry positive exact cycle counts and speedups, every
+   row's sampled-run cycle error must stay under [max_row_err], and
+   their geometric mean under the geomean bound (default 5%, override
+   with --max-geomean).  The sweep itself already asserts the streamed
+   path bit-identical to the exact one (it exits nonzero on mismatch),
+   so this checker gates the *approximate* half: set sampling staying
+   inside its error budget.  Used by tools/check_scale.sh under
+   `dune runtest`. *)
 
 module J = Ctam_util.Json
 
@@ -22,6 +23,11 @@ let num name j =
   | Some (J.Int i) -> float_of_int i
   | Some (J.Float f) -> f
   | _ -> fail "row missing numeric member '%s'" name
+
+(* A blow-up on one kernel can hide under the geomean.  The worst row
+   documented in EXPERIMENTS.md is 15.4% (sp/Base at sweep scale 64);
+   the quick subset's worst is 11.0% (equake/Base). *)
+let max_row_err = 0.20
 
 let () =
   let max_geomean = ref 0.05 in
@@ -58,11 +64,15 @@ let () =
   let rows = List.rev !rows in
   if rows = [] then fail "%s has no scale_sweep rows" file;
   let log_sum = ref 0. in
+  let worst = ref ("?", 0.) in
   List.iter
     (fun row ->
       let label =
-        match (J.member "kernel" row, J.member "scale" row) with
-        | Some (J.String k), Some (J.Int s) -> Printf.sprintf "%s@%d" k s
+        match
+          (J.member "kernel" row, J.member "scheme" row, J.member "scale" row)
+        with
+        | Some (J.String k), Some (J.String sc), Some (J.Int s) ->
+            Printf.sprintf "%s/%s@%d" k sc s
         | _ -> "?"
       in
       if num "cycles_exact" row <= 0. then fail "%s: no exact cycles" label;
@@ -70,6 +80,10 @@ let () =
       if num "sim_speedup" row <= 0. then fail "%s: no speedup" label;
       let err = num "rel_err_cycles" row in
       if err < 0. then fail "%s: negative error" label;
+      if err > max_row_err then
+        fail "%s: sampled-cycle error %.4f exceeds the per-row bound %.2f" label
+          err max_row_err;
+      if err >= snd !worst then worst := (label, err);
       (* Floor exact rows well below the bound so a run of zero errors
          still yields a finite, passing geomean. *)
       log_sum := !log_sum +. log (max err 1e-6))
@@ -78,5 +92,8 @@ let () =
   if geomean > !max_geomean then
     fail "sampled-cycle error geomean %.4f exceeds %.4f over %d rows" geomean
       !max_geomean (List.length rows);
-  Printf.printf "scale_check: %s ok (%d rows, error geomean %.4f <= %.4f)\n"
-    file (List.length rows) geomean !max_geomean
+  Printf.printf
+    "scale_check: %s ok (%d rows, error geomean %.4f <= %.4f, worst row %s \
+     %.4f <= %.2f)\n"
+    file (List.length rows) geomean !max_geomean (fst !worst) (snd !worst)
+    max_row_err
