@@ -16,12 +16,18 @@ type t = {
   path_caches : Setassoc.t array array;
   path_latencies : int array array;
   path_levels : int array array;
-  (* Per-core instances NOT on the core's path, ascending instance
-     index (the order the seed's whole-array sweep visited them):
-     write-invalidate touches exactly these. *)
-  peer_caches : Setassoc.t array array;
-  peer_levels : int array array;
+  (* Instance [i] is on core [c]'s path iff core_lo.(i) <= c <=
+     core_hi.(i): [Topology.make] numbers cores left to right, so the
+     cores under a cache are contiguous. *)
+  core_lo : int array;
+  core_hi : int array;
   coherence : bool;
+  (* Last-writer filter (empty without coherence).  Invariant: if
+     [w_line.(s) = l] and [w_owner.(s) = c >= 0], every cache holding
+     [l] is on core [c]'s path.  -1 is an empty slot, or an unknown
+     owner. *)
+  w_line : int array;
+  w_owner : int array;
   line : int;
   line_shift : int;  (* log2 line when line is a power of two, -1 otherwise *)
   levels : int array;  (* distinct cache levels, ascending *)
@@ -62,6 +68,13 @@ let check_sample_sets topo n =
               of two dividing every cache's set count)"
              n (sets_of p) p.Topology.cache_name)
 
+(* Not a tuning knob: the sweeps left are the first write to a line
+   after another core touched it, which more slots would not remove.
+   The multiplicative hash keeps lines a power of two apart in
+   different slots. *)
+let filter_slots = 1024
+let filter_slot line = ((line * 0x4F1BBCDCBFA53) land max_int) lsr 52
+
 let create ?(coherence = true) ?(probe = Probe.null) ?(sample_sets = 1) topo =
   let params = Topology.caches topo in
   let line =
@@ -87,21 +100,25 @@ let create ?(coherence = true) ?(probe = Probe.null) ?(sample_sets = 1) topo =
            })
          params)
   in
-  let index_of name =
-    let rec go i =
-      if i >= Array.length instances then
-        invalid_arg "Hierarchy.create: cache not found"
-      else if instances.(i).params.cache_name = name then i
-      else go (i + 1)
-    in
-    go 0
+  (* One pre-order walk, in [Topology.caches] order, numbers the
+     caches and records each core's path (L1 first) and each cache's
+     core range. *)
+  let ninst = Array.length instances in
+  let paths = Array.make topo.Topology.num_cores [||] in
+  let core_lo = Array.make ninst 0 and core_hi = Array.make ninst 0 in
+  let next_inst = ref 0 and next_core = ref 0 in
+  let rec walk above = function
+    | Topology.Core c ->
+        paths.(c) <- Array.of_list above;
+        incr next_core
+    | Topology.Cache (_, children) ->
+        let i = !next_inst in
+        incr next_inst;
+        core_lo.(i) <- !next_core;
+        List.iter (walk (i :: above)) children;
+        core_hi.(i) <- !next_core - 1
   in
-  let paths =
-    Array.init topo.Topology.num_cores (fun c ->
-        Topology.path_of_core topo c
-        |> List.map (fun (p : Topology.cache_params) -> index_of p.cache_name)
-        |> Array.of_list)
-  in
+  List.iter (walk []) topo.Topology.roots;
   let path_caches =
     Array.map (Array.map (fun i -> instances.(i).cache)) paths
   in
@@ -110,20 +127,6 @@ let create ?(coherence = true) ?(probe = Probe.null) ?(sample_sets = 1) topo =
   in
   let path_levels =
     Array.map (Array.map (fun i -> instances.(i).params.level)) paths
-  in
-  let peers_of path =
-    Array.init (Array.length instances) Fun.id
-    |> Array.to_list
-    |> List.filter (fun i -> not (Array.exists (fun j -> j = i) path))
-    |> Array.of_list
-  in
-  let peer_caches =
-    Array.map (fun p -> Array.map (fun i -> instances.(i).cache) (peers_of p)) paths
-  in
-  let peer_levels =
-    Array.map
-      (fun p -> Array.map (fun i -> instances.(i).params.level) (peers_of p))
-      paths
   in
   let levels =
     Array.of_list (List.sort_uniq compare (List.map (fun p -> p.Topology.level) params))
@@ -166,9 +169,11 @@ let create ?(coherence = true) ?(probe = Probe.null) ?(sample_sets = 1) topo =
     path_caches;
     path_latencies;
     path_levels;
-    peer_caches;
-    peer_levels;
+    core_lo;
+    core_hi;
     coherence;
+    w_line = Array.make (if coherence then filter_slots else 0) (-1);
+    w_owner = Array.make (if coherence then filter_slots else 0) (-1);
     line;
     line_shift = log2_exact line;
     levels;
@@ -227,14 +232,25 @@ let access t ~core ~addr ~write =
     if victim >= 0 && observed then
       t.probe.Probe.on_evict ~core ~level:levels.(j) ~line:victim
   done;
-  (* Write-invalidate: peers not on this core's path lose the line. *)
-  if write && t.coherence then begin
-    let pc = t.peer_caches.(core) in
-    let pl = t.peer_levels.(core) in
-    for i = 0 to Array.length pc - 1 do
-      if Setassoc.invalidate pc.(i) line && observed then
-        t.probe.Probe.on_invalidate ~core ~level:pl.(i) ~line
-    done
+  (* Write-invalidate: every cache off this core's path loses the line,
+     in ascending instance order, unless the filter shows none holds
+     it.  Another core's fill makes the owner unknown. *)
+  if t.coherence && (write || fill_upto >= 0) then begin
+    let s = filter_slot line in
+    let known = t.w_line.(s) = line in
+    if known && fill_upto >= 0 && t.w_owner.(s) <> core then
+      t.w_owner.(s) <- -1;
+    if write && not (known && t.w_owner.(s) = core) then begin
+      for i = 0 to Array.length t.instances - 1 do
+        if core < t.core_lo.(i) || core > t.core_hi.(i) then begin
+          let inst = t.instances.(i) in
+          if Setassoc.invalidate inst.cache line && observed then
+            t.probe.Probe.on_invalidate ~core ~level:inst.params.level ~line
+        end
+      done;
+      t.w_line.(s) <- line;
+      t.w_owner.(s) <- core
+    end
   end;
   !latency
 
@@ -282,8 +298,12 @@ let sets_at t ~level =
       else acc)
     0 t.instances
 
+(* A restored image can hold any line in any cache. *)
+let forget_writers t = Array.fill t.w_line 0 (Array.length t.w_line) (-1)
+
 let clear t =
   Array.iter (fun inst -> Setassoc.clear inst.cache) t.instances;
+  forget_writers t;
   t.mem_accesses <- 0
 
 let line_size t = t.line
@@ -304,7 +324,8 @@ let restore t image =
     invalid_arg "Hierarchy.restore: instance count mismatch";
   Array.iteri
     (fun i lines -> Setassoc.restore_lines t.instances.(i).cache lines)
-    image
+    image;
+  forget_writers t
 
 let instance_counts t =
   ( Array.map (fun inst -> Setassoc.hits inst.cache) t.instances,

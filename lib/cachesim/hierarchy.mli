@@ -2,17 +2,25 @@
 
     Instantiates one {!Setassoc} per cache in a {!Ctam_arch.Topology},
     maintains inclusive fills along each core's path, and optionally a
-    write-invalidate coherence action across same-level peers. *)
+    write-invalidate coherence action: a write removes the line from
+    every cache off the writing core's path, at any level (on
+    Dunnington, the other socket's L3 too). *)
 
 type t
 
 (** [create ?coherence ?probe ?sample_sets topo].  When [coherence] is
     true (default), a write invalidates the line in every cache that is
     not on the writing core's path, modelling an invalidation-based
-    protocol.  [probe] (default {!Probe.null}) observes per-level
+    protocol.  A fixed 1024-slot last-writer filter skips sweeps it
+    can show would find no copy: each slot remembers a line and the
+    core whose write last swept it, and that core's next write to the
+    line skips the sweep unless another core has filled the line
+    since.  Statistics and probe events are those of a full sweep.
+    [probe] (default {!Probe.null}) observes per-level
     hits/misses, evictions, invalidations and memory accesses; the
     engine fires its issue/phase/barrier events through the same
-    probe.
+    probe.  Takes time and memory linear in the topology and its
+    cache capacity.
 
     [sample_sets] (default 1 = exact) enables constant-bit set
     sampling: the engine simulates only lines with
@@ -72,7 +80,7 @@ val mem_accesses : t -> int
     does not exist) — sizes the set-conflict histograms. *)
 val sets_at : t -> level:int -> int
 
-(** Reset contents and counters. *)
+(** Reset contents and counters, and empty the write filter. *)
 val clear : t -> unit
 
 (** Line size used for address-to-line mapping (caches of one machine
@@ -105,8 +113,9 @@ val num_instances : t -> int
 (** Per-instance copies of the raw way arrays. *)
 val snapshot : t -> int array array
 
-(** Overwrite every instance's way array with a {!snapshot} image.
-    Counters are untouched.
+(** Overwrite every instance's way array with a {!snapshot} image and
+    empty the write filter, since the image can hold any line in any
+    cache.  Counters are untouched.
     @raise Invalid_argument on an image from a different hierarchy. *)
 val restore : t -> int array array -> unit
 

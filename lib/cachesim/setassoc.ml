@@ -272,7 +272,9 @@ let set_base t line = set_of_line t line * t.assoc
 
 (* The tag scans are loops, not local recursive functions: a local
    [let rec] that reads [t], [base] and [line] is a closure allocated on
-   every call, and the coherence sweep scans up to 17 sets per write. *)
+   every call, and each coherence sweep the write filter cannot skip
+   scans one set in every cache off the writer's path (17 on
+   Dunnington). *)
 let find_way t base line =
   let w = ref 0 in
   while !w < t.assoc && t.lines.(base + !w) <> line do

@@ -82,6 +82,38 @@ let prop_access_after_insert_hits =
           Setassoc.access c l)
         lines)
 
+(* Probe event log, for comparing full event sequences. *)
+type event =
+  | Access of int * int * int * bool
+  | Level of int * int * int * int * bool
+  | Mem of int * int
+  | Evict of int * int * int
+  | Invalidate of int * int * int
+  | Retire of int * int
+  | Phase_start of int
+  | Phase_end of int * int
+  | Barrier_enter of int * int
+  | Barrier_exit of int * int
+
+let recording_probe log =
+  let push e = log := e :: !log in
+  {
+    Probe.on_access = (fun ~core ~addr ~line ~write -> push (Access (core, addr, line, write)));
+    on_level =
+      (fun ~core ~level ~set ~line ~hit -> push (Level (core, level, set, line, hit)));
+    on_mem = (fun ~core ~line -> push (Mem (core, line)));
+    on_evict = (fun ~core ~level ~line -> push (Evict (core, level, line)));
+    on_invalidate =
+      (fun ~core ~level ~line -> push (Invalidate (core, level, line)));
+    on_retire = (fun ~core ~cycles -> push (Retire (core, cycles)));
+    on_phase_start = (fun ~phase -> push (Phase_start phase));
+    on_phase_end = (fun ~phase ~cycles -> push (Phase_end (phase, cycles)));
+    on_barrier_enter =
+      (fun ~phase ~cycles -> push (Barrier_enter (phase, cycles)));
+    on_barrier_exit =
+      (fun ~phase ~cycles -> push (Barrier_exit (phase, cycles)));
+  }
+
 (* --- Hierarchy ------------------------------------------------------ *)
 
 let tiny_machine () =
@@ -146,6 +178,65 @@ let test_hierarchy_coherence () =
   ignore (Hierarchy.access h ~core:0 ~addr:0 ~write:true);
   check_int "core1 refetches from L2" 12
     (Hierarchy.access h ~core:1 ~addr:0 ~write:false)
+
+let test_hierarchy_restore_forgets_writers () =
+  (* A write can skip its invalidation sweep only while the hierarchy
+     knows no other core holds the line; a restored image can put the
+     line anywhere, so the next write must sweep again. *)
+  let log = ref [] in
+  let h = Hierarchy.create ~probe:(recording_probe log) (tiny_machine ()) in
+  ignore (Hierarchy.access h ~core:1 ~addr:0 ~write:false);
+  let image = Hierarchy.snapshot h in
+  ignore (Hierarchy.access h ~core:0 ~addr:0 ~write:true);
+  Hierarchy.restore h image;
+  log := [];
+  ignore (Hierarchy.access h ~core:0 ~addr:0 ~write:true);
+  check_bool "the write invalidates core 1's L1" true
+    (List.mem (Invalidate (0, 1, 0)) !log);
+  check_int "core 1 misses its L1" 12
+    (Hierarchy.access h ~core:1 ~addr:0 ~write:false)
+
+let test_hierarchy_create_linear () =
+  (* 4,096 private L1s under one L2: [create] allocates in proportion
+     to the cache lines and instances, not to cores x instances. *)
+  let n = 4096 in
+  let cache name level size_bytes assoc children =
+    Topology.Cache
+      ( {
+          Topology.cache_name = name;
+          level;
+          size_bytes;
+          assoc;
+          line = 64;
+          latency = level * 4;
+          policy = Policy.Lru;
+        },
+        children )
+  in
+  let topo =
+    Topology.make ~name:"wide" ~clock_ghz:1. ~mem_latency:100
+      [
+        cache "L2" 2 (n * 8192) 8
+          (List.init n (fun c ->
+               cache (Printf.sprintf "L1#%d" c) 1 4096 4 [ Topology.Core c ]));
+      ]
+  in
+  let lines =
+    List.fold_left
+      (fun acc (p : Topology.cache_params) -> acc + (p.size_bytes / p.line))
+      0 (Topology.caches topo)
+  in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  let h = Hierarchy.create topo in
+  let words = allocated () -. before in
+  check_int "instances" (n + 1) (Hierarchy.num_instances h);
+  let bound = 4 * (lines + n + 1) in
+  if words > float_of_int bound then
+    Alcotest.failf "create allocated %.0f words, over the bound %d" words bound
 
 let test_hierarchy_stats () =
   let h = Hierarchy.create (tiny_machine ()) in
@@ -230,9 +321,13 @@ let test_encode_roundtrip () =
 
 (* A naive, self-contained model of the seed cache semantics:
    per-set MRU-first lists, plain div/mod indexing, no flattened
-   arrays, no shift/mask fast paths.  The optimized Setassoc/Hierarchy
-   must agree with it access for access — including on non-power-of-two
-   line sizes and set counts, where the fast paths must fall back. *)
+   arrays, no shift/mask fast paths and no write filter.  It takes any
+   topology: paths come from [Topology.path_of_core], and a write
+   invalidates every cache off the writer's path, in
+   [Topology.caches] order.  The optimized Setassoc/Hierarchy must
+   agree with it access for access and event for event, including on
+   non-power-of-two line sizes and set counts, where the fast paths
+   must fall back. *)
 module Naive = struct
   type cache = {
     sets : int;
@@ -243,9 +338,6 @@ module Naive = struct
     mutable hits : int;
     mutable misses : int;
   }
-
-  let cache ~sets ~assoc ~latency ~level =
-    { sets; assoc; latency; level; data = Array.make sets []; hits = 0; misses = 0 }
 
   let set_of c line = line mod c.sets
 
@@ -261,15 +353,17 @@ module Naive = struct
       false
     end
 
+  (* Insert an absent line; the LRU victim, or -1. *)
   let insert c line =
     let s = set_of c line in
-    if List.mem line c.data.(s) then
-      c.data.(s) <- line :: List.filter (fun l -> l <> line) c.data.(s)
+    let d = line :: c.data.(s) in
+    if List.length d > c.assoc then begin
+      c.data.(s) <- List.filteri (fun i _ -> i < c.assoc) d;
+      List.nth d c.assoc
+    end
     else begin
-      let d = line :: c.data.(s) in
-      c.data.(s) <-
-        (if List.length d > c.assoc then List.filteri (fun i _ -> i < c.assoc) d
-         else d)
+      c.data.(s) <- d;
+      -1
     end
 
   let invalidate c line =
@@ -280,55 +374,96 @@ module Naive = struct
     end
     else false
 
-  (* A 2-core machine: private L1s, shared L2, like [tiny_machine] but
-     parametric in line size and set counts. *)
   type machine = {
     line : int;
     mem_latency : int;
-    l1 : cache array;  (* per core *)
-    l2 : cache;
+    caches : cache array;  (* [Topology.caches] order *)
+    paths : int list array;  (* per core, indices into [caches], L1 first *)
     mutable mem_accesses : int;
+    log : event list ref;  (* newest first *)
   }
 
-  let machine ~line ~l1_sets ~l2_sets ~assoc ~mem_latency =
+  let machine topo =
+    let params = Array.of_list (Topology.caches topo) in
+    let index name =
+      let rec go i =
+        if params.(i).Topology.cache_name = name then i else go (i + 1)
+      in
+      go 0
+    in
     {
-      line;
-      mem_latency;
-      l1 =
-        Array.init 2 (fun _ -> cache ~sets:l1_sets ~assoc ~latency:2 ~level:1);
-      l2 = cache ~sets:l2_sets ~assoc ~latency:10 ~level:2;
+      line = params.(0).Topology.line;
+      mem_latency = topo.Topology.mem_latency;
+      caches =
+        Array.map
+          (fun (p : Topology.cache_params) ->
+            let sets = p.size_bytes / (p.assoc * p.line) in
+            {
+              sets;
+              assoc = p.assoc;
+              latency = p.latency;
+              level = p.level;
+              data = Array.make sets [];
+              hits = 0;
+              misses = 0;
+            })
+          params;
+      paths =
+        Array.init topo.Topology.num_cores (fun c ->
+            List.map
+              (fun (p : Topology.cache_params) -> index p.cache_name)
+              (Topology.path_of_core topo c));
       mem_accesses = 0;
+      log = ref [];
     }
 
   let maccess m ~core ~addr ~write =
     let line = addr / m.line in
-    let path = [ m.l1.(core); m.l2 ] in
+    let emit e = m.log := e :: !(m.log) in
     let latency = ref 0 in
-    let rec probe = function
+    (* Probe upward; the caches that missed, L1 first. *)
+    let rec probe missed = function
       | [] ->
           m.mem_accesses <- m.mem_accesses + 1;
           latency := !latency + m.mem_latency;
-          List.iter (fun c -> insert c line) path
-      | c :: rest ->
+          emit (Mem (core, line));
+          List.rev missed
+      | i :: rest ->
+          let c = m.caches.(i) in
           latency := !latency + c.latency;
-          if access c line then
-            (* fill everything below the hit point *)
-            List.iter
-              (fun c' -> if c'.level < c.level then insert c' line)
-              path
-          else probe rest
+          let hit = access c line in
+          emit (Level (core, c.level, set_of c line, line, hit));
+          if hit then List.rev missed else probe (i :: missed) rest
     in
-    probe path;
-    if write then ignore (invalidate m.l1.(1 - core) line);
+    List.iter
+      (fun i ->
+        let c = m.caches.(i) in
+        let victim = insert c line in
+        if victim >= 0 then emit (Evict (core, c.level, victim)))
+      (probe [] m.paths.(core));
+    if write then
+      Array.iteri
+        (fun i c ->
+          if (not (List.mem i m.paths.(core))) && invalidate c line then
+            emit (Invalidate (core, c.level, line)))
+        m.caches;
     !latency
 
   let level_stats m =
-    let l1h = m.l1.(0).hits + m.l1.(1).hits in
-    let l1m = m.l1.(0).misses + m.l1.(1).misses in
-    [
-      { Stats.level = 1; hits = l1h; misses = l1m };
-      { Stats.level = 2; hits = m.l2.hits; misses = m.l2.misses };
-    ]
+    let levels =
+      List.sort_uniq compare
+        (Array.to_list (Array.map (fun c -> c.level) m.caches))
+    in
+    List.map
+      (fun level ->
+        Array.fold_left
+          (fun (s : Stats.level_stats) c ->
+            if c.level = level then
+              { s with hits = s.hits + c.hits; misses = s.misses + c.misses }
+            else s)
+          { Stats.level; hits = 0; misses = 0 }
+          m.caches)
+      levels
 end
 
 let param_machine ~line ~l1_sets ~l2_sets ~assoc =
@@ -366,63 +501,67 @@ let param_machine ~line ~l1_sets ~l2_sets ~assoc =
 let diff_configs =
   [ (64, 2, 8, 2); (48, 2, 8, 2); (64, 3, 5, 2); (48, 3, 7, 3); (32, 1, 6, 4) ]
 
-let access_gen =
-  QCheck.(
-    list_of_size (Gen.int_range 1 300)
-      (triple (int_range 0 1) (int_range 0 4095) bool))
+let oracle_machines =
+  List.map
+    (fun (line, l1_sets, l2_sets, assoc) ->
+      param_machine ~line ~l1_sets ~l2_sets ~assoc)
+    diff_configs
+  @ [ Machines.dunnington ~scale:64 (); Machines.arch_ii ~scale:64 () ]
+
+(* A machine takes each access's core modulo its core count, and the
+   address [line * line size + offset mod line size]. *)
+type oracle_access = { core : int; line : int; offset : int; write : bool }
+
+let oracle_stream_gen =
+  let open QCheck.Gen in
+  let acc core line offset write = { core; line; offset; write } in
+  (* A pool of at most 8 lines, with runs of writes by one core between
+     other cores' reads: the sharing the write filter has to track. *)
+  let pool =
+    int_range 1 8 >>= fun n ->
+    array_repeat n (int_range 0 4095) >>= fun pool ->
+    list_size (int_range 1 40)
+      (triple (int_range 0 63) bool
+         (list_size (int_range 1 6) (int_range 0 (n - 1))))
+    >|= List.concat_map (fun (core, write, picks) ->
+            List.map (fun k -> acc core pool.(k) 0 write) picks)
+  in
+  (* Uniformly random accesses, not line-aligned. *)
+  let uniform =
+    list_size (int_range 1 300)
+      (map4 acc (int_range 0 63) (int_range 0 255) (int_range 0 63) bool)
+  in
+  (* Over 4,096 distinct lines out of 4,608, so that lines share
+     filter slots and some sharing lasts between the writes to one. *)
+  let wide =
+    list_repeat 12000
+      (map4 acc (int_range 0 63) (int_range 0 4607) (return 0) bool)
+  in
+  frequency [ (3, pool); (3, uniform); (1, wide) ]
 
 let prop_hierarchy_matches_naive_model =
   QCheck.Test.make ~name:"Hierarchy.access matches naive seed model" ~count:60
-    access_gen
-    (fun accesses ->
+    (QCheck.make
+       ~print:(fun s -> Printf.sprintf "<%d accesses>" (List.length s))
+       oracle_stream_gen)
+    (fun stream ->
       List.for_all
-        (fun (line, l1_sets, l2_sets, assoc) ->
-          let h =
-            Hierarchy.create (param_machine ~line ~l1_sets ~l2_sets ~assoc)
-          in
-          let m =
-            Naive.machine ~line ~l1_sets ~l2_sets ~assoc ~mem_latency:100
-          in
+        (fun topo ->
+          let log = ref [] in
+          let h = Hierarchy.create ~probe:(recording_probe log) topo in
+          let m = Naive.machine topo in
+          let cores = topo.Topology.num_cores in
           List.for_all
-            (fun (core, addr, write) ->
-              Hierarchy.access h ~core ~addr ~write
-              = Naive.maccess m ~core ~addr ~write)
-            accesses
+            (fun a ->
+              let core = a.core mod cores in
+              let addr = (a.line * m.Naive.line) + (a.offset mod m.Naive.line) in
+              Hierarchy.access h ~core ~addr ~write:a.write
+              = Naive.maccess m ~core ~addr ~write:a.write)
+            stream
           && Hierarchy.level_stats h = Naive.level_stats m
-          && Hierarchy.mem_accesses h = m.Naive.mem_accesses)
-        diff_configs)
-
-(* Probe event log, for comparing full event sequences. *)
-type event =
-  | Access of int * int * int * bool
-  | Level of int * int * int * int * bool
-  | Mem of int * int
-  | Evict of int * int * int
-  | Invalidate of int * int * int
-  | Retire of int * int
-  | Phase_start of int
-  | Phase_end of int * int
-  | Barrier_enter of int * int
-  | Barrier_exit of int * int
-
-let recording_probe log =
-  let push e = log := e :: !log in
-  {
-    Probe.on_access = (fun ~core ~addr ~line ~write -> push (Access (core, addr, line, write)));
-    on_level =
-      (fun ~core ~level ~set ~line ~hit -> push (Level (core, level, set, line, hit)));
-    on_mem = (fun ~core ~line -> push (Mem (core, line)));
-    on_evict = (fun ~core ~level ~line -> push (Evict (core, level, line)));
-    on_invalidate =
-      (fun ~core ~level ~line -> push (Invalidate (core, level, line)));
-    on_retire = (fun ~core ~cycles -> push (Retire (core, cycles)));
-    on_phase_start = (fun ~phase -> push (Phase_start phase));
-    on_phase_end = (fun ~phase ~cycles -> push (Phase_end (phase, cycles)));
-    on_barrier_enter =
-      (fun ~phase ~cycles -> push (Barrier_enter (phase, cycles)));
-    on_barrier_exit =
-      (fun ~phase ~cycles -> push (Barrier_exit (phase, cycles)));
-  }
+          && Hierarchy.mem_accesses h = m.Naive.mem_accesses
+          && !log = !(m.Naive.log))
+        oracle_machines)
 
 (* Random phases for the 2-core parametric machines: each phase gives
    each core an independent stream (possibly empty — idle cores are the
@@ -856,6 +995,27 @@ let test_engine_memo_replay () =
     (s_obs = s_ref && e_obs = e_ref);
   check_int "memo inert under probes" hits_before (Memo.hits memo)
 
+let test_engine_memo_replay_then_write () =
+  (* Phase 2 is replayed, putting line 0 into core 1's L1; phase 3 is
+     simulated, and core 0's write must still invalidate that copy
+     although core 0 was the last to write line 0 before the replay. *)
+  let machine = tiny_machine () in
+  let w = Engine.encode_access ~addr:0 ~write:true in
+  let r = Engine.encode_access ~addr:0 ~write:false in
+  let run ?memo h phases =
+    Engine.run_streams ?memo h (List.map Engine.of_phase phases)
+  in
+  let write0 = [| [| w |]; [||] |] and read1 = [| [||]; [| r |] |] in
+  let memo = Memo.create () in
+  let h = Hierarchy.create machine in
+  ignore (run ~memo h [ write0; read1 ]);
+  (* Writing twice leaves the state writing once did, under a new key. *)
+  let phases = [ [| [| w; w |]; [||] |]; read1; write0; read1 ] in
+  let replayed = run ~memo h phases in
+  check_bool "phase 2 replayed" true (Memo.hits memo >= 1);
+  check_bool "replayed run == plain run" true
+    (replayed = run (Hierarchy.create machine) phases)
+
 let test_stats_rel_errors_and_approx_equal () =
   let exact =
     {
@@ -918,6 +1078,10 @@ let () =
           Alcotest.test_case "inclusive fill" `Quick test_hierarchy_inclusive_fill;
           Alcotest.test_case "coherence" `Quick test_hierarchy_coherence;
           Alcotest.test_case "stats" `Quick test_hierarchy_stats;
+          Alcotest.test_case "restore forgets writers" `Quick
+            test_hierarchy_restore_forgets_writers;
+          Alcotest.test_case "create is linear" `Quick
+            test_hierarchy_create_linear;
           QCheck_alcotest.to_alcotest prop_hierarchy_matches_naive_model;
         ] );
       ( "reuse",
@@ -952,6 +1116,8 @@ let () =
           Alcotest.test_case "sampling: error bounds" `Quick
             test_engine_sampling_error_bounds;
           Alcotest.test_case "memo replay" `Quick test_engine_memo_replay;
+          Alcotest.test_case "memo replay, then a write" `Quick
+            test_engine_memo_replay_then_write;
           Alcotest.test_case "rel_errors / approx_equal" `Quick
             test_stats_rel_errors_and_approx_equal;
           QCheck_alcotest.to_alcotest prop_gen_cursor_matches_dense;
