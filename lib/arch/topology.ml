@@ -117,6 +117,11 @@ let affinity_level t c1 c2 =
     match shared with [] -> None | p :: _ -> Some p.level
   end
 
+(* Cores are numbered left to right, so each root's cores are a run. *)
+let root_of_cores t =
+  Array.concat
+    (List.mapi (fun i r -> Array.make (List.length (cores_under r)) i) t.roots)
+
 let first_shared_level t =
   let rec collect acc = function
     | Core _ -> acc

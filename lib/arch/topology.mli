@@ -55,6 +55,10 @@ val cores_under : tree -> int list
     is [Some _]. *)
 val affinity_level : t -> int -> int -> int option
 
+(** Each core's tree in [t.roots], by index.  Every root is a cache, so
+    two distinct cores share one exactly when their roots are equal. *)
+val root_of_cores : t -> int array
+
 (** First (closest-to-core) level that is shared by more than one core
     anywhere in the topology; [None] if all caches are private. *)
 val first_shared_level : t -> int option

@@ -187,7 +187,7 @@ module Reuse_split = struct
   type t = {
     online : Reuse.Online.t;
     last_core : (int, int) Hashtbl.t;
-    shares_cache : bool array array;
+    root_of : int array;  (* distinct cores share a cache iff equal *)
     vertical : int array;
     horizontal : int array;
     cross : int array;
@@ -201,12 +201,6 @@ module Reuse_split = struct
   }
 
   let create topo =
-    let n = topo.Topology.num_cores in
-    let shares_cache =
-      Array.init n (fun a ->
-          Array.init n (fun b ->
-              a = b || Topology.affinity_level topo a b <> None))
-    in
     let levels = Topology.levels topo in
     let sets_at l =
       List.fold_left
@@ -218,7 +212,7 @@ module Reuse_split = struct
     {
       online = Reuse.Online.create ();
       last_core = Hashtbl.create 1024;
-      shares_cache;
+      root_of = Topology.root_of_cores topo;
       vertical = Array.make Reuse.nbuckets 0;
       horizontal = Array.make Reuse.nbuckets 0;
       cross = Array.make Reuse.nbuckets 0;
@@ -245,7 +239,7 @@ module Reuse_split = struct
               | Some c0 when c0 = core ->
                   t.vertical.(b) <- t.vertical.(b) + 1;
                   t.nvert <- t.nvert + 1
-              | Some c0 when t.shares_cache.(c0).(core) ->
+              | Some c0 when t.root_of.(c0) = t.root_of.(core) ->
                   t.horizontal.(b) <- t.horizontal.(b) + 1;
                   t.nhoriz <- t.nhoriz + 1
               | Some _ ->

@@ -94,7 +94,7 @@ type t = {
   series : core_series array;
   reuse_online : Reuse.Online.t;
   last_core : (int, int) Hashtbl.t;
-  shares_cache : bool array array;
+  root_of : int array;  (* distinct cores share a cache iff equal *)
   rs_vertical : Dyn.t;
   rs_horizontal : Dyn.t;
   rs_cross : Dyn.t;
@@ -155,10 +155,7 @@ let create ?(window = default_window) ?(max_invalidations = 10_000)
           });
     reuse_online = Reuse.Online.create ();
     last_core = Hashtbl.create 1024;
-    shares_cache =
-      Array.init ncores (fun a ->
-          Array.init ncores (fun b ->
-              a = b || Topology.affinity_level topo a b <> None));
+    root_of = Topology.root_of_cores topo;
     rs_vertical = Dyn.create ();
     rs_horizontal = Dyn.create ();
     rs_cross = Dyn.create ();
@@ -254,7 +251,7 @@ let probe t =
         | Some _ -> (
             match prev with
             | Some c0 when c0 = core -> Dyn.bump t.rs_vertical w 1
-            | Some c0 when t.shares_cache.(c0).(core) ->
+            | Some c0 when t.root_of.(c0) = t.root_of.(core) ->
                 Dyn.bump t.rs_horizontal w 1
             | Some _ -> Dyn.bump t.rs_cross w 1
             | None -> Dyn.bump t.rs_vertical w 1));

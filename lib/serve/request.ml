@@ -343,6 +343,7 @@ type trace_req = {
   t_machine : Topology.t;
   t_opts : Ingest.options;
   t_text : string;
+  t_scan : Ingest.scan;
   t_sample_sets : int;
   t_nocache : bool;
   t_timeout_ms : int option;
@@ -395,14 +396,16 @@ let parse_trace j =
   let timeout_ms = pos_field j "timeout_ms" in
   (* Strict-mode trace errors (with their line positions) surface here
      as [bad_request], not as [internal] failures mid-execution. *)
-  (match Ingest.scan opts (TraceReader.Text text) with
-  | _ -> ()
-  | exception Ingest.Error msg -> bad "bad trace: %s" msg);
+  let scan =
+    try Ingest.scan opts (TraceReader.Text text)
+    with Ingest.Error msg -> bad "bad trace: %s" msg
+  in
   {
     t_id = Option.value ~default:J.Null (mem "id" j);
     t_machine = machine;
     t_opts = opts;
     t_text = text;
+    t_scan = scan;
     t_sample_sets = sample_sets;
     t_nocache = flag j "nocache";
     t_timeout_ms = timeout_ms;
@@ -437,8 +440,8 @@ let trace_key tr =
 let execute_trace tr =
   let t0 = Unix.gettimeofday () in
   let stats, sc =
-    Ingest.run ~sample_sets:tr.t_sample_sets ~machine:tr.t_machine tr.t_opts
-      (TraceReader.Text tr.t_text)
+    Ingest.run ~sample_sets:tr.t_sample_sets ~scan:tr.t_scan
+      ~machine:tr.t_machine tr.t_opts (TraceReader.Text tr.t_text)
   in
   let report = Ingest.report_json ~machine:tr.t_machine tr.t_opts sc stats in
   (report, [ ("simulate", Unix.gettimeofday () -. t0) ])

@@ -45,8 +45,8 @@ let validate opts =
   | Some l when l < 1 -> fail "split granularity must be >= 1 (got %d)" l
   | _ -> ()
 
-(* Shared per-pass parse state: the counting pass and every per-core
-   cursor each run their own copy over the whole input, so round-robin
+(* Shared per-pass parse state: the counting pass and every reader
+   each run their own copy over the whole input, so round-robin
    dealing and lossy counting come out identical in both. *)
 type line_state = {
   mutable rr : int;
@@ -195,114 +195,175 @@ let scan opts src =
     max_addr = !max_a;
   }
 
-(* --- per-core cursors -------------------------------------------------- *)
+(* --- the replay: per-core cursors over shared readers ------------------ *)
 
 let chunk_size = 4096
+let queue_budget = 1 lsl 18
 
-type cursor_state = {
-  mutable chan : Reader.chan option;
-  mutable st : line_state;
-  buf : int array;
-  mutable len : int;
-  (* Accesses of the line that overflowed the chunk, issue order. *)
-  mutable spill : int list;
-  mutable eof : bool;
+(* A reader is one handle on the source, opened at its first line and
+   closed at the end of its input or with its last member core. *)
+type input = Unread | Open of Reader.chan * line_state | Ended
+type reader = { mutable input : input; mutable members : int }
+
+type core = {
+  length : int;
+  mutable rd : reader;
+  mutable buf : int array;  (* the handed-out chunk; [||] until a refill *)
+  mutable q : int array;  (* dealt, not handed out: [q.(hd) .. q.(tl-1)] *)
+  mutable hd : int;
+  mutable tl : int;
+  mutable taken : int;  (* handed out since the last reset *)
+  mutable skip : int;  (* of those, the ones a re-reading reader drops *)
 }
 
-let make_cursor opts src ~core ~length ~base ~mask : Engine.cursor =
-  let cs =
-    {
-      chan = None;
-      st = fresh_state opts;
-      buf = Array.make chunk_size 0;
-      len = 0;
-      spill = [];
-      eof = false;
-    }
-  in
-  let push e =
-    if cs.len < chunk_size then begin
-      cs.buf.(cs.len) <- e;
-      cs.len <- cs.len + 1
-    end
-    else cs.spill <- e :: cs.spill
-  in
-  let emit_access addr write =
-    push (Engine.encode_access ~addr:((addr - base) land mask) ~write)
-  in
-  let emit f c write =
-    if c = core then emit_span opts f ~emit:emit_access write
-  in
-  let close_chan () =
-    match cs.chan with
-    | Some c ->
-        Reader.close c;
-        cs.chan <- None
-    | None -> ()
-  in
-  (* The engine refills only while the scanned count says accesses
-     remain, so an input that ends first was changed since the scan. *)
-  let refill () =
-    cs.len <- 0;
-    (* A split record can spill more than a chunk: what does not fit
-       again spills afresh. *)
-    let spilled = List.rev cs.spill in
-    cs.spill <- [];
-    List.iter push spilled;
-    if not cs.eof then begin
-      let chan =
-        match cs.chan with
-        | Some c -> c
-        | None ->
-            let c = Reader.open_source src in
-            cs.chan <- Some c;
-            c
-      in
-      while (not cs.eof) && cs.len < chunk_size do
-        if Reader.next chan then
-          process opts cs.st ~check_times:false ~emit (Reader.line_buf chan)
-            (Reader.line_pos chan) (Reader.line_len chan)
-        else begin
-          cs.eof <- true;
-          close_chan ()
-        end
-      done
-    end;
-    if cs.len = 0 then
-      fail "trace cursor pulled past end of stream (core %d)" core;
-    (cs.buf, cs.len)
-  in
-  let reset () =
-    close_chan ();
-    cs.st <- fresh_state opts;
-    cs.spill <- [];
-    cs.eof <- false
-  in
-  { Engine.length; reset; refill }
-
-let streams ?scan:sc opts src =
+(* The cursors of one replay ([streams] in the interface).  Only a core
+   with accesses left to hand out holds a reader open. *)
+let cursors ?scan:sc opts src =
   validate opts;
   let sc = match sc with Some s -> s | None -> scan opts src in
   let base = if opts.rebase then sc.min_addr else 0 in
   let mask =
     match opts.fold_bits with Some b -> (1 lsl b) - 1 | None -> max_int
   in
-  Array.init opts.cores (fun core ->
-      Engine.Gen
-        (make_cursor opts src ~core ~length:sc.per_core.(core) ~base ~mask))
+  let unread () = { input = Unread; members = 0 } in
+  let fresh = ref (unread ()) in
+  let cores =
+    Array.init opts.cores (fun c ->
+        let length = sc.per_core.(c) in
+        let rd = if length > 0 then !fresh else unread () in
+        rd.members <- rd.members + 1;
+        { length; rd; buf = [||]; q = [||]; hd = 0; tl = 0; taken = 0;
+          skip = 0 })
+  in
+  let queued = ref 0 and dealer = ref !fresh and target = ref 0 in
+  let push addr write =
+    let cs = cores.(!target) in
+    if cs.skip > 0 then cs.skip <- cs.skip - 1
+    else begin
+      if cs.tl = Array.length cs.q then begin
+        (* Compact in place while at most half is live, else double. *)
+        let live = cs.tl - cs.hd in
+        let q =
+          if 2 * live < cs.tl then cs.q else Array.make (max 8 (2 * cs.tl)) 0
+        in
+        Array.blit cs.q cs.hd q 0 live;
+        cs.q <- q;
+        cs.hd <- 0;
+        cs.tl <- live
+      end;
+      cs.q.(cs.tl) <-
+        Engine.encode_access ~addr:((addr - base) land mask) ~write;
+      cs.tl <- cs.tl + 1;
+      incr queued
+    end
+  in
+  let emit f c write =
+    if cores.(c).rd == !dealer then begin
+      target := c;
+      emit_span opts f ~emit:push write
+    end
+  in
+  let close r =
+    (match r.input with Open (ch, _) -> Reader.close ch | _ -> ());
+    r.input <- Ended
+  in
+  (* [cs] drops its queue and leaves its reader for [r]. *)
+  let move cs r =
+    queued := !queued - (cs.tl - cs.hd);
+    cs.q <- [||];
+    cs.hd <- 0;
+    cs.tl <- 0;
+    cs.rd.members <- cs.rd.members - 1;
+    if cs.rd.members = 0 then close cs.rd;
+    r.members <- r.members + 1;
+    cs.rd <- r
+  in
+  (* Over the budget: the longest queue on [r] other than [self]'s. *)
+  let evict r ~self =
+    let len c =
+      if c = self || cores.(c).rd != r then 0 else cores.(c).tl - cores.(c).hd
+    in
+    let v = ref 0 in
+    Array.iteri (fun c _ -> if len c > len !v then v := c) cores;
+    len !v > 0
+    && begin
+         move cores.(!v) (unread ());
+         cores.(!v).skip <- cores.(!v).taken;
+         true
+       end
+  in
+  (* The engine refills only while the scanned count says accesses
+     remain, so an input that ends first was changed since the scan. *)
+  let refill self () =
+    let cs = cores.(self) in
+    let want = min chunk_size (cs.length - cs.taken) in
+    while cs.tl - cs.hd < want && cs.rd.input != Ended do
+      let r = cs.rd in
+      match r.input with
+      | Unread -> r.input <- Open (Reader.open_source src, fresh_state opts)
+      | Open (ch, st) when Reader.next ch ->
+          dealer := r;
+          process opts st ~check_times:false ~emit (Reader.line_buf ch)
+            (Reader.line_pos ch) (Reader.line_len ch);
+          while !queued > queue_budget && evict r ~self do () done
+      | _ -> close r
+    done;
+    let n = min want (cs.tl - cs.hd) in
+    if n <= 0 then fail "trace cursor pulled past end of stream (core %d)" self;
+    if Array.length cs.buf = 0 then
+      cs.buf <- Array.make (min chunk_size cs.length) 0;
+    Array.blit cs.q cs.hd cs.buf 0 n;
+    cs.hd <- cs.hd + n;
+    queued := !queued - n;
+    cs.taken <- cs.taken + n;
+    (* Done: leave the reader, which closes with its last member. *)
+    if cs.taken = cs.length then move cs (unread ());
+    (cs.buf, n)
+  in
+  let reset self () =
+    let cs = cores.(self) in
+    if !fresh.input <> Unread then fresh := unread ();
+    if cs.length > 0 && cs.rd != !fresh then move cs !fresh;
+    cs.taken <- 0;
+    cs.skip <- 0
+  in
+  Array.mapi
+    (fun c cs ->
+      { Engine.length = cs.length; reset = reset c; refill = refill c })
+    cores
 
-let load ?scan opts src = Array.map Engine.force_stream (streams ?scan opts src)
+let streams ?scan opts src =
+  Array.map (fun c -> Engine.Gen c) (cursors ?scan opts src)
+
+(* The cores take chunks in turn, so the trace is parsed once. *)
+let load ?scan opts src =
+  let curs = cursors ?scan opts src in
+  Array.iter (fun (c : Engine.cursor) -> c.reset ()) curs;
+  let out = Array.map (fun (c : Engine.cursor) -> Array.make c.length 0) curs in
+  let filled = Array.make (Array.length curs) 0 in
+  while Array.exists2 (fun (c : Engine.cursor) k -> k < c.length) curs filled do
+    Array.iteri
+      (fun i (c : Engine.cursor) ->
+        if filled.(i) < c.length then begin
+          let buf, n = c.refill () in
+          let n = min n (c.length - filled.(i)) in
+          Array.blit buf 0 out.(i) filled.(i) n;
+          filled.(i) <- filled.(i) + n
+        end)
+      curs
+  done;
+  out
 
 (* --- running a trace on a machine -------------------------------------- *)
 
-let run ?(config = Engine.default_config) ?(sample_sets = 1) ~machine opts src
-    =
+let run ?(config = Engine.default_config) ?(sample_sets = 1) ?scan:sc ~machine
+    opts src =
   validate opts;
   let n = machine.Topology.num_cores in
   if opts.cores > n then
     fail "trace interleaved over %d cores but machine %s has only %d"
       opts.cores machine.Topology.name n;
-  let sc = scan opts src in
+  let sc = match sc with Some s -> s | None -> scan opts src in
   let strs = streams ~scan:sc opts src in
   (* Idle cores of the machine run empty streams. *)
   let padded =

@@ -4,9 +4,9 @@
     per-core streams (the {!Ctam_cachesim.Engine.cursor} contract
     needs exact lengths) and finds the address range for rebasing; the
     cursors then hand the accesses out in fixed-size chunks, so a
-    multi-gigabyte trace never materializes.  Every per-core cursor
-    reads the whole input and keeps only its own accesses —
-    memory-bounded, and the engine may interleave refills across cores
+    multi-gigabyte trace never materializes.  The cursors of one replay
+    share readers, so the input is parsed once for all cores, in
+    bounded memory, and the engine may interleave refills across cores
     in any order. *)
 
 exception Error of string
@@ -67,24 +67,36 @@ type scan = {
     lines, and on invalid options in every mode. *)
 val scan : options -> Reader.source -> scan
 
+(** The accesses one replay's queues hold together: 2^18 (2 MB). *)
+val queue_budget : int
+
 (** Per-core generator-backed streams.  Pass [?scan] to reuse a
     counting pass; otherwise one is run.  Strict-mode parse errors
     surface as [Error] from inside the engine's refills, and so does an
     input that ends before the scan's count (the trace changed since
-    the scan); the engine reads no access past the count. *)
+    the scan); the engine reads no access past the count.  A core's
+    refill takes from its own queue, advancing its reader (which deals
+    to every core on it) only while the queue is short of a chunk.
+    Past {!queue_budget}, the longest queue other than the refilling
+    core's is dropped, and its core re-reads the input on a reader of
+    its own, skipping what it has handed out: at worst one pass per
+    core, in memory bounded whatever the trace's length.  A reset
+    core joins an unread reader shared by the cores reset after it. *)
 val streams :
   ?scan:scan -> options -> Reader.source -> Ctam_cachesim.Engine.stream array
 
-(** Materialized per-core encoded access arrays. *)
+(** Materialized per-core encoded access arrays, from one replay. *)
 val load : ?scan:scan -> options -> Reader.source -> int array array
 
 (** [run ~machine opts src] replays the trace on a fresh hierarchy of
     [machine] as one phase, idle machine cores running empty streams.
-    [sample_sets] is passed through to {!Ctam_cachesim.Hierarchy.create}.
+    [sample_sets] is passed through to {!Ctam_cachesim.Hierarchy.create},
+    [?scan] as in {!streams}.
     @raise Error when the trace uses more cores than the machine has. *)
 val run :
   ?config:Ctam_cachesim.Engine.config ->
   ?sample_sets:int ->
+  ?scan:scan ->
   machine:Ctam_arch.Topology.t ->
   options ->
   Reader.source ->

@@ -39,13 +39,13 @@ let open_source = function
   | File path ->
       if not (Sys.file_exists path) then
         raise (Sys_error (path ^ ": no such file"));
-      (* Each core's cursor reopens the source, which a pipe cannot
+      (* A replay reopens the source after its scan, which a pipe cannot
          honour.  [stat] follows links, so [/dev/stdin] redirected from
          a file passes. *)
       if (Unix.stat path).Unix.st_kind <> Unix.S_REG then
         raise
           (Sys_error
-             (path ^ ": not a regular file (a trace is read once per core)"));
+             (path ^ ": not a regular file (a trace is read more than once)"));
       let input =
         if is_gzip path then
           Gunzip

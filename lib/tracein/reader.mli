@@ -1,7 +1,7 @@
 (** Line-oriented trace input.
 
-    A {!source} can be reopened any number of times — the trace
-    cursors in {!Ingest} rewind by reopening — and gzip-compressed
+    A {!source} can be reopened any number of times — {!Ingest} reads
+    a trace to count it, then again to replay it — and gzip-compressed
     files are detected by their magic bytes (not the extension) and
     decompressed through the system [gzip], so callers never care
     whether a trace is compressed.

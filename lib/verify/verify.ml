@@ -62,9 +62,8 @@ let check_topology topo =
          (n - 1)
          Fmt.(list ~sep:comma int)
          leaf_cores);
-  let path_levels c =
-    List.map (fun p -> p.Topology.level) (Topology.path_of_core topo c)
-  in
+  let paths = Array.init n (Topology.path_of_core topo) in
+  let path_levels c = List.map (fun p -> p.Topology.level) paths.(c) in
   for c = 0 to n - 1 do
     let levels = path_levels c in
     let rec strictly_ascending = function
@@ -114,11 +113,16 @@ let check_topology topo =
              Fmt.(list ~sep:comma int)
              with_level))
     (Topology.levels topo);
-  (* The sharing relation must be symmetric. *)
+  (* The sharing relation ([Topology.affinity_level]) must be symmetric. *)
+  let affinity c1 c2 =
+    let shared (p : Topology.cache_params) =
+      List.exists (fun q -> q.Topology.cache_name = p.cache_name) paths.(c2)
+    in
+    Option.map (fun p -> p.Topology.level) (List.find_opt shared paths.(c1))
+  in
   for c1 = 0 to n - 1 do
     for c2 = c1 + 1 to n - 1 do
-      let a = Topology.affinity_level topo c1 c2
-      and b = Topology.affinity_level topo c2 c1 in
+      let a = affinity c1 c2 and b = affinity c2 c1 in
       if a <> b then
         add
           (issue "topology"

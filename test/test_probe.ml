@@ -200,6 +200,75 @@ let test_reuse_split_partitions () =
         (Array.fold_left ( + ) 0 sets))
     (Probe_sinks.Reuse_split.conflicts rs)
 
+(* A reuse by another core is horizontal exactly when the two cores
+   share a cache ([Topology.affinity_level]), on every preset. *)
+let test_reuse_split_sharing () =
+  let module T = Ctam_arch.Topology in
+  List.iter
+    (fun (m : T.t) ->
+      let rs = Probe_sinks.Reuse_split.create m in
+      let p = Probe_sinks.Reuse_split.probe rs in
+      let count (h : Reuse.histogram) =
+        Array.fold_left ( + ) 0 h.Reuse.buckets
+      in
+      let line = ref 0 in
+      for a = 0 to m.T.num_cores - 1 do
+        for b = 0 to m.T.num_cores - 1 do
+          if a <> b then begin
+            incr line;
+            let h = count (Probe_sinks.Reuse_split.horizontal rs) in
+            p.Probe.on_access ~core:a ~addr:0 ~line:!line ~write:false;
+            p.Probe.on_access ~core:b ~addr:0 ~line:!line ~write:false;
+            check_bool
+              (Printf.sprintf "%s: cores %d, %d" m.T.name a b)
+              (T.affinity_level m a b <> None)
+              (count (Probe_sinks.Reuse_split.horizontal rs) = h + 1)
+          end
+        done
+      done)
+    Ctam_arch.Machines.
+      [
+        harpertown ~scale:16 (); nehalem ~scale:16 (); dunnington ~scale:16 ();
+        arch_i ~scale:16 (); arch_ii ~scale:16 ();
+      ]
+
+(* Building the sink is linear in cores: 256 private L1s under one L2
+   once took an N x N table of 65 K words. *)
+let test_reuse_split_linear () =
+  let module T = Ctam_arch.Topology in
+  let n = 256 in
+  let cache name level size children =
+    T.Cache
+      ( {
+          T.cache_name = name;
+          level;
+          size_bytes = size;
+          assoc = 4;
+          line = 64;
+          latency = 4 * level;
+          policy = Ctam_arch.Policy.Lru;
+        },
+        children )
+  in
+  let topo =
+    T.make ~name:"wide" ~clock_ghz:1. ~mem_latency:100
+      [
+        cache "L2" 2 65536
+          (List.init n (fun c ->
+               cache (Printf.sprintf "L1#%d" c) 1 4096 [ T.Core c ]));
+      ]
+  in
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = allocated () in
+  ignore (Sys.opaque_identity (Probe_sinks.Reuse_split.create topo));
+  let words = allocated () -. before in
+  let bound = 64 * n in
+  if words > float_of_int bound then
+    Alcotest.failf "create allocated %.0f words, over the bound %d" words bound
+
 (* Probes only observe: cycles identical with and without sinks. *)
 let test_null_sink_identical () =
   let c = compiled () in
@@ -436,6 +505,10 @@ let () =
             test_group_attribution_sums;
           Alcotest.test_case "reuse split partitions accesses" `Quick
             test_reuse_split_partitions;
+          Alcotest.test_case "reuse split sharing" `Quick
+            test_reuse_split_sharing;
+          Alcotest.test_case "reuse split is linear" `Quick
+            test_reuse_split_linear;
           Alcotest.test_case "retire events" `Quick test_retire_events;
         ] );
       ( "timeline",

@@ -626,6 +626,380 @@ let test_stale_scan () =
         (replay ~scanned:100 ~replayed:200 sample_sets).Stats.total_accesses)
     [ 1; 16 ]
 
+(* --- the shared replay --------------------------------------------------- *)
+
+(* A naive one-pass dealer written from [Lackey.parse_line] and the
+   options' definitions: every core's encoded accesses, in order.  It
+   expects strict traces to be well-formed. *)
+let oracle_deal (o : Ingest.options) text =
+  let dealt = ref [] and rr = ref 0 in
+  List.iter
+    (fun line ->
+      match Lackey.parse_line line with
+      | Ok None | Error _ -> ()
+      | Ok (Some r) -> (
+          let lines =
+            match o.Ingest.split with
+            | None -> Some [ r.Lackey.addr ]
+            | Some l ->
+                if r.addr > max_int - r.size + 1 then None
+                else
+                  let first = r.addr / l and last = (r.addr + r.size - 1) / l in
+                  if last - first + 1 > Ingest.max_split_lines then None
+                  else
+                    Some
+                      (r.addr
+                      :: List.init (last - first) (fun i ->
+                             (first + 1 + i) * l))
+          in
+          let core =
+            match o.Ingest.interleave with
+            | Ingest.Round_robin -> Some (!rr mod o.Ingest.cores)
+            | Ingest.Tagged -> (
+                match r.core with
+                | None -> Some 0
+                | Some c when c < o.Ingest.cores -> Some c
+                | Some _ -> None)
+          in
+          match (lines, core) with
+          | Some lines, Some c when r.kind <> Lackey.Instr || o.Ingest.instr ->
+              incr rr;
+              let span write =
+                List.iter (fun a -> dealt := (c, a, write) :: !dealt) lines
+              in
+              if r.kind = Lackey.Modify then begin
+                span false;
+                span true
+              end
+              else span (r.kind = Lackey.Store)
+          | _ -> ()))
+    (String.split_on_char '\n' text);
+  let dealt = List.rev !dealt in
+  let base =
+    if o.Ingest.rebase then
+      List.fold_left (fun m (_, a, _) -> min m a) max_int dealt
+    else 0
+  in
+  let mask =
+    match o.Ingest.fold_bits with Some b -> (1 lsl b) - 1 | None -> max_int
+  in
+  let module V = Ctam_util.Int_vec in
+  let per_core = Array.init o.Ingest.cores (fun _ -> V.create ()) in
+  List.iter
+    (fun (c, a, write) ->
+      V.push per_core.(c)
+        (Engine.encode_access ~addr:((a - base) land mask) ~write))
+    dealt;
+  Array.map (fun (v : V.t) -> V.sub v 0 v.length) per_core
+
+(* [big] modifies of 65536 bytes, each 2 x 65536 accesses under
+   [split 1], dealt to core 0 before any of core 1's [small] records:
+   waiting for its first chunk, core 1 deals core 0 past the queue
+   budget. *)
+let skewed_lines ~tagged ~cores ~big ~small =
+  let tag c = if tagged then Printf.sprintf "%d:" c else "" in
+  if tagged then
+    List.init big (fun i -> Printf.sprintf "%s M %x,65536" (tag 0) (i * 65536))
+    @ List.init small (fun i ->
+          Printf.sprintf "%s L %x,8" (tag 1) (0x4000000 + (64 * i)))
+  else
+    (* Round-robin: core 0 takes the big records, the others small ones. *)
+    List.concat
+      (List.init big (fun i ->
+           Printf.sprintf " M %x,65536" (i * 65536)
+           :: List.init (cores - 1) (fun j ->
+                  Printf.sprintf " L %x,8"
+                    (0x4000000 + (64 * ((i * cores) + j))))))
+
+let gen_replay_case =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun cores ->
+    bool >>= fun tagged ->
+    bool >>= fun lossy ->
+    frequency [ (4, return `Small); (1, return `Skewed); (1, return `Long) ]
+    >>= fun shape ->
+    let skewed = shape = `Skewed && cores > 1 in
+    let split =
+      if skewed then return (Some 1)
+      else oneofl [ None; None; Some 1; Some 8; Some 64 ]
+    in
+    split >>= fun split ->
+    triple bool bool (oneofl [ None; Some 12; Some 20 ])
+    >>= fun (instr, rebase, fold_bits) ->
+    let tag =
+      if not tagged then return ""
+      else
+        frequency
+          [
+            (1, return "");
+            (6, map (Printf.sprintf "%d:") (int_range 0 (cores - 1)));
+            ( (if lossy then 1 else 0),
+              map (Printf.sprintf "%d:") (int_range cores 9) );
+          ]
+    in
+    let size = frequency [ (10, int_range 1 16); (1, int_range 1 10000) ] in
+    let record =
+      map3
+        (fun t (k, a) s -> Printf.sprintf "%s %c %x,%d" t k a s)
+        tag
+        (pair (oneofl [ 'I'; 'L'; 'L'; 'S'; 'M' ]) (int_range 0 (1 lsl 24)))
+        size
+    in
+    let line =
+      frequency
+        [
+          (12, record);
+          (1, return "# note");
+          ((if lossy then 1 else 0), return " X junk");
+        ]
+    in
+    list_size (int_range 0 120) line >>= fun lines ->
+    (* Long: one- or two-access records, several chunks per core. *)
+    pair (int_range (cores * 4096) (cores * 12288)) (int_range 0 1_000_000)
+    >>= fun (n, seed) ->
+    let lines =
+      if skewed then skewed_lines ~tagged ~cores ~big:3 ~small:8 @ lines
+      else if shape = `Long then
+        List.init n (fun i ->
+            let h = (i * 7919) + seed in
+            Printf.sprintf "%s %c %x,8"
+              (if tagged then Printf.sprintf "%d:" (h * 31 mod cores) else "")
+              (if h mod 5 = 0 then 'M' else 'L')
+              (64 * (h mod 4099)))
+        @ lines
+      else lines
+    in
+    list_size (int_range 0 40)
+      (pair (int_range 0 (cores - 1))
+         (frequency [ (6, return false); (1, return true) ]))
+    >>= fun schedule ->
+    (* Skewed: core 0 holds a chunk when core 1 deals it past the budget. *)
+    let schedule = if skewed then (0, false) :: schedule else schedule in
+    return
+      ( {
+          Ingest.cores;
+          instr;
+          lossy;
+          fold_bits;
+          rebase;
+          split;
+          interleave = (if tagged then Ingest.Tagged else Ingest.Round_robin);
+        },
+        String.concat "\n" lines ^ "\n",
+        schedule ))
+
+(* The cursors of one replay, driven by a random schedule of refills
+   and resets across cores, then drained in turn: each core receives
+   exactly its oracle accesses, in order.  A chunk is read only when
+   its core next refills or resets, after the other cores' refills
+   have dealt into the queues. *)
+let prop_replay_matches_oracle =
+  QCheck.Test.make ~name:"replay equals a one-pass dealer" ~count:60
+    (QCheck.make
+       ~print:(fun ((o : Ingest.options), text, schedule) ->
+         let opt = function Some v -> string_of_int v | None -> "-" in
+         Printf.sprintf
+           "cores=%d %s instr=%b lossy=%b rebase=%b fold=%s split=%s\n\
+            %s\nschedule: %s"
+           o.cores
+           (Ingest.interleave_to_string o.interleave)
+           o.instr o.lossy o.rebase (opt o.fold_bits) (opt o.split)
+           (if String.length text > 2000 then String.sub text 0 2000 ^ "..."
+            else text)
+           (String.concat " "
+              (List.map
+                 (fun (c, r) ->
+                   Printf.sprintf "%s%d" (if r then "reset" else "refill") c)
+                 schedule)))
+       gen_replay_case)
+    (fun (opts, text, schedule) ->
+      let module V = Ctam_util.Int_vec in
+      let want = oracle_deal opts text in
+      let src = Reader.Text text in
+      let sc = Ingest.scan opts src in
+      if sc.Ingest.per_core <> Array.map Array.length want then
+        QCheck.Test.fail_report "the scan disagrees with the oracle";
+      let curs =
+        Array.map
+          (function Engine.Gen c -> c | Engine.Dense _ -> assert false)
+          (Ingest.streams ~scan:sc opts src)
+      in
+      Array.iter (fun (c : Engine.cursor) -> c.reset ()) curs;
+      let got = Array.map (fun _ -> V.create ()) curs in
+      let pending = Array.map (fun _ -> ([||], 0)) curs in
+      let flush c =
+        let buf, n = pending.(c) in
+        for i = 0 to n - 1 do
+          V.push got.(c) buf.(i)
+        done;
+        pending.(c) <- ([||], 0);
+        let v = got.(c) in
+        for i = 0 to v.V.length - 1 do
+          if v.V.data.(i) <> want.(c).(i) then
+            QCheck.Test.fail_reportf "core %d: access %d differs" c i
+        done
+      in
+      let taken c = got.(c).V.length + snd pending.(c) in
+      let refill c =
+        let left = curs.(c).Engine.length - taken c in
+        if left > 0 then begin
+          flush c;
+          let buf, n = curs.(c).Engine.refill () in
+          pending.(c) <- (buf, min n left)
+        end
+      in
+      List.iter
+        (fun (c, reset) ->
+          if reset then begin
+            flush c;
+            V.clear got.(c);
+            curs.(c).Engine.reset ()
+          end
+          else refill c)
+        schedule;
+      let busy = ref true in
+      while !busy do
+        busy := false;
+        Array.iteri
+          (fun c (cur : Engine.cursor) ->
+            if taken c < cur.length then begin
+              refill c;
+              busy := true
+            end)
+          curs
+      done;
+      Array.iteri (fun c _ -> flush c) curs;
+      Array.for_all2 (fun (v : V.t) w -> V.sub v 0 v.length = w) got want)
+
+(* Words allocated so far: [Gc.counters]'s minor count lags the minor
+   heap, [Gc.minor_words] does not. *)
+let allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let test_skewed_replay_memory () =
+  (* Core 0's queue would hold all of its accesses before core 1's
+     first record; the budget caps it, whatever the trace's length.  A
+     queue passes the budget by at most one record (here 2 x 65536
+     accesses) before it is dropped, the fallback reader's queue takes
+     a record too, and a growing queue allocates twice what it holds:
+     without the budget, this replay allocates over 8 M words. *)
+  let opts =
+    {
+      Ingest.default with
+      Ingest.cores = 2;
+      interleave = Ingest.Tagged;
+      split = Some 1;
+    }
+  in
+  let m = machine () in
+  let src =
+    Reader.Text
+      (String.concat "\n" (skewed_lines ~tagged:true ~cores:2 ~big:20 ~small:8)
+      ^ "\n")
+  in
+  let sc = Ingest.scan opts src in
+  let strs = Ingest.streams ~scan:sc opts src in
+  let phase =
+    Array.init m.Ctam_arch.Topology.num_cores (fun i ->
+        if i < 2 then strs.(i) else Engine.dense [||])
+  in
+  let h = Hierarchy.create m in
+  let before = allocated () in
+  let st = Engine.run_streams h [ phase ] in
+  let words = allocated () -. before in
+  check_int "every access" (sc.Ingest.per_core.(0) + sc.Ingest.per_core.(1))
+    st.Stats.total_accesses;
+  check_bool "core 0 is past eight budgets" true
+    (sc.Ingest.per_core.(0) > 8 * Ingest.queue_budget);
+  let bound = 8 * Ingest.queue_budget in
+  if words > float_of_int bound then
+    Alcotest.failf "the replay allocated %.0f words, over the bound %d" words
+      bound
+
+let test_fallback_resumes () =
+  (* Core 0 takes one chunk; core 1 then deals core 0's queue past the
+     budget, so core 0 finishes on a reader of its own that re-reads
+     the trace and must skip the chunk it has handed out. *)
+  let opts =
+    {
+      Ingest.default with
+      Ingest.cores = 2;
+      interleave = Ingest.Tagged;
+      split = Some 1;
+    }
+  in
+  let src =
+    Reader.Text
+      (String.concat "\n" (skewed_lines ~tagged:true ~cores:2 ~big:3 ~small:8)
+      ^ "\n")
+  in
+  let expected c i =
+    if c = 1 then
+      Engine.encode_access
+        ~addr:(0x4000000 + (64 * (i / 8)) + (i mod 8))
+        ~write:false
+    else
+      let r = i / 131072 and k = i mod 131072 in
+      Engine.encode_access
+        ~addr:((r * 65536) + (k mod 65536))
+        ~write:(k >= 65536)
+  in
+  let curs =
+    Array.map
+      (function Engine.Gen c -> c | Engine.Dense _ -> assert false)
+      (Ingest.streams opts src)
+  in
+  Array.iter (fun (c : Engine.cursor) -> c.reset ()) curs;
+  let taken = [| 0; 0 |] in
+  let pull c =
+    let buf, n = curs.(c).Engine.refill () in
+    let n = min n (curs.(c).Engine.length - taken.(c)) in
+    for i = 0 to n - 1 do
+      if buf.(i) <> expected c (taken.(c) + i) then
+        Alcotest.failf "core %d: access %d differs" c (taken.(c) + i)
+    done;
+    taken.(c) <- taken.(c) + n
+  in
+  pull 0;
+  check_bool "core 0 holds a chunk" true (taken.(0) > 0);
+  List.iter
+    (fun c ->
+      while taken.(c) < curs.(c).Engine.length do
+        pull c
+      done)
+    [ 1; 0 ];
+  check_int "core 0's accesses" (3 * 131072) taken.(0);
+  check_int "core 1's accesses" 64 taken.(1)
+
+let test_wide_replay () =
+  (* 4,096 records over 2,048 cores: buffers sized to each core's two
+     accesses, not a 4,096-access chunk each. *)
+  let cores = 2048 and records = 4096 in
+  let opts = { Ingest.default with Ingest.cores } in
+  let src =
+    Reader.Text
+      (String.concat ""
+         (List.init records (fun i -> Printf.sprintf " L %x,8\n" (64 * i))))
+  in
+  let sc = Ingest.scan opts src in
+  let before = allocated () in
+  let loaded = Ingest.load ~scan:sc opts src in
+  let words = allocated () -. before in
+  check_bool "every core its two accesses" true
+    (Array.for_all Fun.id
+       (Array.mapi
+          (fun c a ->
+            a
+            = Array.map
+                (fun r -> Engine.encode_access ~addr:(64 * r) ~write:false)
+                [| c; c + cores |])
+          loaded));
+  let bound = 64 * records in
+  if words > float_of_int bound then
+    Alcotest.failf "the replay allocated %.0f words, over the bound %d" words
+      bound
+
 let test_fold_and_rebase () =
   let src = Reader.Text " L 0xdeadb000,8\n S 0xdeadb040,8\n L 0xdeadf000,4\n" in
   (* Rebase pulls the trace down to offset 0. *)
@@ -761,8 +1135,40 @@ let test_sources_agree () =
               (observe (Reader.File (gzip_copy path)) = from_text)))
     source_inputs
 
+let test_readers_close () =
+  (* A replay closes its readers, here with core 1 idle and the input
+     ending in a note after core 0's last access, from a plain and a
+     gzipped file: each replay once kept one descriptor (and a
+     decompressor) open. *)
+  if Sys.file_exists "/proc/self/fd" then begin
+    let path =
+      tmp_trace
+        (String.concat ""
+           (List.init 300 (fun i -> Printf.sprintf "0: L 0x%x,8\n" (64 * i)))
+        ^ "# end\n")
+    in
+    let paths =
+      if gzip_available () then [ path; gzip_copy path ] else [ path ]
+    in
+    Fun.protect
+      ~finally:(fun () -> List.iter Sys.remove paths)
+      (fun () ->
+        let opts =
+          { Ingest.default with Ingest.cores = 2; interleave = Ingest.Tagged }
+        in
+        let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+        let before = fds () in
+        List.iter
+          (fun p ->
+            for _ = 1 to 5 do
+              ignore (Ingest.run ~machine:(machine ()) opts (Reader.File p))
+            done)
+          paths;
+        check_int "open descriptors" before (fds ()))
+  end
+
 let test_fifo_rejected () =
-  (* Each core's cursor reopens the trace, and a pipe cannot be
+  (* A replay reopens the trace after its scan, and a pipe cannot be
      reopened: a non-regular file is refused up front instead of
      replaying as empty.  [stat] does not open the FIFO, so no writer
      is needed. *)
@@ -845,6 +1251,11 @@ let () =
           Alcotest.test_case "sample sets compose" `Quick
             test_sample_sets_compose;
           Alcotest.test_case "stale scan" `Quick test_stale_scan;
+          QCheck_alcotest.to_alcotest prop_replay_matches_oracle;
+          Alcotest.test_case "skewed replay memory" `Quick
+            test_skewed_replay_memory;
+          Alcotest.test_case "fallback resumes" `Quick test_fallback_resumes;
+          Alcotest.test_case "wide replay" `Quick test_wide_replay;
           Alcotest.test_case "fold and rebase" `Quick test_fold_and_rebase;
           Alcotest.test_case "core bound" `Quick
             test_run_rejects_too_many_cores;
@@ -854,6 +1265,7 @@ let () =
           Alcotest.test_case "file == text" `Quick test_sources_agree;
           Alcotest.test_case "gzip" `Quick test_gzip_roundtrip;
           Alcotest.test_case "truncated gzip" `Quick test_gzip_truncated;
+          Alcotest.test_case "readers close" `Quick test_readers_close;
         ] );
       ( "report",
         [ Alcotest.test_case "simtrace json" `Quick test_report_json ] );

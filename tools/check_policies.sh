@@ -10,7 +10,8 @@
 #   3. malformed trace lines are rejected WITH their line position in
 #      strict mode, and merely counted in --lossy mode (an overflowing
 #      or too wide --split span included); a truncated gzip trace
-#      fails;
+#      fails; a tagged trace skewed past the replay's queue budget
+#      replays the same from a plain and a gzipped copy;
 #   4. a bogus --policy spec is rejected before any work happens.
 # Wired into `dune runtest` from tools/dune; also runnable by hand:
 #
@@ -137,6 +138,32 @@ if command -v gzip > /dev/null 2>&1; then
   grep -q "cut.gz" "$tmp/err" || {
     echo "check_policies: gzip failure does not name the file:" >&2
     cat "$tmp/err" >&2
+    exit 1
+  }
+fi
+
+# 3e. A 2-core tagged trace whose 300,000 core-0 records all come
+#     before core 1's 1,000: dealing core 0's queue past the replay's
+#     budget (2^18 accesses) moves core 0 to a reader of its own, which
+#     reopens the trace, through `gzip -dc` for a compressed copy.  The
+#     plain and gzipped replays must report the same, with every
+#     record on its core.
+awk 'BEGIN {
+  for (i = 0; i < 300000; i++) printf "0: L %x,8\n", 4096 + (i % 65536) * 64
+  for (i = 0; i < 1000; i++) printf "1: S %x,8\n", 4096 + (i * 7919 % 4096) * 64
+}' > "$tmp/skewed.trace"
+"$CTAMAP" simtrace "$tmp/skewed.trace" -m dunnington --interleave tagged \
+  --cores 2 --json > "$tmp/skewed.json"
+tr -d ' \n' < "$tmp/skewed.json" | grep -q '"per_core":\[300000,1000\]' || {
+  echo "check_policies: skewed tagged replay lost its per-core counts" >&2
+  exit 1
+}
+if command -v gzip > /dev/null 2>&1; then
+  gzip -c "$tmp/skewed.trace" > "$tmp/skewed.gz"
+  "$CTAMAP" simtrace "$tmp/skewed.gz" -m dunnington --interleave tagged \
+    --cores 2 --json > "$tmp/skewed_gz.json"
+  cmp -s "$tmp/skewed.json" "$tmp/skewed_gz.json" || {
+    echo "check_policies: gzipped skewed replay differs from plain" >&2
     exit 1
   }
 fi
