@@ -78,6 +78,25 @@ let micro ?(scale = 16) () =
     p.(0) <- stream;
     [ p ]
   in
+  (* A replay on a few cores of a wide machine, as [simtrace --cores 4]
+     deals one: 2^16 word accesses over 256 KB, three in four of them
+     writes, dealt round-robin to cores 0-3 of full-capacity Dunnington,
+     so each line is shared by all four cores and 8 of its 12 cores
+     stay idle. *)
+  let full = Ctam_arch.Machines.dunnington () in
+  let full_hierarchy = Ctam_cachesim.Hierarchy.create full in
+  let round_robin_phase =
+    let p = Array.make full.Ctam_arch.Topology.num_cores [||] in
+    for c = 0 to 3 do
+      p.(c) <-
+        Array.init (1 lsl 14) (fun k ->
+            let i = (4 * k) + c in
+            Ctam_cachesim.Engine.encode_access
+              ~addr:(8 * (i land 0x7fff))
+              ~write:(i land 3 <> 0))
+    done;
+    [ p ]
+  in
   let tests =
     Test.make_grouped ~name:"ctam" ~fmt:"%s %s"
       [
@@ -104,6 +123,9 @@ let micro ?(scale = 16) () =
         Test.make ~name:"simulate (serial stream, scan engine)"
           (Staged.stage (fun () ->
                Ctam_cachesim.Engine.run_reference hierarchy serial_phase));
+        Test.make ~name:"simulate (4 of 12 cores, round-robin)"
+          (Staged.stage (fun () ->
+               Ctam_cachesim.Engine.run full_hierarchy round_robin_phase));
         Test.make ~name:"parallel-map (8 tasks, 2 domains)"
           (Staged.stage (fun () ->
                Ctam_util.Parallel.map ~domains:2

@@ -104,6 +104,16 @@ let path_of_core t c =
   | Some path -> path (* innermost first: level ascending *)
   | None -> invalid_arg "Topology.path_of_core: core not found"
 
+(* [make] admits each core of [0 .. num_cores - 1] exactly once. *)
+let paths t =
+  let paths = Array.make t.num_cores [] in
+  let rec walk above = function
+    | Core c -> paths.(c) <- above
+    | Cache (p, children) -> List.iter (walk (p :: above)) children
+  in
+  List.iter (walk []) t.roots;
+  paths
+
 let affinity_level t c1 c2 =
   if c1 = c2 then
     match path_of_core t c1 with p :: _ -> Some p.level | [] -> None

@@ -46,6 +46,11 @@ val levels : t -> int list
     @raise Invalid_argument if [c] is out of range. *)
 val path_of_core : t -> int -> cache_params list
 
+(** [paths t] is every core's {!path_of_core}, indexed by core, from
+    one walk of the tree: linear in its size, where a call of
+    {!path_of_core} per core is quadratic. *)
+val paths : t -> cache_params list array
+
 (** [cores_under tree] lists the core ids below a tree node. *)
 val cores_under : tree -> int list
 

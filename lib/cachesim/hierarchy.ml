@@ -28,6 +28,13 @@ type t = {
      owner. *)
   w_line : int array;
   w_owner : int array;
+  (* The caches that may hold a line, in ascending instance order:
+     [filled.(0 .. n_filled - 1)].  Every cache with a resident line is
+     on it, so the write-invalidate sweep walks it instead of every
+     instance.  [listed.(i)] says whether instance [i] is on it. *)
+  filled : int array;
+  mutable n_filled : int;
+  listed : bool array;
   line : int;
   line_shift : int;  (* log2 line when line is a power of two, -1 otherwise *)
   levels : int array;  (* distinct cache levels, ascending *)
@@ -174,6 +181,9 @@ let create ?(coherence = true) ?(probe = Probe.null) ?(sample_sets = 1) topo =
     coherence;
     w_line = Array.make (if coherence then filter_slots else 0) (-1);
     w_owner = Array.make (if coherence then filter_slots else 0) (-1);
+    filled = Array.make ninst 0;
+    n_filled = 0;
+    listed = Array.make ninst false;
     line;
     line_shift = log2_exact line;
     levels;
@@ -191,6 +201,19 @@ let probe t = t.probe
 let set_probe t p =
   t.probe <- p;
   t.observed <- not (Probe.is_null p)
+
+(* Put instance [i] on the filled list, keeping it ascending.  A cache
+   joins at most once per [clear], so the shifts cost no more than one
+   sweep. *)
+let list_instance t i =
+  t.listed.(i) <- true;
+  let k = ref t.n_filled in
+  while !k > 0 && t.filled.(!k - 1) > i do
+    t.filled.(!k) <- t.filled.(!k - 1);
+    decr k
+  done;
+  t.filled.(!k) <- i;
+  t.n_filled <- t.n_filled + 1
 
 let access t ~core ~addr ~write =
   if core < 0 || core >= Array.length t.paths then
@@ -227,21 +250,25 @@ let access t ~core ~addr ~write =
      the hit point (all of them on a memory miss).  Each of those just
      missed, so the line is known absent. *)
   let fill_upto = if !hit_at < 0 then n - 1 else !hit_at - 1 in
+  let path = t.paths.(core) in
   for j = 0 to fill_upto do
     let victim = Setassoc.fill caches.(j) line in
     if victim >= 0 && observed then
-      t.probe.Probe.on_evict ~core ~level:levels.(j) ~line:victim
+      t.probe.Probe.on_evict ~core ~level:levels.(j) ~line:victim;
+    if not t.listed.(path.(j)) then list_instance t path.(j)
   done;
   (* Write-invalidate: every cache off this core's path loses the line,
      in ascending instance order, unless the filter shows none holds
-     it.  Another core's fill makes the owner unknown. *)
+     it.  Another core's fill makes the owner unknown.  A cache off the
+     filled list is empty, so the sweep skips it. *)
   if t.coherence && (write || fill_upto >= 0) then begin
     let s = filter_slot line in
     let known = t.w_line.(s) = line in
     if known && fill_upto >= 0 && t.w_owner.(s) <> core then
       t.w_owner.(s) <- -1;
     if write && not (known && t.w_owner.(s) = core) then begin
-      for i = 0 to Array.length t.instances - 1 do
+      for k = 0 to t.n_filled - 1 do
+        let i = t.filled.(k) in
         if core < t.core_lo.(i) || core > t.core_hi.(i) then begin
           let inst = t.instances.(i) in
           if Setassoc.invalidate inst.cache line && observed then
@@ -304,6 +331,8 @@ let forget_writers t = Array.fill t.w_line 0 (Array.length t.w_line) (-1)
 let clear t =
   Array.iter (fun inst -> Setassoc.clear inst.cache) t.instances;
   forget_writers t;
+  Array.fill t.listed 0 (Array.length t.listed) false;
+  t.n_filled <- 0;
   t.mem_accesses <- 0
 
 let line_size t = t.line
@@ -319,13 +348,34 @@ let num_instances t = Array.length t.instances
 let snapshot t =
   Array.map (fun inst -> Setassoc.snapshot_lines inst.cache) t.instances
 
+(* Whether a {!Setassoc.snapshot_lines} image of [cache] holds a line:
+   the way array comes first, with -1 for an empty way. *)
+let image_holds_line cache lines =
+  let n = Setassoc.capacity_lines cache in
+  let k = ref 0 in
+  while !k < n && lines.(!k) < 0 do
+    incr k
+  done;
+  !k < n
+
 let restore t image =
   if Array.length image <> Array.length t.instances then
     invalid_arg "Hierarchy.restore: instance count mismatch";
+  t.n_filled <- 0;
   Array.iteri
-    (fun i lines -> Setassoc.restore_lines t.instances.(i).cache lines)
+    (fun i lines ->
+      let cache = t.instances.(i).cache in
+      Setassoc.restore_lines cache lines;
+      let holds = image_holds_line cache lines in
+      t.listed.(i) <- holds;
+      if holds then begin
+        t.filled.(t.n_filled) <- i;
+        t.n_filled <- t.n_filled + 1
+      end)
     image;
   forget_writers t
+
+let filled_instances t = Array.to_list (Array.sub t.filled 0 t.n_filled)
 
 let instance_counts t =
   ( Array.map (fun inst -> Setassoc.hits inst.cache) t.instances,

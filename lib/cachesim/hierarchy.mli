@@ -4,7 +4,9 @@
     maintains inclusive fills along each core's path, and optionally a
     write-invalidate coherence action: a write removes the line from
     every cache off the writing core's path, at any level (on
-    Dunnington, the other socket's L3 too). *)
+    Dunnington, the other socket's L3 too).  The sweep that does so
+    visits only the caches filled since the last {!clear} or put a
+    line in by {!restore}: every other cache is empty. *)
 
 type t
 
@@ -15,8 +17,11 @@ type t
     can show would find no copy: each slot remembers a line and the
     core whose write last swept it, and that core's next write to the
     line skips the sweep unless another core has filled the line
-    since.  Statistics and probe events are those of a full sweep.
-    [probe] (default {!Probe.null}) observes per-level
+    since.  A sweep that does run visits only the caches filled since
+    the last {!clear} or {!restore} (see {!filled_instances}), so a
+    run on a few cores of a wide machine does not probe the empty
+    caches of the others.  Statistics and probe events are those of a
+    full sweep.  [probe] (default {!Probe.null}) observes per-level
     hits/misses, evictions, invalidations and memory accesses; the
     engine fires its issue/phase/barrier events through the same
     probe.  Takes time and memory linear in the topology and its
@@ -80,7 +85,8 @@ val mem_accesses : t -> int
     does not exist) — sizes the set-conflict histograms. *)
 val sets_at : t -> level:int -> int
 
-(** Reset contents and counters, and empty the write filter. *)
+(** Reset contents and counters, and empty the write filter and the
+    filled list. *)
 val clear : t -> unit
 
 (** Line size used for address-to-line mapping (caches of one machine
@@ -105,6 +111,12 @@ val config_hash : t -> int
 (** Number of cache instances (the length of the arrays below). *)
 val num_instances : t -> int
 
+(** The caches the write-invalidate sweep visits, as indices into
+    {!Ctam_arch.Topology.caches}, ascending: those filled since the
+    last {!clear}, plus those the last {!restore} image put a line in.
+    Every cache holding a line is among them. *)
+val filled_instances : t -> int list
+
 (** {2 Phase-memo state capture}
 
     The engine's per-phase memoization snapshots and restores raw
@@ -115,7 +127,8 @@ val snapshot : t -> int array array
 
 (** Overwrite every instance's way array with a {!snapshot} image and
     empty the write filter, since the image can hold any line in any
-    cache.  Counters are untouched.
+    cache.  The filled list becomes the caches the image holds a line
+    in.  Counters are untouched.
     @raise Invalid_argument on an image from a different hierarchy. *)
 val restore : t -> int array array -> unit
 

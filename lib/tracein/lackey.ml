@@ -57,12 +57,15 @@ let seps_back b i j =
   while !k > i && is_sep (Bytes.unsafe_get b (!k - 1)) do decr k done;
   !k
 
-let digit c =
-  match c with
-  | '0' .. '9' -> Char.code c - 48
-  | 'a' .. 'f' -> Char.code c - 87
-  | 'A' .. 'F' -> Char.code c - 55
-  | _ -> -1
+(* Each character's digit value, 255 for a character that is no
+   digit in any radix up to 16. *)
+let digit_values =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | '0' .. '9' -> Char.chr (i - 48)
+      | 'a' .. 'f' -> Char.chr (i - 87)
+      | 'A' .. 'F' -> Char.chr (i - 55)
+      | _ -> '\255')
 
 (* The value of the digit run [b.[i..j)] in [radix], or -1 when a
    character is not one of its digits.  Callers bound the run's length
@@ -70,8 +73,11 @@ let digit c =
 let digits radix b i j =
   let v = ref 0 and k = ref i in
   while !k < j && !v >= 0 do
-    let d = digit (Bytes.unsafe_get b !k) in
-    v := if d >= 0 && d < radix then (!v * radix) + d else -1;
+    let d =
+      Char.code
+        (String.unsafe_get digit_values (Char.code (Bytes.unsafe_get b !k)))
+    in
+    v := if d < radix then (!v * radix) + d else -1;
     incr k
   done;
   !v

@@ -57,14 +57,15 @@ let topology_fragment (m : Topology.t) =
   Buffer.add_string b
     (Printf.sprintf "machine=%s clock=%h mem=%d cores=%d" m.Topology.name
        m.Topology.clock_ghz m.Topology.mem_latency m.Topology.num_cores);
-  for c = 0 to m.Topology.num_cores - 1 do
-    Buffer.add_string b (Printf.sprintf "\ncore%d=" c);
-    List.iter
-      (fun cp ->
-        Buffer.add_char b '/';
-        Buffer.add_string b (cache_fragment cp))
-      (Topology.path_of_core m c)
-  done;
+  Array.iteri
+    (fun c path ->
+      Buffer.add_string b (Printf.sprintf "\ncore%d=" c);
+      List.iter
+        (fun cp ->
+          Buffer.add_char b '/';
+          Buffer.add_string b (cache_fragment cp))
+        path)
+    (Topology.paths m);
   Buffer.contents b
 
 let base_params_fragment (p : Mapping.params) =

@@ -51,6 +51,10 @@ let add acc i = acc.acc_issues <- i :: acc.acc_issues
 
 (* --- invariant 4: topology well-formedness --------------------------- *)
 
+let rec has_dup = function
+  | a :: (b :: _ as rest) -> a = b || has_dup rest
+  | _ -> false
+
 let check_topology topo =
   let issues = ref [] in
   let add i = issues := i :: !issues in
@@ -62,7 +66,7 @@ let check_topology topo =
          (n - 1)
          Fmt.(list ~sep:comma int)
          leaf_cores);
-  let paths = Array.init n (Topology.path_of_core topo) in
+  let paths = Topology.paths topo in
   let path_levels c = List.map (fun p -> p.Topology.level) paths.(c) in
   for c = 0 to n - 1 do
     let levels = path_levels c in
@@ -85,12 +89,7 @@ let check_topology topo =
     (fun level ->
       let domains = Topology.sharing_domains topo level in
       let members = List.concat domains in
-      let sorted = List.sort compare members in
-      let rec has_dup = function
-        | a :: (b :: _ as rest) -> a = b || has_dup rest
-        | _ -> false
-      in
-      if has_dup sorted then
+      if has_dup (List.sort compare members) then
         add
           (issue "topology"
              "level %d: some core belongs to several sharing domains (%a)"
@@ -113,28 +112,36 @@ let check_topology topo =
              Fmt.(list ~sep:comma int)
              with_level))
     (Topology.levels topo);
-  (* The sharing relation ([Topology.affinity_level]) must be symmetric. *)
+  (* The sharing relation ([Topology.affinity_level]) must be symmetric.
+     Paths are chains of ancestors, so when every cache name labels one
+     tree node the caches two paths share are the common ancestors, and
+     either path meets the lowest of them first: the pairs need
+     comparing only when some name labels two nodes. *)
   let affinity c1 c2 =
     let shared (p : Topology.cache_params) =
       List.exists (fun q -> q.Topology.cache_name = p.cache_name) paths.(c2)
     in
     Option.map (fun p -> p.Topology.level) (List.find_opt shared paths.(c1))
   in
-  for c1 = 0 to n - 1 do
-    for c2 = c1 + 1 to n - 1 do
-      let a = affinity c1 c2 and b = affinity c2 c1 in
-      if a <> b then
-        add
-          (issue "topology"
-             "asymmetric sharing: affinity(%d,%d) = %a but affinity(%d,%d) = \
-              %a"
-             c1 c2
-             Fmt.(option ~none:(any "none") int)
-             a c2 c1
-             Fmt.(option ~none:(any "none") int)
-             b)
-    done
-  done;
+  let names =
+    List.map (fun p -> p.Topology.cache_name) (Topology.caches topo)
+  in
+  if has_dup (List.sort compare names) then
+    for c1 = 0 to n - 1 do
+      for c2 = c1 + 1 to n - 1 do
+        let a = affinity c1 c2 and b = affinity c2 c1 in
+        if a <> b then
+          add
+            (issue "topology"
+               "asymmetric sharing: affinity(%d,%d) = %a but affinity(%d,%d) \
+                = %a"
+               c1 c2
+               Fmt.(option ~none:(any "none") int)
+               a c2 c1
+               Fmt.(option ~none:(any "none") int)
+               b)
+      done
+    done;
   List.rev !issues
 
 (* --- invariants 1 + 2: coverage/disjointness and codegen ------------- *)

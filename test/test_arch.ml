@@ -245,6 +245,24 @@ let test_parse_roundtrip () =
     (Topology.level_capacity t 3)
     (Topology.level_capacity t' 3)
 
+let test_paths () =
+  (* One walk gives every core the path [path_of_core] finds. *)
+  List.iter
+    (fun t ->
+      Alcotest.(check (list (list string)))
+        (t.Topology.name ^ " paths")
+        (List.init t.Topology.num_cores (fun c ->
+             List.map
+               (fun p -> p.Topology.cache_name)
+               (Topology.path_of_core t c)))
+        (Array.to_list
+           (Array.map
+              (List.map (fun p -> p.Topology.cache_name))
+              (Topology.paths t))))
+    (Topo_parse.parse sample_text
+    :: List.map Machines.by_name
+         [ "harpertown"; "nehalem"; "dunnington"; "arch-i"; "arch-ii" ])
+
 let () =
   Alcotest.run "arch"
     [
@@ -274,6 +292,7 @@ let () =
       ( "queries",
         [
           Alcotest.test_case "paths" `Quick test_path_of_core;
+          Alcotest.test_case "all paths in one walk" `Quick test_paths;
           Alcotest.test_case "capacity" `Quick test_level_capacity;
           Alcotest.test_case "validation" `Quick test_validation;
         ] );

@@ -196,6 +196,81 @@ let test_hierarchy_restore_forgets_writers () =
   check_int "core 1 misses its L1" 12
     (Hierarchy.access h ~core:1 ~addr:0 ~write:false)
 
+let test_hierarchy_restore_lists_image () =
+  (* A memo image can hold a line in a cache no core of the new run has
+     filled: the restore must put that cache on the filled list, or a
+     write would skip the copy. *)
+  let log = ref [] in
+  let h = Hierarchy.create ~probe:(recording_probe log) (tiny_machine ()) in
+  ignore (Hierarchy.access h ~core:1 ~addr:0 ~write:false);
+  let image = Hierarchy.snapshot h in
+  Hierarchy.clear h;
+  Hierarchy.restore h image;
+  (* L2, then core 1's L1. *)
+  Alcotest.(check (list int)) "the image's caches" [ 0; 2 ]
+    (Hierarchy.filled_instances h);
+  log := [];
+  ignore (Hierarchy.access h ~core:0 ~addr:0 ~write:true);
+  check_bool "the write invalidates core 1's L1" true
+    (List.mem (Invalidate (0, 1, 0)) !log);
+  check_int "core 1 misses its L1" 12
+    (Hierarchy.access h ~core:1 ~addr:0 ~write:false)
+
+(* Instance indices ([Topology.caches] order) of the caches on some
+   cores' paths, ascending. *)
+let path_instances topo cores =
+  let names =
+    List.mapi (fun i (p : Topology.cache_params) -> (p.cache_name, i))
+      (Topology.caches topo)
+  in
+  List.sort_uniq compare
+    (List.concat_map
+       (fun c ->
+         List.map
+           (fun (p : Topology.cache_params) -> List.assoc p.cache_name names)
+           (Topology.path_of_core topo c))
+       cores)
+
+let test_hierarchy_clear_empties_filled () =
+  (* A run on cores 0-1 of Dunnington, then one on cores 6-7 (the
+     other socket): after [clear] the list holds only what the second
+     run filled, ascending, and a later write still finds every copy. *)
+  let topo = Machines.dunnington ~scale:64 () in
+  let log = ref [] in
+  let h = Hierarchy.create ~probe:(recording_probe log) topo in
+  let run cores =
+    List.iter
+      (fun c ->
+        for l = 0 to 3 do
+          ignore (Hierarchy.access h ~core:c ~addr:(l * 64) ~write:false)
+        done)
+      cores
+  in
+  run [ 0; 1 ];
+  Alcotest.(check (list int)) "first run" (path_instances topo [ 0; 1 ])
+    (Hierarchy.filled_instances h);
+  Hierarchy.clear h;
+  Alcotest.(check (list int)) "cleared" [] (Hierarchy.filled_instances h);
+  run [ 7; 6 ];
+  Alcotest.(check (list int)) "second run" (path_instances topo [ 6; 7 ])
+    (Hierarchy.filled_instances h);
+  run [ 0 ];
+  Alcotest.(check (list int)) "then core 0 again"
+    (path_instances topo [ 0; 6; 7 ])
+    (Hierarchy.filled_instances h);
+  log := [];
+  ignore (Hierarchy.access h ~core:0 ~addr:0 ~write:true);
+  (* Core 0's write reaches the other socket's L3, its L2 and both L1s
+     there, in ascending instance order. *)
+  let invalidated =
+    List.rev
+      (List.filter_map
+         (function Invalidate (_, level, _) -> Some level | _ -> None)
+         !log)
+  in
+  Alcotest.(check (list int)) "other socket's copies" [ 3; 2; 1; 1 ]
+    invalidated
+
 let test_hierarchy_create_linear () =
   (* 4,096 private L1s under one L2: [create] allocates in proportion
      to the cache lines and instances, not to cores x instances. *)
@@ -226,9 +301,11 @@ let test_hierarchy_create_linear () =
       (fun acc (p : Topology.cache_params) -> acc + (p.size_bytes / p.line))
       0 (Topology.caches topo)
   in
+  (* [Gc.counters]'s minor count lags the minor heap; [Gc.minor_words]
+     does not. *)
   let allocated () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
   in
   let before = allocated () in
   let h = Hierarchy.create topo in
@@ -531,13 +608,28 @@ let oracle_stream_gen =
     list_size (int_range 1 300)
       (map4 acc (int_range 0 63) (int_range 0 255) (int_range 0 63) bool)
   in
+  (* A few of the cores issue, sharing a pool of lines: on the wide
+     machines most caches are never filled, and a write sweeps a
+     partial filled list. *)
+  let subset =
+    int_range 1 3 >>= fun k ->
+    array_repeat k (int_range 0 63) >>= fun cores ->
+    int_range 1 8 >>= fun n ->
+    array_repeat n (int_range 0 4095) >>= fun pool ->
+    list_size (int_range 1 200)
+      (map3
+         (fun c l write -> acc cores.(c) pool.(l) 0 write)
+         (int_range 0 (k - 1))
+         (int_range 0 (n - 1))
+         bool)
+  in
   (* Over 4,096 distinct lines out of 4,608, so that lines share
      filter slots and some sharing lasts between the writes to one. *)
   let wide =
     list_repeat 12000
       (map4 acc (int_range 0 63) (int_range 0 4607) (return 0) bool)
   in
-  frequency [ (3, pool); (3, uniform); (1, wide) ]
+  frequency [ (3, pool); (3, uniform); (3, subset); (1, wide) ]
 
 let prop_hierarchy_matches_naive_model =
   QCheck.Test.make ~name:"Hierarchy.access matches naive seed model" ~count:60
@@ -1080,6 +1172,10 @@ let () =
           Alcotest.test_case "stats" `Quick test_hierarchy_stats;
           Alcotest.test_case "restore forgets writers" `Quick
             test_hierarchy_restore_forgets_writers;
+          Alcotest.test_case "restore lists the image's caches" `Quick
+            test_hierarchy_restore_lists_image;
+          Alcotest.test_case "clear empties the filled list" `Quick
+            test_hierarchy_clear_empties_filled;
           Alcotest.test_case "create is linear" `Quick
             test_hierarchy_create_linear;
           QCheck_alcotest.to_alcotest prop_hierarchy_matches_naive_model;

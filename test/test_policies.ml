@@ -304,6 +304,93 @@ let prop_policies_same_cold_misses =
         (fun p -> stats p = reference)
         [ Policy.Fifo; Policy.Plru; Policy.Qlru; Policy.Mru; Policy.Random 3 ])
 
+(* --- Setassoc against the naive policy models --------------------------- *)
+
+(* Every (sets, assoc) pair of the presets, at their stated sizes and
+   at capacity divisor 64 (down to one set). *)
+let preset_geometries =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun scale ->
+         List.concat_map
+           (fun name ->
+             List.map
+               (fun (p : Topology.cache_params) ->
+                 (p.size_bytes / (p.assoc * p.line), p.assoc))
+               (Topology.caches (Machines.by_name ~scale name)))
+           [ "harpertown"; "nehalem"; "dunnington"; "arch-i"; "arch-ii" ])
+       [ 1; 64 ])
+
+(* An operation names a line by a set pick (0-3) and a tag; a cache
+   maps them to [pick mod sets + sets * (tag mod (1.5 assoc + 1))], so
+   each set sees about half again as many lines as it holds. *)
+type oracle_op =
+  | Touch of int * int  (* [access], then [fill] on a miss *)
+  | Insert of int * int
+  | Invalidate of int * int  (* the hole a coherence sweep punches *)
+
+let oracle_ops_gen =
+  let open QCheck.Gen in
+  let line k = map2 k (int_range 0 3) (int_range 0 63) in
+  list_size (int_range 0 300)
+    (frequency
+       [
+         (6, line (fun s t -> Touch (s, t)));
+         (2, line (fun s t -> Insert (s, t)));
+         (2, line (fun s t -> Invalidate (s, t)));
+       ])
+
+let oracle_policies =
+  [ Policy.Fifo; Policy.Plru; Policy.Qlru; Policy.Mru; Policy.Random 42 ]
+
+(* Run one policy on one geometry; true when every result agrees. *)
+let agrees_with_oracle policy (sets, assoc) ops =
+  let c = Setassoc.create ~policy ~sets ~assoc () in
+  let m = Policy_oracle.create ~policy ~sets ~assoc in
+  let line s t = (s mod sets) + (sets * (t mod (assoc + (assoc / 2) + 1))) in
+  let lines = Hashtbl.create 64 in
+  let same_op op =
+    let l =
+      match op with Touch (s, t) | Insert (s, t) | Invalidate (s, t) -> line s t
+    in
+    Hashtbl.replace lines l ();
+    (match op with
+    | Touch _ ->
+        let hit = Setassoc.access c l in
+        hit = Policy_oracle.access m l
+        && (hit || Setassoc.fill c l = Policy_oracle.fill m l)
+    | Insert _ -> Setassoc.insert c l = Policy_oracle.insert m l
+    | Invalidate _ -> Setassoc.invalidate c l = Policy_oracle.invalidate m l)
+    && Setassoc.contains c l = Policy_oracle.contains m l
+  in
+  (* Only the stream's lines can be resident, so these are all of them. *)
+  let resident () =
+    List.sort compare
+      (Hashtbl.fold
+         (fun l () acc -> if Setassoc.contains c l then l :: acc else acc)
+         lines [])
+  in
+  List.for_all same_op ops
+  && Setassoc.hits c = m.Policy_oracle.hits
+  && Setassoc.misses c = m.Policy_oracle.misses
+  && resident () = Policy_oracle.resident m
+
+let prop_setassoc_matches_oracles =
+  QCheck.Test.make ~name:"Setassoc matches the naive policy models" ~count:60
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "<%d operations>" (List.length ops))
+       oracle_ops_gen)
+    (fun ops ->
+      List.for_all
+        (fun policy ->
+          List.for_all
+            (fun geometry ->
+              agrees_with_oracle policy geometry ops
+              || QCheck.Test.fail_reportf "%s disagrees on %d sets x %d ways"
+                   (Policy.to_string policy) (fst geometry) (snd geometry))
+            preset_geometries)
+        oracle_policies)
+
 (* --- key sensitivity --------------------------------------------------- *)
 
 let test_config_hash_policy_sensitive () =
@@ -410,6 +497,7 @@ let () =
           Alcotest.test_case "lru == seed engine (stats + event order)"
             `Quick test_lru_policy_identical_to_seed;
           QCheck_alcotest.to_alcotest prop_policies_same_cold_misses;
+          QCheck_alcotest.to_alcotest prop_setassoc_matches_oracles;
         ] );
       ( "key sensitivity",
         [

@@ -384,6 +384,79 @@ let test_report_shape () =
   | Ok p -> check_bool "params file" true (Space.equal p r.Search.best.Search.point)
   | Error e -> Alcotest.fail e
 
+(* The topology fragment as it was built before [Topology.paths]: one
+   [Topology.path_of_core] walk per core.  The key text must not move,
+   or every warm tune and plan cache would go cold. *)
+let per_core_fragment (m : Topology.t) =
+  let cache_fragment (c : Topology.cache_params) =
+    Printf.sprintf "%s:L%d:%db:%dw:%dl:%dc%s" c.cache_name c.level
+      c.size_bytes c.assoc c.line c.latency
+      (if Policy.equal c.policy Policy.Lru then ""
+       else ":" ^ Policy.to_string c.policy)
+  in
+  let b = Buffer.create 256 in
+  Buffer.add_string b
+    (Printf.sprintf "machine=%s clock=%h mem=%d cores=%d" m.name m.clock_ghz
+       m.mem_latency m.num_cores);
+  for c = 0 to m.num_cores - 1 do
+    Buffer.add_string b (Printf.sprintf "\ncore%d=" c);
+    List.iter
+      (fun cp ->
+        Buffer.add_char b '/';
+        Buffer.add_string b (cache_fragment cp))
+      (Topology.path_of_core m c)
+  done;
+  Buffer.contents b
+
+let test_topology_fragment_unchanged () =
+  let policy_file =
+    Topo_parse.parse
+      {|(machine "Mixed" (clock 2.5) (mem 200)
+  (cache "L3" (level 3) (size 8M) (assoc 16) (line 64) (latency 30)
+    (policy qlru)
+    (cache "L2#0" (level 2) (size 1M) (assoc 8) (line 64) (latency 10)
+      (policy random:9)
+      (cache "L1#0" (level 1) (size 32K) (assoc 8) (line 64) (latency 3)
+        (policy plru) (cores 2))
+      (cache "L1#1" (level 1) (size 32K) (assoc 8) (line 64) (latency 3)
+        (core)))
+    (cache "L1#2" (level 1) (size 32K) (assoc 4) (line 64) (latency 3)
+      (policy fifo) (core))))|}
+  in
+  (* 2,048 cores: two sockets of 1,024, an L2 per pair of cores. *)
+  let wide =
+    let cache name level size_bytes children =
+      Topology.Cache
+        ( {
+            Topology.cache_name = name;
+            level;
+            size_bytes;
+            assoc = 8;
+            line = 64;
+            latency = 4 * level;
+            policy = Policy.Lru;
+          },
+          children )
+    in
+    Topology.make ~name:"wide" ~clock_ghz:2.0 ~mem_latency:300
+      (List.init 2 (fun s ->
+           cache (Printf.sprintf "L3#%d" s) 3 (1 lsl 24)
+             (List.init 512 (fun p ->
+                  let p = (512 * s) + p in
+                  cache (Printf.sprintf "L2#%d" p) 2 (1 lsl 18)
+                    (List.init 2 (fun i ->
+                         let c = (2 * p) + i in
+                         cache (Printf.sprintf "L1#%d" c) 1 (1 lsl 15)
+                           [ Topology.Core c ]))))))
+  in
+  List.iter
+    (fun (m : Topology.t) ->
+      check_string (m.name ^ " fragment") (per_core_fragment m)
+        (Cache.topology_fragment m))
+    (List.map (Machines.by_name ~scale:16)
+       [ "harpertown"; "nehalem"; "dunnington"; "arch-i"; "arch-ii" ]
+    @ [ policy_file; wide ])
+
 let () =
   Alcotest.run "tune"
     [
@@ -403,6 +476,8 @@ let () =
             test_cache_key_sensitivity;
           Alcotest.test_case "sample_sets keys" `Quick
             test_cache_key_sample_sets;
+          Alcotest.test_case "topology fragment == per-core paths" `Quick
+            test_topology_fragment_unchanged;
           Alcotest.test_case "store/lookup" `Quick test_cache_store_lookup;
           Alcotest.test_case "non-object entry is a counted miss" `Quick
             test_cache_non_object_entry;
