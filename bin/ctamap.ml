@@ -375,10 +375,10 @@ let run_cmd =
       >>= Request.parse
     in
     let scheme = point.Space.scheme in
-    let frontend_timings = r.Request.frontend_timings in
     let p =
       Ctam_exp.Run_report.profile ~params:(Request.params r)
-        ?timeline_window:window ~frontend_timings ~check:r.Request.check
+        ?timeline_window:window ~frontend_timings:r.Request.frontend_timings
+        ~check:r.Request.check
         ~stream:r.Request.stream ~sample_sets:r.Request.sample_sets scheme
         ~machine prog
     in
@@ -396,17 +396,12 @@ let run_cmd =
     let counters = p.Ctam_exp.Run_report.counters in
     let reuse = p.Ctam_exp.Run_report.reuse in
     if profile then begin
-      let timings =
-        frontend_timings
-        @ p.Ctam_exp.Run_report.compiled.Mapping.timings
-        @ [ ("simulate", p.Ctam_exp.Run_report.sim_seconds) ]
-      in
       Fmt.pr "@.compile/simulate phases:@.%s"
         (Ctam_exp.Report.table
            ~header:[ "phase"; "seconds" ]
            (List.map
               (fun (k, v) -> [ k; Printf.sprintf "%.6f" v ])
-              timings));
+              p.Ctam_exp.Run_report.timings));
       let levels = Probe_sinks.Counters.levels counters in
       let header =
         [ "core"; "accesses"; "mem" ]
@@ -1037,8 +1032,7 @@ let trace_cmd =
     in
     let scheme = point.Space.scheme in
     let compiled =
-      Mapping.compile ~params:(Request.params r) ~clock:Unix.gettimeofday scheme
-        ~machine prog
+      Mapping.compile ~params:(Request.params r) scheme ~machine prog
     in
     let segments, legend = Mapping.segments compiled in
     let tl = Timeline.create ~window ~segments machine in

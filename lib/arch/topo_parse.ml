@@ -49,26 +49,26 @@ let tokenize text =
   flush ();
   List.rev !toks
 
+(* [open_] holds the items read so far of every list still open,
+   innermost first, so neither the nesting nor the length of the input
+   grows the call stack. *)
 let read_sexp text =
-  let rec parse_one = function
-    | `Atom a :: rest -> (Atom a, rest)
-    | `L :: rest ->
-        let items, rest = parse_list rest in
-        (List items, rest)
-    | `R :: _ -> fail "unexpected ')'"
-    | [] -> fail "unexpected end of input"
-  and parse_list toks =
-    match toks with
-    | `R :: rest -> ([], rest)
-    | [] -> fail "missing ')'"
-    | _ ->
-        let item, rest = parse_one toks in
-        let items, rest = parse_list rest in
-        (item :: items, rest)
+  let finish sexp rest =
+    if rest = [] then sexp else fail "trailing input after the machine form"
   in
-  match parse_one (tokenize text) with
-  | sexp, [] -> sexp
-  | _, _ :: _ -> fail "trailing input after the machine form"
+  let rec go open_ toks =
+    match (toks, open_) with
+    | `L :: rest, _ -> go ([] :: open_) rest
+    | `Atom a :: rest, [] -> finish (Atom a) rest
+    | `Atom a :: rest, items :: outer -> go ((Atom a :: items) :: outer) rest
+    | `R :: _, [] -> fail "unexpected ')'"
+    | `R :: rest, [ items ] -> finish (List (List.rev items)) rest
+    | `R :: rest, items :: parent :: outer ->
+        go ((List (List.rev items) :: parent) :: outer) rest
+    | [], [] -> fail "unexpected end of input"
+    | [], _ :: _ -> fail "missing ')'"
+  in
+  go [] (tokenize text)
 
 (* --- interpretation --------------------------------------------------- *)
 

@@ -168,7 +168,7 @@ let tel_record ts ~t_start ~accesses (stats : Stats.t) =
   Tel.Metrics.Counter.inc ts.ts_runs;
   Tel.Metrics.Counter.inc ~by:accesses ts.ts_accesses;
   Tel.Metrics.Counter.inc ~by:(max 0 stats.Stats.cycles) ts.ts_cycles;
-  Tel.Metrics.Histogram.observe ts.ts_seconds (Tel.Profile.now () -. t_start)
+  Tel.Metrics.Histogram.observe ts.ts_seconds (Unix.gettimeofday () -. t_start)
 
 let tel_record_sampled ~factor ~sampled ~skipped =
   let f = [ string_of_int factor ] in
@@ -574,7 +574,7 @@ let end_phase st pi ~last =
 let run_streams ?(config = default_config) ?max_cycles ?memo h
     (phases : stream_phase list) =
   let tel = Tel.Metrics.enabled () in
-  let t_start = if tel then Tel.Profile.now () else 0. in
+  let t_start = if tel then Unix.gettimeofday () else 0. in
   check_stream_phases (Hierarchy.topology h).Ctam_arch.Topology.num_cores
     phases;
   Hierarchy.clear h;
@@ -627,7 +627,7 @@ let run_reference_streams ?(config = default_config) h
   if Hierarchy.sample_factor h > 1 then
     invalid_arg "Engine.run_reference_streams: sampled hierarchy unsupported";
   let tel = Tel.Metrics.enabled () in
-  let t_start = if tel then Tel.Profile.now () else 0. in
+  let t_start = if tel then Unix.gettimeofday () else 0. in
   let topo = Hierarchy.topology h in
   let n = topo.Ctam_arch.Topology.num_cores in
   check_stream_phases n phases;

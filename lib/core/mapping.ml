@@ -174,288 +174,290 @@ let phases_of_schedule ~stream ~with_barriers layout nest (sched : Schedule.t)
    order. *)
 let timing_keys = [ "group"; "distribute"; "schedule"; "trace" ]
 
-let compile ?(params = default_params) ?(clock = Ctam_telemetry.Profile.now)
-    ?map_topo ?(stream = false) scheme ~machine program =
+let compile ?(params = default_params) ?map_topo ?(stream = false) scheme
+    ~machine program =
   (match validate_params params with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Mapping.compile: " ^ msg));
   let map_topo = Option.value map_topo ~default:machine in
   let n = map_topo.Topology.num_cores in
-  let times = Hashtbl.create 8 in
   let timed key f =
     Ctam_util.Deadline.check ();
-    let t0 = clock () in
-    let r = f () in
-    let acc = try Hashtbl.find times key with Not_found -> 0. in
-    Hashtbl.replace times key (acc +. (clock () -. t0));
-    r
+    Ctam_telemetry.Span.with_ key f
   in
-  let block_size =
-    timed "group" (fun () -> pick_block_size ~params ~machine:map_topo program)
-  in
-  let line = line_size map_topo in
-  let bm, layout = Block_map.for_program ~block_size ~line program in
-  ignore bm;
   let infos = ref [] in
   let plans = ref [] in
   let push_plan nest rounds barriers =
     plans := { plan_nest = nest; plan_rounds = rounds; plan_barriers = barriers } :: !plans
   in
-  let phases =
-    List.concat_map
-      (fun nest ->
-        if not nest.Nest.parallel then begin
-          (* Serial nest: core 0 executes it as its own phase. *)
-          let phase = Array.make n (Engine.dense [||]) in
-          phase.(0) <-
-            timed "trace" (fun () ->
-                if stream then Trace.stream_serial layout nest
-                else Engine.dense (Trace.serial layout nest));
-          infos :=
-            {
-              nest_name = nest.Nest.name;
-              num_groups = 1;
-              num_rounds = 1;
-              dep_edges = 0;
-              used_block_size = block_size;
-            }
-            :: !infos;
-          let round = Array.make n [] in
-          round.(0) <-
-            timed "distribute" (fun () ->
-                let dom = nest.Nest.domain in
-                let encoder = Ctam_poly.Iterset.encoder_of_domain dom in
+  let (layout, phases), spans =
+    Ctam_telemetry.Span.collect @@ fun () ->
+    let block_size =
+      timed "group" (fun () -> pick_block_size ~params ~machine:map_topo program)
+    in
+    let line = line_size map_topo in
+    let bm, layout = Block_map.for_program ~block_size ~line program in
+    ignore bm;
+    ( layout,
+      List.concat_map
+        (fun nest ->
+          if not nest.Nest.parallel then begin
+            (* Serial nest: core 0 executes it as its own phase. *)
+            let phase = Array.make n (Engine.dense [||]) in
+            phase.(0) <-
+              timed "trace" (fun () ->
+                  if stream then Trace.stream_serial layout nest
+                  else Engine.dense (Trace.serial layout nest));
+            infos :=
+              {
+                nest_name = nest.Nest.name;
+                num_groups = 1;
+                num_rounds = 1;
+                dep_edges = 0;
+                used_block_size = block_size;
+              }
+              :: !infos;
+            let round = Array.make n [] in
+            round.(0) <-
+              timed "distribute" (fun () ->
+                  let dom = nest.Nest.domain in
+                  let encoder = Ctam_poly.Iterset.encoder_of_domain dom in
+                  [
+                    pseudo_group ~id:0
+                      (Ctam_poly.Iterset.of_domain encoder dom);
+                  ]);
+            push_plan nest [ round ] false;
+            [ phase ]
+          end
+          else
+            let synchronized =
+              (scheme = Base || scheme = Base_plus)
+              && timed "group" (fun () -> Dep_test.nest_may_carry_deps nest)
+            in
+            match scheme with
+            | (Base | Base_plus) when synchronized ->
+                (* The original parallel code must synchronize a loop
+                   with carried dependences too: Base becomes the default
+                   chunk distribution with dependence-only scheduling and
+                   barrier rounds.  Intra-core reordering is
+                   dependence-constrained, so Base+ runs as this
+                   synchronized Base on such nests (the paper's Base+
+                   transformations must preserve dependences). *)
+                let _grouping, groups, dag =
+                  timed "group" (fun () ->
+                      grouping_with ~block_size ~line
+                        ~max_groups:params.max_groups program nest)
+                in
+                let assignment =
+                  timed "distribute" (fun () ->
+                      Baselines.default_assignment ~topo:map_topo groups)
+                in
+                let sched =
+                  timed "schedule" (fun () ->
+                      Schedule.run ~alpha:0. ~beta:0. map_topo assignment dag)
+                in
+                infos :=
+                  {
+                    nest_name = nest.Nest.name;
+                    num_groups = Array.length groups;
+                    num_rounds = Schedule.num_rounds sched;
+                    dep_edges = Dep_graph.num_edges dag;
+                    used_block_size = block_size;
+                  }
+                  :: !infos;
+                push_plan nest sched.Schedule.rounds true;
+                timed "trace" (fun () ->
+                    phases_of_schedule ~stream ~with_barriers:true layout nest
+                      sched)
+            | Base ->
+                (* The plan's pseudo-groups and the streams share each
+                   chunk's key array. *)
+                let chunks, round =
+                  timed "distribute" (fun () ->
+                      let chunks = Baselines.block_partition ~n nest in
+                      ( chunks,
+                        Array.mapi
+                          (fun c s ->
+                            if Ctam_poly.Iterset.is_empty s then []
+                            else [ pseudo_group ~id:c s ])
+                          chunks ))
+                in
+                infos :=
+                  {
+                    nest_name = nest.Nest.name;
+                    num_groups = n;
+                    num_rounds = 1;
+                    dep_edges = 0;
+                    used_block_size = block_size;
+                  }
+                  :: !infos;
+                push_plan nest [ round ] false;
                 [
-                  pseudo_group ~id:0
-                    (Ctam_poly.Iterset.of_domain encoder dom);
-                ]);
-          push_plan nest [ round ] false;
-          [ phase ]
-        end
-        else
-          let synchronized =
-            (scheme = Base || scheme = Base_plus)
-            && timed "group" (fun () -> Dep_test.nest_may_carry_deps nest)
-          in
-          match scheme with
-          | (Base | Base_plus) when synchronized ->
-              (* The original parallel code must synchronize a loop
-                 with carried dependences too: Base becomes the default
-                 chunk distribution with dependence-only scheduling and
-                 barrier rounds.  Intra-core reordering is
-                 dependence-constrained, so Base+ runs as this
-                 synchronized Base on such nests (the paper's Base+
-                 transformations must preserve dependences). *)
-              let _grouping, groups, dag =
-                timed "group" (fun () ->
-                    grouping_with ~block_size ~line
-                      ~max_groups:params.max_groups program nest)
-              in
-              let assignment =
-                timed "distribute" (fun () ->
-                    Baselines.default_assignment ~topo:map_topo groups)
-              in
-              let sched =
-                timed "schedule" (fun () ->
-                    Schedule.run ~alpha:0. ~beta:0. map_topo assignment dag)
-              in
-              infos :=
-                {
-                  nest_name = nest.Nest.name;
-                  num_groups = Array.length groups;
-                  num_rounds = Schedule.num_rounds sched;
-                  dep_edges = Dep_graph.num_edges dag;
-                  used_block_size = block_size;
-                }
-                :: !infos;
-              push_plan nest sched.Schedule.rounds true;
-              timed "trace" (fun () ->
-                  phases_of_schedule ~stream ~with_barriers:true layout nest
-                    sched)
-          | Base ->
-              (* The plan's pseudo-groups and the streams share each
-                 chunk's key array. *)
-              let chunks, round =
-                timed "distribute" (fun () ->
-                    let chunks = Baselines.block_partition ~n nest in
-                    ( chunks,
-                      Array.mapi
-                        (fun c s ->
+                  timed "trace" (fun () ->
+                      Array.map
+                        (fun s ->
+                          if stream then Trace.stream_of_iterset layout nest s
+                          else Engine.dense (Trace.of_iterset layout nest s))
+                        chunks);
+                ]
+            | Base_plus ->
+                (* Permutation and tiling reorder each chunk: decode it. *)
+                let sets, chunks =
+                  timed "distribute" (fun () ->
+                      let sets = Baselines.block_partition ~n nest in
+                      (sets, Array.map Ctam_poly.Iterset.to_list sets))
+                in
+                let perm =
+                  timed "schedule" (fun () -> Permute.best_order layout nest)
+                in
+                (* The paper selects the best-performing tile size by
+                   search; candidates include "untiled but permuted" so
+                   Base+ never loses to a plain permutation.  A
+                   [params.tile_edge] override (the autotuner's knob)
+                   replaces the search with that single forced edge. *)
+                let candidates =
+                  match params.tile_edge with
+                  | Some e -> [ Some e ]
+                  | None ->
+                      let t0 =
+                        timed "schedule" (fun () ->
+                            Tiling.choose_tile ~l1_bytes:(l1_capacity map_topo)
+                              layout nest)
+                      in
+                      [ None; Some t0; Some (max 4 (t0 / 2)) ]
+                in
+                let phase_for tile_opt =
+                  Array.map
+                    (fun iters ->
+                      let ordered =
+                        match tile_opt with
+                        | None -> Permute.sort_iters perm iters
+                        | Some edge ->
+                            let tile = Tiling.uniform (Nest.depth nest) edge in
+                            Tiling.apply ~tile ~perm iters
+                      in
+                      if stream then Trace.stream_of_iters layout nest ordered
+                      else Engine.dense (Trace.of_iters layout nest ordered))
+                    chunks
+                in
+                let best_tile, best_phase =
+                  timed "trace" (fun () ->
+                      let h = Hierarchy.create map_topo in
+                      List.map
+                        (fun t ->
+                          let phase = phase_for t in
+                          let stats = Engine.run_streams h [ phase ] in
+                          (stats.Stats.cycles, (t, phase)))
+                        candidates
+                      |> List.sort (fun (a, _) (b, _) -> compare a b)
+                      |> List.hd |> snd)
+                in
+                infos :=
+                  {
+                    nest_name = nest.Nest.name;
+                    num_groups = n;
+                    num_rounds = 1;
+                    dep_edges = 0;
+                    used_block_size = block_size;
+                  }
+                  :: !infos;
+                let round =
+                  timed "schedule" (fun () ->
+                      Array.map2
+                        (fun s iters ->
                           if Ctam_poly.Iterset.is_empty s then []
-                          else [ pseudo_group ~id:c s ])
-                        chunks ))
-              in
-              infos :=
-                {
-                  nest_name = nest.Nest.name;
-                  num_groups = n;
-                  num_rounds = 1;
-                  dep_edges = 0;
-                  used_block_size = block_size;
-                }
-                :: !infos;
-              push_plan nest [ round ] false;
-              [
+                          else
+                            match best_tile with
+                            | None -> [ pseudo_group ~id:0 s ]
+                            | Some edge ->
+                                tile_pseudo_groups
+                                  ~encoder:(Ctam_poly.Iterset.encoder s)
+                                  ~tile:(Tiling.uniform (Nest.depth nest) edge)
+                                  ~perm iters)
+                        sets chunks)
+                in
+                push_plan nest [ round ] false;
+                [ best_phase ]
+            | Local | Topology_aware | Combined ->
+                let _grouping, groups, dag =
+                  timed "group" (fun () ->
+                      grouping_with ~block_size ~line
+                        ~max_groups:params.max_groups program nest)
+                in
+                let cluster_mode =
+                  params.dependence_mode = Distribute.Cluster
+                  && not (Dep_graph.is_empty dag)
+                in
+                let assignment =
+                  timed "distribute" (fun () ->
+                      match scheme with
+                      | Local ->
+                          Baselines.default_assignment ~topo:map_topo groups
+                      | Topology_aware | Combined ->
+                          Distribute.run
+                            ~balance_threshold:params.balance_threshold
+                            ~dependence_mode:params.dependence_mode
+                            ~dep_graph:dag map_topo groups
+                      | Base | Base_plus -> assert false)
+                in
+                (* Under the clustering option every dependent set sits on
+                   one core and runs in sequential order, so no barriers
+                   (and no dependence constraints) remain. *)
+                let dag =
+                  if cluster_mode && scheme <> Local then Dep_graph.create 0
+                  else dag
+                in
+                let alpha, beta =
+                  match scheme with
+                  | Topology_aware -> (0., 0.)  (* dependence-only order *)
+                  | _ -> (params.alpha, params.beta)
+                in
+                let sched =
+                  timed "schedule" (fun () ->
+                      Schedule.run ~alpha ~beta map_topo assignment dag)
+                in
+                (* Figure 7's barriers enforce dependences; on a
+                   dependence-free nest the rounds collapse into one
+                   phase whose per-core order keeps the round-robin
+                   alignment (real barriers would only add noise: each
+                   round then waits for its slowest core). *)
+                let with_barriers = not (Dep_graph.is_empty dag) in
+                infos :=
+                  {
+                    nest_name = nest.Nest.name;
+                    num_groups = Array.length groups;
+                    num_rounds =
+                      (if with_barriers then Schedule.num_rounds sched else 1);
+                    dep_edges = Dep_graph.num_edges dag;
+                    used_block_size = block_size;
+                  }
+                  :: !infos;
+                (if with_barriers then push_plan nest sched.Schedule.rounds true
+                 else
+                   push_plan nest
+                     [ Schedule.per_core sched ]
+                     false);
                 timed "trace" (fun () ->
-                    Array.map
-                      (fun s ->
-                        if stream then Trace.stream_of_iterset layout nest s
-                        else Engine.dense (Trace.of_iterset layout nest s))
-                      chunks);
-              ]
-          | Base_plus ->
-              (* Permutation and tiling reorder each chunk: decode it. *)
-              let sets, chunks =
-                timed "distribute" (fun () ->
-                    let sets = Baselines.block_partition ~n nest in
-                    (sets, Array.map Ctam_poly.Iterset.to_list sets))
-              in
-              let perm =
-                timed "schedule" (fun () -> Permute.best_order layout nest)
-              in
-              (* The paper selects the best-performing tile size by
-                 search; candidates include "untiled but permuted" so
-                 Base+ never loses to a plain permutation.  A
-                 [params.tile_edge] override (the autotuner's knob)
-                 replaces the search with that single forced edge. *)
-              let candidates =
-                match params.tile_edge with
-                | Some e -> [ Some e ]
-                | None ->
-                    let t0 =
-                      timed "schedule" (fun () ->
-                          Tiling.choose_tile ~l1_bytes:(l1_capacity map_topo)
-                            layout nest)
-                    in
-                    [ None; Some t0; Some (max 4 (t0 / 2)) ]
-              in
-              let phase_for tile_opt =
-                Array.map
-                  (fun iters ->
-                    let ordered =
-                      match tile_opt with
-                      | None -> Permute.sort_iters perm iters
-                      | Some edge ->
-                          let tile = Tiling.uniform (Nest.depth nest) edge in
-                          Tiling.apply ~tile ~perm iters
-                    in
-                    if stream then Trace.stream_of_iters layout nest ordered
-                    else Engine.dense (Trace.of_iters layout nest ordered))
-                  chunks
-              in
-              let best_tile, best_phase =
-                timed "trace" (fun () ->
-                    let h = Hierarchy.create map_topo in
-                    List.map
-                      (fun t ->
-                        let phase = phase_for t in
-                        let stats = Engine.run_streams h [ phase ] in
-                        (stats.Stats.cycles, (t, phase)))
-                      candidates
-                    |> List.sort (fun (a, _) (b, _) -> compare a b)
-                    |> List.hd |> snd)
-              in
-              infos :=
-                {
-                  nest_name = nest.Nest.name;
-                  num_groups = n;
-                  num_rounds = 1;
-                  dep_edges = 0;
-                  used_block_size = block_size;
-                }
-                :: !infos;
-              let round =
-                timed "schedule" (fun () ->
-                    Array.map2
-                      (fun s iters ->
-                        if Ctam_poly.Iterset.is_empty s then []
-                        else
-                          match best_tile with
-                          | None -> [ pseudo_group ~id:0 s ]
-                          | Some edge ->
-                              tile_pseudo_groups
-                                ~encoder:(Ctam_poly.Iterset.encoder s)
-                                ~tile:(Tiling.uniform (Nest.depth nest) edge)
-                                ~perm iters)
-                      sets chunks)
-              in
-              push_plan nest [ round ] false;
-              [ best_phase ]
-          | Local | Topology_aware | Combined ->
-              let _grouping, groups, dag =
-                timed "group" (fun () ->
-                    grouping_with ~block_size ~line
-                      ~max_groups:params.max_groups program nest)
-              in
-              let cluster_mode =
-                params.dependence_mode = Distribute.Cluster
-                && not (Dep_graph.is_empty dag)
-              in
-              let assignment =
-                timed "distribute" (fun () ->
-                    match scheme with
-                    | Local ->
-                        Baselines.default_assignment ~topo:map_topo groups
-                    | Topology_aware | Combined ->
-                        Distribute.run
-                          ~balance_threshold:params.balance_threshold
-                          ~dependence_mode:params.dependence_mode
-                          ~dep_graph:dag map_topo groups
-                    | Base | Base_plus -> assert false)
-              in
-              (* Under the clustering option every dependent set sits on
-                 one core and runs in sequential order, so no barriers
-                 (and no dependence constraints) remain. *)
-              let dag =
-                if cluster_mode && scheme <> Local then Dep_graph.create 0
-                else dag
-              in
-              let alpha, beta =
-                match scheme with
-                | Topology_aware -> (0., 0.)  (* dependence-only order *)
-                | _ -> (params.alpha, params.beta)
-              in
-              let sched =
-                timed "schedule" (fun () ->
-                    Schedule.run ~alpha ~beta map_topo assignment dag)
-              in
-              (* Figure 7's barriers enforce dependences; on a
-                 dependence-free nest the rounds collapse into one
-                 phase whose per-core order keeps the round-robin
-                 alignment (real barriers would only add noise: each
-                 round then waits for its slowest core). *)
-              let with_barriers = not (Dep_graph.is_empty dag) in
-              infos :=
-                {
-                  nest_name = nest.Nest.name;
-                  num_groups = Array.length groups;
-                  num_rounds =
-                    (if with_barriers then Schedule.num_rounds sched else 1);
-                  dep_edges = Dep_graph.num_edges dag;
-                  used_block_size = block_size;
-                }
-                :: !infos;
-              (if with_barriers then push_plan nest sched.Schedule.rounds true
-               else
-                 push_plan nest
-                   [ Schedule.per_core sched ]
-                   false);
-              timed "trace" (fun () ->
-                  phases_of_schedule ~stream ~with_barriers layout nest sched))
-      program.Program.nests
+                    phases_of_schedule ~stream ~with_barriers layout nest sched))
+        program.Program.nests )
   in
   let timings =
     List.map
-      (fun k -> (k, try Hashtbl.find times k with Not_found -> 0.))
+      (fun k ->
+        ( k,
+          List.fold_left
+            (fun acc (name, s) -> if name = k then acc +. s else acc)
+            0. spans ))
       timing_keys
   in
-  (* Feed the per-pass wall-clocks (the PR-1 ?clock hook, generalized)
-     into the self-telemetry registry so every compile — including the
-     hundreds a tune sweep performs — lands in
-     ctam_phase_seconds{phase="mapping.*"}. *)
+  (* Every compile — including the hundreds a tune sweep performs —
+     lands in ctam_phase_seconds{phase="mapping.*"}. *)
   if Ctam_telemetry.Metrics.enabled () then
     List.iter
-      (fun (k, v) -> Ctam_telemetry.Profile.record_phase ("mapping." ^ k) v)
+      (fun (k, seconds) ->
+        Ctam_telemetry.Metrics.Histogram.(
+          observe (series Ctam_telemetry.Profile.seconds [ "mapping." ^ k ]))
+          seconds)
       timings;
   {
     scheme;

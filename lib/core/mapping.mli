@@ -80,18 +80,21 @@ type compiled = {
   plans : nest_plan list;
   timings : (string * float) list;
       (** wall-clock seconds spent per compile phase, in {!timing_keys}
-          order; the phases cover the whole compile *)
+          order: the sum of the phase's {!Ctam_telemetry.Span}s, which
+          cover the whole compile *)
 }
 
 (** The compile-phase names reported in [compiled.timings]:
     ["group"; "distribute"; "schedule"; "trace"]. *)
 val timing_keys : string list
 
-(** [compile ?params ?clock ?map_topo ?stream scheme ~machine program]
-    maps every nest of [program] (parallel nests under [scheme];
-    serial nests run on core 0).  [map_topo] defaults to [machine].
-    [clock] (default {!Ctam_telemetry.Profile.now}, the wall clock)
-    supplies the timestamps for the per-phase [timings].
+(** [compile ?params ?map_topo ?stream scheme ~machine program] maps
+    every nest of [program] (parallel nests under [scheme]; serial
+    nests run on core 0).  [map_topo] defaults to [machine].  Each pass
+    runs in a {!Ctam_telemetry.Span} named after its {!timing_keys}
+    entry, collected by the compile itself, so its [timings] never
+    leak into a caller's collector; with telemetry on they are also
+    observed as [ctam_phase_seconds{phase="mapping.<key>"}].
 
     With [~stream:true] the produced [phases] are generator-backed
     cursors (serial nests and schedule groups regenerate their
@@ -101,7 +104,6 @@ val timing_keys : string list
     the memory. *)
 val compile :
   ?params:params ->
-  ?clock:(unit -> float) ->
   ?map_topo:Topology.t ->
   ?stream:bool ->
   scheme ->

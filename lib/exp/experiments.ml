@@ -442,17 +442,18 @@ let overhead ?(quick = false) ?scale () =
     List.map
       (fun k ->
         let prog = program_of ~quick k in
-        let time f =
-          let t0 = Ctam_telemetry.Profile.now () in
-          ignore (f ());
-          Ctam_telemetry.Profile.now () -. t0
+        let compile name scheme =
+          ignore
+            (Ctam_telemetry.Span.with_ name (fun () ->
+                 Mapping.compile scheme ~machine prog))
         in
-        let t_base =
-          time (fun () -> Mapping.compile Mapping.Base ~machine prog)
+        let (), spans =
+          Ctam_telemetry.Span.collect (fun () ->
+              compile "base" Mapping.Base;
+              compile "topology-aware" Mapping.Topology_aware)
         in
-        let t_topo =
-          time (fun () -> Mapping.compile Mapping.Topology_aware ~machine prog)
-        in
+        let t_base = List.assoc "base" spans in
+        let t_topo = List.assoc "topology-aware" spans in
         [
           k.Kernel.name;
           Printf.sprintf "%.2fs" t_base;

@@ -3,6 +3,9 @@ open Ctam_ir
 open Ctam_cachesim
 open Ctam_core
 module J = Ctam_util.Json
+module Metrics = Ctam_telemetry.Metrics
+module Profile = Ctam_telemetry.Profile
+module Span = Ctam_telemetry.Span
 
 type profile = {
   compiled : Mapping.compiled;
@@ -11,7 +14,8 @@ type profile = {
   reuse : Probe_sinks.Reuse_split.t;
   timeline : Timeline.t option;
   legend : (int * (string * int)) list;
-  sim_seconds : float;
+  timings : (string * float) list;
+  spans : (string * float) list;
   verify : Ctam_verify.Verify.report option;
   report : J.t;
 }
@@ -198,13 +202,14 @@ let conflicts_json reuse =
 let profile ?(params = Mapping.default_params) ?config ?timeline_window
     ?(frontend_timings = []) ?(check = false) ?(stream = false)
     ?(sample_sets = 1) scheme ~machine program =
-  let now = Unix.gettimeofday in
   (* GC image before any pipeline work, so the report's [telemetry]
      member charges compile + probe setup + simulation to this run. *)
   let gc0 = Gc.quick_stat () in
-  let t_all0 = now () in
-  let compiled =
-    Mapping.compile ~params ~clock:now ~stream scheme ~machine program
+  let t_all0 = Unix.gettimeofday () in
+  let compiled, compile_span =
+    Span.collect (fun () ->
+        Span.with_ "compile" (fun () ->
+            Mapping.compile ~params ~stream scheme ~machine program))
   in
   let verify =
     if check then Some (Ctam_verify.Verify.check compiled) else None
@@ -228,33 +233,39 @@ let profile ?(params = Mapping.default_params) ?config ?timeline_window
       | None -> []
       | Some tl -> [ Timeline.probe tl ])
   in
-  let t0 = now () in
-  (* [Profile.phase] also charges the GC words the simulation
-     allocates to ctam_phase_{minor,major}_words_total{phase=simulate}
-     (and is just [f ()] when telemetry is disabled). *)
-  let stats =
-    Ctam_telemetry.Profile.phase "simulate" (fun () ->
-        Mapping.simulate ?config ~probe
-          ?sample_sets:(if sample_sets > 1 then Some sample_sets else None)
-          compiled)
+  let gc_sim0 = Gc.quick_stat () in
+  let stats, simulate_span =
+    Span.collect (fun () ->
+        Span.with_ "simulate" (fun () ->
+            Mapping.simulate ?config ~probe
+              ?sample_sets:(if sample_sets > 1 then Some sample_sets else None)
+              compiled))
   in
-  let sim_seconds = now () -. t0 in
-  if Ctam_telemetry.Metrics.enabled () then
+  let timings = frontend_timings @ compiled.Mapping.timings @ simulate_span in
+  if Metrics.enabled () then begin
+    let gc_sim1 = Gc.quick_stat () in
     List.iter
-      (fun (k, v) -> Ctam_telemetry.Profile.record_phase ("frontend." ^ k) v)
-      frontend_timings;
-  let wall_seconds = now () -. t_all0 in
+      (fun (k, seconds) ->
+        Metrics.Histogram.(observe (series Profile.seconds [ k ])) seconds)
+      (List.map (fun (k, v) -> ("frontend." ^ k, v)) frontend_timings
+      @ simulate_span);
+    let words c0 c1 = max 0 (int_of_float (c1 -. c0)) in
+    Metrics.Counter.inc
+      ~by:(words gc_sim0.Gc.minor_words gc_sim1.Gc.minor_words)
+      (Metrics.Counter.series Profile.minor_words [ "simulate" ]);
+    Metrics.Counter.inc
+      ~by:(words gc_sim0.Gc.major_words gc_sim1.Gc.major_words)
+      (Metrics.Counter.series Profile.major_words [ "simulate" ])
+  end;
+  let wall_seconds = Unix.gettimeofday () -. t_all0 in
   let gc1 = Gc.quick_stat () in
   let telemetry_json =
     J.Obj
       [
         ("telemetry_version", J.Int Build_info.telemetry_version);
         ("wall_seconds", J.Float wall_seconds);
-        ("gc", Ctam_telemetry.Profile.gc_delta_json gc0 gc1);
+        ("gc", Profile.gc_delta_json gc0 gc1);
       ]
-  in
-  let timings =
-    frontend_timings @ compiled.Mapping.timings @ [ ("simulate", sim_seconds) ]
   in
   let report =
     J.Obj
@@ -325,7 +336,8 @@ let profile ?(params = Mapping.default_params) ?config ?timeline_window
     reuse;
     timeline;
     legend;
-    sim_seconds;
+    timings;
+    spans = compile_span @ simulate_span;
     verify;
     report;
   }

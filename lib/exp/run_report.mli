@@ -26,17 +26,24 @@ type profile = {
       (** attached when [profile ?timeline_window] was given *)
   legend : (int * (string * int)) list;
       (** segment id -> (nest name, group id) *)
-  sim_seconds : float;
+  timings : (string * float) list;
+      (** the report's [timings_seconds]: the given frontend timings,
+          the compile passes, then ["simulate"] *)
+  spans : (string * float) list;
+      (** the ["compile"] and ["simulate"] spans, each step whole *)
   verify : Ctam_verify.Verify.report option;
       (** legality-checker result when [profile ~check:true] *)
   report : Ctam_util.Json.t;
 }
 
 (** [profile ?params ?config ?frontend_timings ?check scheme ~machine
-    program] compiles (timing each compile phase with a wall clock),
-    attaches the counter and reuse sinks, simulates, and builds the
-    report.  [frontend_timings] lets the caller prepend e.g.
-    [("parse", s); ("lower", s)] measured while loading the source.
+    program] compiles, attaches the counter and reuse sinks, simulates,
+    and builds the report, timing each step with a
+    {!Ctam_telemetry.Span}.  [frontend_timings] lets the caller prepend
+    e.g. [("parse", s); ("lower", s)] measured while loading the
+    source.  With telemetry on, the frontend timings and the simulation
+    are observed as [ctam_phase_seconds{phase}] (["frontend.<key>"],
+    ["simulate"]), with the simulation's allocation.
     [check] (default false) additionally runs the {!Ctam_verify}
     legality checker on the compiled mapping; the result lands in
     [verify] and as a ["verify"] member of the JSON report.

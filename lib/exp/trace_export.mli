@@ -11,7 +11,9 @@
       machine-wide "reuse split" counter; a "coherence" thread with
       write-invalidation instants;
     - process 1 ("ctamap compiler"): back-to-back wall-clock spans,
-      one per compile phase ([Mapping.compile ?clock] timings).
+      one per entry of [compile_timings] (the frontend passes and
+      [Mapping.compile]'s per-pass [timings], each the sum of that
+      pass's {!Ctam_telemetry.Span}s).
 
     Simulated cycles map 1:1 to trace microseconds; compiler spans use
     real wall microseconds.  Events are sorted by (pid, tid, ts) with

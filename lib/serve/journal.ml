@@ -139,8 +139,8 @@ let stats_json t =
    observability").  [key] is the FNV-1a hash of the plan-cache key —
    the full key is reproducible from the request, the hash is what
    correlates with the on-disk cache file names. *)
-let envelope_members ~(ctx : Reqctx.t) ~key ~bytes_in ~bytes_out ~total_seconds
-    ~request =
+let envelope_members ~(ctx : Reqctx.t) ~spans ~key ~bytes_in ~bytes_out
+    ~total_seconds ~request =
   [
     ("ctam_journal_version", J.Int version);
     ("ts", J.Float ctx.Reqctx.started);
@@ -159,16 +159,17 @@ let envelope_members ~(ctx : Reqctx.t) ~key ~bytes_in ~bytes_out ~total_seconds
     | Some code -> [ ("error_code", J.String code) ])
   @ [
       ("total_us", J.Int (int_of_float (Float.round (total_seconds *. 1e6))));
-      ("spans_us", Reqctx.spans_us_json ctx);
+      ("spans_us", Reqctx.micros_json spans);
       ("bytes_in", J.Int bytes_in);
       ("bytes_out", J.Int bytes_out);
       ("request", request);
     ]
 
-let request_json ~ctx ~key ~bytes_in ~bytes_out ~total_seconds ~request
+let request_json ~ctx ~spans ~key ~bytes_in ~bytes_out ~total_seconds ~request
     ~response =
   J.Obj
-    (envelope_members ~ctx ~key ~bytes_in ~bytes_out ~total_seconds ~request
+    (envelope_members ~ctx ~spans ~key ~bytes_in ~bytes_out ~total_seconds
+       ~request
     @ [ ("response", response) ])
 
 (* [record_request] splices [response] — the pieces of the
@@ -178,10 +179,10 @@ let request_json ~ctx ~key ~bytes_in ~bytes_out ~total_seconds ~request
    both encoding it a second time and materialising the joined line
    showed up as the journal's warm-path overhead
    (EXPERIMENTS.md, "Journal overhead"). *)
-let record_request t ~ctx ~key ~bytes_in ~bytes_out ~total_seconds ~request
-    ~response =
+let record_request t ~ctx ~spans ~key ~bytes_in ~bytes_out ~total_seconds
+    ~request ~response =
   record_parts t
     (Protocol.splice
-       (envelope_members ~ctx ~key ~bytes_in ~bytes_out ~total_seconds
+       (envelope_members ~ctx ~spans ~key ~bytes_in ~bytes_out ~total_seconds
           ~request)
        "response" response)

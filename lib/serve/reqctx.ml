@@ -3,12 +3,12 @@
    so every log line, metric sample, journal record and error reply
    can be tied back to one request.
 
-   The id is monotonic across the whole daemon (a single atomic),
-   [conn] identifies the client connection it arrived on, and [spans]
-   accumulates the named per-request phase timings (decode /
-   cache_lookup / compile / simulate / encode ...) that [finish]
-   publishes as ctam_serve_* histograms labelled by op and cache
-   outcome. *)
+   The id is monotonic across the whole daemon (a single atomic), and
+   [conn] identifies the client connection it arrived on.  [finish]
+   publishes the request's total and its spans — the named phase
+   timings (decode / cache_lookup / compile / simulate / encode ...)
+   its Span collectors gathered — as ctam_serve_* histograms labelled
+   by op and cache outcome. *)
 
 module J = Ctam_util.Json
 module Tel = Ctam_telemetry
@@ -44,7 +44,6 @@ type t = {
   mutable cache : cache_outcome;
   mutable status : string;  (** "ok" | "error" | "timeout" *)
   mutable error_code : string option;
-  mutable spans : (string * float) list;  (** reverse completion order *)
 }
 
 let next_id = Atomic.make 0
@@ -61,26 +60,7 @@ let create ~conn () =
     cache = None_;
     status = "ok";
     error_code = None;
-    spans = [];
   }
-
-let add_span ctx name seconds = ctx.spans <- (name, seconds) :: ctx.spans
-
-let add_spans ctx spans =
-  List.iter (fun (name, seconds) -> add_span ctx name seconds) spans
-
-let span ctx name f =
-  let t0 = Unix.gettimeofday () in
-  let record () = add_span ctx name (Unix.gettimeofday () -. t0) in
-  match f () with
-  | r ->
-      record ();
-      r
-  | exception e ->
-      record ();
-      raise e
-
-let spans ctx = List.rev ctx.spans
 
 let log_fields ctx =
   [ ("request_id", J.Int ctx.id); ("conn", J.Int ctx.conn) ]
@@ -93,10 +73,10 @@ let error ctx code =
   ctx.status <- (if code = "timeout" then "timeout" else "error");
   ctx.error_code <- Some code
 
-(* Publish the request's metric samples and return its total wall
-   time.  Called exactly once, after the reply was written (or the
-   write failed). *)
-let finish ctx =
+(* Publish the request's metric samples, [spans] among them, and
+   return its total wall time.  Called exactly once, after the reply
+   was written (or the write failed). *)
+let finish ctx spans =
   let total = Unix.gettimeofday () -. ctx.started in
   if Tel.Metrics.enabled () then begin
     let cache = cache_id ctx.cache in
@@ -108,13 +88,13 @@ let finish ctx =
         Tel.Metrics.Histogram.observe
           (Tel.Metrics.Histogram.series tel_span_seconds [ ctx.op; name ])
           seconds)
-      ctx.spans
+      spans
   end;
   total
 
-let spans_us_json ctx =
+let micros_json spans =
   J.Obj
     (List.map
        (fun (name, seconds) ->
          (name, J.Int (int_of_float (Float.round (seconds *. 1e6)))))
-       (spans ctx))
+       spans)

@@ -17,6 +17,7 @@ open Ctam_arch
 open Ctam_ir
 open Ctam_core
 module J = Ctam_util.Json
+module Span = Ctam_telemetry.Span
 module Space = Ctam_tune.Space
 module Search = Ctam_tune.Search
 
@@ -122,13 +123,10 @@ let program_members j =
                (List.map (fun k -> k.Kernel.name) Ctam_workloads.Suite.all)))
   | None, Some src -> (
       let module F = Ctam_frontend in
-      let now = Unix.gettimeofday in
       match
-        let t0 = now () in
-        let ast = F.Parser.parse src in
-        let t1 = now () in
-        let p = F.Lower.lower_program ast in
-        (p, [ ("parse", t1 -. t0); ("lower", now () -. t1) ])
+        Span.collect (fun () ->
+            let ast = Span.with_ "parse" (fun () -> F.Parser.parse src) in
+            Span.with_ "lower" (fun () -> F.Lower.lower_program ast))
       with
       | p, timings -> (p.Program.name, p, timings)
       | exception F.Parse_error.Error (pos, msg) ->
@@ -438,13 +436,13 @@ let trace_key tr =
     ]
 
 let execute_trace tr =
-  let t0 = Unix.gettimeofday () in
-  let stats, sc =
-    Ingest.run ~sample_sets:tr.t_sample_sets ~scan:tr.t_scan
-      ~machine:tr.t_machine tr.t_opts (TraceReader.Text tr.t_text)
-  in
-  let report = Ingest.report_json ~machine:tr.t_machine tr.t_opts sc stats in
-  (report, [ ("simulate", Unix.gettimeofday () -. t0) ])
+  Span.collect (fun () ->
+      Span.with_ "simulate" (fun () ->
+          let stats, sc =
+            Ingest.run ~sample_sets:tr.t_sample_sets ~scan:tr.t_scan
+              ~machine:tr.t_machine tr.t_opts (TraceReader.Text tr.t_text)
+          in
+          Ingest.report_json ~machine:tr.t_machine tr.t_opts sc stats))
 
 (* --- execution -------------------------------------------------------- *)
 
@@ -480,101 +478,70 @@ let with_member name v = function
   | J.Obj ms -> J.Obj (ms @ [ (name, v) ])
   | j -> j
 
-let timed spans name f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  spans := (name, Unix.gettimeofday () -. t0) :: !spans;
-  r
-
 (* [execute ?cache_dir r] runs the operation and returns the result
-   JSON together with the named phase timings the request context
-   publishes as spans (compile / simulate / verify / search, in
-   completion order).  [cache_dir] is handed to tune searches as their
-   own persistent evaluation cache (distinct file prefix, same
-   directory).  May raise — the server maps exceptions to structured
-   [internal] errors. *)
+   JSON together with the spans the request context publishes
+   (compile / simulate / verify / search, in completion order).
+   [cache_dir] is handed to tune searches as their own persistent
+   evaluation cache (distinct file prefix, same directory).  May raise
+   — the server maps exceptions to structured [internal] errors. *)
 let execute ?cache_dir r =
   let params = params r in
   let scheme = r.point.Space.scheme in
-  let spans = ref [] in
-  let result =
-    match r.op with
-    | Map ->
-        let compiled =
-          timed spans "compile" (fun () ->
-              Mapping.compile ~params ~stream:r.stream scheme
-                ~machine:r.machine r.program)
-        in
-        map_summary r compiled
-    | Run ->
-        let timeline_window =
-          if r.trace then
-            Some
-              (Option.value
-                 ~default:Ctam_cachesim.Timeline.default_window
-                 r.trace_window)
-          else None
-        in
-        let p =
-          Ctam_exp.Run_report.profile ~params ?timeline_window
-            ~frontend_timings:r.frontend_timings ~check:r.check
-            ~stream:r.stream ~sample_sets:r.sample_sets scheme
-            ~machine:r.machine r.program
-        in
-        let compile_seconds =
-          List.fold_left
-            (fun a (_, s) -> a +. s)
-            0.
-            p.Ctam_exp.Run_report.compiled.Mapping.timings
-        in
-        spans :=
-          [
-            ("simulate", p.Ctam_exp.Run_report.sim_seconds);
-            ("compile", compile_seconds);
-          ];
-        let report = p.Ctam_exp.Run_report.report in
-        (* trace: embed the Chrome trace-event JSON (PR-4 exporter)
-           right in the reply, so a client can stream one slow request
-           straight into chrome://tracing. *)
-        if r.trace then
-          match p.Ctam_exp.Run_report.timeline with
-          | Some tl ->
-              let tj =
-                Ctam_exp.Trace_export.trace_json
-                  ~compile_timings:
-                    (r.frontend_timings
-                    @ p.Ctam_exp.Run_report.compiled.Mapping.timings)
-                  ~program:r.program_name
-                  ~machine:r.machine.Topology.name
-                  ~scheme:(Space.scheme_id r.point.Space.scheme)
-                  ~legend:p.Ctam_exp.Run_report.legend tl
-              in
-              with_member "trace" tj report
-          | None -> report
-        else report
-    | Check ->
-        let compiled =
-          timed spans "compile" (fun () ->
-              Mapping.compile ~params ~stream:r.stream scheme
-                ~machine:r.machine r.program)
-        in
-        timed spans "verify" (fun () ->
-            Ctam_verify.Verify.to_json (Ctam_verify.Verify.check compiled))
-    | Tune ->
-        let settings =
-          {
-            (search_settings r) with
-            Search.cache_dir;
-            (* One evaluation at a time: the daemon's parallelism budget
-               belongs to the worker pool, not to a single request. *)
-            jobs = Some 1;
-          }
-        in
-        let result =
-          timed spans "search" (fun () ->
-              Search.run settings ~machine:r.machine
-                ~program_name:r.program_name r.program)
-        in
-        Search.to_json result
+  let compile () =
+    Span.with_ "compile" (fun () ->
+        Mapping.compile ~params ~stream:r.stream scheme ~machine:r.machine
+          r.program)
   in
-  (result, List.rev !spans)
+  match r.op with
+  | Map -> Span.collect (fun () -> map_summary r (compile ()))
+  | Run ->
+      let timeline_window =
+        if r.trace then
+          Some
+            (Option.value ~default:Ctam_cachesim.Timeline.default_window
+               r.trace_window)
+        else None
+      in
+      let p =
+        Ctam_exp.Run_report.profile ~params ?timeline_window
+          ~frontend_timings:r.frontend_timings ~check:r.check ~stream:r.stream
+          ~sample_sets:r.sample_sets scheme ~machine:r.machine r.program
+      in
+      let report = p.Ctam_exp.Run_report.report in
+      (* trace: embed the Chrome trace-event JSON right in the reply,
+         so a client can stream one slow request straight into
+         chrome://tracing. *)
+      ( (match p.Ctam_exp.Run_report.timeline with
+        | Some tl ->
+            let tj =
+              Ctam_exp.Trace_export.trace_json
+                ~compile_timings:
+                  (r.frontend_timings
+                  @ p.Ctam_exp.Run_report.compiled.Mapping.timings)
+                ~program:r.program_name ~machine:r.machine.Topology.name
+                ~scheme:(Space.scheme_id r.point.Space.scheme)
+                ~legend:p.Ctam_exp.Run_report.legend tl
+            in
+            with_member "trace" tj report
+        | None -> report),
+        p.Ctam_exp.Run_report.spans )
+  | Check ->
+      Span.collect (fun () ->
+          let compiled = compile () in
+          Span.with_ "verify" (fun () ->
+              Ctam_verify.Verify.to_json (Ctam_verify.Verify.check compiled)))
+  | Tune ->
+      let settings =
+        {
+          (search_settings r) with
+          Search.cache_dir;
+          (* One evaluation at a time: the daemon's parallelism budget
+             belongs to the worker pool, not to a single request. *)
+          jobs = Some 1;
+        }
+      in
+      Span.collect (fun () ->
+          Search.to_json
+            (Span.with_ "search" (fun () ->
+                 Search.run settings ~machine:r.machine
+                   ~program_name:r.program_name r.program)))

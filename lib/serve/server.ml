@@ -24,6 +24,7 @@
 
 module J = Ctam_util.Json
 module Tel = Ctam_telemetry
+module Span = Ctam_telemetry.Span
 module Parallel = Ctam_util.Parallel
 
 let tel_requests =
@@ -211,14 +212,34 @@ let slowlog_limit j =
    plan's stored bytes (Protocol.ok_pieces). *)
 type reply = Json of J.t | Spliced of string list
 
+(* Account one answered request under [op] and [outcome], and return
+   what [handle] returns: the reply, whether the daemon should begin
+   shutting down, the plan-cache key (for the journal) when the
+   operation has one, and the spans of a completed execution. *)
+let answer t (ctx : Reqctx.t) ?(stopping = false) ?key ?(spans = []) ~op
+    ~outcome reply =
+  ctx.Reqctx.op <- op;
+  count_request op outcome;
+  locked t (fun () ->
+      t.c.served <- t.c.served + 1;
+      match outcome with
+      | "error" | "timeout" ->
+          t.c.errors <- t.c.errors + 1;
+          if outcome = "timeout" then t.c.timeouts <- t.c.timeouts + 1
+      | "cached" -> t.c.cached <- t.c.cached + 1
+      | _ -> ());
+  (reply, stopping, key, spans)
+
 (* Shared cached-compute tail of every plan-carrying op (map / run /
    tune / check / trace): plan-cache lookup, deadline-guarded
    execution, store.  [compute] returns the result JSON plus its
-   execution spans.  A cached or stored result is replied as its
-   stored text, so it is encoded at most once, when it is stored; only
-   a [nocache] result is encoded with its reply. *)
-let run_cached t (ctx : Reqctx.t) ~finish ~id ~request_id ~opname ~key ~nocache
+   execution spans, which join the request's only when it returns.  A
+   cached or stored result is replied as its stored text, so it is
+   encoded at most once, when it is stored; only a [nocache] result is
+   encoded with its reply. *)
+let run_cached t (ctx : Reqctx.t) ~id ~request_id ~opname ~key ~nocache
     ~timeout_ms compute =
+  let finish = answer t ctx in
   let cached_text =
     if nocache then begin
       ctx.Reqctx.cache <- Reqctx.Bypass;
@@ -226,7 +247,7 @@ let run_cached t (ctx : Reqctx.t) ~finish ~id ~request_id ~opname ~key ~nocache
     end
     else
       match
-        Reqctx.span ctx "cache_lookup" (fun () -> Plan_cache.lookup t.cache key)
+        Span.with_ "cache_lookup" (fun () -> Plan_cache.lookup t.cache key)
       with
       | Plan_cache.Memory text ->
           ctx.Reqctx.cache <- Reqctx.Memory;
@@ -240,10 +261,8 @@ let run_cached t (ctx : Reqctx.t) ~finish ~id ~request_id ~opname ~key ~nocache
   in
   match cached_text with
   | Some text ->
-      ( finish ~op:opname ~outcome:"cached"
-          (Spliced (Protocol.ok_pieces ~id ~request_id ~cached:true text)),
-        false,
-        Some key )
+      finish ~key ~op:opname ~outcome:"cached"
+        (Spliced (Protocol.ok_pieces ~id ~request_id ~cached:true text))
   | None -> (
       let timeout_ms =
         match timeout_ms with
@@ -252,10 +271,8 @@ let run_cached t (ctx : Reqctx.t) ~finish ~id ~request_id ~opname ~key ~nocache
       in
       let fail ~outcome code msg =
         Reqctx.error ctx code;
-        ( finish ~op:opname ~outcome
-            (Json (Protocol.error_response ~id ~request_id ~code msg)),
-          false,
-          Some key )
+        finish ~key ~op:opname ~outcome
+          (Json (Protocol.error_response ~id ~request_id ~code msg))
       in
       (* Timed or not, the work runs inline on this worker.  A timed
          request polls its deadline in every loop that grows with its
@@ -266,17 +283,12 @@ let run_cached t (ctx : Reqctx.t) ~finish ~id ~request_id ~opname ~key ~nocache
         | Some ms -> Ctam_util.Deadline.within ~ms compute
       with
       | v, spans ->
-          Reqctx.add_spans ctx spans;
-          let reply =
-            if nocache then Json (Protocol.ok_response ~id ~request_id v)
-            else
-              Spliced
-                (Protocol.ok_pieces ~id ~request_id
-                   (Plan_cache.store t.cache key v))
-          in
-          ( finish ~op:opname ~outcome:"ok" reply,
-            false,
-            Some key )
+          finish ~key ~spans ~op:opname ~outcome:"ok"
+            (if nocache then Json (Protocol.ok_response ~id ~request_id v)
+             else
+               Spliced
+                 (Protocol.ok_pieces ~id ~request_id
+                    (Plan_cache.store t.cache key v)))
       | exception Ctam_util.Deadline.Expired ->
           (* Only a [within] scope raises it, so [timeout_ms] is set. *)
           fail ~outcome:"timeout" "timeout"
@@ -309,11 +321,10 @@ let version_json =
       ("trace_formats", name_desc_json Ctam_tracein.Ingest.trace_formats);
     ]
 
-(* Answer one parsed request object under [ctx]; returns the reply,
-   whether the daemon should begin shutting down, and the plan-cache
-   key (for the journal) when the operation has one.  Every reply
-   carries the daemon-minted [request_id], and [ctx] leaves with op /
-   cache outcome / status / error code / execution spans filled in. *)
+(* Answer one parsed request object under [ctx] (see [answer] for what
+   it returns).  Every reply carries the daemon-minted [request_id],
+   and [ctx] leaves with op / cache outcome / status / error code
+   filled in. *)
 let handle t (ctx : Reqctx.t) j =
   let request_id = ctx.Reqctx.id in
   let id = match j with J.Obj _ -> Option.value ~default:J.Null (J.member "id" j) | _ -> J.Null in
@@ -323,96 +334,66 @@ let handle t (ctx : Reqctx.t) j =
         match J.member "op" j with Some (J.String s) -> Some s | _ -> None)
     | _ -> None
   in
-  let finish ~op ~outcome reply =
-    ctx.Reqctx.op <- op;
-    count_request op outcome;
-    locked t (fun () ->
-        t.c.served <- t.c.served + 1;
-        match outcome with
-        | "error" | "timeout" ->
-            t.c.errors <- t.c.errors + 1;
-            if outcome = "timeout" then t.c.timeouts <- t.c.timeouts + 1
-        | "cached" -> t.c.cached <- t.c.cached + 1
-        | _ -> ());
-    reply
-  in
+  let finish = answer t ctx in
   let bad_request ~op msg =
     Reqctx.error ctx "bad_request";
-    ( finish ~op ~outcome:"error"
-        (Json
-           (Protocol.error_response ~id ~request_id ~code:"bad_request" msg)),
-      false,
-      None )
+    finish ~op ~outcome:"error"
+      (Json (Protocol.error_response ~id ~request_id ~code:"bad_request" msg))
   in
   match op with
   | None ->
       Reqctx.error ctx "bad_request";
-      ( finish ~op:"?" ~outcome:"error"
-          (Json
-             (Protocol.error_response ~id ~request_id ~code:"bad_request"
-                "request must be an object with a string \"op\" member")),
-        false,
-        None )
+      finish ~op:"?" ~outcome:"error"
+        (Json
+           (Protocol.error_response ~id ~request_id ~code:"bad_request"
+              "request must be an object with a string \"op\" member"))
   | Some "ping" ->
-      ( finish ~op:"ping" ~outcome:"ok"
-          (Json
-             (Protocol.ok_response ~id ~request_id
-                (J.Obj [ ("pong", J.Bool true) ]))),
-        false,
-        None )
+      finish ~op:"ping" ~outcome:"ok"
+        (Json
+           (Protocol.ok_response ~id ~request_id
+              (J.Obj [ ("pong", J.Bool true) ])))
   | Some "stats" ->
-      ( finish ~op:"stats" ~outcome:"ok"
-          (Json (Protocol.ok_response ~id ~request_id (stats_json t))),
-        false,
-        None )
+      finish ~op:"stats" ~outcome:"ok"
+        (Json (Protocol.ok_response ~id ~request_id (stats_json t)))
   | Some "metrics" -> (
       match metrics_format j with
       | Error msg -> bad_request ~op:"metrics" msg
       | Ok format ->
-          ( finish ~op:"metrics" ~outcome:"ok"
-              (Json
-                 (Protocol.ok_response ~id ~request_id (metrics_json format))),
-            false,
-            None ))
+          finish ~op:"metrics" ~outcome:"ok"
+            (Json (Protocol.ok_response ~id ~request_id (metrics_json format))))
   | Some "slowlog" -> (
       match slowlog_limit j with
       | Error msg -> bad_request ~op:"slowlog" msg
       | Ok limit ->
-          ( finish ~op:"slowlog" ~outcome:"ok"
-              (Json
-                 (Protocol.ok_response ~id ~request_id
-                    (Slowlog.to_json ?limit t.slowlog))),
-            false,
-            None ))
+          finish ~op:"slowlog" ~outcome:"ok"
+            (Json
+               (Protocol.ok_response ~id ~request_id
+                  (Slowlog.to_json ?limit t.slowlog))))
   | Some "version" ->
-      ( finish ~op:"version" ~outcome:"ok"
-          (Json (Protocol.ok_response ~id ~request_id version_json)),
-        false,
-        None )
+      finish ~op:"version" ~outcome:"ok"
+        (Json (Protocol.ok_response ~id ~request_id version_json))
   | Some "trace" -> (
       match Request.parse_trace j with
       | Error msg -> bad_request ~op:"trace" msg
       | Ok tr ->
           ctx.Reqctx.op <- "trace";
-          run_cached t ctx ~finish ~id ~request_id ~opname:"trace"
+          run_cached t ctx ~id ~request_id ~opname:"trace"
             ~key:(Request.trace_key tr) ~nocache:tr.Request.t_nocache
             ~timeout_ms:tr.Request.t_timeout_ms (fun () ->
               Request.execute_trace tr))
   | Some "shutdown" ->
       Atomic.set t.stop true;
-      ( finish ~op:"shutdown" ~outcome:"ok"
-          (Json
-             (Protocol.ok_response ~id ~request_id
-                (J.Obj [ ("stopping", J.Bool true) ]))),
-        true,
-        None )
+      finish ~stopping:true ~op:"shutdown" ~outcome:"ok"
+        (Json
+           (Protocol.ok_response ~id ~request_id
+              (J.Obj [ ("stopping", J.Bool true) ])))
   | Some opname -> (
       match Request.parse j with
       | Error msg -> bad_request ~op:opname msg
       | Ok r ->
           let opname = Request.op_id r.Request.op in
           ctx.Reqctx.op <- opname;
-          run_cached t ctx ~finish ~id ~request_id ~opname
+          run_cached t ctx ~id ~request_id ~opname
             ~key:(Request.key r) ~nocache:r.Request.nocache
             ~timeout_ms:r.Request.timeout_ms (fun () ->
               Request.execute ?cache_dir:t.config.cache_dir r))
@@ -429,29 +410,32 @@ let try_write fd pieces =
   | exception Unix.Unix_error (_, _, _) -> None
 
 (* Seal one finished request: encode (a [Json] reply) and write it
-   inside an [encode] span, publish the context's metric samples, and
-   feed the journal and the slowlog.  The payload's pieces are reused
-   as the journal record's response member — a run reply is tens of
-   kilobytes and encoding or copying it again per request would
-   dominate the journal's cost.  Returns the write result. *)
-let complete t (ctx : Reqctx.t) fd ~key ~bytes_in ~request reply =
-  let wrote, pieces =
-    Reqctx.span ctx "encode" (fun () ->
-        let pieces =
-          match reply with
-          | Json j -> [ J.to_string ~minify:true j ]
-          | Spliced pieces -> pieces
-        in
-        (try_write fd pieces, pieces))
+   inside an [encode] span, publish the context's metric samples with
+   [spans] and that span, and feed the journal and the slowlog.  The
+   payload's pieces are reused as the journal record's response member
+   — a run reply is tens of kilobytes and encoding or copying it again
+   per request would dominate the journal's cost.  Returns the write
+   result. *)
+let complete t (ctx : Reqctx.t) fd ~spans ~key ~bytes_in ~request reply =
+  let (wrote, pieces), encode =
+    Span.collect (fun () ->
+        Span.with_ "encode" (fun () ->
+            let pieces =
+              match reply with
+              | Json j -> [ J.to_string ~minify:true j ]
+              | Spliced pieces -> pieces
+            in
+            (try_write fd pieces, pieces)))
   in
-  let total_seconds = Reqctx.finish ctx in
+  let spans = spans @ encode in
+  let total_seconds = Reqctx.finish ctx spans in
   (match t.journal with
   | None -> ()
   | Some jn ->
-      Journal.record_request jn ~ctx ~key ~bytes_in
+      Journal.record_request jn ~ctx ~spans ~key ~bytes_in
         ~bytes_out:(Option.value ~default:0 wrote)
         ~total_seconds ~request ~response:pieces);
-  Slowlog.note t.slowlog ctx ~total_seconds;
+  Slowlog.note t.slowlog ctx ~spans ~total_seconds;
   wrote
 
 let serve_connection t fd =
@@ -470,56 +454,49 @@ let serve_connection t fd =
         (* The frame never materialised, but the refusal is still a
            served (and journaled) request with its own id. *)
         let ctx = Reqctx.create ~conn () in
-        ctx.Reqctx.op <- "?";
         Reqctx.error ctx "oversized_frame";
-        count_request "?" "error";
-        locked t (fun () ->
-            t.c.served <- t.c.served + 1;
-            t.c.errors <- t.c.errors + 1);
+        let reply, _, _, _ =
+          answer t ctx ~op:"?" ~outcome:"error"
+            (Json
+               (Protocol.error_response ~request_id:ctx.Reqctx.id
+                  ~code:"oversized_frame"
+                  (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit"
+                     length t.config.max_frame)))
+        in
         let sent =
           Reqctx.with_logging ctx (fun () ->
               Tel.Log.warn ~src:"serve" (fun () ->
                   Printf.sprintf "refusing oversized frame (%d bytes)" length);
-              complete t ctx fd ~key:None ~bytes_in:length ~request:J.Null
-                (Json
-                   (Protocol.error_response ~request_id:ctx.Reqctx.id
-                      ~code:"oversized_frame"
-                      (Printf.sprintf
-                         "frame of %d bytes exceeds the %d-byte limit" length
-                         t.config.max_frame))))
+              complete t ctx fd ~spans:[] ~key:None ~bytes_in:length
+                ~request:J.Null reply)
         in
         (* A drained frame leaves the stream framed; an undrainable
            length means the peer never spoke the protocol. *)
         if sent <> None && in_sync then loop ()
-    | Ok payload -> (
+    | Ok payload ->
         let ctx = Reqctx.create ~conn () in
         let bytes_in = String.length payload in
-        match Reqctx.span ctx "decode" (fun () -> J.parse payload) with
-        | Error e ->
-            ctx.Reqctx.op <- "?";
-            Reqctx.error ctx "malformed_json";
-            count_request "?" "error";
-            locked t (fun () ->
-                t.c.served <- t.c.served + 1;
-                t.c.errors <- t.c.errors + 1);
-            let sent =
-              Reqctx.with_logging ctx (fun () ->
-                  complete t ctx fd ~key:None ~bytes_in ~request:J.Null
-                    (Json
-                       (Protocol.error_response ~request_id:ctx.Reqctx.id
-                          ~code:"malformed_json"
-                          ("request is not valid JSON: " ^ e))))
-            in
-            if sent <> None then loop ()
-        | Ok j ->
-            let reply, stopping, key =
-              Reqctx.with_logging ctx (fun () -> handle t ctx j)
-            in
-            let sent =
-              Reqctx.with_logging ctx (fun () ->
-                  complete t ctx fd ~key ~bytes_in ~request:j reply)
-            in
-            if sent <> None && not stopping then loop ())
+        (* The request's spans: decode's and the dispatch's, then a
+           completed execution's, then encode's. *)
+        let (request, (reply, stopping, key, exec)), spans =
+          Span.collect (fun () ->
+              match Span.with_ "decode" (fun () -> J.parse payload) with
+              | Ok j -> (j, Reqctx.with_logging ctx (fun () -> handle t ctx j))
+              | Error e ->
+                  Reqctx.error ctx "malformed_json";
+                  ( J.Null,
+                    answer t ctx ~op:"?" ~outcome:"error"
+                      (Json
+                         (Protocol.error_response ~request_id:ctx.Reqctx.id
+                            ~code:"malformed_json"
+                            ("request is not valid JSON: " ^ e))) ))
+        in
+        let sent =
+          Reqctx.with_logging ctx (fun () ->
+              complete t ctx fd ~spans:(spans @ exec) ~key ~bytes_in ~request
+                reply)
+        in
+        if sent <> None && not stopping then loop ()
   in
   loop ();
   try Unix.close fd with Unix.Unix_error _ -> ()

@@ -41,9 +41,9 @@ let locked t f =
 
 let threshold_ms t = t.threshold_ms
 
-(* [note t ctx ~total_seconds] records the finished request when it
-   crossed the threshold. *)
-let note t (ctx : Reqctx.t) ~total_seconds =
+(* [note t ctx ~spans ~total_seconds] records the finished request
+   when it crossed the threshold. *)
+let note t (ctx : Reqctx.t) ~spans ~total_seconds =
   let ms = total_seconds *. 1000. in
   if ms >= t.threshold_ms then
     let entry =
@@ -60,7 +60,7 @@ let note t (ctx : Reqctx.t) ~total_seconds =
         @ (match ctx.Reqctx.error_code with
           | None -> []
           | Some code -> [ ("error_code", J.String code) ])
-        @ [ ("spans_us", Reqctx.spans_us_json ctx) ])
+        @ [ ("spans_us", Reqctx.micros_json spans) ])
     in
     locked t (fun () ->
         t.ring.(t.next) <- Some entry;

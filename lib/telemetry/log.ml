@@ -140,19 +140,3 @@ let err ?src ?fields k = msg Error ?src ?fields k
 let warn ?src ?fields k = msg Warn ?src ?fields k
 let info ?src ?fields k = msg Info ?src ?fields k
 let debug ?src ?fields k = msg Debug ?src ?fields k
-
-let span ?(level = Debug) ?src name f =
-  let t0 = Unix.gettimeofday () in
-  match f () with
-  | r ->
-      let dt = Unix.gettimeofday () -. t0 in
-      Profile.record_phase name dt;
-      msg level ?src ~fields:[ ("seconds", J.Float dt) ] (fun () -> name);
-      r
-  | exception e ->
-      let dt = Unix.gettimeofday () -. t0 in
-      msg Error ?src
-        ~fields:
-          [ ("seconds", J.Float dt); ("exn", J.String (Printexc.to_string e)) ]
-        (fun () -> name ^ " raised");
-      raise e

@@ -104,9 +104,3 @@ val debug :
   ?fields:(string * Ctam_util.Json.t) list ->
   (unit -> string) ->
   unit
-
-val span : ?level:level -> ?src:string -> string -> (unit -> 'a) -> 'a
-(** [span name f] runs [f], logs [name] with a [seconds] field at
-    [level] (default [Debug]) when it returns, and records the duration
-    into the {!Profile} phase histogram under [name].  Exceptions
-    propagate after a log line flagging the failure. *)

@@ -1,55 +1,19 @@
 module J = Ctam_util.Json
 
-let now = Unix.gettimeofday
-
-let phase_seconds =
+let seconds =
   Metrics.Histogram.v ~labels:[ "phase" ]
     ~help:"Wall-clock seconds per compiler/simulator pipeline phase"
     "ctam_phase_seconds"
 
-let phase_minor_words =
+let minor_words =
   Metrics.Counter.v ~labels:[ "phase" ]
     ~help:"Minor-heap words allocated inside each phase"
     "ctam_phase_minor_words_total"
 
-let phase_major_words =
+let major_words =
   Metrics.Counter.v ~labels:[ "phase" ]
     ~help:"Major-heap words allocated inside each phase"
     "ctam_phase_major_words_total"
-
-let record_phase name seconds =
-  if Metrics.enabled () then
-    Metrics.Histogram.observe
-      (Metrics.Histogram.series phase_seconds [ name ])
-      seconds
-
-let phase name f =
-  if not (Metrics.enabled ()) then f ()
-  else begin
-    let g0 = Gc.quick_stat () in
-    let t0 = now () in
-    let record () =
-      let dt = now () -. t0 in
-      let g1 = Gc.quick_stat () in
-      Metrics.Histogram.observe
-        (Metrics.Histogram.series phase_seconds [ name ])
-        dt;
-      let words c0 c1 = max 0 (int_of_float (c1 -. c0)) in
-      Metrics.Counter.inc
-        ~by:(words g0.Gc.minor_words g1.Gc.minor_words)
-        (Metrics.Counter.series phase_minor_words [ name ]);
-      Metrics.Counter.inc
-        ~by:(words g0.Gc.major_words g1.Gc.major_words)
-        (Metrics.Counter.series phase_major_words [ name ])
-    in
-    match f () with
-    | r ->
-        record ();
-        r
-    | exception e ->
-        record ();
-        raise e
-  end
 
 let gc_json () =
   let s = Gc.quick_stat () in

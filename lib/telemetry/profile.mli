@@ -1,26 +1,24 @@
-(** Self-profiling: wall-clock per pipeline phase and GC pressure,
-    recorded into the default {!Metrics} registry and rendered as the
-    [--metrics-out] snapshot / run-report [telemetry] member.
+(** Self-profiling: the pipeline-phase metric families and GC
+    pressure, rendered as the [--metrics-out] snapshot and the run
+    report's [telemetry] member.
 
-    Phases are the frontend → poly → mapping → engine → tune seams:
-    ["frontend.parse"], ["mapping.group"], ["simulate"],
-    ["tune.search"], … — dot-separated, lowercase.  Each recording
-    lands in the [ctam_phase_seconds{phase}] histogram; {!phase} also
-    charges the phase's GC allocation counters. *)
+    Phases are dot-separated and lowercase.  Every compile observes
+    ["mapping.group"], ["mapping.distribute"], ["mapping.schedule"] and
+    ["mapping.trace"] from its {!Span}s; a profiled run adds
+    ["frontend.parse"] and ["frontend.lower"] for a DSL source, and
+    ["simulate"] with the words the simulation allocated.  Observations
+    happen only when {!Metrics.enabled}. *)
 
-val now : unit -> float
-(** [Unix.gettimeofday] — the clock every telemetry duration uses. *)
+val seconds : Metrics.Histogram.metric
+(** [ctam_phase_seconds{phase}]: wall-clock seconds per phase. *)
 
-val record_phase : string -> float -> unit
-(** [record_phase name seconds] observes one phase duration.  No-op
-    when {!Metrics.enabled} is false. *)
+val minor_words : Metrics.Counter.metric
+(** [ctam_phase_minor_words_total{phase}]: minor-heap words allocated
+    inside a phase. *)
 
-val phase : string -> (unit -> 'a) -> 'a
-(** [phase name f] runs [f], recording its wall-clock and the
-    minor/major words it allocated ([ctam_phase_minor_words_total],
-    [ctam_phase_major_words_total]).  Exceptions propagate; the phase
-    is still recorded.  When {!Metrics.enabled} is false this is just
-    [f ()]. *)
+val major_words : Metrics.Counter.metric
+(** [ctam_phase_major_words_total{phase}]: major-heap words allocated
+    inside a phase. *)
 
 (** {1 Snapshots} *)
 

@@ -7,6 +7,7 @@ module J = Ctam_util.Json
 module Iterset = Ctam_poly.Iterset
 module Domain = Ctam_poly.Domain
 module Codegen = Ctam_poly.Codegen
+module Int_table = Ctam_util.Int_table
 
 module Tel = Ctam_telemetry
 
@@ -112,36 +113,7 @@ let check_topology topo =
              Fmt.(list ~sep:comma int)
              with_level))
     (Topology.levels topo);
-  (* The sharing relation ([Topology.affinity_level]) must be symmetric.
-     Paths are chains of ancestors, so when every cache name labels one
-     tree node the caches two paths share are the common ancestors, and
-     either path meets the lowest of them first: the pairs need
-     comparing only when some name labels two nodes. *)
-  let affinity c1 c2 =
-    let shared (p : Topology.cache_params) =
-      List.exists (fun q -> q.Topology.cache_name = p.cache_name) paths.(c2)
-    in
-    Option.map (fun p -> p.Topology.level) (List.find_opt shared paths.(c1))
-  in
-  let names =
-    List.map (fun p -> p.Topology.cache_name) (Topology.caches topo)
-  in
-  if has_dup (List.sort compare names) then
-    for c1 = 0 to n - 1 do
-      for c2 = c1 + 1 to n - 1 do
-        let a = affinity c1 c2 and b = affinity c2 c1 in
-        if a <> b then
-          add
-            (issue "topology"
-               "asymmetric sharing: affinity(%d,%d) = %a but affinity(%d,%d) \
-                = %a"
-               c1 c2
-               Fmt.(option ~none:(any "none") int)
-               a c2 c1
-               Fmt.(option ~none:(any "none") int)
-               b)
-      done
-    done;
+  (* Sharing is symmetric: [Topology.make] rejects duplicate names. *)
   List.rev !issues
 
 (* --- invariants 1 + 2: coverage/disjointness and codegen ------------- *)
@@ -171,14 +143,31 @@ let check_plan acc (plan : Mapping.nest_plan) =
   let dom = nest.Nest.domain in
   let enc = Iterset.encoder_of_domain dom in
   let domain_set = Iterset.of_domain enc dom in
-  let seen = ref (Iterset.empty enc) in
+  (* Every key a group holds is marked [0] once assigned (a key only
+     looked up holds [-1]): one table per nest keeps the check linear
+     in the plan's points. *)
+  let seen = Int_table.create () in
+  let assigned k = Int_table.value seen (Int_table.slot seen k) = 0 in
+  let assign k =
+    let s = Int_table.slot seen k in
+    let before = Int_table.value seen s = 0 in
+    Int_table.set_value seen s 0;
+    before
+  in
+  (* How many of [keys] (ascending) [hit] selects, and the first one. *)
+  let count_first hit keys =
+    Array.fold_left
+      (fun (n, first) k ->
+        if hit k then (n + 1, if n = 0 then k else first) else (n, first))
+      (0, -1) keys
+  in
   acc.nests <- acc.nests + 1;
   List.iter
     (fun round ->
       Array.iter
         (List.iter (fun (g : Iter_group.t) ->
-             (* Each group is re-encoded, intersected and decomposed:
-                poll the request deadline per group. *)
+             (* Each group is re-encoded, marked and decomposed: poll
+                the request deadline per group. *)
              Ctam_util.Deadline.check ();
              acc.groups <- acc.groups + 1;
              acc.points <- acc.points + Iterset.cardinal g.Iter_group.iters;
@@ -186,15 +175,14 @@ let check_plan acc (plan : Mapping.nest_plan) =
                reencode acc enc ~nest_name ~group_id:g.Iter_group.id
                  g.Iter_group.iters
              in
-             let overlap = Iterset.inter !seen gs in
-             if not (Iterset.is_empty overlap) then
+             let repeats, first = count_first assign (Iterset.keys gs) in
+             if repeats > 0 then
                add acc
                  (issue "disjointness"
                     "nest %s: group %d repeats %d iteration(s) already \
                      assigned elsewhere, e.g. %a"
-                    nest_name g.Iter_group.id (Iterset.cardinal overlap) pp_iv
-                    (Iterset.decode enc (Iterset.min_key overlap)));
-             seen := Iterset.union !seen gs;
+                    nest_name g.Iter_group.id repeats pp_iv
+                    (Iterset.decode enc first));
              (* Codegen faithfulness: the decomposed boxes must
                 re-enumerate exactly the group's points. *)
              let cg = Codegen.decompose g.Iter_group.iters in
@@ -209,15 +197,16 @@ let check_plan acc (plan : Mapping.nest_plan) =
                     (List.length expect))))
         round)
     plan.Mapping.plan_rounds;
-  let missing = Iterset.diff domain_set !seen in
-  if not (Iterset.is_empty missing) then
+  let missing, first =
+    count_first (fun k -> not (assigned k)) (Iterset.keys domain_set)
+  in
+  if missing > 0 then
     add acc
       (issue "coverage"
          "nest %s: %d of %d iteration(s) are never assigned to any group, \
           e.g. %a"
-         nest_name (Iterset.cardinal missing) (Iterset.cardinal domain_set)
-         pp_iv
-         (Iterset.decode enc (Iterset.min_key missing)))
+         nest_name missing (Iterset.cardinal domain_set) pp_iv
+         (Iterset.decode enc first))
 
 (* --- invariant 3a: dependence legality ------------------------------- *)
 

@@ -20,8 +20,9 @@
        trace-level {!Race} detector finds no same-address write
        conflict between cores inside one phase;}
     {- {b topology well-formedness} — every core reaches at most one
-       cache per level, sharing domains partition the cores at each
-       level, and the sharing relation is symmetric.}} *)
+       cache per level, and sharing domains partition the cores at each
+       level (the sharing relation is symmetric by construction:
+       {!Ctam_arch.Topology.make} rejects duplicate cache names).}} *)
 
 open Ctam_arch
 open Ctam_core

@@ -245,6 +245,137 @@ let test_parse_roundtrip () =
     (Topology.level_capacity t 3)
     (Topology.level_capacity t' 3)
 
+(* A nesting or a list as long as the input once took a stack frame
+   per level: 200,000 of either overflowed a 2 MB stack, which
+   [dune runtest] also runs this group under. *)
+let test_parse_deep_and_wide () =
+  List.iter
+    (fun (what, text) ->
+      match Topo_parse.parse text with
+      | exception Topo_parse.Error _ -> ()
+      | _ -> Alcotest.failf "%s input accepted" what)
+    [
+      ("deep", String.make 200_000 '(');
+      ( "wide",
+        "(machine \"x\" "
+        ^ String.concat " " (List.init 200_000 (fun _ -> "a"))
+        ^ ")" );
+    ]
+
+(* --- Topo_parse properties ---------------------------------------------- *)
+
+(* A valid machine of 1-3 cache levels and 1-64 cores: each cache
+   above level 1 has 1-4 children a level down, each L1 1-4 cores, and
+   there are as many roots as keep the machine within 64 cores. *)
+let gen_topology : Topology.t QCheck.Gen.t =
+ fun st ->
+  let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let next_core = ref 0 and next_cache = ref 0 in
+  let params level =
+    let assoc = pick [ 1; 2; 4; 8; 16 ] and line = pick [ 32; 64; 128 ] in
+    incr next_cache;
+    {
+      Topology.cache_name = Printf.sprintf "L%d#%d" level !next_cache;
+      level;
+      size_bytes = assoc * line * pick [ 1; 2; 64; 1024 ];
+      assoc;
+      line;
+      latency = int 1 (40 * level);
+      policy = pick Policy.[ Lru; Fifo; Plru; Qlru; Mru; Random (int 0 1000) ];
+    }
+  in
+  let rec cache level =
+    let p = params level in
+    Topology.Cache
+      ( p,
+        if level = 1 then
+          List.init (int 1 4) (fun _ ->
+              incr next_core;
+              Topology.Core (!next_core - 1))
+        else List.init (int 1 4) (fun _ -> cache (level - 1)) )
+  in
+  let levels = int 1 3 in
+  let roots =
+    List.init (int 1 (64 / (1 lsl (2 * levels)))) (fun _ -> cache levels)
+  in
+  Topology.make
+    ~name:(pick [ "Gen"; "wide machine"; "x#1"; "" ])
+    ~clock_ghz:(pick [ 1.; 2.4; 3.2; 0.125; 1.23456789 ])
+    ~mem_latency:(int 1 400) roots
+
+(* Rendering a parsed rendering reproduces it. *)
+let prop_topo_roundtrip =
+  QCheck.Test.make ~name:"to_text (parse (to_text t)) = to_text t" ~count:300
+    (QCheck.make ~print:Topo_parse.to_text gen_topology)
+    (fun t ->
+      let text = Topo_parse.to_text t in
+      Topo_parse.to_text (Topo_parse.parse text) = text)
+
+(* Tokens of a rendered machine: the generated names hold no blank,
+   parenthesis or quote, so padding parentheses splits it. *)
+let tokens text =
+  String.split_on_char ' '
+    (String.concat " ( "
+       (String.split_on_char '('
+          (String.concat " ) "
+             (String.split_on_char ')'
+                (String.map (function '\n' -> ' ' | c -> c) text)))))
+  |> List.filter (( <> ) "")
+
+let odd_tokens =
+  [
+    "("; ")"; "\""; "\"x\""; "\"\""; ";"; "machine"; "cache"; "core"; "cores";
+    "level"; "size"; "assoc"; "line"; "latency"; "policy"; "clock"; "mem";
+    "0"; "-1"; "1"; "65536"; "65537"; "4611686018427387903";
+    "99999999999999999999"; "0K"; "1K"; "8G"; "9999999999G"; "-4M"; "nan";
+    "inf"; "1e308"; "plru"; "random:7"; "bogus";
+  ]
+
+(* A valid text (dozens of tokens) with 1-4 tokens dropped, duplicated
+   or replaced. *)
+let gen_mutated_text : string QCheck.Gen.t =
+ fun st ->
+  let toks =
+    ref (Array.of_list (tokens (Topo_parse.to_text (gen_topology st))))
+  in
+  for _ = 1 to 1 + Random.State.int st 4 do
+    let a = !toks in
+    let n = Array.length a in
+    let i = Random.State.int st n in
+    let before = Array.sub a 0 i and after = Array.sub a (i + 1) (n - i - 1) in
+    let odd () =
+      List.nth odd_tokens (Random.State.int st (List.length odd_tokens))
+    in
+    toks :=
+      Array.concat
+        (match Random.State.int st 3 with
+        | 0 -> [ before; after ]
+        | 1 -> [ before; [| a.(i); a.(i) |]; after ]
+        | _ -> [ before; [| odd () |]; after ])
+  done;
+  String.concat " " (Array.to_list !toks)
+
+let gen_arbitrary_text : string QCheck.Gen.t =
+  QCheck.Gen.(
+    oneof
+      [
+        string_size ~gen:printable (int_range 0 200);
+        map (String.concat " ")
+          (list_size (int_range 0 40) (oneofl odd_tokens));
+      ])
+
+(* Every input gives a machine or a [Topo_parse.Error]; any other
+   exception fails the property. *)
+let prop_topo_parse_total =
+  QCheck.Test.make ~name:"Topo_parse.parse is total" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(oneof [ gen_mutated_text; gen_arbitrary_text ]))
+    (fun text ->
+      match Topo_parse.parse text with
+      | _ -> true
+      | exception Topo_parse.Error _ -> true)
+
 let test_paths () =
   (* One walk gives every core the path [path_of_core] finds. *)
   List.iter
@@ -288,6 +419,10 @@ let () =
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "empty string" `Quick test_parse_empty_string;
           Alcotest.test_case "roundtrip" `Quick test_parse_roundtrip;
+          Alcotest.test_case "deep and wide input" `Quick
+            test_parse_deep_and_wide;
+          QCheck_alcotest.to_alcotest prop_topo_roundtrip;
+          QCheck_alcotest.to_alcotest prop_topo_parse_total;
         ] );
       ( "queries",
         [

@@ -203,6 +203,162 @@ let test_trace_json_structure () =
     (J.member "version" p.Run_report.report
     = Some (J.String Build_info.version))
 
+(* --- timing outputs ---------------------------------------------------- *)
+
+(* Under [dune runtest] the cwd is [_build/default/test] and the binary
+   and example programs are declared deps; [dune exec] from the repo
+   root needs the second candidates. *)
+let in_build ~test_rel ~root_rel =
+  List.find Sys.file_exists [ test_rel; root_rel ]
+
+let ctamap () =
+  in_build ~test_rel:"../bin/ctamap.exe" ~root_rel:"_build/default/bin/ctamap.exe"
+
+let fig5 () =
+  in_build ~test_rel:"../examples/programs/fig5.ctam"
+    ~root_rel:"examples/programs/fig5.ctam"
+
+(* Run the CLI with telemetry on; returns its standard output. *)
+let run_ctamap args =
+  let out = Filename.temp_file "ctam_exp" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "CTAM_TELEMETRY=1 %s %s > %s 2>&1"
+         (Filename.quote (ctamap ()))
+         args (Filename.quote out))
+  in
+  let ic = open_in_bin out in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove out;
+  if code <> 0 then Alcotest.failf "ctamap %s exited %d:\n%s" args code text;
+  text
+
+let read_json path =
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match J.parse text with Ok j -> j | Error e -> Alcotest.fail e
+
+let member_exn name j =
+  match J.member name j with
+  | Some v -> v
+  | None -> Alcotest.failf "missing member %S" name
+
+let obj_keys = function
+  | J.Obj ms -> List.map fst ms
+  | _ -> Alcotest.fail "expected an object"
+
+let check_keys = Alcotest.(check (list string))
+let compile_passes = [ "group"; "distribute"; "schedule"; "trace" ]
+
+(* The report's timings_seconds and the --profile phase table name the
+   frontend passes of a DSL source, the compile passes and the
+   simulation, in pipeline order; a builtin has no frontend passes. *)
+let test_report_timing_keys () =
+  let json = Filename.temp_file "ctam_report" ".json" in
+  let text =
+    run_ctamap
+      (Printf.sprintf "run %s --profile --json %s"
+         (Filename.quote (fig5 ()))
+         (Filename.quote json))
+  in
+  let dsl_keys = [ "parse"; "lower" ] @ compile_passes @ [ "simulate" ] in
+  check_keys "fig5 timings_seconds" dsl_keys
+    (obj_keys (member_exn "timings_seconds" (read_json json)));
+  let table =
+    match Astring.String.cut ~sep:"compile/simulate phases:\n" text with
+    | Some (_, rest) -> (
+        match Astring.String.cut ~sep:"\n\n" rest with
+        | Some (table, _) -> table
+        | None -> rest)
+    | None -> Alcotest.fail "no phase table in --profile output"
+  in
+  let rows =
+    match String.split_on_char '\n' table with
+    | _header :: _rule :: rows ->
+        List.map
+          (fun row -> List.hd (String.split_on_char ' ' row))
+          (List.filter (fun r -> r <> "") rows)
+    | _ -> Alcotest.fail "phase table has no rows"
+  in
+  check_keys "fig5 --profile phase table" dsl_keys rows;
+  ignore
+    (run_ctamap
+       (Printf.sprintf "run cg -m harpertown --scale 64 --json %s"
+          (Filename.quote json)));
+  check_keys "builtin timings_seconds" (compile_passes @ [ "simulate" ])
+    (obj_keys (member_exn "timings_seconds" (read_json json)));
+  Sys.remove json
+
+(* The compiler track of a Chrome trace: one span per frontend and
+   compile pass, in pipeline order. *)
+let test_trace_compile_track () =
+  let out = Filename.temp_file "ctam_trace" ".json" in
+  ignore
+    (run_ctamap
+       (Printf.sprintf "trace %s -o %s" (Filename.quote (fig5 ()))
+          (Filename.quote out)));
+  let names =
+    match member_exn "traceEvents" (read_json out) with
+    | J.List evs ->
+        List.filter_map
+          (fun e ->
+            match (J.member "cat" e, J.member "name" e) with
+            | Some (J.String "compile"), Some (J.String n) -> Some n
+            | _ -> None)
+          evs
+    | _ -> Alcotest.fail "traceEvents is not a list"
+  in
+  Sys.remove out;
+  check_keys "compile track" ([ "parse"; "lower" ] @ compile_passes) names
+
+(* A profiled run of fig5 with telemetry on leaves a
+   ctam_phase_seconds series for every frontend and compile pass and
+   for the simulation, and charges the simulation's allocation. *)
+let test_phase_labels () =
+  let snapshot = Filename.temp_file "ctam_metrics" ".json" in
+  ignore
+    (run_ctamap
+       (Printf.sprintf "run %s --profile --metrics-out %s"
+          (Filename.quote (fig5 ()))
+          (Filename.quote snapshot)));
+  let families =
+    match member_exn "metrics" (read_json snapshot) with
+    | J.List fs -> fs
+    | _ -> Alcotest.fail "metrics is not a list"
+  in
+  Sys.remove snapshot;
+  let phases name =
+    match
+      List.find_opt (fun f -> J.member "name" f = Some (J.String name)) families
+    with
+    | None -> Alcotest.failf "no %s family" name
+    | Some f -> (
+        match member_exn "series" f with
+        | J.List series ->
+            List.filter_map
+              (fun s ->
+                match J.member "phase" (member_exn "labels" s) with
+                | Some (J.String p) -> Some p
+                | _ -> None)
+              series
+        | _ -> Alcotest.failf "%s has no series list" name)
+  in
+  let seconds = phases "ctam_phase_seconds" in
+  List.iter
+    (fun p ->
+      check_bool ("ctam_phase_seconds{phase=" ^ p ^ "}") true
+        (List.mem p seconds))
+    ([ "frontend.parse"; "frontend.lower" ]
+    @ List.map (fun p -> "mapping." ^ p) compile_passes
+    @ [ "simulate" ]);
+  List.iter
+    (fun family ->
+      check_bool (family ^ "{phase=simulate}") true
+        (List.mem "simulate" (phases family)))
+    [ "ctam_phase_minor_words_total"; "ctam_phase_major_words_total" ]
+
 (* --- streamed / sampled simulation ----------------------------------- *)
 
 let test_profile_streamed_matches_dense () =
@@ -448,6 +604,14 @@ let () =
         [
           Alcotest.test_case "trace JSON structure" `Quick
             test_trace_json_structure;
+        ] );
+      ( "timing outputs",
+        [
+          Alcotest.test_case "run report timing keys" `Quick
+            test_report_timing_keys;
+          Alcotest.test_case "trace compile track" `Quick
+            test_trace_compile_track;
+          Alcotest.test_case "phase labels" `Quick test_phase_labels;
         ] );
       ( "simulation",
         [

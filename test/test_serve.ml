@@ -270,18 +270,6 @@ let test_reqctx () =
   let c2 = Reqctx.create ~conn () in
   check_bool "ids monotone" true (c2.Reqctx.id > c1.Reqctx.id);
   check_bool "fresh status" true (c1.Reqctx.status = "ok");
-  (* Spans are timed, kept in completion order, exception-safe. *)
-  let r = Reqctx.span c1 "decode" (fun () -> 21 * 2) in
-  check_int "span returns" 42 r;
-  (match Reqctx.span c1 "boom" (fun () -> failwith "x") with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "span swallowed the exception");
-  Reqctx.add_span c1 "encode" 0.25;
-  check_keys "span order" [ "decode"; "boom"; "encode" ]
-    (List.map fst (Reqctx.spans c1));
-  (match Reqctx.spans_us_json c1 with
-  | J.Obj [ _; _; ("encode", J.Int us) ] -> check_int "span micros" 250_000 us
-  | j -> Alcotest.fail ("bad spans_us: " ^ J.to_string ~minify:true j));
   (* Error classification: "timeout" is its own status. *)
   Reqctx.error c1 "internal";
   check_bool "error status" true (c1.Reqctx.status = "error");
@@ -293,7 +281,7 @@ let test_reqctx () =
     (List.map Reqctx.cache_id
        [ Reqctx.Memory; Reqctx.Disk; Reqctx.Miss; Reqctx.Bypass; Reqctx.None_ ]
     = [ "memory"; "disk"; "miss"; "bypass"; "none" ]);
-  check_bool "finish returns elapsed" true (Reqctx.finish c1 >= 0.)
+  check_bool "finish returns elapsed" true (Reqctx.finish c1 [] >= 0.)
 
 (* Request identity lands on every log line emitted inside the scope,
    through arbitrarily deep calls, without threading an argument. *)
@@ -336,9 +324,9 @@ let test_journal_record_and_rotation () =
   let path = Filename.concat dir "journal.jsonl" in
   let ctx = Reqctx.create ~conn:7 () in
   ctx.Reqctx.op <- "run";
-  Reqctx.add_span ctx "compile" 0.001;
   let record_json =
-    Journal.request_json ~ctx ~key:(Some "some-cache-key") ~bytes_in:10
+    Journal.request_json ~ctx ~spans:[ ("compile", 0.001) ]
+      ~key:(Some "some-cache-key") ~bytes_in:10
       ~bytes_out:20 ~total_seconds:0.005
       ~request:(J.Obj [ ("op", J.String "run") ])
       ~response:(Protocol.ok_response ~request_id:ctx.Reqctx.id (v "r"))
@@ -392,7 +380,7 @@ let test_slowlog () =
   let note ?(op = "run") ms =
     let ctx = Reqctx.create ~conn:0 () in
     ctx.Reqctx.op <- op;
-    Slowlog.note sl ctx ~total_seconds:(ms /. 1000.)
+    Slowlog.note sl ctx ~spans:[] ~total_seconds:(ms /. 1000.)
   in
   note 5.;
   check_int "below threshold not recorded" 0 (Slowlog.length sl);
@@ -819,6 +807,18 @@ let test_machine_checked_members () =
           ("DSL syntax error", dsl, "line 1");
         ] )
 
+let read_lines path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | l -> go (l :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
+
 (* Cold, warm-memory and disk-promoted replies to one request, read as
    raw frames: each is the canonical minified encoding of its own
    parse, all carry the same result bytes, and the journal records
@@ -892,18 +892,7 @@ let test_daemon_replies_canonical () =
   (* The journal holds one line per request, in order; [a]'s carry
      the wire payloads as their response members, and the cache
      outcome names the tier that answered. *)
-  let ic = open_in_bin journal in
-  let lines =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | l -> go (l :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
-  in
+  let lines = read_lines journal in
   check_int "one journal line per request" 4 (List.length lines);
   List.iter2
     (fun line (tier, payload) ->
@@ -913,6 +902,126 @@ let test_daemon_replies_canonical () =
         (J.member "cache" (parse line) = Some (J.String tier)))
     [ List.nth lines 0; List.nth lines 1; List.nth lines 3 ]
     !payloads
+
+(* --- span names --------------------------------------------------------- *)
+
+let cg_req op extra =
+  J.Obj
+    ([
+       ("op", J.String op);
+       ("program", J.String "cg");
+       ("machine", J.String "harpertown");
+       ("scale", J.Int 64);
+     ]
+    @ extra)
+
+(* The named timings an execution reports, in completion order: the
+   daemon publishes them as its compile/simulate/verify/search spans. *)
+let test_execute_span_names () =
+  let names req =
+    match Request.parse req with
+    | Ok r -> List.map fst (snd (Request.execute r))
+    | Error e -> Alcotest.fail e
+  in
+  check_keys "map" [ "compile" ] (names (cg_req "map" []));
+  check_keys "run" [ "compile"; "simulate" ] (names (cg_req "run" []));
+  check_keys "check" [ "compile"; "verify" ] (names (cg_req "check" []));
+  check_keys "tune" [ "search" ]
+    (names (cg_req "tune" [ ("budget", J.Int 1) ]));
+  (* A traced run's compiler track: one span per compile pass. *)
+  (match Request.parse (cg_req "run" [ ("trace", J.Bool true) ]) with
+  | Ok r -> (
+      match J.member "trace" (fst (Request.execute r)) with
+      | Some tr -> (
+          match J.member "traceEvents" tr with
+          | Some (J.List evs) ->
+              check_keys "run trace compile track"
+                [ "group"; "distribute"; "schedule"; "trace" ]
+                (List.filter_map
+                   (fun e ->
+                     match (J.member "cat" e, J.member "name" e) with
+                     | Some (J.String "compile"), Some (J.String n) -> Some n
+                     | _ -> None)
+                   evs)
+          | _ -> Alcotest.fail "trace has no traceEvents list")
+      | None -> Alcotest.fail "traced run has no trace member")
+  | Error e -> Alcotest.fail e);
+  match Request.parse_trace (trace_req " L 0x1000,8\n") with
+  | Ok tr ->
+      check_keys "trace" [ "simulate" ]
+        (List.map fst (snd (Request.execute_trace tr)))
+  | Error e -> Alcotest.fail e
+
+(* Each request's spans_us keys, in order, in its journal record and
+   its slowlog entry, for each cache outcome: an execution that raises
+   (here a timeout) contributes no span of its own. *)
+let test_request_span_keys () =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  let journal = Filename.concat dir "journal.jsonl" in
+  let config =
+    {
+      Server.default_config with
+      Server.workers = 1;
+      journal_path = Some journal;
+      slow_ms = 0.;
+    }
+  in
+  let endless =
+    trace_req (String.concat "" (List.init 20_000 (fun _ -> " L 0,65536\n")))
+    |> with_member "split" (J.Int 1)
+    |> with_member "timeout_ms" (J.Int 100)
+  in
+  let requests =
+    [
+      ("miss", cg_req "run" []);
+      ("memory", cg_req "run" []);
+      ("bypass", cg_req "run" [ ("nocache", J.Bool true) ]);
+      ("miss", endless);
+      ("none", J.Obj [ ("op", J.String "ping") ]);
+    ]
+  in
+  let slowlog = ref J.Null in
+  ignore
+    ( with_daemon ~config "spans" @@ fun socket ->
+      List.iter (fun (_, req) -> ignore (ask ~socket req)) requests;
+      slowlog := ask ~socket (J.Obj [ ("op", J.String "slowlog") ]) );
+  let parse s = match J.parse s with Ok j -> j | Error e -> Alcotest.fail e in
+  let span_keys what j =
+    match J.member "spans_us" j with
+    | Some (J.Obj ms) -> List.map fst ms
+    | _ -> Alcotest.fail (what ^ ": no spans_us object")
+  in
+  let expected =
+    [
+      ("cold run", [ "decode"; "cache_lookup"; "compile"; "simulate"; "encode" ]);
+      ("warm run", [ "decode"; "cache_lookup"; "encode" ]);
+      ("nocache run", [ "decode"; "compile"; "simulate"; "encode" ]);
+      ("timed-out trace", [ "decode"; "cache_lookup"; "encode" ]);
+      ("ping", [ "decode"; "encode" ]);
+    ]
+  in
+  let records = List.map parse (read_lines journal) in
+  check_int "one journal line per request" 6 (List.length records);
+  List.iteri
+    (fun i ((what, keys), (cache, _)) ->
+      let r = List.nth records i in
+      check_bool (what ^ ": cache outcome") true
+        (J.member "cache" r = Some (J.String cache));
+      check_keys (what ^ ": journal spans") keys (span_keys what r))
+    (List.combine expected requests);
+  check_bool "the endless trace timed out" true
+    (J.member "status" (List.nth records 3) = Some (J.String "timeout"));
+  check_keys "slowlog op: journal spans" [ "decode"; "encode" ]
+    (span_keys "slowlog op" (List.nth records 5));
+  (* The slowlog lists the same requests newest first. *)
+  match Option.map (J.member "entries") (Protocol.response_result !slowlog) with
+  | Some (Some (J.List entries)) ->
+      check_int "every request is slow at 0 ms" 5 (List.length entries);
+      List.iter2
+        (fun (what, keys) e -> check_keys (what ^ ": slowlog spans") keys (span_keys what e))
+        (List.rev expected) entries
+  | _ -> Alcotest.fail "slowlog reply has no entries"
 
 (* --- cache maintenance ------------------------------------------------- *)
 
@@ -997,6 +1106,9 @@ let () =
             test_deadline_stops_work;
           Alcotest.test_case "rejected members cost no worker" `Quick
             test_machine_checked_members;
+          Alcotest.test_case "execution span names" `Quick
+            test_execute_span_names;
+          Alcotest.test_case "request span keys" `Quick test_request_span_keys;
         ] );
       ( "cache maintenance",
         [

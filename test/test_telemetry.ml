@@ -1,7 +1,7 @@
 (* Tests for the self-telemetry subsystem: metrics registry (per-domain
    shards, exact counter merges, histogram buckets/quantiles), the
-   structured logger, the Prometheus renderer, the snapshot JSON, and
-   the zero-overhead contract of the instrumented engine. *)
+   structured logger, spans, the Prometheus renderer, the snapshot
+   JSON, and the zero-overhead contract of the instrumented engine. *)
 
 open Ctam_telemetry
 module J = Ctam_util.Json
@@ -457,29 +457,52 @@ let test_log_level_of_string () =
   check_bool "unknown rejected" true
     (Result.is_error (Log.level_of_string "chatty"))
 
-(* --- span + phase profiling -------------------------------------------- *)
+(* --- spans ---------------------------------------------------------------- *)
 
-let test_span_records_phase () =
-  with_enabled @@ fun () ->
-  with_sink @@ fun _captured ->
-  Log.set_level (Some Log.Debug);
-  let before =
-    match
-      Metrics.find (Metrics.scrape Metrics.default) "ctam_phase_seconds"
-        [ ("phase", "test.span") ]
-    with
-    | Some (Metrics.Histogram { count; _ }) -> count
-    | _ -> 0
+let test_span () =
+  (* The body's value comes back; spans keep completion order and are
+     recorded when the body raises too. *)
+  let r, spans =
+    Span.collect (fun () ->
+        let r = Span.with_ "decode" (fun () -> 21 * 2) in
+        (match Span.with_ "boom" (fun () -> failwith "x") with
+        | exception Failure _ -> ()
+        | _ -> Alcotest.fail "span swallowed the exception");
+        Span.with_ "outer" (fun () -> Span.with_ "inner" (fun () -> ()));
+        r)
   in
-  let r = Log.span "test.span" (fun () -> 41 + 1) in
-  check_int "span returns the body's value" 42 r;
+  check_int "span returns" 42 r;
+  Alcotest.(check (list string))
+    "completion order" [ "decode"; "boom"; "inner"; "outer" ]
+    (List.map fst spans);
+  check_bool "wall seconds are non-negative" true
+    (List.for_all (fun (_, s) -> s >= 0.) spans);
+  (* A nested collector keeps its spans; a raising one drops them. *)
+  let (), outer =
+    Span.collect (fun () ->
+        let (), inner = Span.collect (fun () -> Span.with_ "pass" ignore) in
+        Alcotest.(check (list string)) "inner" [ "pass" ] (List.map fst inner);
+        (match Span.collect (fun () -> Span.with_ "lost" ignore; failwith "y") with
+        | exception Failure _ -> ()
+        | _ -> Alcotest.fail "collect swallowed the exception");
+        Span.with_ "after" ignore)
+  in
+  Alcotest.(check (list string)) "outer" [ "after" ] (List.map fst outer);
+  (* With no collector open a span is just its body. *)
+  check_int "uncollected span" 7 (Span.with_ "nowhere" (fun () -> 7));
+  (* Collectors are per domain: another domain's spans never land here. *)
+  let (), here =
+    Span.collect (fun () ->
+        Domain.join (Domain.spawn (fun () -> Span.with_ "elsewhere" ignore)))
+  in
+  check_int "domain-local" 0 (List.length here);
+  (* The daemon renders spans in whole microseconds. *)
   match
-    Metrics.find (Metrics.scrape Metrics.default) "ctam_phase_seconds"
-      [ ("phase", "test.span") ]
+    Ctam_serve.Reqctx.micros_json [ ("decode", 1e-6); ("encode", 0.25) ]
   with
-  | Some (Metrics.Histogram { count; _ }) ->
-      check_int "span recorded one phase observation" (before + 1) count
-  | _ -> Alcotest.fail "phase histogram not scraped"
+  | J.Obj [ ("decode", J.Int 1); ("encode", J.Int us) ] ->
+      check_int "span micros" 250_000 us
+  | j -> Alcotest.fail ("bad spans_us: " ^ J.to_string ~minify:true j)
 
 (* --- engine: telemetry must not change simulated statistics ----------- *)
 
@@ -662,9 +685,9 @@ let () =
           Alcotest.test_case "levels" `Quick test_log_levels;
           Alcotest.test_case "json format" `Quick test_log_json_format;
           Alcotest.test_case "level parsing" `Quick test_log_level_of_string;
-          Alcotest.test_case "span" `Quick test_span_records_phase;
           Alcotest.test_case "ambient context" `Quick test_log_context;
         ] );
+      ("span", [ Alcotest.test_case "collect and with_" `Quick test_span ]);
       ( "instrumentation",
         [
           Alcotest.test_case "engine stats unchanged" `Quick

@@ -100,6 +100,85 @@ let test_cluster_mode () =
       check_bool "edges seen" true (r.Verify.edges_checked > 0))
     [ Suite.sp; Suite.facesim ]
 
+(* --- hand-built plans ---------------------------------------------------- *)
+
+(* A 4096-point dependence-free nest compiled under Base, whose plan
+   the tests below replace by hand. *)
+let line_program =
+  lazy
+    (let prog =
+       Ctam_frontend.Lower.compile
+         "program line;\n\
+          double A[4096];\n\
+          double B[4096];\n\
+          parallel for (i = 0; i <= 4095; i++)\n\
+         \  A[i] = A[i] + B[i];\n"
+     in
+     Mapping.compile Mapping.Base ~machine:(machine "harpertown") prog)
+
+(* [c] with its one nest's plan replaced by [groups] on core 0, each a
+   list of points. *)
+let with_groups (c : Mapping.compiled) groups =
+  let plan = List.hd c.Mapping.plans in
+  let nest = plan.Mapping.plan_nest in
+  let enc = Ctam_poly.Iterset.encoder_of_domain nest.Ctam_ir.Nest.domain in
+  let group id points =
+    {
+      Ctam_blocks.Iter_group.id;
+      tag = Ctam_blocks.Bitset.create 1;
+      iters =
+        Ctam_poly.Iterset.of_list enc (List.map (fun i -> [| i |]) points);
+    }
+  in
+  let plan = { plan with Mapping.plan_rounds = [ [| List.mapi group groups |] ] } in
+  ({ c with Mapping.plans = [ plan ] }, nest.Ctam_ir.Nest.name)
+
+let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i)
+
+let test_overlap_and_hole_texts () =
+  let c, nest =
+    with_groups (Lazy.force line_program) [ range 0 9; range 5 14 ]
+  in
+  Alcotest.(check (list string))
+    "issues"
+    [
+      Printf.sprintf
+        "disjointness: nest %s: group 1 repeats 5 iteration(s) already \
+         assigned elsewhere, e.g. (5)"
+        nest;
+      Printf.sprintf
+        "coverage: nest %s: 4081 of 4096 iteration(s) are never assigned to \
+         any group, e.g. (15)"
+        nest;
+    ]
+    (List.map
+       (fun i -> i.Verify.invariant ^ ": " ^ i.Verify.detail)
+       (Verify.check c).Verify.issues)
+
+(* Checking a plan allocates a bounded amount per group: 4096
+   single-point groups cost at most [budget] words each beyond one
+   group holding the same points.  A check that re-merges every point
+   seen so far per group allocates thousands of words per group here,
+   mostly in arrays too large for the minor heap, so the count is of
+   all allocated bytes. *)
+let test_plan_check_linear () =
+  let base = Lazy.force line_program in
+  let words groups =
+    let c, _ = with_groups base groups in
+    let b0 = Gc.allocated_bytes () in
+    let r = Verify.check c in
+    let w = (Gc.allocated_bytes () -. b0) /. float (Sys.word_size / 8) in
+    check_bool "clean" true (Verify.ok r);
+    w
+  in
+  let one = words [ range 0 4095 ] in
+  let many = words (List.map (fun i -> [ i ]) (range 0 4095)) in
+  let per_group = (many -. one) /. 4095. in
+  let budget = 1000. in
+  check_bool
+    (Printf.sprintf "%.0f words per group within %.0f" per_group budget)
+    true (per_group <= budget)
+
 (* --- negative: injected corruption must be caught --------------------- *)
 
 let test_inject_bad_coverage () =
@@ -321,6 +400,13 @@ let () =
             test_dependent_kernels_all_schemes;
           Alcotest.test_case "cluster dependence mode" `Quick
             test_cluster_mode;
+        ] );
+      ( "plans",
+        [
+          Alcotest.test_case "overlap and hole texts" `Quick
+            test_overlap_and_hole_texts;
+          Alcotest.test_case "plan check is linear" `Quick
+            test_plan_check_linear;
         ] );
       ( "inject",
         [

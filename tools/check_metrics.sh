@@ -10,10 +10,11 @@
 #
 #   dune build && sh tools/check_metrics.sh
 #
-# Args (all optional): CTAMAP_EXE METRICS_CHECK_EXE
+# Args (all optional): CTAMAP_EXE METRICS_CHECK_EXE FIG5_CTAM
 set -e
 CTAMAP=${1:-./_build/default/bin/ctamap.exe}
 CHECK=${2:-./_build/default/tools/metrics_check.exe}
+FIG5=${3:-examples/programs/fig5.ctam}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -67,6 +68,22 @@ grep -q '^ctam_engine_runs_total' "$tmp/m.prom" || {
   echo "check_metrics: engine counter missing from Prometheus output" >&2
   exit 1
 }
+
+# A profiled run of a DSL program leaves a phase series for a compile
+# pass, a frontend pass and the simulation, and charges the
+# simulation's allocation.
+"$CTAMAP" run "$FIG5" --profile --metrics-out "$tmp/fig5.prom" > /dev/null
+for series in \
+  'ctam_phase_seconds_count{phase="mapping.group"}' \
+  'ctam_phase_seconds_count{phase="frontend.parse"}' \
+  'ctam_phase_seconds_count{phase="simulate"}' \
+  'ctam_phase_minor_words_total{phase="simulate"}'
+do
+  grep -qF "$series" "$tmp/fig5.prom" || {
+    echo "check_metrics: $series missing from Prometheus output" >&2
+    exit 1
+  }
+done
 
 # The run report carries the versioned telemetry member, and report
 # diff accepts two such reports (self-diff: no regressions).

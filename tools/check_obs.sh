@@ -89,6 +89,12 @@ grep -q '^ctam_serve_request_seconds_bucket' "$tmp/metrics.prom" || {
 grep -q '^ctam_serve_span_seconds_bucket' "$tmp/metrics.prom" || {
   echo "check_obs: no span histogram in the exposition" >&2; exit 1
 }
+for span in decode cache_lookup compile encode; do
+  grep -q "^ctam_serve_span_seconds_count{.*span=\"$span\"}" \
+    "$tmp/metrics.prom" || {
+    echo "check_obs: no $span span in the exposition" >&2; exit 1
+  }
+done
 grep -q '^ctam_serve_journal_records_total' "$tmp/metrics.prom" || {
   echo "check_obs: no journal counters in the exposition" >&2; exit 1
 }
