@@ -393,8 +393,7 @@ let run_cmd =
     Fmt.pr "%s on %s (%s):@.%a@." prog.Program.name machine.Topology.name
       (Mapping.scheme_name scheme)
       Stats.pp p.Ctam_exp.Run_report.stats;
-    let counters = p.Ctam_exp.Run_report.counters in
-    let reuse = p.Ctam_exp.Run_report.reuse in
+    let sink = p.Ctam_exp.Run_report.sink in
     if profile then begin
       Fmt.pr "@.compile/simulate phases:@.%s"
         (Ctam_exp.Report.table
@@ -402,7 +401,7 @@ let run_cmd =
            (List.map
               (fun (k, v) -> [ k; Printf.sprintf "%.6f" v ])
               p.Ctam_exp.Run_report.timings));
-      let levels = Probe_sinks.Counters.levels counters in
+      let levels = Sink.levels sink in
       let header =
         [ "core"; "accesses"; "mem" ]
         @ List.concat_map
@@ -413,12 +412,12 @@ let run_cmd =
       let rows =
         List.init machine.Topology.num_cores (fun core ->
             string_of_int core
-            :: string_of_int (Probe_sinks.Counters.accesses counters ~core)
-            :: string_of_int (Probe_sinks.Counters.mem counters ~core)
+            :: string_of_int (Sink.accesses sink ~core)
+            :: string_of_int (Sink.mem sink ~core)
             :: List.concat_map
                  (fun level ->
-                   let h = Probe_sinks.Counters.hits counters ~core ~level in
-                   let m = Probe_sinks.Counters.misses counters ~core ~level in
+                   let h = Sink.hits sink ~core ~level in
+                   let m = Sink.misses sink ~core ~level in
                    [
                      string_of_int m;
                      (if h + m = 0 then "-"
@@ -431,12 +430,8 @@ let run_cmd =
       Fmt.pr "@.per-core counters:@.%s"
         (Ctam_exp.Report.table ~geomean:"geomean" ~header rows);
       let top_groups =
-        Probe_sinks.Counters.group_stats counters
-        |> List.sort
-             (fun (_, a) (_, b) ->
-               compare
-                 b.Probe_sinks.Counters.g_mem
-                 a.Probe_sinks.Counters.g_mem)
+        Sink.group_stats sink
+        |> List.sort (fun (_, a) (_, b) -> compare b.Sink.g_mem a.Sink.g_mem)
         |> fun l -> List.filteri (fun i _ -> i < 10) l
       in
       if top_groups <> [] then
@@ -452,26 +447,25 @@ let run_cmd =
                   in
                   [
                     Printf.sprintf "%s:%d" nest group;
-                    string_of_int g.Probe_sinks.Counters.g_accesses;
-                    string_of_int g.Probe_sinks.Counters.g_mem;
+                    string_of_int g.Sink.g_accesses;
+                    string_of_int g.Sink.g_mem;
                   ])
                 top_groups));
-      let v = Probe_sinks.Reuse_split.vertical reuse in
-      let hz = Probe_sinks.Reuse_split.horizontal reuse in
-      let x = Probe_sinks.Reuse_split.cross reuse in
+      let v = Sink.vertical sink in
+      let hz = Sink.horizontal sink in
+      let x = Sink.cross sink in
       Fmt.pr
         "@.reuse: %d accesses, %d cold; vertical %d (mean dist %.1f), \
          horizontal %d (mean dist %.1f), cross-socket %d@."
-        (Probe_sinks.Reuse_split.total reuse)
-        (Probe_sinks.Reuse_split.cold reuse)
+        (Sink.total sink) (Sink.cold sink)
         v.Reuse.total (Reuse.mean_distance v) hz.Reuse.total
         (Reuse.mean_distance hz) x.Reuse.total
     end;
-    (match p.Ctam_exp.Run_report.timeline with
-    | Some tl when profile ->
+    (match Sink.window sink with
+    | Some w when profile ->
         Fmt.pr "@.timeline: %d windows of %d cycles, %d spans@."
-          (Timeline.num_windows tl) (Timeline.window tl)
-          (List.length (Timeline.spans tl))
+          (Sink.num_windows sink) w
+          (List.length (Sink.spans sink))
     | _ -> ());
     let* () = write_metrics metrics_out in
     match json with
@@ -513,7 +507,7 @@ let run_cmd =
       & opt (some int) None
       & info [ "window" ] ~docv:"N"
           ~doc:
-            "Attach the timeline sink with $(docv)-cycle windows and embed \
+            "Keep a timeline of $(docv)-cycle windows and embed \
              the windowed time-series metrics (per-core occupancy and \
              per-level hit/miss series, reuse split) in the JSON report.")
   in
@@ -828,22 +822,21 @@ let reuse_cmd =
     (match compiled.Mapping.phases with
     | [] -> ()
     | phase :: _ ->
-        let phase = Array.map Engine.force_stream phase in
         let hists =
-          Array.to_list (Array.map (fun s -> Reuse.of_stream s ~line) phase)
+          Array.map
+            (fun s -> Reuse.of_stream (Engine.force_stream s) ~line)
+            phase
         in
         Array.iteri
-          (fun c s ->
-            if Array.length s > 0 then begin
-              let h = Reuse.of_stream s ~line in
+          (fun c (h : Reuse.histogram) ->
+            if h.Reuse.total > 0 then
               Fmt.pr
                 "core %2d: %7d accesses, %6d cold, mean distance %8.1f, \
                  L1-size hit ratio %.2f@."
-                c (Array.length s) h.Reuse.cold (Reuse.mean_distance h)
-                (Reuse.hit_ratio_at h ~lines:l1_lines)
-            end)
-          phase;
-        let m = Reuse.merge hists in
+                c h.Reuse.total h.Reuse.cold (Reuse.mean_distance h)
+                (Reuse.hit_ratio_at h ~lines:l1_lines))
+          hists;
+        let m = Reuse.merge (Array.to_list hists) in
         Fmt.pr "machine:  %7d accesses, %6d cold, mean distance %8.1f@."
           m.Reuse.total m.Reuse.cold (Reuse.mean_distance m));
     `Ok ()
@@ -1035,13 +1028,13 @@ let trace_cmd =
       Mapping.compile ~params:(Request.params r) scheme ~machine prog
     in
     let segments, legend = Mapping.segments compiled in
-    let tl = Timeline.create ~window ~segments machine in
-    let stats = Mapping.simulate ~probe:(Timeline.probe tl) compiled in
+    let sink = Sink.create ~window ~segments machine in
+    let stats = Mapping.simulate ~probe:(Sink.probe sink) compiled in
     let compile_timings = frontend_timings @ compiled.Mapping.timings in
     let j =
       Ctam_exp.Trace_export.trace_json ~compile_timings
         ~program:prog.Program.name ~machine:machine.Topology.name
-        ~scheme:(Mapping.scheme_name scheme) ~legend tl
+        ~scheme:(Mapping.scheme_name scheme) ~legend sink
     in
     match
       try
@@ -1053,17 +1046,16 @@ let trace_cmd =
     | Ok () ->
         Fmt.pr
           "wrote %s: %d cycles in %d windows of %d, %d spans, %d barriers@."
-          output stats.Stats.cycles (Timeline.num_windows tl)
-          (Timeline.window tl)
-          (List.length (Timeline.spans tl))
-          (List.length (Timeline.barriers tl));
+          output stats.Stats.cycles (Sink.num_windows sink) window
+          (List.length (Sink.spans sink))
+          (List.length (Sink.barrier_marks sink));
         if heatmap then
           List.iter
             (fun level ->
-              match Timeline.render_heatmap tl ~level with
+              match Sink.render_heatmap sink ~level with
               | Some s -> Fmt.pr "@.%s" s
               | None -> ())
-            (Timeline.levels tl);
+            (Sink.levels sink);
         `Ok ()
   in
   let output =
@@ -1076,7 +1068,7 @@ let trace_cmd =
   let window =
     Arg.(
       value
-      & opt int Timeline.default_window
+      & opt int Request.default_window
       & info [ "window" ] ~docv:"N"
           ~doc:"Time-series window width in simulated cycles.")
   in
@@ -1091,7 +1083,7 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Simulate a program with the timeline sink attached and export a \
+         "Simulate a program with a windowed probe sink attached and export a \
           Chrome trace-event / Perfetto JSON file: per-core iteration-group \
           spans, barrier and invalidation instants, per-window counter \
           tracks, and the compile phases on their own track.  Load the \

@@ -26,42 +26,3 @@ let null =
   }
 
 let is_null p = p == null
-
-let seq = function
-  | [] -> null
-  | [ p ] -> p
-  | ps ->
-      let ps = List.filter (fun p -> not (is_null p)) ps in
-      (match ps with
-      | [] -> null
-      | [ p ] -> p
-      | ps ->
-          {
-            on_access =
-              (fun ~core ~addr ~line ~write ->
-                List.iter (fun p -> p.on_access ~core ~addr ~line ~write) ps);
-            on_level =
-              (fun ~core ~level ~set ~line ~hit ->
-                List.iter (fun p -> p.on_level ~core ~level ~set ~line ~hit) ps);
-            on_mem = (fun ~core ~line -> List.iter (fun p -> p.on_mem ~core ~line) ps);
-            on_evict =
-              (fun ~core ~level ~line ->
-                List.iter (fun p -> p.on_evict ~core ~level ~line) ps);
-            on_invalidate =
-              (fun ~core ~level ~line ->
-                List.iter (fun p -> p.on_invalidate ~core ~level ~line) ps);
-            on_retire =
-              (fun ~core ~cycles ->
-                List.iter (fun p -> p.on_retire ~core ~cycles) ps);
-            on_phase_start =
-              (fun ~phase -> List.iter (fun p -> p.on_phase_start ~phase) ps);
-            on_phase_end =
-              (fun ~phase ~cycles ->
-                List.iter (fun p -> p.on_phase_end ~phase ~cycles) ps);
-            on_barrier_enter =
-              (fun ~phase ~cycles ->
-                List.iter (fun p -> p.on_barrier_enter ~phase ~cycles) ps);
-            on_barrier_exit =
-              (fun ~phase ~cycles ->
-                List.iter (fun p -> p.on_barrier_exit ~phase ~cycles) ps);
-          })

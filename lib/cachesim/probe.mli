@@ -30,7 +30,7 @@ type t = {
       (** the engine finished charging the access: [cycles] is [core]'s
           updated local clock (issue cost + resolved latency included).
           Fired after the hierarchy events of the same access, so a
-          timeline sink can place every event of the access between the
+          windowed sink can place every event of the access between the
           core's previous clock and [cycles]. *)
   on_phase_start : phase:int -> unit;
   on_phase_end : phase:int -> cycles:int -> unit;
@@ -48,7 +48,3 @@ val null : t
 (** [is_null p] is physical equality with {!null} — lets hot loops skip
     callback dispatch altogether for the default probe. *)
 val is_null : t -> bool
-
-(** [seq ps] fans every event out to each probe in [ps], in order.
-    [seq []] is {!null}; [seq [p]] is [p]. *)
-val seq : t list -> t

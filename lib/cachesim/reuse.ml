@@ -36,44 +36,68 @@ module Fenwick = struct
     !acc
 
   let range t lo hi = if hi < lo then 0 else prefix t hi - prefix t (lo - 1)
+
+  (* A tree over [2n] times from one over [n], [n] a power of two: node
+     [i <= n] covers the same times in both, nodes in [(n, 2n)] cover
+     only times not yet marked, and node [2n] covers every time, as
+     node [n] did. *)
+  let double t =
+    let n = Array.length t.data - 1 in
+    let data = Array.make ((2 * n) + 1) 0 in
+    Array.blit t.data 0 data 0 (n + 1);
+    data.(2 * n) <- t.data.(n);
+    { data }
 end
 
 module Online = struct
+  module Int_table = Ctam_util.Int_table
+
+  (* [last] maps each line to its latest access, packed as
+     [(time lsl core_bits) lor core]: one lookup finds both the reuse
+     distance and who touched the line before. *)
   type t = {
     mutable fw : Fenwick.t;
-    mutable cap : int;
-    last : (int, int) Hashtbl.t;
+    last : Int_table.t;
     mutable time : int;
+    mutable previous_core : int;
   }
 
+  let core_bits = 20
+
   let create () =
-    { fw = Fenwick.create 1024; cap = 1024; last = Hashtbl.create 1024; time = 0 }
+    {
+      fw = Fenwick.create 1024;
+      last = Int_table.create ();
+      time = 0;
+      previous_core = -1;
+    }
 
-  (* The Fenwick tree holds one mark at the latest access time of every
-     live line, so growing it is a rebuild from [last] — O(k log n),
-     amortised over the doublings. *)
-  let grow t =
-    let cap = t.cap * 2 in
-    let fw = Fenwick.create cap in
-    Hashtbl.iter (fun _line t0 -> Fenwick.add fw t0 1) t.last;
-    t.fw <- fw;
-    t.cap <- cap
-
-  let touch t line =
-    if t.time + 1 >= t.cap then grow t;
-    let d =
-      match Hashtbl.find_opt t.last line with
-      | None -> None
-      | Some t0 ->
-          let d = Fenwick.range t.fw (t0 + 1) (t.time - 1) in
-          Fenwick.add t.fw t0 (-1);
-          Some d
-    in
-    Hashtbl.replace t.last line t.time;
+  let touch t ~core line =
+    if core < 0 || core lsr core_bits <> 0 then
+      invalid_arg "Reuse.Online.touch: core out of range";
+    if t.time + 1 >= Array.length t.fw.Fenwick.data - 1 then
+      t.fw <- Fenwick.double t.fw;
+    let live = Int_table.length t.last in
+    let s = Int_table.slot t.last line in
+    let prev = Int_table.value t.last s in
+    Int_table.set_value t.last s ((t.time lsl core_bits) lor core);
     Fenwick.add t.fw t.time 1;
     t.time <- t.time + 1;
-    d
+    if prev < 0 then begin
+      t.previous_core <- -1;
+      -1
+    end
+    else begin
+      (* Every line seen holds one mark, at its latest access time: the
+         marks after [t0] are the distinct lines touched since. *)
+      let t0 = prev lsr core_bits in
+      let d = live - Fenwick.prefix t.fw t0 in
+      Fenwick.add t.fw t0 (-1);
+      t.previous_core <- prev land ((1 lsl core_bits) - 1);
+      d
+    end
 
+  let previous_core t = t.previous_core
   let touched t = t.time
 end
 

@@ -23,15 +23,23 @@ val nbuckets : int
 val bucket_of : int -> int
 
 (** An incremental LRU-stack recorder, for observers that see one
-    access at a time (the probe sinks) rather than a whole stream. *)
+    access at a time (the probe sink) rather than a whole stream.  It
+    remembers which core touched each line last, so one lookup per
+    access gives both the distance and the direction of a reuse. *)
 module Online : sig
   type t
 
   val create : unit -> t
 
-  (** [touch t line] records an access to [line] and returns its reuse
-      distance — [None] on a cold (first) touch. *)
-  val touch : t -> int -> int option
+  (** [touch t ~core line] records [core]'s access to [line] and
+      returns its reuse distance, or [-1] on a cold (first) touch.
+      @raise Invalid_argument if [line] is negative, or [core]
+      negative or not below 2{^20}. *)
+  val touch : t -> core:int -> int -> int
+
+  (** The core of the previous access to the line of the last
+      {!touch}; [-1] after a cold touch. *)
+  val previous_core : t -> int
 
   (** Accesses recorded so far. *)
   val touched : t -> int

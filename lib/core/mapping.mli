@@ -114,7 +114,7 @@ val compile :
 (** [segments c] reconstructs, for every phase of [c.phases], the
     per-core [(start_access_index, segment_id)] boundaries of the
     iteration groups concatenated into that core's stream — the shape
-    [Probe_sinks.Counters.create ~segments] consumes.  Segment ids are
+    [Sink.create ~segments] consumes.  Segment ids are
     unique across the whole run; the returned legend maps each back to
     its [(nest_name, group_id)] (baseline chunks appear as their
     pseudo-groups). *)

@@ -34,32 +34,8 @@ let program_of ~quick k =
   if quick then Kernel.program ~size:(max 32 (k.Kernel.default_size / 2)) k
   else Kernel.program k
 
-(* Debug hook: with CTAM_CHECK set (to anything but "" or "0") every
-   mapping the experiment drivers compile is run through the
-   {!Ctam_verify} legality checker first, and a violation aborts the
-   experiment with the full diagnostic.  Off by default — the checker
-   re-enumerates every iteration point, roughly doubling compile
-   time. *)
-let verify_enabled =
-  match Sys.getenv_opt "CTAM_CHECK" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
-let run_stats ?params ?map_topo scheme ~machine prog =
-  if verify_enabled then begin
-    let c = Mapping.compile ?params ?map_topo scheme ~machine prog in
-    let r = Ctam_verify.Verify.check c in
-    if not (Ctam_verify.Verify.ok r) then
-      failwith
-        (Fmt.str "CTAM_CHECK %s / %s / %s:@.%a" prog.Program.name
-           machine.Topology.name (Mapping.scheme_name scheme)
-           Ctam_verify.Verify.pp_report r);
-    Mapping.simulate c
-  end
-  else Mapping.run ?params ?map_topo scheme ~machine prog
-
 let cycles ?params ?map_topo scheme ~machine prog =
-  (run_stats ?params ?map_topo scheme ~machine prog).Stats.cycles
+  (Mapping.run ?params ?map_topo scheme ~machine prog).Stats.cycles
 
 (* ------------------------------------------------------------------ *)
 
@@ -145,7 +121,7 @@ let fig13 ?(quick = false) ?scale () =
       List.iter
         (fun k ->
           let prog = program_of ~quick k in
-          let stats = List.map (fun s -> run_stats s ~machine prog) schemes in
+          let stats = List.map (fun s -> Mapping.run s ~machine prog) schemes in
           let base = float_of_int (List.hd stats).Stats.cycles in
           let normalized =
             List.map (fun st -> float_of_int st.Stats.cycles /. base) stats

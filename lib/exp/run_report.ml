@@ -10,9 +10,7 @@ module Span = Ctam_telemetry.Span
 type profile = {
   compiled : Mapping.compiled;
   stats : Stats.t;
-  counters : Probe_sinks.Counters.t;
-  reuse : Probe_sinks.Reuse_split.t;
-  timeline : Timeline.t option;
+  sink : Sink.t;
   legend : (int * (string * int)) list;
   timings : (string * float) list;
   spans : (string * float) list;
@@ -96,26 +94,21 @@ let nest_json (i : Mapping.nest_info) =
       ("block_size", J.Int i.used_block_size);
     ]
 
-let per_core_json counters topo =
-  let levels = Probe_sinks.Counters.levels counters in
+let per_core_json sink =
   J.List
-    (List.init topo.Topology.num_cores (fun core ->
+    (List.init (Sink.num_cores sink) (fun core ->
          J.Obj
            [
              ("core", J.Int core);
-             ("accesses", J.Int (Probe_sinks.Counters.accesses counters ~core));
-             ("writes", J.Int (Probe_sinks.Counters.writes counters ~core));
-             ("mem", J.Int (Probe_sinks.Counters.mem counters ~core));
+             ("accesses", J.Int (Sink.accesses sink ~core));
+             ("writes", J.Int (Sink.writes sink ~core));
+             ("mem", J.Int (Sink.mem sink ~core));
              ( "levels",
                J.List
                  (List.map
                     (fun level ->
-                      let hits =
-                        Probe_sinks.Counters.hits counters ~core ~level
-                      in
-                      let misses =
-                        Probe_sinks.Counters.misses counters ~core ~level
-                      in
+                      let hits = Sink.hits sink ~core ~level in
+                      let misses = Sink.misses sink ~core ~level in
                       let total = hits + misses in
                       J.Obj
                         [
@@ -128,21 +121,19 @@ let per_core_json counters topo =
                                else float_of_int misses /. float_of_int total)
                           );
                           ( "evictions",
-                            J.Int
-                              (Probe_sinks.Counters.evictions counters ~core
-                                 ~level) );
+                            J.Int (Sink.evictions sink ~core ~level) );
                         ])
-                    levels) );
+                    (Sink.levels sink)) );
            ]))
 
-let groups_json counters legend =
-  let levels = Probe_sinks.Counters.levels counters in
+let groups_json sink legend =
+  let levels = Sink.levels sink in
   (* Segment ids are unique; a table keeps the lookup constant-time
      (a tiled Base+ plan has tens of thousands of segments). *)
   let names = Hashtbl.of_seq (List.to_seq legend) in
   J.List
     (List.map
-       (fun (seg, (g : Probe_sinks.Counters.group_stat)) ->
+       (fun (seg, (g : Sink.group_stat)) ->
          let nest, group =
            match Hashtbl.find_opt names seg with
            | Some ng -> ng
@@ -166,9 +157,9 @@ let groups_json counters legend =
                     levels) );
              ("mem", J.Int g.g_mem);
            ])
-       (Probe_sinks.Counters.group_stats counters))
+       (Sink.group_stats sink))
 
-let conflicts_json reuse =
+let conflicts_json sink =
   J.List
     (List.map
        (fun (level, per_set) ->
@@ -197,7 +188,7 @@ let conflicts_json reuse =
              );
              ("hot_sets", J.List hot);
            ])
-       (Probe_sinks.Reuse_split.conflicts reuse))
+       (Sink.conflicts sink))
 
 let profile ?(params = Mapping.default_params) ?config ?timeline_window
     ?(frontend_timings = []) ?(check = false) ?(stream = false)
@@ -215,29 +206,12 @@ let profile ?(params = Mapping.default_params) ?config ?timeline_window
     if check then Some (Ctam_verify.Verify.check compiled) else None
   in
   let segments, legend = Mapping.segments compiled in
-  let counters = Probe_sinks.Counters.create ~segments machine in
-  let reuse = Probe_sinks.Reuse_split.create machine in
-  let timeline =
-    match timeline_window with
-    | None -> None
-    | Some window -> Some (Timeline.create ~window ~segments machine)
-  in
-  let probe =
-    Probe.seq
-      ([
-         Probe_sinks.Counters.probe counters;
-         Probe_sinks.Reuse_split.probe reuse;
-       ]
-      @
-      match timeline with
-      | None -> []
-      | Some tl -> [ Timeline.probe tl ])
-  in
+  let sink = Sink.create ?window:timeline_window ~segments machine in
   let gc_sim0 = Gc.quick_stat () in
   let stats, simulate_span =
     Span.collect (fun () ->
         Span.with_ "simulate" (fun () ->
-            Mapping.simulate ?config ~probe
+            Mapping.simulate ?config ~probe:(Sink.probe sink)
               ?sample_sets:(if sample_sets > 1 then Some sample_sets else None)
               compiled))
   in
@@ -297,33 +271,29 @@ let profile ?(params = Mapping.default_params) ?config ?timeline_window
               ("memo_hits", J.Null);
               ("memo_misses", J.Null);
             ] );
-        ("per_core", per_core_json counters machine);
-        ("groups", groups_json counters legend);
+        ("per_core", per_core_json sink);
+        ("groups", groups_json sink legend);
         ( "reuse",
           J.Obj
             [
-              ("total", J.Int (Probe_sinks.Reuse_split.total reuse));
-              ("cold", J.Int (Probe_sinks.Reuse_split.cold reuse));
-              ( "vertical",
-                histogram_json (Probe_sinks.Reuse_split.vertical reuse) );
-              ( "horizontal",
-                histogram_json (Probe_sinks.Reuse_split.horizontal reuse) );
-              ( "cross_socket",
-                histogram_json (Probe_sinks.Reuse_split.cross reuse) );
+              ("total", J.Int (Sink.total sink));
+              ("cold", J.Int (Sink.cold sink));
+              ("vertical", histogram_json (Sink.vertical sink));
+              ("horizontal", histogram_json (Sink.horizontal sink));
+              ("cross_socket", histogram_json (Sink.cross sink));
             ] );
-        ("conflicts", conflicts_json reuse);
+        ("conflicts", conflicts_json sink);
         ( "barriers",
           J.Obj
             [
-              ("count", J.Int (Probe_sinks.Counters.barriers counters));
-              ( "invalidations",
-                J.Int (Probe_sinks.Counters.invalidations_total counters) );
+              ("count", J.Int (Sink.barriers sink));
+              ("invalidations", J.Int (Sink.invalidations sink));
             ] );
         ("telemetry", telemetry_json);
       ]
-      @ (match timeline with
+      @ (match Sink.window sink with
         | None -> []
-        | Some tl -> [ ("timeline", Trace_export.series_json tl) ])
+        | Some _ -> [ ("timeline", Trace_export.series_json sink) ])
       @
       match verify with
       | None -> []
@@ -332,9 +302,7 @@ let profile ?(params = Mapping.default_params) ?config ?timeline_window
   {
     compiled;
     stats;
-    counters;
-    reuse;
-    timeline;
+    sink;
     legend;
     timings;
     spans = compile_span @ simulate_span;

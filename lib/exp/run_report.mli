@@ -1,9 +1,9 @@
 (** Structured JSON run reports — the machine-readable face of the
     observability layer.
 
-    [profile] compiles and simulates a program with the full probe
-    stack attached (counter matrices with per-group attribution, and
-    the horizontal/vertical reuse split) and assembles everything —
+    [profile] compiles and simulates a program with a {!Sink} attached
+    (counter matrices with per-group attribution, and the
+    horizontal/vertical reuse split) and assembles everything —
     topology, scheme, params, per-nest mapping info, compile-phase
     timings, aggregate stats, per-core × per-level counters, per-group
     miss attribution, reuse and set-conflict histograms — into one JSON
@@ -20,10 +20,9 @@ open Ctam_core
 type profile = {
   compiled : Mapping.compiled;
   stats : Stats.t;
-  counters : Probe_sinks.Counters.t;
-  reuse : Probe_sinks.Reuse_split.t;
-  timeline : Timeline.t option;
-      (** attached when [profile ?timeline_window] was given *)
+  sink : Sink.t;
+      (** the run's only probe; it keeps a timeline when
+          [profile ?timeline_window] was given *)
   legend : (int * (string * int)) list;
       (** segment id -> (nest name, group id) *)
   timings : (string * float) list;
@@ -37,7 +36,7 @@ type profile = {
 }
 
 (** [profile ?params ?config ?frontend_timings ?check scheme ~machine
-    program] compiles, attaches the counter and reuse sinks, simulates,
+    program] compiles, attaches a {!Sink}, simulates,
     and builds the report, timing each step with a
     {!Ctam_telemetry.Span}.  [frontend_timings] lets the caller prepend
     e.g. [("parse", s); ("lower", s)] measured while loading the
@@ -47,15 +46,15 @@ type profile = {
     [check] (default false) additionally runs the {!Ctam_verify}
     legality checker on the compiled mapping; the result lands in
     [verify] and as a ["verify"] member of the JSON report.
-    [timeline_window] additionally attaches a {!Timeline} sink with
-    that window width and embeds its windowed series as a ["timeline"]
-    member ({!Trace_export.series_json}).
+    [timeline_window] gives the sink a timeline with that window width
+    and embeds its windowed series as a ["timeline"] member
+    ({!Trace_export.series_json}).
 
     [stream] compiles generator-backed phases; [sample_sets] runs a
     set-sampled hierarchy (the report's ["stats"] member is
     extrapolated, but sampled per-level probe members describe only
     the simulated subset).  Both land in the report's ["simulation"]
-    member.  The profiler always attaches probes, which would make an
+    member.  The profiler always attaches a probe, which would make an
     engine phase memo inert, so it attaches none — memo wins show up
     in unobserved runs such as tune sweeps. *)
 val profile :
@@ -73,6 +72,10 @@ val profile :
 
 (** JSON image of a topology (name, clock, memory latency, caches). *)
 val topology_json : Topology.t -> Ctam_util.Json.t
+
+(** JSON image of one nest's mapping (name, groups, rounds, dependence
+    edges, block size), as in the report's ["nests"] member. *)
+val nest_json : Mapping.nest_info -> Ctam_util.Json.t
 
 (** JSON image of a reuse histogram: total/cold plus the non-empty
     buckets as [{lo, hi, count}] (hi exclusive). *)

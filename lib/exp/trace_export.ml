@@ -14,6 +14,11 @@ type ev = {
   e_json : J.t;
 }
 
+let window tl =
+  match Sink.window tl with
+  | Some w -> w
+  | None -> invalid_arg "Trace_export: the sink keeps no timeline"
+
 let pid_sim = 0
 let pid_compiler = 1
 
@@ -43,7 +48,7 @@ let span_name legend seg =
     | None -> Printf.sprintf "seg%d" seg
 
 let trace_events ?(compile_timings = []) ~legend tl =
-  let ncores = Timeline.num_cores tl in
+  let ncores = Sink.num_cores tl in
   let tid_sync = ncores in
   let tid_coherence = ncores + 1 in
   let order = ref 0 in
@@ -65,7 +70,7 @@ let trace_events ?(compile_timings = []) ~legend tl =
   push (meta ~pid:pid_compiler ~tid:0 ~order:!order "thread_name" "compile phases");
   (* per-core iteration-group spans *)
   List.iter
-    (fun (sp : Timeline.span) ->
+    (fun (sp : Sink.span) ->
       add ~pid:pid_sim ~tid:sp.sp_core ~ts:sp.sp_start
         [
           ("ph", J.String "X");
@@ -82,10 +87,10 @@ let trace_events ?(compile_timings = []) ~legend tl =
                 ("mem", J.Int sp.sp_mem);
               ] );
         ])
-    (Timeline.spans tl);
+    (Sink.spans tl);
   (* phases as spans on the sync track, barriers as instants *)
   List.iter
-    (fun (m : Timeline.phase_mark) ->
+    (fun (m : Sink.phase_mark) ->
       add ~pid:pid_sim ~tid:tid_sync ~ts:m.ph_start
         [
           ("ph", J.String "X");
@@ -94,9 +99,9 @@ let trace_events ?(compile_timings = []) ~legend tl =
           ("cat", J.String "phase");
           ("args", J.Obj [ ("phase", J.Int m.ph_index) ]);
         ])
-    (Timeline.phases tl);
+    (Sink.phase_marks tl);
   List.iter
-    (fun (b : Timeline.barrier) ->
+    (fun (b : Sink.barrier) ->
       add ~pid:pid_sim ~tid:tid_sync ~ts:b.b_enter
         [
           ("ph", J.String "i");
@@ -112,10 +117,10 @@ let trace_events ?(compile_timings = []) ~legend tl =
                 ("cost", J.Int (b.b_exit - b.b_enter));
               ] );
         ])
-    (Timeline.barriers tl);
+    (Sink.barrier_marks tl);
   (* write-invalidations on a dedicated coherence track *)
   List.iter
-    (fun (i : Timeline.invalidation) ->
+    (fun (i : Sink.invalidation) ->
       add ~pid:pid_sim ~tid:tid_coherence ~ts:i.i_cycles
         [
           ("ph", J.String "i");
@@ -130,15 +135,15 @@ let trace_events ?(compile_timings = []) ~legend tl =
                 ("line", J.Int i.i_line);
               ] );
         ])
-    (Timeline.invalidations tl);
+    (Sink.invalidation_log tl);
   (* counter tracks: per-core per-level hits/misses, sampled per window *)
-  let w = Timeline.window tl in
-  let nw = Timeline.num_windows tl in
+  let w = window tl in
+  let nw = Sink.num_windows tl in
   for c = 0 to ncores - 1 do
     List.iter
       (fun level ->
-        let hits = Timeline.hits_series tl ~core:c ~level in
-        let misses = Timeline.misses_series tl ~core:c ~level in
+        let hits = Sink.hits_series tl ~core:c ~level in
+        let misses = Sink.misses_series tl ~core:c ~level in
         for k = 0 to nw - 1 do
           add ~pid:pid_sim ~tid:c ~ts:(k * w)
             [
@@ -149,10 +154,10 @@ let trace_events ?(compile_timings = []) ~legend tl =
                   [ ("hits", J.Int hits.(k)); ("misses", J.Int misses.(k)) ] );
             ]
         done)
-      (Timeline.levels tl)
+      (Sink.levels tl)
   done;
   (* machine-wide reuse split counter on the sync track *)
-  let v, h, x, cold = Timeline.reuse_series tl in
+  let v, h, x, cold = Sink.reuse_series tl in
   for k = 0 to nw - 1 do
     add ~pid:pid_sim ~tid:tid_sync ~ts:(k * w)
       [
@@ -206,19 +211,19 @@ let trace_json ?compile_timings ~program ~machine ~scheme ~legend tl =
       ("program", J.String program);
       ("machine", J.String machine);
       ("scheme", J.String scheme);
-      ("window", J.Int (Timeline.window tl));
-      ("cycles", J.Int (Timeline.max_cycles tl));
+      ("window", J.Int (window tl));
+      ("cycles", J.Int (Sink.max_cycles tl));
       ( "dropped_invalidations",
-        J.Int (Timeline.dropped_invalidations tl) );
+        J.Int (Sink.dropped_invalidations tl) );
     ]
 
 let int_series a = J.List (Array.to_list (Array.map (fun v -> J.Int v) a))
 
 let series_json tl =
-  let w = Timeline.window tl in
-  let nw = Timeline.num_windows tl in
-  let ncores = Timeline.num_cores tl in
-  let v, h, x, cold = Timeline.reuse_series tl in
+  let w = window tl in
+  let nw = Sink.num_windows tl in
+  let ncores = Sink.num_cores tl in
+  let v, h, x, cold = Sink.reuse_series tl in
   J.Obj
     [
       ("window", J.Int w);
@@ -234,11 +239,11 @@ let series_json tl =
       ( "cores",
         J.List
           (List.init ncores (fun c ->
-               let busy = Timeline.busy_series tl ~core:c in
+               let busy = Sink.busy_series tl ~core:c in
                J.Obj
                  [
                    ("core", J.Int c);
-                   ("accesses", int_series (Timeline.accesses_series tl ~core:c));
+                   ("accesses", int_series (Sink.accesses_series tl ~core:c));
                    ("busy", int_series busy);
                    (* busy cycles / window width; can exceed 1 because an
                       access's full cost lands in its issue window *)
@@ -251,9 +256,9 @@ let series_json tl =
                      J.List
                        (List.map
                           (fun level ->
-                            let hits = Timeline.hits_series tl ~core:c ~level in
+                            let hits = Sink.hits_series tl ~core:c ~level in
                             let misses =
-                              Timeline.misses_series tl ~core:c ~level
+                              Sink.misses_series tl ~core:c ~level
                             in
                             J.Obj
                               [
@@ -270,6 +275,6 @@ let series_json tl =
                                               float_of_int misses.(k)
                                               /. float_of_int t))) );
                               ])
-                          (Timeline.levels tl)) );
+                          (Sink.levels tl)) );
                  ])) );
     ]

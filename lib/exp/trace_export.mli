@@ -1,4 +1,6 @@
-(** Chrome trace-event / Perfetto export of a {!Ctam_cachesim.Timeline}.
+(** Chrome trace-event / Perfetto export of a {!Ctam_cachesim.Sink}'s
+    timeline.  Both functions raise [Invalid_argument] on a sink created
+    without a window.
 
     [trace_json] renders the timeline as a trace-event JSON object
     loadable by [chrome://tracing] and [ui.perfetto.dev]:
@@ -27,11 +29,11 @@ val trace_json :
   machine:string ->
   scheme:string ->
   legend:(int * (string * int)) list ->
-  Ctam_cachesim.Timeline.t ->
+  Ctam_cachesim.Sink.t ->
   Ctam_util.Json.t
 
 (** Windowed time-series image for embedding in a run report:
     window/num_windows, the machine-wide reuse split arrays, and per
     core accesses, busy, occupancy (busy / window, may exceed 1) and
     per-level hits / misses / miss-rate arrays. *)
-val series_json : Ctam_cachesim.Timeline.t -> Ctam_util.Json.t
+val series_json : Ctam_cachesim.Sink.t -> Ctam_util.Json.t

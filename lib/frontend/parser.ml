@@ -1,7 +1,9 @@
 open Token
 open Ast
 
-type state = { mutable toks : Token.spanned list }
+(* [depth]: the parentheses, minus signs and subscripts enclosing the
+   expression being parsed. *)
+type state = { mutable toks : Token.spanned list; mutable depth : int }
 
 let peek st =
   match st.toks with
@@ -37,54 +39,89 @@ let expect_int st =
       Parse_error.fail t.pos "expected integer but found %s"
         (Token.describe other)
 
+(* --- expression depth --- *)
+
+(* Expressions nest at most this deep, counting parentheses, minus
+   signs, subscripts and every operator of a chain: lowering and
+   unparsing recurse once per level, so an unbounded depth would let a
+   source text overflow the stack.  No example or workload nests
+   deeper than 10. *)
+let max_depth = 1000
+
+(* Each parser below returns an expression with its height, the levels
+   it nests below its own top; a node is refused at [pos] when its
+   height and the levels around it pass [max_depth]. *)
+let check_depth st pos h =
+  if st.depth + h > max_depth then
+    Parse_error.fail pos "expression nested deeper than %d levels" max_depth
+
+(* [nested st pos f] parses [f] one level further in, below the
+   parenthesis, minus sign or subscript at [pos]. *)
+let nested st pos f =
+  check_depth st pos 1;
+  st.depth <- st.depth + 1;
+  let e, h = f () in
+  st.depth <- st.depth - 1;
+  (e, h + 1)
+
+(* The height of a binary node over operands of heights [hl] and [hr],
+   its operator at [pos]. *)
+let binop st pos hl hr =
+  let h = 1 + max hl hr in
+  check_depth st pos h;
+  h
+
 (* --- subscript / bound expressions (affine-candidate syntax) --- *)
 
 let rec parse_aexpr st =
   let lhs = parse_aterm st in
   parse_aexpr_rest st lhs
 
-and parse_aexpr_rest st lhs =
-  match (peek st).tok with
+and parse_aexpr_rest st (lhs, hl) =
+  let t = peek st in
+  match t.tok with
   | PLUS ->
       advance st;
-      let rhs = parse_aterm st in
-      parse_aexpr_rest st (A_add (lhs, rhs))
+      let rhs, hr = parse_aterm st in
+      parse_aexpr_rest st (A_add (lhs, rhs), binop st t.pos hl hr)
   | MINUS ->
       advance st;
-      let rhs = parse_aterm st in
-      parse_aexpr_rest st (A_sub (lhs, rhs))
-  | _ -> lhs
+      let rhs, hr = parse_aterm st in
+      parse_aexpr_rest st (A_sub (lhs, rhs), binop st t.pos hl hr)
+  | _ -> (lhs, hl)
 
 and parse_aterm st =
   let lhs = parse_afactor st in
   parse_aterm_rest st lhs
 
-and parse_aterm_rest st lhs =
-  match (peek st).tok with
+and parse_aterm_rest st (lhs, hl) =
+  let t = peek st in
+  match t.tok with
   | STAR ->
-      let pos = (peek st).pos in
       advance st;
-      let rhs = parse_afactor st in
-      parse_aterm_rest st (A_mul (lhs, rhs, pos))
-  | _ -> lhs
+      let rhs, hr = parse_afactor st in
+      parse_aterm_rest st (A_mul (lhs, rhs, t.pos), binop st t.pos hl hr)
+  | _ -> (lhs, hl)
 
 and parse_afactor st =
   let t = peek st in
   match t.tok with
   | INT n ->
       advance st;
-      A_int n
+      (A_int n, 0)
   | IDENT s ->
       advance st;
-      A_var (s, t.pos)
+      (A_var (s, t.pos), 0)
   | MINUS ->
       advance st;
-      A_neg (parse_afactor st)
+      let e, h = nested st t.pos (fun () -> parse_afactor st) in
+      (A_neg e, h)
   | LPAREN ->
       advance st;
-      let e = parse_aexpr st in
-      expect st RPAREN;
-      e
+      nested st t.pos (fun () ->
+          let e = parse_aexpr st in
+          expect st RPAREN;
+          e)
   | other ->
       Parse_error.fail t.pos "expected subscript expression but found %s"
         (Token.describe other)
@@ -92,73 +129,82 @@ and parse_afactor st =
 (* --- body (floating-point) expressions --- *)
 
 let parse_subs st =
-  let rec go acc =
-    match (peek st).tok with
+  let rec go acc h =
+    let t = peek st in
+    match t.tok with
     | LBRACKET ->
         advance st;
-        let s = parse_aexpr st in
-        expect st RBRACKET;
-        go (s :: acc)
-    | _ -> List.rev acc
+        let s, hs =
+          nested st t.pos (fun () ->
+              let s = parse_aexpr st in
+              expect st RBRACKET;
+              s)
+        in
+        go (s :: acc) (max h hs)
+    | _ -> (List.rev acc, h)
   in
-  go []
+  go [] 0
 
 let rec parse_expr st =
   let lhs = parse_term st in
   parse_expr_rest st lhs
 
-and parse_expr_rest st lhs =
-  match (peek st).tok with
+and parse_expr_rest st (lhs, hl) =
+  let t = peek st in
+  match t.tok with
   | PLUS ->
       advance st;
-      let rhs = parse_term st in
-      parse_expr_rest st (E_add (lhs, rhs))
+      let rhs, hr = parse_term st in
+      parse_expr_rest st (E_add (lhs, rhs), binop st t.pos hl hr)
   | MINUS ->
       advance st;
-      let rhs = parse_term st in
-      parse_expr_rest st (E_sub (lhs, rhs))
-  | _ -> lhs
+      let rhs, hr = parse_term st in
+      parse_expr_rest st (E_sub (lhs, rhs), binop st t.pos hl hr)
+  | _ -> (lhs, hl)
 
 and parse_term st =
   let lhs = parse_factor st in
   parse_term_rest st lhs
 
-and parse_term_rest st lhs =
-  match (peek st).tok with
+and parse_term_rest st (lhs, hl) =
+  let t = peek st in
+  match t.tok with
   | STAR ->
       advance st;
-      let rhs = parse_factor st in
-      parse_term_rest st (E_mul (lhs, rhs))
+      let rhs, hr = parse_factor st in
+      parse_term_rest st (E_mul (lhs, rhs), binop st t.pos hl hr)
   | SLASH ->
       advance st;
-      let rhs = parse_factor st in
-      parse_term_rest st (E_div (lhs, rhs))
-  | _ -> lhs
+      let rhs, hr = parse_factor st in
+      parse_term_rest st (E_div (lhs, rhs), binop st t.pos hl hr)
+  | _ -> (lhs, hl)
 
 and parse_factor st =
   let t = peek st in
   match t.tok with
   | FLOAT f ->
       advance st;
-      E_num f
+      (E_num f, 0)
   | INT n ->
       advance st;
-      E_num (float_of_int n)
+      (E_num (float_of_int n), 0)
   | MINUS ->
       advance st;
-      E_sub (E_num 0., parse_factor st)
+      let e, h = nested st t.pos (fun () -> parse_factor st) in
+      (E_sub (E_num 0., e), h)
   | LPAREN ->
       advance st;
-      let e = parse_expr st in
-      expect st RPAREN;
-      e
+      nested st t.pos (fun () ->
+          let e = parse_expr st in
+          expect st RPAREN;
+          e)
   | IDENT s -> (
       advance st;
       match (peek st).tok with
       | LBRACKET ->
-          let subs = parse_subs st in
-          E_ref (s, subs, t.pos)
-      | _ -> E_index (s, t.pos))
+          let subs, h = parse_subs st in
+          (E_ref (s, subs, t.pos), h)
+      | _ -> (E_index (s, t.pos), 0))
   | other ->
       Parse_error.fail t.pos "expected expression but found %s"
         (Token.describe other)
@@ -167,10 +213,10 @@ and parse_factor st =
 
 let parse_stmt st =
   let name, pos = expect_ident st in
-  let subs = parse_subs st in
+  let subs, _ = parse_subs st in
   if subs = [] then Parse_error.fail pos "assignment target must be an array";
   expect st ASSIGN;
-  let rhs = parse_expr st in
+  let rhs, _ = parse_expr st in
   expect st SEMI;
   { lhs_array = name; lhs_subs = subs; lhs_pos = pos; rhs }
 
@@ -179,7 +225,7 @@ let rec parse_loop st =
   expect st LPAREN;
   let var, var_pos = expect_ident st in
   expect st ASSIGN;
-  let lo = parse_aexpr st in
+  let lo, _ = parse_aexpr st in
   expect st SEMI;
   let var2, var2_pos = expect_ident st in
   if var2 <> var then
@@ -197,7 +243,7 @@ let rec parse_loop st =
         Parse_error.fail (peek st).pos "expected '<' or '<=' but found %s"
           (Token.describe other)
   in
-  let hi = parse_aexpr st in
+  let hi, _ = parse_aexpr st in
   expect st SEMI;
   let var3, var3_pos = expect_ident st in
   if var3 <> var then
@@ -271,7 +317,7 @@ let parse_nest st =
   { nest_parallel = parallel; nest_loop = loop; nest_pos = t.pos }
 
 let parse_tokens toks =
-  let st = { toks } in
+  let st = { toks; depth = 0 } in
   expect st KW_PROGRAM;
   let name, _ = expect_ident st in
   expect st SEMI;

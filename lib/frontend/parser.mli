@@ -12,7 +12,10 @@
     stmt     ::= IDENT ("[" aexpr "]")+ "=" expr ";"
     v} *)
 
-(** Parse a full program.  @raise Parse_error.Error on syntax errors. *)
+(** Parse a full program.  @raise Parse_error.Error on syntax errors,
+    and at the token where an expression nests deeper than 1,000
+    levels (parentheses, minus signs, subscripts and each operator of a
+    chain count one each). *)
 val parse : string -> Ast.program
 
 (** Parse from a token list (exposed for tests). *)

@@ -60,6 +60,10 @@ type t = {
   trace_window : int option;  (** timeline window width for [trace] *)
 }
 
+(* The timeline window of a traced run or [ctamap trace] when none is
+   given, in simulated cycles. *)
+let default_window = 8192
+
 (* --- parsing ---------------------------------------------------------- *)
 
 exception Bad of string
@@ -446,16 +450,6 @@ let execute_trace tr =
 
 (* --- execution -------------------------------------------------------- *)
 
-let nest_json (i : Mapping.nest_info) =
-  J.Obj
-    [
-      ("name", J.String i.Mapping.nest_name);
-      ("groups", J.Int i.Mapping.num_groups);
-      ("rounds", J.Int i.Mapping.num_rounds);
-      ("dep_edges", J.Int i.Mapping.dep_edges);
-      ("block_size", J.Int i.Mapping.used_block_size);
-    ]
-
 (* The map op answers with the mapping's structure only (groups,
    rounds, dependence edges per nest) — no wall-clock members, so the
    response is fully deterministic and caches byte-exactly. *)
@@ -469,7 +463,9 @@ let map_summary r (compiled : Mapping.compiled) =
       ("machine", J.String r.machine.Topology.name);
       ("cores", J.Int r.machine.Topology.num_cores);
       ("params", Space.to_json r.point);
-      ("nests", J.List (List.map nest_json compiled.Mapping.infos));
+      ( "nests",
+        J.List (List.map Ctam_exp.Run_report.nest_json compiled.Mapping.infos)
+      );
     ]
 
 (* Append a member to an object result (total: non-objects pass
@@ -497,9 +493,7 @@ let execute ?cache_dir r =
   | Run ->
       let timeline_window =
         if r.trace then
-          Some
-            (Option.value ~default:Ctam_cachesim.Timeline.default_window
-               r.trace_window)
+          Some (Option.value ~default:default_window r.trace_window)
         else None
       in
       let p =
@@ -511,8 +505,9 @@ let execute ?cache_dir r =
       (* trace: embed the Chrome trace-event JSON right in the reply,
          so a client can stream one slow request straight into
          chrome://tracing. *)
-      ( (match p.Ctam_exp.Run_report.timeline with
-        | Some tl ->
+      let sink = p.Ctam_exp.Run_report.sink in
+      ( (match Ctam_cachesim.Sink.window sink with
+        | Some _ ->
             let tj =
               Ctam_exp.Trace_export.trace_json
                 ~compile_timings:
@@ -520,7 +515,7 @@ let execute ?cache_dir r =
                   @ p.Ctam_exp.Run_report.compiled.Mapping.timings)
                 ~program:r.program_name ~machine:r.machine.Topology.name
                 ~scheme:(Space.scheme_id r.point.Space.scheme)
-                ~legend:p.Ctam_exp.Run_report.legend tl
+                ~legend:p.Ctam_exp.Run_report.legend sink
             in
             with_member "trace" tj report
         | None -> report),

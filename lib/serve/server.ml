@@ -476,20 +476,30 @@ let serve_connection t fd =
     | Ok payload ->
         let ctx = Reqctx.create ~conn () in
         let bytes_in = String.length payload in
+        let refuse code message =
+          Reqctx.error ctx code;
+          ( J.Null,
+            answer t ctx ~op:ctx.Reqctx.op ~outcome:"error"
+              (Json
+                 (Protocol.error_response ~request_id:ctx.Reqctx.id ~code
+                    message)) )
+        in
         (* The request's spans: decode's and the dispatch's, then a
-           completed execution's, then encode's. *)
+           completed execution's, then encode's.  No frame may end this
+           worker: one whose decoding or handling raises (nesting deep
+           enough to overflow the stack, say) is answered [internal]
+           and journaled without its body. *)
         let (request, (reply, stopping, key, exec)), spans =
           Span.collect (fun () ->
-              match Span.with_ "decode" (fun () -> J.parse payload) with
-              | Ok j -> (j, Reqctx.with_logging ctx (fun () -> handle t ctx j))
-              | Error e ->
-                  Reqctx.error ctx "malformed_json";
-                  ( J.Null,
-                    answer t ctx ~op:"?" ~outcome:"error"
-                      (Json
-                         (Protocol.error_response ~request_id:ctx.Reqctx.id
-                            ~code:"malformed_json"
-                            ("request is not valid JSON: " ^ e))) ))
+              match
+                match Span.with_ "decode" (fun () -> J.parse payload) with
+                | Ok j ->
+                    (j, Reqctx.with_logging ctx (fun () -> handle t ctx j))
+                | Error e ->
+                    refuse "malformed_json" ("request is not valid JSON: " ^ e)
+              with
+              | handled -> handled
+              | exception e -> refuse "internal" (internal_error e))
         in
         let sent =
           Reqctx.with_logging ctx (fun () ->

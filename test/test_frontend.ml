@@ -103,6 +103,56 @@ let test_parse_errors () =
   expect_syntax_error "program p; double A[4];";
   expect_syntax_error "program p; double A[4]; for (i=0;i<4;i++) { }"
 
+(* An expression deeper than the parser's bound is refused with a
+   positioned error at the token that crosses it, long before lowering
+   or the parser itself could overflow the stack.  Each shape nests
+   200,000 levels; [crossing] is the offset of the offending token in
+   the source. *)
+let deep_prefix = "program p; double A[4]; for (i = 0; i < 4; i++) "
+
+let expect_too_deep ~lhs ~rhs ~crossing =
+  let src = deep_prefix ^ lhs ^ " = " ^ rhs ^ ";" in
+  match Parser.parse src with
+  | _ -> Alcotest.fail "a 200,000-level expression must not parse"
+  | exception Parse_error.Error (pos, msg) ->
+      check_bool "message names the bound" true
+        (contains ~affix:"nested deeper than 1000 levels" msg);
+      check_int "error line" 1 pos.Token.line;
+      check_int "error col"
+        (String.length deep_prefix + String.length lhs + 3 + crossing + 1)
+        pos.Token.col
+
+let n_deep = 200_000
+
+(* Offset of the [k]-th (1-based) occurrence of [c] in [s]. *)
+let nth_index s c k =
+  let rec go i k =
+    if s.[i] <> c then go (i + 1) k else if k = 1 then i else go (i + 1) (k - 1)
+  in
+  go 0 k
+
+let test_deep_parentheses () =
+  let rhs = String.make n_deep '(' ^ "1.0" ^ String.make n_deep ')' in
+  expect_too_deep ~lhs:"A[i]" ~rhs ~crossing:1000
+
+let test_deep_sum () =
+  let rhs =
+    "1.0" ^ String.concat "" (List.init (n_deep - 1) (fun _ -> " + 1.0"))
+  in
+  expect_too_deep ~lhs:"A[i]" ~rhs ~crossing:(nth_index rhs '+' 1001)
+
+let test_deep_negation () =
+  let rhs = String.make n_deep '-' ^ "1.0" in
+  expect_too_deep ~lhs:"A[i]" ~rhs ~crossing:1000
+
+(* The subscript is one level, so its sum crosses one operator sooner. *)
+let test_deep_subscript_sum () =
+  let sub =
+    "i" ^ String.concat "" (List.init (n_deep - 1) (fun _ -> " + 1"))
+  in
+  let rhs = "A[" ^ sub ^ "]" in
+  expect_too_deep ~lhs:"A[i]" ~rhs ~crossing:(2 + nth_index sub '+' 1000)
+
 (* --- lowering ------------------------------------------------------- *)
 
 let test_lower_basic () =
@@ -226,6 +276,14 @@ let () =
         [
           Alcotest.test_case "program" `Quick test_parse_program;
           Alcotest.test_case "syntax errors" `Quick test_parse_errors;
+        ] );
+      ( "depth",
+        [
+          Alcotest.test_case "nested parentheses" `Quick test_deep_parentheses;
+          Alcotest.test_case "sum in the body" `Quick test_deep_sum;
+          Alcotest.test_case "unary minuses" `Quick test_deep_negation;
+          Alcotest.test_case "sum in a subscript" `Quick
+            test_deep_subscript_sum;
         ] );
       ( "lower",
         [

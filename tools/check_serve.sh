@@ -9,8 +9,9 @@
 # requests) must get structured error replies with the daemon still
 # alive, a corrupt on-disk cache entry must only cost a recompute,
 # timed-out requests must stop at their deadline (typed replies, no
-# extra threads, correct answers afterwards), and shutdown must be
-# clean (socket removed, exit 0).
+# extra threads, correct answers afterwards), a frame whose decoding
+# overflows a small stack must be answered without losing a worker,
+# and shutdown must be clean (socket removed, exit 0).
 # Wired into `dune runtest` from tools/dune; also runnable by hand from
 # the repo root:
 #
@@ -32,8 +33,10 @@ sock="$tmp/daemon.sock"
 run_args="cg -m harpertown --scale 64"
 wire_req='{"op":"run","program":"cg","machine":"harpertown","scale":64}'
 
+# Optional arg: the daemon's OCAMLRUNPARAM.
 start_daemon() {
-  "$CTAMAP" serve --socket "$sock" --workers 2 --cache-dir "$tmp/cache" \
+  OCAMLRUNPARAM=${1:-$OCAMLRUNPARAM} \
+    "$CTAMAP" serve --socket "$sock" --workers 2 --cache-dir "$tmp/cache" \
     2> "$tmp/serve.log" &
   pid=$!
   i=0
@@ -149,5 +152,13 @@ grep -q '"errors":0' "$tmp/load.json" || {
   > "$tmp/served4.json"
 "$PROBE" compare "$tmp/oneshot.json" "$tmp/served4.json" > /dev/null
 
+stop_daemon
+
+# No frame may take a worker away: on a 2 MB stack, three frames of
+# 200,000 nested arrays on fresh connections (more than the 2 workers)
+# overflow the decoder, and each must still get an `internal` reply,
+# then a ping its pong.
+start_daemon l=256k
+"$PROBE" deep "$sock" > /dev/null
 stop_daemon
 echo "check_serve: ok"

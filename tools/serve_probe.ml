@@ -29,6 +29,13 @@
    its idle count: timed-out work stops instead of running on in
    domains of its own.
 
+   [serve_probe deep SOCKET] sends three frames of 200,000 nested
+   arrays, each on a fresh connection (more connections than the
+   daemon's 2 workers), and requires an [internal] error reply to each
+   within 5 s, then a pong: under a small stack (tools/check_serve.sh
+   runs this daemon with [OCAMLRUNPARAM=l=256k]) decoding them
+   overflows, and no frame may take a worker away.
+
    [serve_probe compare A B] checks two JSON documents are equal
    modulo the volatile report members ("timings_seconds",
    "telemetry" — wall clocks and process state), i.e. that a served
@@ -342,6 +349,32 @@ let deadline socket pid =
     | Some n -> Printf.sprintf "%d idle, %d peak" n !peak
     | None -> "not checked")
 
+(* --- deep mode -------------------------------------------------------- *)
+
+let deep socket =
+  let depth = 200_000 in
+  let payload = String.make depth '[' ^ String.make depth ']' in
+  for i = 1 to 3 do
+    let fd = connect socket in
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+    send_frame fd payload;
+    (match expect_error (Printf.sprintf "deep frame %d" i) fd "internal" with
+    | () -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        fail "deep frame %d: no reply within 5 s" i
+    | exception (Eof | Unix.Unix_error _) ->
+        fail "deep frame %d: the connection closed without a reply" i);
+    Unix.close fd
+  done;
+  let fd = connect socket in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+  (match ping "after deep frames" fd with
+  | () -> ()
+  | exception (Eof | Unix.Unix_error _) ->
+      fail "after deep frames: no pong within 5 s");
+  Unix.close fd;
+  print_endline "serve_probe: deep ok"
+
 (* --- compare mode ----------------------------------------------------- *)
 
 let volatile = [ "timings_seconds"; "telemetry" ]
@@ -382,9 +415,10 @@ let () =
   | [ _; "wire"; socket; request ] -> wire socket request
   | [ _; "deadline"; socket ] -> deadline socket None
   | [ _; "deadline"; socket; pid ] -> deadline socket (int_of_string_opt pid)
+  | [ _; "deep"; socket ] -> deep socket
   | [ _; "compare"; a; b ] -> compare_files a b
   | _ ->
       prerr_endline
         "usage: serve_probe abuse SOCKET | wire SOCKET REQUEST | deadline \
-         SOCKET [PID] | compare A.json B.json";
+         SOCKET [PID] | deep SOCKET | compare A.json B.json";
       exit 2
