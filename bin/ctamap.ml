@@ -235,6 +235,17 @@ let write_metrics = function
         Ok ()
       with Sys_error msg -> Error ("cannot write metrics: " ^ msg))
 
+(* Write a JSON output file, if one was asked for, and say so. *)
+let write_json path j =
+  match path with
+  | None -> Ok ()
+  | Some path -> (
+      match Ctam_exp.Run_report.write_file path (Lazy.force j) with
+      | () ->
+          Fmt.pr "wrote %s@." path;
+          Ok ()
+      | exception Sys_error msg -> Error ("cannot write: " ^ msg))
+
 let policy_arg =
   let doc =
     Printf.sprintf
@@ -251,19 +262,42 @@ let policy_arg =
 let ( let* ) r f = match r with Ok v -> f v | Error e -> `Error (false, e)
 let ( >>= ) = Result.bind
 
+(* [map_ok f xs] maps [f] over [xs] in order, stopping at the first
+   error. *)
+let rec map_ok f = function
+  | [] -> Ok []
+  | x :: xs -> f x >>= fun y -> Result.map (List.cons y) (map_ok f xs)
+
+(* The one path from flags to the pipeline: a command that compiles or
+   simulates parses its request document and runs it through
+   [Request.perform], as the daemon does, then only renders the
+   outcome. *)
+let perform ?cache_dir ?jobs ?memo doc =
+  doc >>= Request.parse >>= fun r ->
+  Ok (r, fst (Request.perform ?cache_dir ?jobs ?memo r))
+
+(* The compiled plan of a [map] document. *)
+let plan_of doc =
+  perform doc >>= function
+  | _, Request.Plan compiled -> Ok compiled
+  | _ -> assert false
+
+(* The observed run of a [run] document, with its parsed request. *)
+let profile_of doc =
+  perform doc >>= function
+  | r, Request.Profile p -> Ok (r, p)
+  | _ -> assert false
+
 (* --- commands --------------------------------------------------------- *)
 
 let machines_cmd =
   let run scale =
-    let rec resolve = function
-      | [] -> Ok []
-      | name :: rest ->
-          build_request ~op:"map" ~machine:name ~scale ()
-          >>= Request.parse_machine
-          >>= fun m -> Result.map (List.cons m) (resolve rest)
-    in
     let* machines =
-      resolve [ "harpertown"; "nehalem"; "dunnington"; "arch-i"; "arch-ii" ]
+      map_ok
+        (fun name ->
+          build_request ~op:"map" ~machine:name ~scale ()
+          >>= Request.parse_machine)
+        [ "harpertown"; "nehalem"; "dunnington"; "arch-i"; "arch-ii" ]
     in
     List.iter (fun m -> Fmt.pr "%a@.@." Topology.pp m) machines;
     `Ok ()
@@ -306,16 +340,14 @@ let groups_cmd =
 
 let map_cmd =
   let run source machine scale scheme block =
-    let* ({ Request.program = prog; machine; point; _ } as r) =
-      build_request ~op:"map" ~source ~machine ~scale ~scheme ~block ()
-      >>= Request.parse
+    let* compiled =
+      plan_of
+        (build_request ~op:"map" ~source ~machine ~scale ~scheme ~block ())
     in
-    let scheme = point.Space.scheme in
-    let compiled =
-      Mapping.compile ~params:(Request.params r) scheme ~machine prog
-    in
-    Fmt.pr "program %s mapped with %s for %s@." prog.Program.name
-      (Mapping.scheme_name scheme) machine.Topology.name;
+    Fmt.pr "program %s mapped with %s for %s@."
+      compiled.Mapping.program.Program.name
+      (Mapping.scheme_name compiled.Mapping.scheme)
+      compiled.Mapping.machine.Topology.name;
     List.iter
       (fun info ->
         Fmt.pr "  nest %-12s groups=%-5d rounds=%-4d dep-edges=%-5d block=%dB@."
@@ -339,48 +371,20 @@ let map_cmd =
       ret (const run $ source_arg $ machine_arg $ scale_arg $ scheme_arg
            $ block_arg))
 
-let simulate_cmd =
-  let run source machine scale scheme block policy =
-    let* ({ Request.program = prog; machine; point; _ } as r) =
-      build_request ~op:"run" ~source ~machine ~scale ?policy ~scheme ~block ()
-      >>= Request.parse
-    in
-    let scheme = point.Space.scheme in
-    let stats = Mapping.run ~params:(Request.params r) scheme ~machine prog in
-    Fmt.pr "%s on %s (%s):@.%a@."
-      prog.Program.name machine.Topology.name (Mapping.scheme_name scheme)
-      Stats.pp stats;
-    `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "simulate"
-       ~doc:"Compile and execute a program on the simulated hierarchy.")
-    Term.(
-      ret (const run $ source_arg $ machine_arg $ scale_arg $ scheme_arg
-           $ block_arg $ policy_arg))
-
-let run_cmd =
+(* [run] and its second name [simulate]. *)
+let run_term =
   let run source machine scale scheme block json profile check window alpha
       beta balance params_file stream sample_sets log_level metrics_out policy
       =
     let* () = set_log_level log_level in
-    let* () =
-      match window with
-      | Some w when w <= 0 -> Error "--window must be positive"
-      | _ -> Ok ()
+    let* _, p =
+      profile_of
+        (build_request ~op:"run" ~source ~machine ~scale ?policy ?scheme ~block
+           ?params_file ?alpha ?beta ?balance ~stream ~sample_sets ~check
+           ~trace:(window <> None) ?trace_window:window ())
     in
-    let* ({ Request.program = prog; machine; point; _ } as r) =
-      build_request ~op:"run" ~source ~machine ~scale ?policy ?scheme ~block
-        ?params_file ?alpha ?beta ?balance ~stream ~sample_sets ~check ()
-      >>= Request.parse
-    in
-    let scheme = point.Space.scheme in
-    let p =
-      Ctam_exp.Run_report.profile ~params:(Request.params r)
-        ?timeline_window:window ~frontend_timings:r.Request.frontend_timings
-        ~check:r.Request.check
-        ~stream:r.Request.stream ~sample_sets:r.Request.sample_sets scheme
-        ~machine prog
+    let { Mapping.program = prog; machine; scheme; _ } =
+      p.Ctam_exp.Run_report.compiled
     in
     let* () =
       match p.Ctam_exp.Run_report.verify with
@@ -468,14 +472,8 @@ let run_cmd =
           (List.length (Sink.spans sink))
     | _ -> ());
     let* () = write_metrics metrics_out in
-    match json with
-    | Some path -> (
-        try
-          Ctam_exp.Run_report.write_file path p.Ctam_exp.Run_report.report;
-          Fmt.pr "wrote %s@." path;
-          `Ok ()
-        with Sys_error msg -> `Error (false, "cannot write report: " ^ msg))
-    | None -> `Ok ()
+    let* () = write_json json (lazy p.Ctam_exp.Run_report.report) in
+    `Ok ()
   in
   let json =
     Arg.(
@@ -520,18 +518,29 @@ let run_cmd =
             "Mapping scheme: base, base+, local, topology-aware, combined \
              (default: the --params file's scheme, else combined).")
   in
+  Term.(
+    ret
+      (const run $ source_arg $ machine_arg $ scale_arg $ scheme $ block_arg
+     $ json $ profile $ check $ window $ alpha_arg $ beta_arg $ balance_arg
+     $ params_file_arg $ stream_arg $ sample_sets_arg $ log_level_arg
+     $ metrics_out_arg $ policy_arg))
+
+let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:
          "Compile and execute a program with the observability probes \
           attached (counters, per-group attribution, reuse split); \
           optionally emit a JSON run report.")
-    Term.(
-      ret
-        (const run $ source_arg $ machine_arg $ scale_arg $ scheme
-       $ block_arg $ json $ profile $ check $ window $ alpha_arg $ beta_arg
-       $ balance_arg $ params_file_arg $ stream_arg $ sample_sets_arg
-       $ log_level_arg $ metrics_out_arg $ policy_arg))
+    run_term
+
+let simulate_cmd =
+  Cmd.v
+    (Cmd.info "simulate"
+       ~doc:
+         "Compile and execute a program on the simulated hierarchy: \
+          another name for $(b,run).")
+    run_term
 
 let jobs_arg =
   Arg.(
@@ -613,46 +622,23 @@ let tune_cmd =
       save_params verify jobs stream sample_sets memo log_level metrics_out
       policy =
     let* () = set_log_level log_level in
-    let* ({ Request.program = prog; machine; _ } as r) =
-      build_request ~op:"tune" ~source ~machine ~scale ?policy ~block ~strategy
-        ?budget ~check:verify ~stream ~sample_sets ()
-      >>= Request.parse
-    in
-    let settings =
-      {
-        (Request.search_settings r) with
-        Ctam_tune.Search.cache_dir;
-        jobs;
-        memo;
-      }
-    in
     let* result =
       (* Parallel.map rejects a --jobs below 1. *)
       match
-        Ctam_tune.Search.run settings ~machine
-          ~program_name:prog.Program.name prog
+        perform ?cache_dir ?jobs ~memo
+          (build_request ~op:"tune" ~source ~machine ~scale ?policy ~block
+             ~strategy ?budget ~check:verify ~stream ~sample_sets ())
       with
-      | r -> Ok r
+      | Ok (_, Request.Searched result) -> Ok result
+      | Ok _ -> assert false
+      | Error e -> Error e
       | exception Invalid_argument msg -> Error msg
     in
     print_string (Ctam_tune.Search.render result);
-    let write path j =
-      try
-        Ctam_exp.Run_report.write_file path j;
-        Fmt.pr "wrote %s@." path;
-        Ok ()
-      with Sys_error msg -> Error ("cannot write: " ^ msg)
-    in
     let* () =
-      match save_params with
-      | Some path -> write path (Ctam_tune.Search.best_params_json result)
-      | None -> Ok ()
+      write_json save_params (lazy (Ctam_tune.Search.best_params_json result))
     in
-    let* () =
-      match json with
-      | Some path -> write path (Ctam_tune.Search.to_json result)
-      | None -> Ok ()
-    in
+    let* () = write_json json (lazy (Ctam_tune.Search.to_json result)) in
     let* () = write_metrics metrics_out in
     match result.Ctam_tune.Search.verify_ok with
     | Some false -> `Error (false, "winning mapping failed verification")
@@ -733,41 +719,39 @@ let tune_cmd =
 
 let codegen_cmd =
   let run source machine scale core block =
-    let* ({ Request.program = prog; machine; _ } as r) =
-      build_request ~op:"map" ~source ~machine ~scale ~block ()
-      >>= Request.parse
+    let* compiled =
+      plan_of (build_request ~op:"map" ~source ~machine ~scale ~block ())
     in
-    let params = Request.params r in
-    match Program.parallel_nests prog with
-    | [] -> `Error (false, "program has no parallel nest")
-    | nest :: _ ->
-        if core < 0 || core >= machine.Topology.num_cores then
-          `Error (false, "core out of range")
-        else begin
-          let _grouping, groups, dag =
-            Mapping.grouping_for ~params ~machine prog nest
-          in
-          let assignment = Distribute.run machine groups in
-          let sched = Schedule.run machine assignment dag in
-          let per_core = Schedule.per_core sched in
-          Fmt.pr "// code for core %d of %s (%d groups)@." core
-            machine.Topology.name
-            (List.length per_core.(core));
-          let body =
-            Fmt.str "%a"
-              (Fmt.list ~sep:(Fmt.any " ")
-                 (Ctam_ir.Stmt.pp ~names:nest.Nest.index_names))
-              nest.Nest.body
-          in
-          List.iter
-            (fun g ->
-              let cg = Ctam_poly.Codegen.decompose g.Iter_group.iters in
-              Fmt.pr "// group %d, tag weight %d@.%s" g.Iter_group.id
-                (Bitset.count g.Iter_group.tag)
-                (Ctam_poly.Codegen.emit ~names:nest.Nest.index_names ~body cg))
-            per_core.(core);
-          `Ok ()
-        end
+    let machine = compiled.Mapping.machine in
+    match
+      List.find_opt
+        (fun plan -> plan.Mapping.plan_nest.Nest.parallel)
+        compiled.Mapping.plans
+    with
+    | None -> `Error (false, "program has no parallel nest")
+    | Some _ when core < 0 || core >= machine.Topology.num_cores ->
+        `Error (false, "core out of range")
+    | Some plan ->
+        let nest = plan.Mapping.plan_nest in
+        let groups =
+          List.concat_map (fun round -> round.(core)) plan.Mapping.plan_rounds
+        in
+        Fmt.pr "// code for core %d of %s (%d groups)@." core
+          machine.Topology.name (List.length groups);
+        let body =
+          Fmt.str "%a"
+            (Fmt.list ~sep:(Fmt.any " ")
+               (Ctam_ir.Stmt.pp ~names:nest.Nest.index_names))
+            nest.Nest.body
+        in
+        List.iter
+          (fun g ->
+            let cg = Ctam_poly.Codegen.decompose g.Iter_group.iters in
+            Fmt.pr "// group %d, tag weight %d@.%s" g.Iter_group.id
+              (Bitset.count g.Iter_group.tag)
+              (Ctam_poly.Codegen.emit ~names:nest.Nest.index_names ~body cg))
+          groups;
+        `Ok ()
   in
   let core =
     Arg.(value & opt int 0 & info [ "c"; "core" ] ~doc:"Core to emit code for.")
@@ -776,7 +760,8 @@ let codegen_cmd =
     (Cmd.info "codegen"
        ~doc:
          "Emit the C-like loop nests that enumerate one core's iteration \
-          groups (the Omega-style codegen step).")
+          groups of the first parallel nest under the Combined mapping (the \
+          Omega-style codegen step).")
     Term.(
       ret (const run $ source_arg $ machine_arg $ scale_arg $ core $ block_arg))
 
@@ -806,14 +791,11 @@ let dump_cmd =
 
 let reuse_cmd =
   let run source machine scale scheme block =
-    let* ({ Request.program = prog; machine; point; _ } as r) =
-      build_request ~op:"map" ~source ~machine ~scale ~scheme ~block ()
-      >>= Request.parse
+    let* compiled =
+      plan_of
+        (build_request ~op:"map" ~source ~machine ~scale ~scheme ~block ())
     in
-    let compiled =
-      Mapping.compile ~params:(Request.params r) point.Space.scheme ~machine
-        prog
-    in
+    let machine = compiled.Mapping.machine in
     let line =
       match Topology.caches machine with p :: _ -> p.Topology.line | [] -> 64
     in
@@ -852,13 +834,9 @@ let reuse_cmd =
 
 let emit_c_cmd =
   let run source machine scale scheme block output =
-    let* ({ Request.program = prog; machine; point; _ } as r) =
-      build_request ~op:"map" ~source ~machine ~scale ~scheme ~block ()
-      >>= Request.parse
-    in
-    let compiled =
-      Mapping.compile ~params:(Request.params r) point.Space.scheme ~machine
-        prog
+    let* compiled =
+      plan_of
+        (build_request ~op:"map" ~source ~machine ~scale ~scheme ~block ())
     in
     let code = Emit_c.program compiled in
     (match output with
@@ -889,82 +867,63 @@ let check_cmd =
   let run source machine scale scheme block all_schemes inject json log_level
       metrics_out =
     let* () = set_log_level log_level in
-    let* ({ Request.program = prog; machine; point; _ } as r) =
-      build_request ~op:"check" ~source ~machine ~scale ~scheme ~block ()
-      >>= Request.parse
-    in
-    let schemes =
-      if all_schemes then Mapping.all_schemes else [ point.Space.scheme ]
-    in
     let* inject =
       match inject with
       | None -> Ok None
-      | Some s -> (
-          match Ctam_verify.Inject.of_string s with
-          | Ok c -> Ok (Some c)
-          | Error e -> Error e)
+      | Some s -> Result.map Option.some (Ctam_verify.Inject.of_string s)
     in
-    let params = Request.params r in
-    let reports =
-      List.map
-        (fun scheme ->
-          let compiled = Mapping.compile ~params scheme ~machine prog in
-          let compiled =
-            match inject with
-            | None -> compiled
-            | Some corruption ->
-                let compiled, what =
-                  Ctam_verify.Inject.apply corruption compiled
-                in
-                Fmt.pr "injected (%s): %s@."
-                  (Ctam_verify.Inject.to_string corruption)
-                  what;
-                compiled
-          in
-          let r = Ctam_verify.Verify.check compiled in
-          Fmt.pr "%s / %s / %s:@.%a@." prog.Program.name machine.Topology.name
-            (Mapping.scheme_name scheme) Ctam_verify.Verify.pp_report r;
-          (scheme, r))
-        schemes
+    let schemes =
+      if all_schemes then List.map Mapping.scheme_id Mapping.all_schemes
+      else [ scheme ]
     in
+    (* Each scheme's plan comes from [Request.perform]; a corruption is
+       injected into it before the checker sees it. *)
+    let check scheme =
+      plan_of
+        (build_request ~op:"map" ~source ~machine ~scale ~scheme ~block ())
+      >>= fun compiled ->
+      let { Mapping.program = prog; machine; scheme; _ } = compiled in
+      let compiled =
+        match inject with
+        | None -> compiled
+        | Some corruption ->
+            let compiled, what = Ctam_verify.Inject.apply corruption compiled in
+            Fmt.pr "injected (%s): %s@."
+              (Ctam_verify.Inject.to_string corruption)
+              what;
+            compiled
+      in
+      let r = Ctam_verify.Verify.check compiled in
+      Fmt.pr "%s / %s / %s:@.%a@." prog.Program.name machine.Topology.name
+        (Mapping.scheme_name scheme) Ctam_verify.Verify.pp_report r;
+      Ok ((prog.Program.name, machine.Topology.name), (scheme, r))
+    in
+    let* checked = map_ok check schemes in
+    let reports = List.map snd checked in
     let* () =
-      match json with
-      | None -> Ok ()
-      | Some path -> (
-          let j =
-            Ctam_util.Json.Obj
-              [
-                ( "version",
-                  Ctam_util.Json.String Ctam_exp.Build_info.version );
-                ("program", Ctam_util.Json.String prog.Program.name);
-                ("machine", Ctam_util.Json.String machine.Topology.name);
-                ( "inject",
-                  match inject with
-                  | None -> Ctam_util.Json.Null
-                  | Some c ->
-                      Ctam_util.Json.String (Ctam_verify.Inject.to_string c) );
-                ( "checks",
-                  Ctam_util.Json.List
-                    (List.map
-                       (fun (scheme, r) ->
-                         Ctam_util.Json.Obj
-                           [
-                             ( "scheme",
-                               Ctam_util.Json.String (Mapping.scheme_name scheme)
-                             );
-                             ("report", Ctam_verify.Verify.to_json r);
-                           ])
-                       reports) );
-              ]
-          in
-          try
-            let oc = open_out path in
-            output_string oc (Ctam_util.Json.to_string j);
-            output_char oc '\n';
-            close_out oc;
-            Fmt.pr "wrote %s@." path;
-            Ok ()
-          with Sys_error msg -> Error ("cannot write report: " ^ msg))
+      write_json json
+        (lazy
+          (let program, machine = fst (List.hd checked) in
+           J.Obj
+             [
+               ("version", J.String Ctam_exp.Build_info.version);
+               ("program", J.String program);
+               ("machine", J.String machine);
+               ( "inject",
+                 match inject with
+                 | None -> J.Null
+                 | Some c -> J.String (Ctam_verify.Inject.to_string c) );
+               ( "checks",
+                 J.List
+                   (List.map
+                      (fun (scheme, r) ->
+                        J.Obj
+                          [
+                            ("scheme", J.String (Mapping.scheme_name scheme));
+                            ("report", Ctam_verify.Verify.to_json r);
+                          ])
+                      reports) );
+             ]))
     in
     let* () = write_metrics metrics_out in
     let bad =
@@ -1015,38 +974,23 @@ let check_cmd =
 
 let trace_cmd =
   let run source machine scale scheme block output window heatmap =
-    let* () =
-      if window <= 0 then Error "--window must be positive" else Ok ()
+    let* r, p =
+      profile_of
+        (build_request ~op:"run" ~source ~machine ~scale ~scheme ~block
+           ~trace:true ~trace_window:window ())
     in
-    let* ({ Request.program = prog; machine; point; frontend_timings; _ } as r)
-        =
-      build_request ~op:"run" ~source ~machine ~scale ~scheme ~block ()
-      >>= Request.parse
-    in
-    let scheme = point.Space.scheme in
-    let compiled =
-      Mapping.compile ~params:(Request.params r) scheme ~machine prog
-    in
-    let segments, legend = Mapping.segments compiled in
-    let sink = Sink.create ~window ~segments machine in
-    let stats = Mapping.simulate ~probe:(Sink.probe sink) compiled in
-    let compile_timings = frontend_timings @ compiled.Mapping.timings in
-    let j =
-      Ctam_exp.Trace_export.trace_json ~compile_timings
-        ~program:prog.Program.name ~machine:machine.Topology.name
-        ~scheme:(Mapping.scheme_name scheme) ~legend sink
-    in
+    let sink = p.Ctam_exp.Run_report.sink in
+    (* A traced run always has its Chrome trace. *)
     match
-      try
-        Ctam_exp.Run_report.write_file output j;
-        Ok ()
-      with Sys_error msg -> Error ("cannot write trace: " ^ msg)
+      Ctam_exp.Run_report.write_file output
+        (Option.get (Request.chrome_trace r p))
     with
-    | Error e -> `Error (false, e)
-    | Ok () ->
+    | exception Sys_error msg -> `Error (false, "cannot write trace: " ^ msg)
+    | () ->
         Fmt.pr
           "wrote %s: %d cycles in %d windows of %d, %d spans, %d barriers@."
-          output stats.Stats.cycles (Sink.num_windows sink) window
+          output p.Ctam_exp.Run_report.stats.Stats.cycles
+          (Sink.num_windows sink) window
           (List.length (Sink.spans sink))
           (List.length (Sink.barrier_marks sink));
         if heatmap then

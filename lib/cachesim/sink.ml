@@ -77,9 +77,9 @@ type timeline = {
   mutable invals_rev : invalidation list;
   series : core_series array;
   by_direction : Dyn.t array;  (* accesses per window, per direction *)
-  (* per dense level: window -> (accesses per set, misses per set),
-     allocated lazily so idle windows cost nothing *)
-  heat : (int, int array * int array) Hashtbl.t array;
+  (* per dense level: window -> misses per set, allocated lazily so
+     windows without a miss cost nothing *)
+  heat : (int, int array) Hashtbl.t array;
 }
 
 type t = {
@@ -322,22 +322,20 @@ let level_probe t ~core ~level ~set ~hit =
         if hit then Dyn.bump s.cs_hits.(i) w 1
         else begin
           Dyn.bump s.cs_misses.(i) w 1;
-          match tl.open_span.(core) with
+          (match tl.open_span.(core) with
           | Some sp -> sp.sp_misses <- sp.sp_misses + 1
-          | None -> ()
-        end;
-        if counted then begin
-          let acc, miss =
-            match Hashtbl.find_opt tl.heat.(i) w with
-            | Some cell -> cell
-            | None ->
-                let n = t.sets.(i) in
-                let cell = (Array.make n 0, Array.make n 0) in
-                Hashtbl.add tl.heat.(i) w cell;
-                cell
-          in
-          acc.(set) <- acc.(set) + 1;
-          if not hit then miss.(set) <- miss.(set) + 1
+          | None -> ());
+          if counted then begin
+            let miss =
+              match Hashtbl.find_opt tl.heat.(i) w with
+              | Some cell -> cell
+              | None ->
+                  let cell = Array.make t.sets.(i) 0 in
+                  Hashtbl.add tl.heat.(i) w cell;
+                  cell
+            in
+            miss.(set) <- miss.(set) + 1
+          end
         end
   end
 
@@ -528,30 +526,28 @@ let heatmap t ~level =
   else begin
     let sets = t.sets.(i) in
     let n = num_windows t in
-    let acc = Array.init n (fun _ -> Array.make sets 0) in
     let miss = Array.init n (fun _ -> Array.make sets 0) in
     Hashtbl.iter
-      (fun w (a, m) ->
-        if w < n then begin
-          acc.(w) <- Array.copy a;
-          miss.(w) <- Array.copy m
-        end)
+      (fun w m -> if w < n then miss.(w) <- Array.copy m)
       tl.heat.(i);
-    Some (sets, acc, miss)
+    Some (sets, miss)
   end
 
 (* --- ASCII heatmap renderer -------------------------------------------- *)
 
 let ramp = " .:-=+*#%@"
 
-let render_heatmap ?(width = 64) ?(height = 24) ?(misses = true) t ~level =
+(* The rendering's largest grid: columns (windows) by rows (sets). *)
+let width = 64
+let height = 24
+
+let render_heatmap t ~level =
   match heatmap t ~level with
   | None -> None
-  | Some (sets, acc, miss) ->
-      let n = Array.length acc in
+  | Some (sets, cells) ->
+      let n = Array.length cells in
       if n = 0 || sets = 0 then None
       else begin
-        let cells = if misses then miss else acc in
         let cols = min width n in
         let rows = min height sets in
         (* Downsample by summing rectangular buckets so totals are
@@ -569,11 +565,9 @@ let render_heatmap ?(width = 64) ?(height = 24) ?(misses = true) t ~level =
         let b = Buffer.create ((rows + 3) * (cols + 12)) in
         Buffer.add_string b
           (Printf.sprintf
-             "L%d %s heatmap: %d sets (rows, %d/row) x %d windows (cols, %d \
-              cycles each), max cell %d\n"
-             level
-             (if misses then "conflict-miss" else "access")
-             sets
+             "L%d conflict-miss heatmap: %d sets (rows, %d/row) x %d windows \
+              (cols, %d cycles each), max cell %d\n"
+             level sets
              ((sets + rows - 1) / rows)
              n
              ((timeline t).window * ((n + cols - 1) / cols))

@@ -28,7 +28,7 @@
     - {e windowed series} over cycle intervals [[k*window,
       (k+1)*window)]: per-core accesses and busy cycles, per-core ×
       level hits and misses, the machine-wide reuse split, and
-      per-level set × window access and miss heatmaps.
+      per-level set × window miss heatmaps.
 
     Approximation: all events of one access (level probes, memory,
     invalidations) are charged to the window of the issuing core's
@@ -173,15 +173,12 @@ val misses_series : t -> core:int -> level:int -> int array
 (** Machine-wide (vertical, horizontal, cross-socket, cold) per window. *)
 val reuse_series : t -> int array * int array * int array * int array
 
-(** [heatmap t ~level] is [Some (sets, accesses, misses)] with
-    [accesses.(w).(s)] / [misses.(w).(s)] the counts for set [s] in
-    window [w] ([sets] = the largest set count among level-[level]
-    caches); [None] if the level is absent. *)
-val heatmap : t -> level:int -> (int * int array array * int array array) option
+(** [heatmap t ~level] is [Some (sets, misses)] with [misses.(w).(s)]
+    the misses in set [s] during window [w] ([sets] = the largest set
+    count among level-[level] caches); [None] if the level is absent. *)
+val heatmap : t -> level:int -> (int * int array array) option
 
-(** ASCII rendering of the heatmap (misses by default, accesses with
-    [~misses:false]), downsampled to at most [width] columns ×
-    [height] rows by summing buckets; [None] if the level is absent or
-    the run was empty. *)
-val render_heatmap :
-  ?width:int -> ?height:int -> ?misses:bool -> t -> level:int -> string option
+(** ASCII rendering of the miss heatmap, downsampled to at most 64
+    columns (windows) × 24 rows (sets) by summing buckets; [None] if
+    the level is absent or the run was empty. *)
+val render_heatmap : t -> level:int -> string option

@@ -15,7 +15,9 @@
 (** [program c] renders the whole compiled mapping. *)
 val program : Mapping.compiled -> string
 
-(** [nest_for_core c ~plan ~core] renders one core's share of one
-    nest's plan as a bare statement list (used by the CLI's [codegen]
-    command and the tests). *)
+(** [nest_for_core ~plan ~core] renders one core's share of one nest's
+    plan as a bare statement list, round by round, in the statement
+    syntax of {!program} (the tests read it).  [ctamap codegen] prints
+    the same groups its own way: one Omega-style loop nest per group,
+    headed by its id and tag weight. *)
 val nest_for_core : plan:Mapping.nest_plan -> core:int -> string

@@ -13,6 +13,21 @@ let scheme_name = function
   | Topology_aware -> "TopologyAware"
   | Combined -> "Combined"
 
+let scheme_id = function
+  | Base -> "base"
+  | Base_plus -> "base+"
+  | Local -> "local"
+  | Topology_aware -> "topology-aware"
+  | Combined -> "combined"
+
+let scheme_of_id = function
+  | "base" -> Ok Base
+  | "base+" | "baseplus" -> Ok Base_plus
+  | "local" -> Ok Local
+  | "topology" | "topology-aware" | "ta" -> Ok Topology_aware
+  | "combined" -> Ok Combined
+  | s -> Error (Printf.sprintf "unknown scheme '%s'" s)
+
 let all_schemes = [ Base; Base_plus; Local; Topology_aware; Combined ]
 
 type params = {

@@ -19,7 +19,19 @@ type scheme =
   | Topology_aware  (** Figure 6 distribution, dependence-only order *)
   | Combined        (** Figure 6 distribution + Figure 7 scheduling *)
 
+(** Display names ("Base", "Base+", "Local", "TopologyAware",
+    "Combined"), as the CLI's text output prints them. *)
 val scheme_name : scheme -> string
+
+(** Stable lowercase identifiers ("base", "base+", "local",
+    "topology-aware", "combined") shared by reports, Chrome traces,
+    params files, requests and cache keys. *)
+val scheme_id : scheme -> string
+
+(** Inverse of {!scheme_id}, also accepting the aliases "baseplus",
+    "topology" and "ta". *)
+val scheme_of_id : string -> (scheme, string) result
+
 val all_schemes : scheme list
 
 type params = {

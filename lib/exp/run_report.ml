@@ -59,13 +59,6 @@ let histogram_json (h : Reuse.histogram) =
       ("buckets", J.List (List.rev !buckets));
     ]
 
-let scheme_json = function
-  | Mapping.Base -> J.String "base"
-  | Mapping.Base_plus -> J.String "base+"
-  | Mapping.Local -> J.String "local"
-  | Mapping.Topology_aware -> J.String "topology-aware"
-  | Mapping.Combined -> J.String "combined"
-
 let params_json (p : Mapping.params) =
   J.Obj
     [
@@ -247,7 +240,7 @@ let profile ?(params = Mapping.default_params) ?config ?timeline_window
         ("ctam_report_version", J.Int Build_info.report_version);
         ("version", J.String Build_info.version);
         ("program", J.String program.Program.name);
-        ("scheme", scheme_json scheme);
+        ("scheme", J.String (Mapping.scheme_id scheme));
         ("machine", topology_json machine);
         ("params", params_json params);
         ("nests", J.List (List.map nest_json compiled.Mapping.infos));
@@ -376,7 +369,7 @@ let bench_sweep ?jobs ~quick ~machine () =
         ([
            ("version", J.String Build_info.version);
            ("machine", J.String machine.Topology.name);
-           ("scheme", scheme_json scheme);
+           ("scheme", J.String (Mapping.scheme_id scheme));
            ("quick", J.Bool quick);
            ("workloads", J.List (List.map snd rows));
          ]

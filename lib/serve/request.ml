@@ -1,12 +1,13 @@
 (* Compute requests of the mapping service, and the one resolver of
    user input: parsing the JSON request shape into the pipeline's own
-   types, deriving the plan-cache key, and executing the operation.
+   types, deriving the plan-cache key, performing the operation and
+   encoding its outcome.
 
-   The one-shot CLI builds the same documents [ctamap client] sends
-   and parses them here, in-process, so a served answer is
-   byte-identical to the corresponding [ctamap] invocation by
-   construction, modulo the volatile report members (wall-clock
-   timings, telemetry snapshot).
+   The one-shot CLI builds the same documents [ctamap client] sends,
+   parses them here, in-process, and takes its results from
+   [perform], so a served answer is the corresponding [ctamap]
+   invocation's by construction, modulo the volatile report members
+   (wall-clock timings, telemetry snapshot).
 
    Parsing is total — every malformed request becomes [Error _] for
    the server to answer with a structured [bad_request] reply; nothing
@@ -183,7 +184,7 @@ let parse_knobs j ~base_params =
     match str_field j "scheme" with
     | None -> None
     | Some id -> (
-        match Space.scheme_of_id id with
+        match Mapping.scheme_of_id id with
         | Ok s -> Some s
         | Error e -> bad "%s" e)
   in
@@ -450,6 +451,79 @@ let execute_trace tr =
 
 (* --- execution -------------------------------------------------------- *)
 
+module Run_report = Ctam_exp.Run_report
+module Verify = Ctam_verify.Verify
+
+(* What an op computes, before anything renders it: the compiled plan
+   of a [map], the observed run of a [run], the verifier's report of a
+   [check] and the search result of a [tune].  The daemon encodes it
+   as its reply; each [ctamap] command renders it as text or files. *)
+type outcome =
+  | Plan of Mapping.compiled
+  | Profile of Run_report.profile
+  | Verdict of Verify.report
+  | Searched of Search.result
+
+(* [perform ?cache_dir ?jobs ?memo r] runs the operation and returns
+   its outcome together with the spans the request context publishes
+   (compile / simulate / verify / search, in completion order).  The
+   optional arguments are execution settings of a tune search:
+   [cache_dir] is its persistent evaluation cache (distinct file
+   prefix, same directory), [jobs] its domains and [memo] its shared
+   phase memo.  May raise — the server maps exceptions to structured
+   [internal] errors. *)
+let perform ?cache_dir ?jobs ?(memo = false) r =
+  let params = params r in
+  let scheme = r.point.Space.scheme in
+  let compile () =
+    Span.with_ "compile" (fun () ->
+        Mapping.compile ~params ~stream:r.stream scheme ~machine:r.machine
+          r.program)
+  in
+  match r.op with
+  | Map -> Span.collect (fun () -> Plan (compile ()))
+  | Run ->
+      let timeline_window =
+        if r.trace then
+          Some (Option.value ~default:default_window r.trace_window)
+        else None
+      in
+      let p =
+        Run_report.profile ~params ?timeline_window
+          ~frontend_timings:r.frontend_timings ~check:r.check ~stream:r.stream
+          ~sample_sets:r.sample_sets scheme ~machine:r.machine r.program
+      in
+      (Profile p, p.Run_report.spans)
+  | Check ->
+      Span.collect (fun () ->
+          let compiled = compile () in
+          Verdict (Span.with_ "verify" (fun () -> Verify.check compiled)))
+  | Tune ->
+      let settings =
+        { (search_settings r) with Search.cache_dir; jobs; memo }
+      in
+      Span.collect (fun () ->
+          Searched
+            (Span.with_ "search" (fun () ->
+                 Search.run settings ~machine:r.machine
+                   ~program_name:r.program_name r.program)))
+
+(* The Chrome trace of a traced run (a profile whose sink keeps a
+   timeline): the simulated machine, and the frontend and compile
+   passes on the compiler track.  The daemon's reply and [ctamap
+   trace] both take it from here. *)
+let chrome_trace r (p : Run_report.profile) =
+  match Ctam_cachesim.Sink.window p.Run_report.sink with
+  | None -> None
+  | Some _ ->
+      Some
+        (Ctam_exp.Trace_export.trace_json
+           ~compile_timings:
+             (r.frontend_timings @ p.Run_report.compiled.Mapping.timings)
+           ~program:r.program_name ~machine:r.machine.Topology.name
+           ~scheme:(Mapping.scheme_id r.point.Space.scheme)
+           ~legend:p.Run_report.legend p.Run_report.sink)
+
 (* The map op answers with the mapping's structure only (groups,
    rounds, dependence edges per nest) — no wall-clock members, so the
    response is fully deterministic and caches byte-exactly. *)
@@ -459,84 +533,28 @@ let map_summary r (compiled : Mapping.compiled) =
       ("ctam_map_version", J.Int 1);
       ("version", J.String Ctam_exp.Build_info.version);
       ("program", J.String r.program_name);
-      ("scheme", J.String (Space.scheme_id r.point.Space.scheme));
+      ("scheme", J.String (Mapping.scheme_id r.point.Space.scheme));
       ("machine", J.String r.machine.Topology.name);
       ("cores", J.Int r.machine.Topology.num_cores);
       ("params", Space.to_json r.point);
-      ( "nests",
-        J.List (List.map Ctam_exp.Run_report.nest_json compiled.Mapping.infos)
-      );
+      ("nests", J.List (List.map Run_report.nest_json compiled.Mapping.infos));
     ]
 
-(* Append a member to an object result (total: non-objects pass
-   through untouched). *)
-let with_member name v = function
-  | J.Obj ms -> J.Obj (ms @ [ (name, v) ])
-  | j -> j
+(* The daemon's encoding of an outcome.  A traced run's report carries
+   its Chrome trace as a [trace] member, so a client can stream one
+   slow request straight into chrome://tracing. *)
+let encode r = function
+  | Plan compiled -> map_summary r compiled
+  | Profile p -> (
+      match (chrome_trace r p, p.Run_report.report) with
+      | Some trace, J.Obj ms -> J.Obj (ms @ [ ("trace", trace) ])
+      | _, report -> report)
+  | Verdict v -> Verify.to_json v
+  | Searched result -> Search.to_json result
 
-(* [execute ?cache_dir r] runs the operation and returns the result
-   JSON together with the spans the request context publishes
-   (compile / simulate / verify / search, in completion order).
-   [cache_dir] is handed to tune searches as their own persistent
-   evaluation cache (distinct file prefix, same directory).  May raise
-   — the server maps exceptions to structured [internal] errors. *)
+(* [execute ?cache_dir r] is the daemon's path: [perform] with one
+   evaluation at a time (the daemon's parallelism budget belongs to
+   the worker pool, not to a single request), then [encode]. *)
 let execute ?cache_dir r =
-  let params = params r in
-  let scheme = r.point.Space.scheme in
-  let compile () =
-    Span.with_ "compile" (fun () ->
-        Mapping.compile ~params ~stream:r.stream scheme ~machine:r.machine
-          r.program)
-  in
-  match r.op with
-  | Map -> Span.collect (fun () -> map_summary r (compile ()))
-  | Run ->
-      let timeline_window =
-        if r.trace then
-          Some (Option.value ~default:default_window r.trace_window)
-        else None
-      in
-      let p =
-        Ctam_exp.Run_report.profile ~params ?timeline_window
-          ~frontend_timings:r.frontend_timings ~check:r.check ~stream:r.stream
-          ~sample_sets:r.sample_sets scheme ~machine:r.machine r.program
-      in
-      let report = p.Ctam_exp.Run_report.report in
-      (* trace: embed the Chrome trace-event JSON right in the reply,
-         so a client can stream one slow request straight into
-         chrome://tracing. *)
-      let sink = p.Ctam_exp.Run_report.sink in
-      ( (match Ctam_cachesim.Sink.window sink with
-        | Some _ ->
-            let tj =
-              Ctam_exp.Trace_export.trace_json
-                ~compile_timings:
-                  (r.frontend_timings
-                  @ p.Ctam_exp.Run_report.compiled.Mapping.timings)
-                ~program:r.program_name ~machine:r.machine.Topology.name
-                ~scheme:(Space.scheme_id r.point.Space.scheme)
-                ~legend:p.Ctam_exp.Run_report.legend sink
-            in
-            with_member "trace" tj report
-        | None -> report),
-        p.Ctam_exp.Run_report.spans )
-  | Check ->
-      Span.collect (fun () ->
-          let compiled = compile () in
-          Span.with_ "verify" (fun () ->
-              Ctam_verify.Verify.to_json (Ctam_verify.Verify.check compiled)))
-  | Tune ->
-      let settings =
-        {
-          (search_settings r) with
-          Search.cache_dir;
-          (* One evaluation at a time: the daemon's parallelism budget
-             belongs to the worker pool, not to a single request. *)
-          jobs = Some 1;
-        }
-      in
-      Span.collect (fun () ->
-          Search.to_json
-            (Span.with_ "search" (fun () ->
-                 Search.run settings ~machine:r.machine
-                   ~program_name:r.program_name r.program)))
+  let outcome, spans = perform ?cache_dir ~jobs:1 r in
+  (encode r outcome, spans)

@@ -58,35 +58,20 @@ let equal a b =
   a.scheme = b.scheme && a.alpha = b.alpha && a.beta = b.beta
   && a.balance = b.balance && a.tile_edge = b.tile_edge
 
-let scheme_id = function
-  | Mapping.Base -> "base"
-  | Mapping.Base_plus -> "base+"
-  | Mapping.Local -> "local"
-  | Mapping.Topology_aware -> "topology-aware"
-  | Mapping.Combined -> "combined"
-
-let scheme_of_id = function
-  | "base" -> Ok Mapping.Base
-  | "base+" | "baseplus" -> Ok Mapping.Base_plus
-  | "local" -> Ok Mapping.Local
-  | "topology" | "topology-aware" | "ta" -> Ok Mapping.Topology_aware
-  | "combined" -> Ok Mapping.Combined
-  | s -> Error (Printf.sprintf "unknown scheme '%s'" s)
-
 let tile_str = function None -> "auto" | Some e -> string_of_int e
 
 let key_fragment p =
-  Printf.sprintf "scheme=%s alpha=%h beta=%h balance=%h tile=%s" (scheme_id p.scheme)
-    p.alpha p.beta p.balance (tile_str p.tile_edge)
+  Printf.sprintf "scheme=%s alpha=%h beta=%h balance=%h tile=%s"
+    (Mapping.scheme_id p.scheme) p.alpha p.beta p.balance (tile_str p.tile_edge)
 
 let pp ppf p =
-  Fmt.pf ppf "%s a=%g b=%g bal=%g tile=%s" (scheme_id p.scheme) p.alpha p.beta
-    p.balance (tile_str p.tile_edge)
+  Fmt.pf ppf "%s a=%g b=%g bal=%g tile=%s" (Mapping.scheme_id p.scheme)
+    p.alpha p.beta p.balance (tile_str p.tile_edge)
 
 let to_json p =
   J.Obj
     [
-      ("scheme", J.String (scheme_id p.scheme));
+      ("scheme", J.String (Mapping.scheme_id p.scheme));
       ("alpha", J.Float p.alpha);
       ("beta", J.Float p.beta);
       ("balance_threshold", J.Float p.balance);
@@ -110,7 +95,7 @@ let of_json j =
       let d = default_point () in
       let* scheme =
         match J.member "scheme" j with
-        | Some (J.String s) -> scheme_of_id s
+        | Some (J.String s) -> Mapping.scheme_of_id s
         | None -> Ok d.scheme
         | Some _ -> Error "member 'scheme' is not a string"
       in

@@ -39,13 +39,6 @@ val canonical : point -> point
 val equal : point -> point -> bool
 val pp : point Fmt.t
 
-(** Stable lowercase scheme identifiers ("base", "base+", "local",
-    "topology-aware", "combined") shared by reports, params files and
-    cache keys. *)
-val scheme_id : Mapping.scheme -> string
-
-val scheme_of_id : string -> (Mapping.scheme, string) result
-
 (** Deterministic single-line rendering used as the point's fragment
     of the persistent cache key. *)
 val key_fragment : point -> string

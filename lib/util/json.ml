@@ -85,7 +85,8 @@ let nl b ~minify indent =
     add_spaces b indent
   end
 
-let rec print b ~minify indent = function
+(* A value printed whole: a scalar or an empty container. *)
+let leaf b = function
   | Null -> Buffer.add_string b "null"
   | Bool bo -> Buffer.add_string b (if bo then "true" else "false")
   | Int i -> add_int b i
@@ -95,43 +96,79 @@ let rec print b ~minify indent = function
         (* JSON has no NaN/inf; null is the conventional stand-in. *)
         Buffer.add_string b "null"
   | String s -> escape_string b s
-  | List [] -> Buffer.add_string b "[]"
-  | List vs ->
+  | List _ -> Buffer.add_string b "[]"
+  | Obj _ -> Buffer.add_string b "{}"
+
+(* The containers still open around the value being printed, innermost
+   first: the elements or members after it, their indentation, and the
+   containers around them.  Printing keeps this stack itself, one block
+   per container entered, rather than on the call stack, so no nesting
+   depth can overflow it. *)
+type open_containers =
+  | Top
+  | Elements of t list * int * open_containers
+  | Members of (string * t) list * int * open_containers
+
+(* [value b ~minify indent up v] prints [v] at [indent], then the rest
+   of the containers [up].  Every call below is a tail call. *)
+let rec value b ~minify indent up = function
+  | List (_ :: _ as vs) ->
       Buffer.add_char b '[';
-      print_elements b ~minify (indent + 2) vs;
-      nl b ~minify indent;
-      Buffer.add_char b ']'
-  | Obj [] -> Buffer.add_string b "{}"
-  | Obj ms ->
+      elements b ~minify (indent + 2) up ~first:true vs
+  | Obj (_ :: _ as ms) ->
       Buffer.add_char b '{';
-      print_members b ~minify (indent + 2) ms;
-      nl b ~minify indent;
-      Buffer.add_char b '}'
+      members b ~minify (indent + 2) up ~first:true ms
+  | v ->
+      leaf b v;
+      close b ~minify up
 
-and print_elements b ~minify indent = function
-  | [] -> ()
-  | v :: rest ->
+(* [elements b ~minify indent up ~first vs] prints the list elements
+   [vs], then closes their list. *)
+and elements b ~minify indent up ~first = function
+  | [] ->
+      nl b ~minify (indent - 2);
+      Buffer.add_char b ']';
+      close b ~minify up
+  | v :: vs -> (
+      if not first then Buffer.add_char b ',';
       nl b ~minify indent;
-      print b ~minify indent v;
-      if rest != [] then Buffer.add_char b ',';
-      print_elements b ~minify indent rest
+      match v with
+      | List (_ :: _) | Obj (_ :: _) ->
+          value b ~minify indent (Elements (vs, indent, up)) v
+      | v ->
+          leaf b v;
+          elements b ~minify indent up ~first:false vs)
 
-and print_members b ~minify indent = function
-  | [] -> ()
-  | (k, v) :: rest ->
+and members b ~minify indent up ~first = function
+  | [] ->
+      nl b ~minify (indent - 2);
+      Buffer.add_char b '}';
+      close b ~minify up
+  | (k, v) :: ms -> (
+      if not first then Buffer.add_char b ',';
       nl b ~minify indent;
       escape_string b k;
       Buffer.add_string b (if minify then ":" else ": ");
-      print b ~minify indent v;
-      if rest != [] then Buffer.add_char b ',';
-      print_members b ~minify indent rest
+      match v with
+      | List (_ :: _) | Obj (_ :: _) ->
+          value b ~minify indent (Members (ms, indent, up)) v
+      | v ->
+          leaf b v;
+          members b ~minify indent up ~first:false ms)
+
+(* The innermost open container's current value is printed: go on
+   with the values after it. *)
+and close b ~minify = function
+  | Top -> ()
+  | Elements (vs, indent, up) -> elements b ~minify indent up ~first:false vs
+  | Members (ms, indent, up) -> members b ~minify indent up ~first:false ms
 
 let to_string ?(minify = false) v =
   (* Requests and journal records fit without growing.  1 KB is still a
      minor-heap block; a 4 KB one goes to the major heap, which made
      small documents 3x slower to print. *)
   let b = Buffer.create 1024 in
-  print b ~minify 0 v;
+  value b ~minify 0 Top v;
   Buffer.contents b
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)

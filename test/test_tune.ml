@@ -75,7 +75,7 @@ let test_grid_dedup_and_default () =
   List.iter
     (fun scheme ->
       check_bool
-        ("default point in grid for " ^ Space.scheme_id scheme)
+        ("default point in grid for " ^ Mapping.scheme_id scheme)
         true
         (List.exists
            (Space.equal (Space.canonical (Space.default_point ~scheme ())))

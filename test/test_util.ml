@@ -174,6 +174,31 @@ let prop_print_matches_oracle =
       Json.to_string v = O.to_string o
       && Json.to_string ~minify:true v = O.to_string ~minify:true o)
 
+(* The printer keeps its own stack: a value nested 200,000 deep prints
+   minified even on the 2 MB stack this group also runs on (test/dune),
+   and pretty output of a deep value still matches the oracle's. *)
+let test_print_deep () =
+  let nest depth wrap =
+    let v = ref (Json.Int 0) in
+    for _ = 1 to depth do
+      v := wrap !v
+    done;
+    !v
+  in
+  let depth = 200_000 in
+  let repeat s = String.concat "" (List.init depth (fun _ -> s)) in
+  check_str "nested arrays"
+    (String.make depth '[' ^ "0" ^ String.make depth ']')
+    (Json.to_string ~minify:true (nest depth (fun v -> Json.List [ v ])));
+  check_str "nested objects"
+    (repeat {|{"k":|} ^ "0" ^ String.make depth '}')
+    (Json.to_string ~minify:true
+       (nest depth (fun v -> Json.Obj [ ("k", v) ])));
+  let v =
+    nest 300 (fun v -> Json.Obj [ ("a", Json.List [ v; Json.Null ]) ])
+  in
+  check_str "pretty" (O.to_string (to_oracle v)) (Json.to_string v)
+
 (* JSON text the printer never writes: whitespace everywhere, every
    escape (surrogate halves, pairs and strays included), leading zeros,
    exponents, and integer literals up to 21 digits. *)
@@ -439,6 +464,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_print_matches_oracle;
           QCheck_alcotest.to_alcotest prop_parse_matches_oracle;
         ] );
+      ( "json depth",
+        [ Alcotest.test_case "printing is flat" `Quick test_print_deep ] );
       ( "stats",
         [ Alcotest.test_case "to_json/of_json" `Quick test_stats_roundtrip ] );
       ( "deadline",

@@ -10,8 +10,9 @@
 # alive, a corrupt on-disk cache entry must only cost a recompute,
 # timed-out requests must stop at their deadline (typed replies, no
 # extra threads, correct answers afterwards), a frame whose decoding
-# overflows a small stack must be answered without losing a worker,
-# and shutdown must be clean (socket removed, exit 0).
+# overflows a small stack must be answered without losing a worker, a
+# deeply nested id must be echoed on that stack, and shutdown must be
+# clean (socket removed, exit 0).
 # Wired into `dune runtest` from tools/dune; also runnable by hand from
 # the repo root:
 #
@@ -157,8 +158,10 @@ stop_daemon
 # No frame may take a worker away: on a 2 MB stack, three frames of
 # 200,000 nested arrays on fresh connections (more than the 2 workers)
 # overflow the decoder, and each must still get an `internal` reply,
-# then a ping its pong.
+# then a ping its pong.  A ping whose id is 30,000 nested arrays decodes,
+# and the pong echoing it must be encoded too.
 start_daemon l=256k
 "$PROBE" deep "$sock" > /dev/null
+"$PROBE" deep-id "$sock" > /dev/null
 stop_daemon
 echo "check_serve: ok"

@@ -36,6 +36,12 @@
    runs this daemon with [OCAMLRUNPARAM=l=256k]) decoding them
    overflows, and no frame may take a worker away.
 
+   [serve_probe deep-id SOCKET] sends a ping whose [id] is 30,000
+   nested arrays, which decodes on a small stack, and requires within
+   5 s a pong echoing that id, then a pong to a plain ping on the same
+   connection: encoding the echo must not take the worker away
+   either.
+
    [serve_probe compare A B] checks two JSON documents are equal
    modulo the volatile report members ("timings_seconds",
    "telemetry" — wall clocks and process state), i.e. that a served
@@ -375,6 +381,33 @@ let deep socket =
   Unix.close fd;
   print_endline "serve_probe: deep ok"
 
+let deep_id socket =
+  let depth = 30_000 in
+  let id = String.make depth '[' ^ String.make depth ']' in
+  let fd = connect socket in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+  send_frame fd (Printf.sprintf {|{"op":"ping","id":%s}|} id);
+  let reply =
+    match recv_json fd with
+    | j -> j
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        fail "deep id: no reply within 5 s"
+    | exception (Eof | Unix.Unix_error _) ->
+        fail "deep id: the connection closed without a reply"
+  in
+  (match
+     ( Option.map (member "pong") (member "result" reply),
+       Option.map (J.to_string ~minify:true) (member "id" reply) )
+   with
+  | Some (Some (J.Bool true)), Some echoed when echoed = id -> ()
+  | _ -> fail "deep id: the reply is not a pong echoing the id");
+  (match ping "after the deep id" fd with
+  | () -> ()
+  | exception (Eof | Unix.Unix_error _) ->
+      fail "after the deep id: no pong within 5 s");
+  Unix.close fd;
+  print_endline "serve_probe: deep-id ok"
+
 (* --- compare mode ----------------------------------------------------- *)
 
 let volatile = [ "timings_seconds"; "telemetry" ]
@@ -416,9 +449,10 @@ let () =
   | [ _; "deadline"; socket ] -> deadline socket None
   | [ _; "deadline"; socket; pid ] -> deadline socket (int_of_string_opt pid)
   | [ _; "deep"; socket ] -> deep socket
+  | [ _; "deep-id"; socket ] -> deep_id socket
   | [ _; "compare"; a; b ] -> compare_files a b
   | _ ->
       prerr_endline
         "usage: serve_probe abuse SOCKET | wire SOCKET REQUEST | deadline \
-         SOCKET [PID] | deep SOCKET | compare A.json B.json";
+         SOCKET [PID] | deep SOCKET | deep-id SOCKET | compare A.json B.json";
       exit 2
