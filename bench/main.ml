@@ -381,7 +381,7 @@ let scale_sweep ~quick ~json ~scales ~sample_sets () =
    full-size caches (every L1 is 32KB 8-way x 64B, so 8KB fits, 128KB
    thrashes L1 and 1MB thrashes harder).  The sweep is gated: it
    EXITS NON-ZERO when a policy breaks one of the trend invariants
-   below, so `dune runtest` (via tools/check_policies.sh) and the
+   below, so `dune runtest` (via test_policies "bench policy-sweep") and the
    bench archive both re-certify the policy layer on every change.
 
    Invariants asserted per machine:

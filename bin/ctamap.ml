@@ -235,16 +235,24 @@ let write_metrics = function
         Ok ()
       with Sys_error msg -> Error ("cannot write metrics: " ^ msg))
 
+(* [write path f] writes an output file with [f path]. *)
+let write path f =
+  match f path with
+  | () -> Ok ()
+  | exception Sys_error msg -> Error ("cannot write: " ^ msg)
+
+let write_text path text =
+  write path (fun p ->
+      Out_channel.with_open_text p (fun oc -> output_string oc text))
+
 (* Write a JSON output file, if one was asked for, and say so. *)
 let write_json path j =
   match path with
   | None -> Ok ()
-  | Some path -> (
-      match Ctam_exp.Run_report.write_file path (Lazy.force j) with
-      | () ->
-          Fmt.pr "wrote %s@." path;
-          Ok ()
-      | exception Sys_error msg -> Error ("cannot write: " ^ msg))
+  | Some path ->
+      Result.map
+        (fun () -> Fmt.pr "wrote %s@." path)
+        (write path (fun p -> Ctam_exp.Run_report.write_file p (Lazy.force j)))
 
 let policy_arg =
   let doc =
@@ -542,10 +550,21 @@ let simulate_cmd =
           another name for $(b,run).")
     run_term
 
+let positive_int =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ ->
+            Error
+              (Printf.sprintf "invalid value '%s', expected a positive integer"
+                 s)),
+      Format.pp_print_int )
+
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Run the per-scheme simulations across $(docv) domains (default: \
@@ -573,19 +592,14 @@ let compare_cmd =
     (* Simulate every scheme in parallel, then assemble the table
        serially so the Base-normalization and row order match the old
        one-scheme-at-a-time loop exactly. *)
-    let* results =
-      (* Parallel.map rejects a --jobs below 1. *)
-      match
-        Ctam_util.Parallel.map ?domains:jobs
-          (fun scheme ->
-            ( scheme,
-              Mapping.run ~params ~stream
-                ?sample_sets:(if sample_sets > 1 then Some sample_sets else None)
-                ?memo:sim_memo scheme ~machine prog ))
-          Mapping.all_schemes
-      with
-      | r -> Ok r
-      | exception Invalid_argument msg -> Error msg
+    let results =
+      Ctam_util.Parallel.map ?domains:jobs
+        (fun scheme ->
+          ( scheme,
+            Mapping.run ~params ~stream
+              ?sample_sets:(if sample_sets > 1 then Some sample_sets else None)
+              ?memo:sim_memo scheme ~machine prog ))
+        Mapping.all_schemes
     in
     let base = ref 1 in
     let rows =
@@ -623,7 +637,6 @@ let tune_cmd =
       policy =
     let* () = set_log_level log_level in
     let* result =
-      (* Parallel.map rejects a --jobs below 1. *)
       match
         perform ?cache_dir ?jobs ~memo
           (build_request ~op:"tune" ~source ~machine ~scale ?policy ~block
@@ -632,7 +645,6 @@ let tune_cmd =
       | Ok (_, Request.Searched result) -> Ok result
       | Ok _ -> assert false
       | Error e -> Error e
-      | exception Invalid_argument msg -> Error msg
     in
     print_string (Ctam_tune.Search.render result);
     let* () =
@@ -769,14 +781,14 @@ let dump_cmd =
   let run source output =
     let* prog = build_request ~op:"map" ~source () >>= Request.parse_program in
     let text = Ctam_frontend.Unparse.program prog in
-    (match output with
+    match output with
     | Some path ->
-        let oc = open_out path in
-        output_string oc text;
-        close_out oc;
-        Fmt.pr "wrote %s@." path
-    | None -> print_string text);
-    `Ok ()
+        let* () = write_text path text in
+        Fmt.pr "wrote %s@." path;
+        `Ok ()
+    | None ->
+        print_string text;
+        `Ok ()
   in
   let output =
     Arg.(
@@ -839,15 +851,15 @@ let emit_c_cmd =
         (build_request ~op:"map" ~source ~machine ~scale ~scheme ~block ())
     in
     let code = Emit_c.program compiled in
-    (match output with
+    match output with
     | Some path ->
-        let oc = open_out path in
-        output_string oc code;
-        close_out oc;
+        let* () = write_text path code in
         Fmt.pr "wrote %s (%d bytes); compile with: gcc -fopenmp -O2 %s@." path
-          (String.length code) path
-    | None -> print_string code);
-    `Ok ()
+          (String.length code) path;
+        `Ok ()
+    | None ->
+        print_string code;
+        `Ok ()
   in
   let output =
     Arg.(
@@ -981,26 +993,24 @@ let trace_cmd =
     in
     let sink = p.Ctam_exp.Run_report.sink in
     (* A traced run always has its Chrome trace. *)
-    match
-      Ctam_exp.Run_report.write_file output
-        (Option.get (Request.chrome_trace r p))
-    with
-    | exception Sys_error msg -> `Error (false, "cannot write trace: " ^ msg)
-    | () ->
-        Fmt.pr
-          "wrote %s: %d cycles in %d windows of %d, %d spans, %d barriers@."
-          output p.Ctam_exp.Run_report.stats.Stats.cycles
-          (Sink.num_windows sink) window
-          (List.length (Sink.spans sink))
-          (List.length (Sink.barrier_marks sink));
-        if heatmap then
-          List.iter
-            (fun level ->
-              match Sink.render_heatmap sink ~level with
-              | Some s -> Fmt.pr "@.%s" s
-              | None -> ())
-            (Sink.levels sink);
-        `Ok ()
+    let* () =
+      write output (fun path ->
+          Ctam_exp.Run_report.write_file path
+            (Option.get (Request.chrome_trace r p)))
+    in
+    Fmt.pr "wrote %s: %d cycles in %d windows of %d, %d spans, %d barriers@."
+      output p.Ctam_exp.Run_report.stats.Stats.cycles (Sink.num_windows sink)
+      window
+      (List.length (Sink.spans sink))
+      (List.length (Sink.barrier_marks sink));
+    if heatmap then
+      List.iter
+        (fun level ->
+          match Sink.render_heatmap sink ~level with
+          | Some s -> Fmt.pr "@.%s" s
+          | None -> ())
+        (Sink.levels sink);
+    `Ok ()
   in
   let output =
     Arg.(

@@ -188,7 +188,7 @@ let trace_events ?(compile_timings = []) ~legend tl =
         ];
       ts := !ts + dur)
     compile_timings;
-  (* The trace_check tool asserts non-decreasing ts per (pid, tid);
+  (* test_exp "traces valid" asserts non-decreasing ts per (pid, tid);
      sort each track by ts, breaking ties by insertion rank so output
      is deterministic. *)
   let sorted =

@@ -20,7 +20,7 @@
     Simulated cycles map 1:1 to trace microseconds; compiler spans use
     real wall microseconds.  Events are sorted by (pid, tid, ts) with
     insertion order as the tie-break, so per-track timestamps are
-    non-decreasing (asserted by [tools/trace_check]) and the output is
+    non-decreasing (asserted by test_exp "traces valid") and the output is
     deterministic. *)
 
 val trace_json :

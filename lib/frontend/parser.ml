@@ -2,8 +2,13 @@ open Token
 open Ast
 
 (* [depth]: the parentheses, minus signs and subscripts enclosing the
-   expression being parsed. *)
-type state = { mutable toks : Token.spanned list; mutable depth : int }
+   expression being parsed; [loops]: the loops enclosing the body being
+   parsed. *)
+type state = {
+  mutable toks : Token.spanned list;
+  mutable depth : int;
+  mutable loops : int;
+}
 
 let peek st =
   match st.toks with
@@ -39,13 +44,13 @@ let expect_int st =
       Parse_error.fail t.pos "expected integer but found %s"
         (Token.describe other)
 
-(* --- expression depth --- *)
+(* --- nesting depth --- *)
 
 (* Expressions nest at most this deep, counting parentheses, minus
-   signs, subscripts and every operator of a chain: lowering and
-   unparsing recurse once per level, so an unbounded depth would let a
-   source text overflow the stack.  No example or workload nests
-   deeper than 10. *)
+   signs, subscripts and every operator of a chain, and loops nest at
+   most this deep too: parsing, lowering and unparsing recurse once per
+   level, so an unbounded depth would let a source text overflow the
+   stack.  No example or workload nests deeper than 10. *)
 let max_depth = 1000
 
 (* Each parser below returns an expression with its height, the levels
@@ -221,6 +226,9 @@ let parse_stmt st =
   { lhs_array = name; lhs_subs = subs; lhs_pos = pos; rhs }
 
 let rec parse_loop st =
+  if st.loops = max_depth then
+    Parse_error.fail (peek st).pos "loops nested deeper than %d levels"
+      max_depth;
   expect st KW_FOR;
   expect st LPAREN;
   let var, var_pos = expect_ident st in
@@ -250,7 +258,9 @@ let rec parse_loop st =
     Parse_error.fail var3_pos "loop increments '%s', expected '%s'" var3 var;
   expect st PLUSPLUS;
   expect st RPAREN;
+  st.loops <- st.loops + 1;
   let body = parse_body st in
+  st.loops <- st.loops - 1;
   { var; var_pos; lo; hi; strict; body }
 
 and parse_body st =
@@ -317,7 +327,7 @@ let parse_nest st =
   { nest_parallel = parallel; nest_loop = loop; nest_pos = t.pos }
 
 let parse_tokens toks =
-  let st = { toks; depth = 0 } in
+  let st = { toks; depth = 0; loops = 0 } in
   expect st KW_PROGRAM;
   let name, _ = expect_ident st in
   expect st SEMI;

@@ -13,9 +13,10 @@
     v} *)
 
 (** Parse a full program.  @raise Parse_error.Error on syntax errors,
-    and at the token where an expression nests deeper than 1,000
-    levels (parentheses, minus signs, subscripts and each operator of a
-    chain count one each). *)
+    at the token where an expression nests deeper than 1,000 levels
+    (parentheses, minus signs, subscripts and each operator of a chain
+    count one each), and at the [for] that opens a 1,001st level of
+    nested loops. *)
 val parse : string -> Ast.program
 
 (** Parse from a token list (exposed for tests). *)

@@ -1149,6 +1149,52 @@ let test_stats_rel_errors_and_approx_equal () =
     (List.assoc "total_accesses" (Stats.rel_errors ~exact ~approx:broken)
     = infinity)
 
+(* --- the bench scale sweep ------------------------------------------- *)
+
+(* [bench/main.exe scale-sweep --quick --json 16] exits non-zero unless
+   every streamed run equals its exact array-backed run.  Its rows carry
+   positive exact and sampled cycle counts and speedups, and the sampled
+   runs' cycle error stays under 20% on every row (EXPERIMENTS.md's worst
+   row is 15.4%, the quick subset's 11.0%) and under 5% in geometric
+   mean (measured about 2%). *)
+let test_bench_scale_sweep () =
+  let module J = Ctam_util.Json in
+  let rows =
+    Harness.out Harness.bench [ "scale-sweep"; "--quick"; "--json"; "16" ]
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+    |> List.map (Harness.parse_json ~what:"scale-sweep line")
+    |> List.filter (fun j ->
+           J.member "experiment" j = Some (J.String "scale_sweep"))
+  in
+  check_bool "scale_sweep rows" true (rows <> []);
+  let log_errs =
+    List.map
+      (fun row ->
+        let label = J.to_string ~minify:true row in
+        let num name =
+          match J.member name row with
+          | Some (J.Int i) -> float_of_int i
+          | Some (J.Float f) -> f
+          | _ -> Alcotest.failf "%s: no numeric %S" label name
+        in
+        List.iter
+          (fun name ->
+            if num name <= 0. then Alcotest.failf "%s: %s not positive" label name)
+          [ "cycles_exact"; "cycles_sampled"; "sim_speedup" ];
+        let err = num "rel_err_cycles" in
+        if err < 0. || err > 0.20 then
+          Alcotest.failf "%s: sampled-cycle error %.4f outside [0, 0.20]" label err;
+        (* A floor keeps a row of zero error finite. *)
+        log (Float.max err 1e-6))
+      rows
+  in
+  let geomean =
+    exp (List.fold_left ( +. ) 0. log_errs /. float_of_int (List.length rows))
+  in
+  check_bool (Printf.sprintf "error geomean %.4f <= 0.05" geomean) true
+    (geomean <= 0.05)
+
 let () =
   Alcotest.run "cachesim"
     [
@@ -1218,5 +1264,10 @@ let () =
             test_stats_rel_errors_and_approx_equal;
           QCheck_alcotest.to_alcotest prop_gen_cursor_matches_dense;
           QCheck_alcotest.to_alcotest prop_stream_concat_matches_dense;
+        ] );
+      ( "bench",
+        [
+          Alcotest.test_case "scale sweep: exact streams, bounded sampling"
+            `Quick test_bench_scale_sweep;
         ] );
     ]

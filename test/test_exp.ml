@@ -203,41 +203,13 @@ let test_trace_json_structure () =
 
 (* --- timing outputs ---------------------------------------------------- *)
 
-(* Under [dune runtest] the cwd is [_build/default/test] and the binary
-   and example programs are declared deps; [dune exec] from the repo
-   root needs the second candidates. *)
-let in_build ~test_rel ~root_rel =
-  List.find Sys.file_exists [ test_rel; root_rel ]
+module H = Harness
 
-let ctamap () =
-  in_build ~test_rel:"../bin/ctamap.exe" ~root_rel:"_build/default/bin/ctamap.exe"
-
-let fig5 () =
-  in_build ~test_rel:"../examples/programs/fig5.ctam"
-    ~root_rel:"examples/programs/fig5.ctam"
-
-let read_file path =
-  let ic = open_in_bin path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  text
+let read_file = H.read_file
+let read_json = H.read_json
 
 (* Run the CLI with telemetry on; returns its standard output. *)
-let run_ctamap args =
-  let out = Filename.temp_file "ctam_exp" ".out" in
-  let code =
-    Sys.command
-      (Printf.sprintf "CTAM_TELEMETRY=1 %s %s > %s 2>&1"
-         (Filename.quote (ctamap ()))
-         args (Filename.quote out))
-  in
-  let text = read_file out in
-  Sys.remove out;
-  if code <> 0 then Alcotest.failf "ctamap %s exited %d:\n%s" args code text;
-  text
-
-let read_json path =
-  match J.parse (read_file path) with Ok j -> j | Error e -> Alcotest.fail e
+let run_ctamap args = H.out ~env:[ ("CTAM_TELEMETRY", "1") ] H.ctamap args
 
 let member_exn name j =
   match J.member name j with
@@ -257,10 +229,7 @@ let compile_passes = [ "group"; "distribute"; "schedule"; "trace" ]
 let test_report_timing_keys () =
   let json = Filename.temp_file "ctam_report" ".json" in
   let text =
-    run_ctamap
-      (Printf.sprintf "run %s --profile --json %s"
-         (Filename.quote (fig5 ()))
-         (Filename.quote json))
+    run_ctamap [ "run"; H.fig5; "--profile"; "--json"; json ]
   in
   let dsl_keys = [ "parse"; "lower" ] @ compile_passes @ [ "simulate" ] in
   check_keys "fig5 timings_seconds" dsl_keys
@@ -284,8 +253,7 @@ let test_report_timing_keys () =
   check_keys "fig5 --profile phase table" dsl_keys rows;
   ignore
     (run_ctamap
-       (Printf.sprintf "run cg -m harpertown --scale 64 --json %s"
-          (Filename.quote json)));
+       [ "run"; "cg"; "-m"; "harpertown"; "--scale"; "64"; "--json"; json ]);
   check_keys "builtin timings_seconds" (compile_passes @ [ "simulate" ])
     (obj_keys (member_exn "timings_seconds" (read_json json)));
   Sys.remove json
@@ -294,10 +262,7 @@ let test_report_timing_keys () =
    compile pass, in pipeline order. *)
 let test_trace_compile_track () =
   let out = Filename.temp_file "ctam_trace" ".json" in
-  ignore
-    (run_ctamap
-       (Printf.sprintf "trace %s -o %s" (Filename.quote (fig5 ()))
-          (Filename.quote out)));
+  ignore (run_ctamap [ "trace"; H.fig5; "-o"; out ]);
   let names =
     match member_exn "traceEvents" (read_json out) with
     | J.List evs ->
@@ -317,11 +282,7 @@ let test_trace_compile_track () =
    for the simulation, and charges the simulation's allocation. *)
 let test_phase_labels () =
   let snapshot = Filename.temp_file "ctam_metrics" ".json" in
-  ignore
-    (run_ctamap
-       (Printf.sprintf "run %s --profile --metrics-out %s"
-          (Filename.quote (fig5 ()))
-          (Filename.quote snapshot)));
+  ignore (run_ctamap [ "run"; H.fig5; "--profile"; "--metrics-out"; snapshot ]);
   let families =
     match member_exn "metrics" (read_json snapshot) with
     | J.List fs -> fs
@@ -388,7 +349,7 @@ let sp_windowed =
 let check_digest = Alcotest.(check string)
 
 let test_pin_reports () =
-  let fig5 = Ctam_frontend.Lower.compile (read_file (fig5 ())) in
+  let fig5 = Ctam_frontend.Lower.compile (read_file H.fig5) in
   check_digest "fig5 Dunnington/16 Combined"
     "3970d034e177568206814f1e919d7bce"
     (report_digest
@@ -433,21 +394,12 @@ let test_pin_trace () =
 
 (* [ctamap args]'s standard output, with each of [outs] (the output
    files named in [args]) replaced by "OUT"; it must exit [code]. *)
-let cli ?(code = 0) ?(outs = []) args =
-  let out = Filename.temp_file "ctam_cli" ".out" in
-  let rc =
-    Sys.command
-      (Printf.sprintf "%s %s > %s 2> /dev/null"
-         (Filename.quote (ctamap ()))
-         args (Filename.quote out))
-  in
-  let text = read_file out in
-  Sys.remove out;
-  if rc <> code then Alcotest.failf "ctamap %s exited %d, not %d" args rc code;
+let cli ?code ?(outs = []) args =
   List.fold_left
     (fun t path ->
       Astring.String.concat ~sep:"OUT" (Astring.String.cuts ~sep:path t))
-    text outs
+    (H.out ?code H.ctamap args)
+    outs
 
 let without_members keys = function
   | J.Obj ms -> J.Obj (List.filter (fun (k, _) -> not (List.mem k keys)) ms)
@@ -492,33 +444,30 @@ let report_file_digest path =
 
 let cli_digests ~name program =
   let pin what v = (name ^ " " ^ what, v) in
-  let s = program ^ " -s topology" in
-  let out args = digest (cli args) in
-  let q = Filename.quote in
+  let s = program @ [ "-s"; "topology" ] in
+  let out cmd args = digest (cli ((cmd :: s) @ args)) in
   [
-    pin "map" (out ("map " ^ s));
-    pin "run" (out ("run " ^ s));
-    pin "run --check" (out ("run " ^ s ^ " --check"));
-    pin "simulate" (out ("simulate " ^ s));
-    pin "codegen -c 0" (out ("codegen " ^ program ^ " -c 0"));
-    pin "codegen -c 3" (out ("codegen " ^ program ^ " -c 3"));
-    pin "reuse" (out ("reuse " ^ s));
-    pin "emit-c" (out ("emit-c " ^ s));
+    pin "map" (out "map" []);
+    pin "run" (out "run" []);
+    pin "run --check" (out "run" [ "--check" ]);
+    pin "simulate" (out "simulate" []);
+    pin "codegen -c 0" (digest (cli (("codegen" :: program) @ [ "-c"; "0" ])));
+    pin "codegen -c 3" (digest (cli (("codegen" :: program) @ [ "-c"; "3" ])));
+    pin "reuse" (out "reuse" []);
+    pin "emit-c" (out "emit-c" []);
     pin "check --inject bad-order"
-      (digest (cli ~code:124 ("check " ^ s ^ " --inject bad-order")));
+      (digest (cli ~code:124 (("check" :: s) @ [ "--inject"; "bad-order" ])));
     pin "run --profile"
-      (digest (without_phase_table (cli ("run " ^ s ^ " --profile"))));
+      (digest (without_phase_table (cli (("run" :: s) @ [ "--profile" ]))));
   ]
   @ with_file (fun f ->
-        ignore (cli (Printf.sprintf "run %s --json %s" s (q f)));
+        ignore (cli (("run" :: s) @ [ "--json"; f ]));
         [ pin "run --json file" (report_file_digest f) ])
   @ with_file (fun f ->
-        ignore (cli (Printf.sprintf "run %s --window 2048 --json %s" s (q f)));
+        ignore (cli (("run" :: s) @ [ "--window"; "2048"; "--json"; f ]));
         [ pin "run --window 2048 --json file" (report_file_digest f) ])
   @ with_file (fun f ->
-        let text =
-          cli ~outs:[ f ] (Printf.sprintf "check %s --json %s" s (q f))
-        in
+        let text = cli ~outs:[ f ] (("check" :: s) @ [ "--json"; f ]) in
         [
           pin "check" (digest text);
           pin "check --json file" (digest (read_file f));
@@ -527,8 +476,8 @@ let cli_digests ~name program =
         with_file (fun fp ->
             let text =
               cli ~outs:[ fj; fp ]
-                (Printf.sprintf "tune %s --budget 4 --json %s --save-params %s"
-                   program (q fj) (q fp))
+                (("tune" :: program)
+                @ [ "--budget"; "4"; "--json"; fj; "--save-params"; fp ])
             in
             [
               pin "tune --budget 4" (digest text);
@@ -538,7 +487,7 @@ let cli_digests ~name program =
   @ with_file (fun f ->
         let text =
           cli ~outs:[ f ]
-            (Printf.sprintf "trace %s --window 2048 --heatmap -o %s" s (q f))
+            (("trace" :: s) @ [ "--window"; "2048"; "--heatmap"; "-o"; f ])
         in
         [
           pin "trace --heatmap" (digest text);
@@ -546,7 +495,6 @@ let cli_digests ~name program =
         ])
 
 let test_pin_cli () =
-  let fig5 = Filename.quote (fig5 ()) in
   Alcotest.(check (list (pair string string)))
     "CLI output digests"
     [
@@ -591,12 +539,12 @@ let test_pin_cli () =
       ("sp trace --heatmap", "fa36ff83ae03b922444d65579a80ec0a");
       ("sp trace file", "4fbcbe108c9bf1ae93df005b30842213");
     ]
-    (cli_digests ~name:"fig5" fig5
+    (cli_digests ~name:"fig5" [ H.fig5 ]
     @ [
         ( "fig5 check --all-schemes",
-          digest (cli ("check --all-schemes " ^ fig5)) );
+          digest (cli [ "check"; "--all-schemes"; H.fig5 ]) );
       ]
-    @ cli_digests ~name:"sp" "sp -m harpertown --scale 64")
+    @ cli_digests ~name:"sp" [ "sp"; "-m"; "harpertown"; "--scale"; "64" ])
 
 (* [ctamap trace]'s file is the Chrome trace a daemon's traced run
    returns for the same document, outside the wall-clock compiler
@@ -617,10 +565,8 @@ let test_cli_trace_is_served () =
     with_file (fun f ->
         ignore
           (cli
-             (Printf.sprintf
-                "trace sp -m harpertown --scale 64 -s topology --window 2048 \
-                 -o %s"
-                (Filename.quote f)));
+             [ "trace"; "sp"; "-m"; "harpertown"; "--scale"; "64"; "-s";
+               "topology"; "--window"; "2048"; "-o"; f ]);
         read_json f)
   in
   let served =
@@ -717,7 +663,7 @@ let test_sampling_error_bounds_suite () =
       let prog = Ctam_workloads.Kernel.small_program kernel in
       (* Rotate kernels over the machines (every kernel sampled, every
          machine exercised) — the full matrix at real problem sizes is
-         the bench-harness gate's job (tools/check_scale.sh). *)
+         the bench harness's job (test_cachesim "scale sweep"). *)
       let machine = List.nth machines (i mod List.length machines) in
       (* One compile, two simulations: streamed-vs-dense identity is
          covered elsewhere, this gate is about sampling. *)
@@ -868,6 +814,170 @@ let test_experiments_all_parallel_deterministic () =
   check_bool "dep_stats nonempty" true
     (String.length (List.assoc "depstats" results) > 0)
 
+(* --- CLI reports and traces ---------------------------------------------- *)
+
+(* Every example program's [run --json] report reads back as JSON. *)
+let test_example_reports () =
+  let programs =
+    List.filter
+      (fun f -> Filename.check_suffix f ".ctam")
+      (Array.to_list (Sys.readdir H.examples))
+  in
+  check_bool "example programs found" true (programs <> []);
+  H.with_temp_dir @@ fun dir ->
+  List.iter
+    (fun f ->
+      let json = Filename.concat dir (f ^ ".json") in
+      ignore
+        (H.out H.ctamap [ "run"; Filename.concat H.examples f; "--json"; json ]);
+      ignore (read_json json))
+    programs
+
+(* A source nested far past the parser's bounds gets a positioned
+   error, not a stack overflow, on a 2 MB stack: 200,000 nested
+   parentheses, and 100,000 nested loops (a parser that recursed once
+   per loop would overflow past about 25,000). *)
+let test_deep_sources () =
+  H.with_temp_dir @@ fun dir ->
+  let refused cmd text ~affix =
+    let path = Filename.concat dir (cmd ^ ".ctam") in
+    H.write_file path text;
+    ignore
+      (H.refused ~env:[ ("OCAMLRUNPARAM", "l=256k") ] ~affix H.ctamap [ cmd; path ])
+  in
+  let n = 200_000 in
+  refused "run"
+    ~affix:"line 1, column 1056: expression nested deeper than 1000 levels"
+    ("program p; double A[4]; for (i = 0; i < 4; i++) A[i] = "
+    ^ String.make n '(' ^ "1.0" ^ String.make n ')' ^ ";\n");
+  let prefix = "program p; double A[4]; " and loop = "for (i = 0; i < 4; i++) " in
+  refused "dump"
+    ~affix:
+      (Printf.sprintf "line 1, column %d: loops nested deeper than 1000 levels"
+         (String.length prefix + (1000 * String.length loop) + 1))
+    (prefix ^ String.concat "" (List.init 100_000 (fun _ -> loop)) ^ "A[i] = 1.0;\n")
+
+(* A Chrome trace-event document: [version], a non-empty [traceEvents]
+   whose events carry [ph]/[ts]/[pid]/[tid]/[name] (and [dur] >= 0 for
+   an "X" span), timestamps non-decreasing within each (pid, tid) track
+   outside the "M" metadata, and at least one span and one counter. *)
+let check_chrome_trace ~what j =
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
+  (match J.member "version" j with
+  | Some (J.String _) -> ()
+  | _ -> fail "missing \"version\" member");
+  let events =
+    match J.member "traceEvents" j with
+    | Some (J.List (_ :: _ as es)) -> es
+    | Some (J.List []) -> fail "traceEvents is empty"
+    | _ -> fail "missing \"traceEvents\" list"
+  in
+  let last_ts = Hashtbl.create 64 in
+  let spans = ref 0 and counters = ref 0 in
+  List.iteri
+    (fun i ev ->
+      let get name =
+        match J.member name ev with
+        | Some v -> v
+        | None -> fail "event %d: missing %S" i name
+      in
+      let int_field name =
+        match get name with
+        | J.Int v -> v
+        | _ -> fail "event %d: %S not an integer" i name
+      in
+      let ph =
+        match get "ph" with
+        | J.String p -> p
+        | _ -> fail "event %d: \"ph\" not a string" i
+      in
+      (match get "name" with
+      | J.String _ -> ()
+      | _ -> fail "event %d: \"name\" not a string" i);
+      let ts = int_field "ts" and pid = int_field "pid" and tid = int_field "tid" in
+      if ts < 0 then fail "event %d: negative ts" i;
+      (match ph with
+      | "X" ->
+          incr spans;
+          if int_field "dur" < 0 then fail "event %d: negative dur" i
+      | "C" -> incr counters
+      | _ -> ());
+      if ph <> "M" then begin
+        (match Hashtbl.find_opt last_ts (pid, tid) with
+        | Some prev when ts < prev ->
+            fail "event %d: ts %d < %d on track (pid %d, tid %d)" i ts prev pid
+              tid
+        | _ -> ());
+        Hashtbl.replace last_ts (pid, tid) ts
+      end)
+    events;
+  if !spans = 0 then fail "no duration (ph \"X\") events";
+  if !counters = 0 then fail "no counter (ph \"C\") events"
+
+let test_cli_traces_valid () =
+  H.with_temp_dir @@ fun dir ->
+  List.iter
+    (fun (name, args) ->
+      let f = Filename.concat dir name in
+      ignore (H.out H.ctamap (("trace" :: args) @ [ "-o"; f ]));
+      check_chrome_trace ~what:name (read_json f))
+    [
+      ( "fig5.json",
+        [ H.fig5; "-m"; "dunnington"; "-s"; "topology"; "--window"; "512" ] );
+      ( "sp.json",
+        [ "sp"; "-m"; "dunnington"; "--scale"; "64"; "-s"; "topology";
+          "--window"; "2048"; "--heatmap" ] );
+    ]
+
+(* [ctamap report diff] exits 0 on a report against itself and non-zero
+   against a copy whose every cycle count is inflated about tenfold. *)
+let test_cli_report_diff () =
+  H.with_temp_dir @@ fun dir ->
+  let a = Filename.concat dir "a.json" and b = Filename.concat dir "b.json" in
+  ignore
+    (H.out H.ctamap [ "run"; "sp"; "--scale"; "64"; "-s"; "topology"; "--json"; a ]);
+  ignore (H.out H.ctamap [ "report"; "diff"; a; a ]);
+  let rec inflate = function
+    | J.Obj ms ->
+        J.Obj
+          (List.map
+             (function
+               | "cycles", J.Int n -> ("cycles", J.Int ((10 * n) + 9))
+               | k, v -> (k, inflate v))
+             ms)
+    | J.List l -> J.List (List.map inflate l)
+    | j -> j
+  in
+  H.write_file b (J.to_string (inflate (read_json a)));
+  check_bool "inflated cycles exit non-zero" true
+    ((H.run H.ctamap [ "report"; "diff"; a; b ]).H.code <> 0)
+
+(* An output path in a missing directory is a "cannot write" error,
+   exit 124, for every command that writes one. *)
+let test_cli_unwritable_outputs () =
+  H.with_temp_dir @@ fun dir ->
+  let missing = Filename.concat (Filename.concat dir "missing") in
+  List.iter
+    (fun args ->
+      let r = H.refused ~affix:"cannot write" H.ctamap args in
+      Alcotest.(check int) (String.concat " " args) 124 r.H.code)
+    [
+      [ "dump"; "sp"; "-o"; missing "x.ctam" ];
+      [ "emit-c"; "sp"; "-o"; missing "x.c" ];
+      [ "trace"; "sp"; "--scale"; "64"; "-o"; missing "x.json" ];
+      [ "run"; "sp"; "--scale"; "64"; "--json"; missing "x.json" ];
+    ]
+
+(* A --jobs below 1 is refused at the flag. *)
+let test_cli_jobs_refused () =
+  List.iter
+    (fun cmd ->
+      ignore
+        (H.refused
+           ~affix:"option '--jobs': invalid value '0', expected a positive integer"
+           H.ctamap [ cmd; "cg"; "--jobs"; "0" ]))
+    [ "tune"; "compare" ]
+
 let () =
   Alcotest.run "exp"
     [
@@ -907,6 +1017,18 @@ let () =
           Alcotest.test_case "fig5 and sp" `Quick test_pin_cli;
           Alcotest.test_case "trace = served trace" `Quick
             test_cli_trace_is_served;
+        ] );
+      ( "CLI reports and traces",
+        [
+          Alcotest.test_case "example reports" `Quick test_example_reports;
+          Alcotest.test_case "deep sources on a small stack" `Quick
+            test_deep_sources;
+          Alcotest.test_case "traces valid" `Quick test_cli_traces_valid;
+          Alcotest.test_case "report diff exit codes" `Quick
+            test_cli_report_diff;
+          Alcotest.test_case "unwritable outputs" `Quick
+            test_cli_unwritable_outputs;
+          Alcotest.test_case "--jobs 0 refused" `Quick test_cli_jobs_refused;
         ] );
       ( "simulation",
         [

@@ -153,6 +153,24 @@ let test_deep_subscript_sum () =
   let rhs = "A[" ^ sub ^ "]" in
   expect_too_deep ~lhs:"A[i]" ~rhs ~crossing:(2 + nth_index sub '+' 1000)
 
+(* Loops nest 1,000 deep at most: the [for] that opens the 1,001st
+   level is refused at its position, and 1,000 levels parse. *)
+let test_deep_loops () =
+  let prefix = "program p; double A[4]; " and loop = "for (i = 0; i < 4; i++) " in
+  let nest n =
+    prefix ^ String.concat "" (List.init n (fun _ -> loop)) ^ "A[i] = 1.0;"
+  in
+  ignore (Parser.parse (nest 1000));
+  match Parser.parse (nest 2000) with
+  | _ -> Alcotest.fail "2,000 nested loops must not parse"
+  | exception Parse_error.Error (pos, msg) ->
+      check_bool "message names the bound" true
+        (contains ~affix:"loops nested deeper than 1000 levels" msg);
+      check_int "error line" 1 pos.Token.line;
+      check_int "error col"
+        (String.length prefix + (1000 * String.length loop) + 1)
+        pos.Token.col
+
 (* --- lowering ------------------------------------------------------- *)
 
 let test_lower_basic () =
@@ -284,6 +302,7 @@ let () =
           Alcotest.test_case "unary minuses" `Quick test_deep_negation;
           Alcotest.test_case "sum in a subscript" `Quick
             test_deep_subscript_sum;
+          Alcotest.test_case "nested loops" `Quick test_deep_loops;
         ] );
       ( "lower",
         [

@@ -473,6 +473,27 @@ let test_topo_text_roundtrip () =
   check_bool "lru not rendered" true
     (not (Astring.String.is_infix ~affix:"policy" plain))
 
+(* [bench/main.exe policy-sweep --quick] exits non-zero when LRU as a
+   policy diverges from the reference engine or a hit-rate trend
+   breaks. *)
+let test_bench_policy_sweep () =
+  ignore (Harness.out Harness.bench [ "policy-sweep"; "--quick" ])
+
+(* A bad --policy spec is refused before any work: a bogus name on
+   [simtrace], an out-of-range level on [run]. *)
+let test_cli_bad_specs () =
+  Harness.with_temp_dir @@ fun dir ->
+  let trace = Filename.concat dir "t.trace" in
+  Harness.write_file trace " L 0x1000,8\n";
+  List.iter
+    (fun args ->
+      check_bool (String.concat " " args ^ " refused") true
+        ((Harness.run Harness.ctamap args).Harness.code <> 0))
+    [
+      [ "simtrace"; trace; "-m"; "dunnington"; "--policy"; "bogus" ];
+      [ "run"; "cg"; "-m"; "dunnington"; "--policy"; "L9=plru" ];
+    ]
+
 let () =
   Alcotest.run "policies"
     [
@@ -506,5 +527,10 @@ let () =
           Alcotest.test_case "tune key" `Quick test_tune_key_policy_sensitive;
           Alcotest.test_case "plan key" `Quick test_plan_key_policy_sensitive;
           Alcotest.test_case "topology text" `Quick test_topo_text_roundtrip;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "bench policy-sweep" `Quick test_bench_policy_sweep;
+          Alcotest.test_case "bad --policy specs" `Quick test_cli_bad_specs;
         ] );
     ]

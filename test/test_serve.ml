@@ -1,8 +1,8 @@
-(* Tests for the serving layer's library pieces — the compiled-plan
-   cache's LRU accounting, byte bound and concurrency contract, and
-   the length-prefixed frame protocol.  The live daemon end (real
-   socket, real requests, hostile input) is covered by
-   tools/check_serve.sh + tools/serve_probe.ml. *)
+(* Tests for the serving layer: the compiled-plan cache's LRU
+   accounting, byte bound and concurrency contract, the length-prefixed
+   frame protocol, daemons served in-process, and a [ctamap serve]
+   process driven over its socket (served answers, hostile input, reply
+   tiers, deadlines, a small stack and the observability surfaces). *)
 
 open Ctam_serve
 module J = Ctam_util.Json
@@ -1062,6 +1062,467 @@ let test_purge_then_recompute () =
     (Plan_cache.lookup c "a" = Plan_cache.Memory (text (v "1")));
   check_int "recomputed entry persisted" 1 (plan_entries ())
 
+(* --- a ctamap serve process ------------------------------------------ *)
+
+module H = Harness
+
+(* Raw frames, written and read by hand rather than through [Protocol]:
+   the daemon is the subject here, the client library is not. *)
+
+let connect socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  (* A hung daemon fails the test instead of hanging it. *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+  fd
+
+let write_all fd s =
+  let b = Bytes.of_string s in
+  let rec go off =
+    let n = Bytes.length b - off in
+    if n > 0 then go (off + Unix.write fd b off n)
+  in
+  go 0
+
+exception Eof
+
+let read_exact fd n =
+  let b = Bytes.create n in
+  let rec go off =
+    if off < n then
+      match Unix.read fd b off (n - off) with 0 -> raise Eof | k -> go (off + k)
+  in
+  go 0;
+  Bytes.to_string b
+
+let frame payload =
+  let n = String.length payload in
+  String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF)) ^ payload
+
+let send_frame fd payload = write_all fd (frame payload)
+
+let recv_frame fd =
+  let hdr = read_exact fd 4 in
+  let n = String.fold_left (fun n c -> (n lsl 8) lor Char.code c) 0 hdr in
+  if n > 1 lsl 26 then Alcotest.failf "reply frame claims %d bytes" n;
+  read_exact fd n
+
+let recv_json fd = H.parse_json ~what:"reply" (recv_frame fd)
+let field name j = match j with J.Obj _ -> J.member name j | _ -> None
+
+let expect_error what fd code =
+  let j = recv_json fd in
+  if field "ok" j <> Some (J.Bool false) then
+    Alcotest.failf "%s: expected an ok=false reply, got %s" what (text j);
+  match Option.bind (field "error" j) (field "code") with
+  | Some (J.String c) -> Alcotest.(check string) (what ^ ": error code") code c
+  | _ -> Alcotest.failf "%s: the error reply carries no code" what
+
+(* A pong; returns its daemon-minted request id. *)
+let expect_pong what fd =
+  let j = recv_json fd in
+  if
+    field "ok" j <> Some (J.Bool true)
+    || Option.bind (field "result" j) (field "pong") <> Some (J.Bool true)
+  then Alcotest.failf "%s: expected a pong, got %s" what (text j);
+  match field "request_id" j with
+  | Some (J.Int rid) -> rid
+  | _ -> Alcotest.failf "%s: the reply carries no request_id" what
+
+let ping what fd =
+  send_frame fd {|{"op":"ping"}|};
+  ignore (expect_pong what fd)
+
+let expect_eof what fd =
+  match recv_frame fd with
+  | exception (Eof | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)) -> ()
+  | s ->
+      Alcotest.failf "%s: expected the connection closed, got %d bytes" what
+        (String.length s)
+
+(* [f fd] on a fresh connection, closed after. *)
+let with_conn ?timeout d f =
+  let fd = connect d.H.socket in
+  Option.iter (Unix.setsockopt_float fd Unix.SO_RCVTIMEO) timeout;
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
+
+(* [f ()], failing as [what] if the daemon does not answer within the
+   connection's timeout or closes it. *)
+let answered what f =
+  match f () with
+  | v -> v
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.failf "%s: no reply in time" what
+  | exception (Eof | Unix.Unix_error _) ->
+      Alcotest.failf "%s: the connection closed without a reply" what
+
+let cg = [ "cg"; "-m"; "harpertown"; "--scale"; "64" ]
+let volatile = [ "timings_seconds"; "telemetry" ]
+
+(* [j] less the members that hold wall clocks and process state. *)
+let rec strip = function
+  | J.Obj ms ->
+      J.Obj
+        (List.filter_map
+           (fun (k, v) -> if List.mem k volatile then None else Some (k, strip v))
+           ms)
+  | J.List l -> J.List (List.map strip l)
+  | j -> j
+
+(* [a] and [b] are one report outside the volatile members. *)
+let same_report what a b =
+  let a = text (strip a) and b = text (strip b) in
+  if not (String.equal a b) then begin
+    let n = min (String.length a) (String.length b) in
+    let i = ref 0 in
+    while !i < n && a.[!i] = b.[!i] do incr i done;
+    let at s = String.sub s !i (min 40 (String.length s - !i)) in
+    Alcotest.failf "%s: the reports differ at byte %d: %s vs %s" what !i (at a)
+      (at b)
+  end
+
+(* [ctamap run args]'s report. *)
+let one_shot args =
+  H.with_temp_dir @@ fun dir ->
+  let f = Filename.concat dir "report.json" in
+  ignore (H.out H.ctamap (("run" :: args) @ [ "--json"; f ]));
+  H.read_json f
+
+let cg_one_shot = lazy (one_shot cg)
+
+(* [ctamap client --op run args]'s standard output. *)
+let served d args = H.client d ([ "--op"; "run" ] @ args)
+
+let served_json d args = H.parse_json ~what:"served run" (served d args)
+
+let quad_topo =
+  {|(machine "Quad" (clock 2.0) (mem 150)
+  (cache "L2#0" (level 2) (size 1M) (assoc 16) (line 64) (latency 12)
+    (cache "L1#0" (level 1) (size 32K) (assoc 8) (line 64) (latency 3) (core))
+    (cache "L1#1" (level 1) (size 32K) (assoc 8) (line 64) (latency 3) (core)))
+  (cache "L2#1" (level 2) (size 1M) (assoc 16) (line 64) (latency 12)
+    (cache "L1#2" (level 1) (size 32K) (assoc 8) (line 64) (latency 3)
+      (cores 2))))
+|}
+
+(* A served run is the one-shot run: for a preset, for a topology file
+   at the default --scale (the client sends the scale, and the daemon
+   applies it to topology text as to presets), and where the one-shot
+   run sets a knob its scheme ignores.  A repeat comes from the plan
+   cache byte for byte, and a cached load burst has no errors. *)
+let test_served_is_one_shot () =
+  H.with_temp_dir @@ fun dir ->
+  let topo = Filename.concat dir "quad.topo" in
+  H.write_file topo quad_topo;
+  H.with_serve dir @@ fun d ->
+  let first = served d cg in
+  same_report "cg" (Lazy.force cg_one_shot) (H.parse_json ~what:"served" first);
+  let quad = [ "cg"; "-m"; topo ] in
+  same_report "topology file" (one_shot quad) (served_json d quad);
+  same_report "ignored knobs"
+    (one_shot (cg @ [ "-s"; "base"; "--alpha=0.9" ]))
+    (served_json d (cg @ [ "-s"; "base" ]));
+  Alcotest.(check string) "the repeat is byte-identical" first (served d cg);
+  let stats = H.parse_json ~what:"stats" (H.client d [ "--op"; "stats" ]) in
+  (match J.member "cached" stats with
+  | Some (J.Int n) -> check_bool "stats count a cache hit" true (n >= 1)
+  | _ -> Alcotest.fail "stats carry no cached count");
+  let load =
+    H.parse_json ~what:"load"
+      (served d (cg @ [ "--load"; "20"; "--concurrency"; "2"; "--json" ]))
+  in
+  check_bool "load burst without errors" true
+    (J.member "errors" load = Some (J.Int 0))
+
+(* Hostile input gets the structured error the protocol promises, and
+   the connection keeps working wherever it can: a length prefix that
+   is plain garbage, an oversized honest frame, a frame that is not
+   JSON, JSON that is not a request, a mid-frame disconnect, and an
+   oversized frame with pings pipelined behind it. *)
+let test_hostile_input () =
+  H.with_temp_dir @@ fun dir ->
+  H.with_serve dir @@ fun d ->
+  (* An HTTP request's first four bytes claim ~1.2 GB, past any drain
+     ceiling: an error, then the daemon closes this connection. *)
+  with_conn d (fun fd ->
+      write_all fd "GET / HTTP/1.0\r\n\r\n";
+      expect_error "garbage prefix" fd "oversized_frame";
+      expect_eof "garbage prefix" fd);
+  (* 20 MiB, over the 16 MiB default: drained, so the connection stays
+     in sync. *)
+  let huge = frame (String.make (20 * 1024 * 1024) 'x') in
+  with_conn d (fun fd ->
+      write_all fd huge;
+      expect_error "oversized frame" fd "oversized_frame";
+      ping "oversized frame" fd);
+  with_conn d (fun fd ->
+      send_frame fd "{this is not json";
+      expect_error "malformed json" fd "malformed_json";
+      ping "malformed json" fd;
+      List.iter
+        (fun (what, req) ->
+          send_frame fd req;
+          expect_error what fd "bad_request")
+        [
+          ("non-object request", "[1,2,3]");
+          ("unknown op", {|{"op":"frobnicate"}|});
+          ( "unknown program",
+            {|{"op":"run","program":"no-such-kernel","machine":"harpertown"}|} );
+        ];
+      ping "bad requests" fd);
+  (* Promise 100 bytes, deliver 10, vanish. *)
+  with_conn d (fun fd -> write_all fd "\x00\x00\x00\x64truncated!");
+  with_conn d (ping "after a mid-frame disconnect");
+  (* The drain consumes exactly the declared bytes: every pipelined
+     ping is answered, in order. *)
+  with_conn d (fun fd ->
+      let ping = frame {|{"op":"ping"}|} in
+      write_all fd (String.concat "" [ huge; ping; ping; ping ]);
+      expect_error "pipelined resync" fd "oversized_frame";
+      let rids = List.init 3 (fun _ -> expect_pong "pipelined resync" fd) in
+      check_bool "request ids increase" true (List.sort_uniq compare rids = rids))
+
+(* One [run] request sent twice on a raw connection under an id full of
+   escapes: each reply is the canonical minified encoding of its own
+   parse, echoes the id and carries the same result bytes.  Returns the
+   two replies' [cached] flags. *)
+let wire d =
+  let id =
+    J.Obj
+      [
+        ("probe", J.String "wire \"bytes\"\\ \n\t\001 \xc3\xa9");
+        ("n", J.List [ J.Int (-1); J.Float 0.5; J.Null ]);
+      ]
+  in
+  let request =
+    text
+      (J.Obj
+         [
+           ("id", id);
+           ("op", J.String "run");
+           ("program", J.String "cg");
+           ("machine", J.String "harpertown");
+           ("scale", J.Int 64);
+         ])
+  in
+  with_conn d @@ fun fd ->
+  let reply n =
+    send_frame fd request;
+    let payload = recv_frame fd in
+    let j = H.parse_json ~what:"wire reply" payload in
+    let what = Printf.sprintf "reply %d " n in
+    Alcotest.(check string) (what ^ "is canonical") (text j) payload;
+    check_bool (what ^ "ok") true (field "ok" j = Some (J.Bool true));
+    check_bool (what ^ "echoes the id") true (field "id" j = Some id);
+    match field "result" j with
+    | Some r -> (text r, field "cached" j = Some (J.Bool true))
+    | None -> Alcotest.failf "reply %d carries no result" n
+  in
+  let r1, c1 = reply 1 in
+  let r2, c2 = reply 2 in
+  Alcotest.(check string) "same result bytes" r1 r2;
+  (c1, c2)
+
+(* Replies over the persistent cache: computed, then from memory; after
+   a restart from disk, then from the entry promoted into memory; after
+   a restart over entries replaced by valid JSON that is no entry,
+   recomputed, and still the one-shot answer. *)
+let test_reply_tiers () =
+  H.with_temp_dir @@ fun dir ->
+  let cached = Alcotest.(check (pair bool bool)) in
+  cached "computed, then memory" (false, true) (H.with_serve dir wire);
+  cached "disk, then memory" (true, true) (H.with_serve dir wire);
+  let cache = Filename.concat dir "cache" in
+  let entries =
+    List.filter
+      (String.starts_with ~prefix:"ctam-plan-")
+      (Array.to_list (Sys.readdir cache))
+  in
+  check_bool "persistent entries written" true (entries <> []);
+  List.iter (fun f -> H.write_file (Filename.concat cache f) "[]\n") entries;
+  H.with_serve dir @@ fun d ->
+  same_report "after corruption" (Lazy.force cg_one_shot) (served_json d cg);
+  ignore (wire d);
+  ignore (H.client d [ "--op"; "ping" ])
+
+(* The [Threads:] count of process [pid]; None without /proc. *)
+let threads pid =
+  match open_in (Printf.sprintf "/proc/%d/status" pid) with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let rec find () =
+            match String.split_on_char ':' (input_line ic) with
+            | [ "Threads"; n ] -> int_of_string_opt (String.trim n)
+            | _ -> find ()
+            | exception End_of_file -> None
+          in
+          find ())
+
+(* 200 nocache runs with a 1 ms timeout over 2 connections, more than
+   the runtime's domain cap: each gets a [timeout] reply echoing its id,
+   within 20 s in all, the [timeouts] counter grows by 200, and the
+   daemon's thread count never rises above its idle count (timed-out
+   work stops instead of running on).  Then it still computes the
+   one-shot answer. *)
+let test_deadline_burst () =
+  H.with_temp_dir @@ fun dir ->
+  H.with_serve dir @@ fun d ->
+  let rounds = 100 and conns = 2 in
+  let request n =
+    text
+      (J.Obj
+         [
+           ("id", J.Int n);
+           ("op", J.String "run");
+           ("program", J.String "cg");
+           ("machine", J.String "harpertown");
+           ("scale", J.Int 64);
+           ("nocache", J.Bool true);
+           ("timeout_ms", J.Int 1);
+         ])
+  in
+  let fds = Array.init conns (fun _ -> connect d.H.socket) in
+  Fun.protect ~finally:(fun () -> Array.iter Unix.close fds) (fun () ->
+      let timeouts () =
+        send_frame fds.(0) {|{"op":"stats"}|};
+        let stats = recv_json fds.(0) in
+        match Option.bind (field "result" stats) (field "timeouts") with
+        | Some (J.Int n) -> n
+        | _ -> Alcotest.fail "stats carry no timeouts count"
+      in
+      let before = timeouts () in
+      let idle = threads d.H.pid in
+      let peak = ref (Option.value idle ~default:0) in
+      let t0 = Unix.gettimeofday () in
+      for r = 0 to rounds - 1 do
+        Array.iteri (fun c fd -> send_frame fd (request ((r * conns) + c))) fds;
+        Array.iteri
+          (fun c fd ->
+            let n = (r * conns) + c in
+            let j = recv_json fd in
+            if field "id" j <> Some (J.Int n) then
+              Alcotest.failf "reply %d does not echo its id" n;
+            let code = Option.bind (field "error" j) (field "code") in
+            if code <> Some (J.String "timeout") then
+              Alcotest.failf "reply %d is not a timeout: %s" n (text j))
+          fds;
+        Option.iter (fun n -> peak := max !peak n) (threads d.H.pid)
+      done;
+      let wall = Unix.gettimeofday () -. t0 in
+      check_bool
+        (Printf.sprintf "200 timeouts in %.1f s, under 20 s" wall)
+        true (wall < 20.);
+      check_int "timeouts counted" (rounds * conns) (timeouts () - before);
+      Option.iter (fun n -> check_int "daemon threads stay at idle" n !peak) idle);
+  same_report "after the burst" (Lazy.force cg_one_shot)
+    (served_json d (cg @ [ "--nocache" ]))
+
+(* On a 2 MB stack, no frame takes a worker away: three frames of
+   200,000 nested arrays on fresh connections (more than the 2 workers)
+   overflow the decoder and each gets an [internal] reply within 5 s,
+   then a ping its pong; a ping whose id is 30,000 nested arrays
+   decodes, and the pong echoing it is encoded, then a plain ping on the
+   same connection is answered. *)
+let test_small_stack () =
+  H.with_temp_dir @@ fun dir ->
+  H.with_serve ~env:[ ("OCAMLRUNPARAM", "l=256k") ] dir @@ fun d ->
+  let nested n = String.make n '[' ^ String.make n ']' in
+  let deep = nested 200_000 in
+  for i = 1 to 3 do
+    let what = Printf.sprintf "deep frame %d" i in
+    with_conn ~timeout:5. d (fun fd ->
+        send_frame fd deep;
+        answered what (fun () -> expect_error what fd "internal"))
+  done;
+  with_conn ~timeout:5. d (fun fd ->
+      answered "after deep frames" (fun () -> ping "after deep frames" fd));
+  let id = nested 30_000 in
+  with_conn ~timeout:5. d (fun fd ->
+      send_frame fd (Printf.sprintf {|{"op":"ping","id":%s}|} id);
+      let reply = answered "deep id" (fun () -> recv_json fd) in
+      check_bool "a pong" true
+        (Option.bind (field "result" reply) (field "pong") = Some (J.Bool true));
+      check_bool "echoing the id" true
+        (Option.map text (field "id" reply) = Some id);
+      answered "after the deep id" (fun () -> ping "after the deep id" fd))
+
+(* A serially issued mixed burst through a daemon with a journal, a
+   0 ms slowlog and JSON logs: a traced run embeds its trace, stats
+   carry the journal and uptime, the slowlog holds the burst, the
+   metrics op gives a valid exposition with the request, span and
+   journal series and a valid snapshot, the journal passes
+   [journal_replay check --monotone] and replays against the daemon,
+   [ctamap top] renders a snapshot, and the startup log line carries the
+   effective config. *)
+let test_observability () =
+  H.with_temp_dir @@ fun dir ->
+  let journal = Filename.concat dir "journal.jsonl" in
+  let log =
+    H.with_serve dir
+      ~args:[ "--journal"; journal; "--slow-ms"; "0"; "--log-format"; "json" ]
+    @@ fun d ->
+    let op name args = H.client d ([ "--op"; name ] @ args) in
+    ignore (op "ping" []);
+    ignore (op "run" cg);
+    ignore (op "run" cg);
+    ignore (op "map" cg);
+    ignore (op "check" cg);
+    check_bool "a bad request fails" true
+      ((H.run H.ctamap
+          [ "client"; "--socket"; d.H.socket; "--op"; "run"; "no-such-kernel";
+            "-m"; "harpertown" ])
+         .H.code <> 0);
+    check_bool "a traced run carries its trace" true
+      (H.contains ~affix:{|"traceEvents"|} (op "run" (cg @ [ "--trace" ])));
+    let stats = H.parse_json ~what:"stats" (op "stats" []) in
+    List.iter
+      (fun m -> check_bool ("stats carry " ^ m) true (J.member m stats <> None))
+      [ "journal"; "uptime_seconds" ];
+    check_bool "the slowlog holds the burst" true
+      (H.contains ~affix:{|"request_id"|} (op "slowlog" []));
+    let prom = op "metrics" [ "--format"; "prometheus" ] in
+    Metrics_schema.check_prom ~what:"metrics op" prom;
+    List.iter
+      (fun prefix ->
+        check_bool prefix true (Metrics_schema.samples ~prefix prom <> []))
+      [
+        "ctam_serve_request_seconds_bucket";
+        "ctam_serve_span_seconds_bucket";
+        "ctam_serve_journal_records_total";
+      ];
+    let span_counts =
+      Metrics_schema.samples ~prefix:"ctam_serve_span_seconds_count{" prom
+    in
+    List.iter
+      (fun span ->
+        let affix = Printf.sprintf {|span="%s"}|} span in
+        check_bool (span ^ " span exposed") true
+          (List.exists (H.contains ~affix) span_counts))
+      [ "decode"; "cache_lookup"; "compile"; "encode" ];
+    ignore
+      (Metrics_schema.check_snapshot ~what:"metrics op"
+         (H.parse_json ~what:"metrics" (op "metrics" [])));
+    ignore (H.out H.journal_replay [ "check"; journal; "--monotone" ]);
+    ignore (H.out H.journal_replay [ "replay"; journal; d.H.socket ]);
+    let top = H.out H.ctamap [ "top"; "--socket"; d.H.socket; "--count"; "1" ] in
+    check_bool "top renders the cache line" true
+      (H.contains ~affix:"plan cache:" top);
+    check_bool "top renders a per-op row" true (H.contains ~affix:"run" top);
+    d.H.log
+  in
+  match
+    List.filter
+      (H.contains ~affix:{|"msg":"mapping daemon listening"|})
+      (String.split_on_char '\n' (H.read_file log))
+  with
+  | [] -> Alcotest.fail "no JSON startup line in the daemon log"
+  | lines ->
+      check_bool "the startup line carries the config" true
+        (List.exists (H.contains ~affix:{|"workers"|}) lines)
+
 let () =
   Alcotest.run "serve"
     [
@@ -1114,5 +1575,15 @@ let () =
         [
           Alcotest.test_case "purge then recompute" `Quick
             test_purge_then_recompute;
+        ] );
+      ( "daemon process",
+        [
+          Alcotest.test_case "served = one-shot" `Quick test_served_is_one_shot;
+          Alcotest.test_case "hostile input" `Quick test_hostile_input;
+          Alcotest.test_case "reply tiers and a corrupt cache" `Quick
+            test_reply_tiers;
+          Alcotest.test_case "deadline burst" `Quick test_deadline_burst;
+          Alcotest.test_case "small stack" `Quick test_small_stack;
+          Alcotest.test_case "observability" `Quick test_observability;
         ] );
     ]

@@ -652,6 +652,83 @@ let test_report_diff_telemetry () =
   check_bool "gc_major_words row rendered" true
     (Astring.String.find_sub ~sub:"gc_major_words" text_gc <> None)
 
+(* --- ctamap --metrics-out ------------------------------------------------ *)
+
+(* A profiled run, a parallel compare, a memoized tune and a sampled
+   streamed run each write a valid snapshot whose own families are live;
+   the .prom suffix gives a valid exposition, with fig5's phase series;
+   a profiled report carries the telemetry member and [report diff]
+   passes it against itself; CTAM_TELEMETRY=0 still writes a valid
+   snapshot, without live engine runs. *)
+let test_cli_metrics_out () =
+  Harness.with_temp_dir @@ fun dir ->
+  let file = Filename.concat dir in
+  let ctamap ?env args = ignore (Harness.out ?env Harness.ctamap args) in
+  let snapshot ?require name =
+    Metrics_schema.check_snapshot ?require ~what:name
+      (Harness.read_json (file name))
+  in
+  let sp = [ "sp"; "-m"; "harpertown"; "--scale"; "64" ] in
+  let sp_topology = sp @ [ "-s"; "topology" ] in
+  ctamap
+    (("run" :: sp_topology)
+    @ [ "--profile"; "--json"; file "report.json"; "--metrics-out";
+        file "m1.json" ]);
+  ignore
+    (snapshot "m1.json"
+       ~require:
+         [ "ctam_engine_runs_total"; "ctam_engine_accesses_total";
+           "ctam_engine_run_seconds"; "ctam_phase_seconds";
+           "ctam_phase_minor_words_total" ]);
+  ctamap (("compare" :: sp) @ [ "-j"; "4"; "--metrics-out"; file "m2.json" ]);
+  ignore
+    (snapshot "m2.json"
+       ~require:
+         [ "ctam_engine_runs_total"; "ctam_parallel_maps_total";
+           "ctam_parallel_tasks_total" ]);
+  (* An unobserved memoized sweep: profiled runs attach probes, which
+     leave the memo inert. *)
+  ctamap
+    [ "tune"; "cg"; "-m"; "dunnington"; "--scale"; "64"; "--budget"; "4";
+      "--memo"; "--metrics-out"; file "m3.json" ];
+  ignore
+    (snapshot "m3.json"
+       ~require:
+         [ "ctam_memo_hits_total"; "ctam_memo_stores_total";
+           "ctam_memo_replayed_accesses_total" ]);
+  ctamap
+    [ "run"; "sp"; "-m"; "harpertown"; "--scale"; "16"; "--stream";
+      "--sample-sets"; "2"; "--metrics-out"; file "m4.json" ];
+  ignore
+    (snapshot "m4.json"
+       ~require:
+         [ "ctam_engine_sampled_runs_total"; "ctam_engine_sampled_accesses_total";
+           "ctam_engine_skipped_accesses_total" ]);
+  ctamap (("run" :: sp_topology) @ [ "--metrics-out"; file "m.prom" ]);
+  let prom = Harness.read_file (file "m.prom") in
+  Metrics_schema.check_prom ~what:"m.prom" prom;
+  check_bool "engine counter exposed" true
+    (Metrics_schema.samples ~prefix:"ctam_engine_runs_total" prom <> []);
+  ctamap [ "run"; Harness.fig5; "--profile"; "--metrics-out"; file "fig5.prom" ];
+  let fig5 = Harness.read_file (file "fig5.prom") in
+  List.iter
+    (fun series -> check_bool series true (Harness.contains ~affix:series fig5))
+    [
+      {|ctam_phase_seconds_count{phase="mapping.group"}|};
+      {|ctam_phase_seconds_count{phase="frontend.parse"}|};
+      {|ctam_phase_seconds_count{phase="simulate"}|};
+      {|ctam_phase_minor_words_total{phase="simulate"}|};
+    ];
+  ignore (Harness.read_json (file "report.json"));
+  check_bool "the report carries the telemetry member" true
+    (Harness.contains ~affix:{|"telemetry_version"|}
+       (Harness.read_file (file "report.json")));
+  ctamap [ "report"; "diff"; file "report.json"; file "report.json" ];
+  ctamap ~env:[ ("CTAM_TELEMETRY", "0") ]
+    (("run" :: sp_topology) @ [ "--metrics-out"; file "m0.json" ]);
+  check_bool "no live engine runs with telemetry off" false
+    (List.assoc_opt "ctam_engine_runs_total" (snapshot "m0.json") = Some true)
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -696,6 +773,8 @@ let () =
           Alcotest.test_case "pool utilization" `Quick test_pool_utilization;
           Alcotest.test_case "tune cache corruption" `Quick
             test_tune_cache_corruption_counter;
+          Alcotest.test_case "ctamap --metrics-out" `Quick
+            test_cli_metrics_out;
           Alcotest.test_case "report diff telemetry" `Quick
             test_report_diff_telemetry;
         ] );

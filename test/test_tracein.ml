@@ -1212,6 +1212,112 @@ let test_report_json () =
     ];
   check_bool "trace_formats non-empty" true (Ingest.trace_formats <> [])
 
+(* --- ctamap simtrace ------------------------------------------------------ *)
+
+(* [ctamap simtrace] end to end: a mixed-notation trace under per-level
+   policies; a malformed line named by its position in strict mode and
+   counted in lossy mode, as is a --split span past max_int or over
+   65,536 lines (each run bounded, since expanding such a span access by
+   access never finished); a truncated gzip trace refused by name; and a
+   tagged trace skewed past the replay's queue budget (2^18 accesses),
+   which moves core 0 to a reader of its own, replayed the same plain and
+   gzipped. *)
+let test_cli_simtrace () =
+  Harness.with_temp_dir @@ fun dir ->
+  let file name text =
+    let path = Filename.concat dir name in
+    Harness.write_file path text;
+    path
+  in
+  let simtrace ?timeout args =
+    Harness.out ?timeout Harness.ctamap ("simtrace" :: args)
+  in
+  let says what report affixes =
+    ignore (Harness.parse_json ~what report);
+    List.iter
+      (fun affix ->
+        check_bool (what ^ " says " ^ affix) true (Harness.contains ~affix report))
+      affixes
+  in
+  let good =
+    file "good.trace"
+      "==1234== lackey trace\n\
+       I  0x40001000,4\n\
+      \ L 0x1000,8\n\
+      \ S 0x1040,8\n\
+      \ M 0x1080,4\n\
+       R 0x20\n\
+       W 0x1100\n\
+       1: L 0x2000,8 @5\n"
+  in
+  says "mixed notations"
+    (simtrace
+       [ good; "-m"; "dunnington"; "--cores"; "2"; "--interleave"; "tagged";
+         "--policy"; "L1=plru,L2=qlru"; "--json" ])
+    [ {|"schema": "ctam-simtrace-v1"|}; {|"policy": "plru"|};
+      {|"policy": "qlru"|}; {|"malformed": 0|} ];
+  let bad =
+    file "bad.trace" " L 0x1000,8\n S 0x1040,8\n X 0xnonsense\n L 0x1080,4\n"
+  in
+  let strict =
+    Harness.refused ~affix:"line 3" Harness.ctamap
+      [ "simtrace"; bad; "-m"; "dunnington" ]
+  in
+  says "lossy"
+    (simtrace [ bad; "-m"; "dunnington"; "--lossy"; "--json" ])
+    [ {|"malformed": 1|}; {|"records": 3|} ];
+  List.iter
+    (fun (name, text, split) ->
+      let args = [ file name text; "-m"; "dunnington"; "--split"; split ] in
+      let r =
+        Harness.refused ~timeout:10. ~affix:"line 1" Harness.ctamap
+          ("simtrace" :: args)
+      in
+      check_int (name ^ " exits as a malformed line does") strict.Harness.code
+        r.Harness.code;
+      says (name ^ " lossy")
+        (simtrace ~timeout:10. (args @ [ "--lossy"; "--json" ]))
+        [ {|"malformed": 1|} ])
+    [
+      ("overflow.trace", " L 0x3ffffffffffffff0,100\n", "64");
+      ("wide.trace", " L 0,1000000000000\n", "1");
+    ];
+  let gzip = gzip_available () in
+  let gzipped name path = file name (Harness.out "gzip" [ "-c"; path ]) in
+  if gzip then begin
+    let lines =
+      List.init 200 (fun i ->
+          Printf.sprintf " L 0x%x,8\n" (4096 + (i * 7919 mod 4096 * 64)))
+    in
+    let gz = gzipped "200.gz" (file "200.trace" (String.concat "" lines)) in
+    let cut = file "cut.gz" (String.sub (Harness.read_file gz) 0 300) in
+    ignore
+      (Harness.refused ~affix:"cut.gz" Harness.ctamap
+         [ "simtrace"; cut; "-m"; "dunnington" ])
+  end;
+  let b = Buffer.create (1 lsl 22) in
+  for i = 0 to 299_999 do
+    Printf.bprintf b "0: L %x,8\n" (4096 + (i mod 65536 * 64))
+  done;
+  for i = 0 to 999 do
+    Printf.bprintf b "1: S %x,8\n" (4096 + (i * 7919 mod 4096 * 64))
+  done;
+  let skewed = file "skewed.trace" (Buffer.contents b) in
+  let replay path =
+    simtrace
+      [ path; "-m"; "dunnington"; "--interleave"; "tagged"; "--cores"; "2";
+        "--json" ]
+  in
+  let plain = replay skewed in
+  check_bool "every record on its core" true
+    (Harness.contains ~affix:{|"per_core":[300000,1000]|}
+       (String.concat ""
+          (String.split_on_char ' '
+             (String.concat "" (String.split_on_char '\n' plain)))));
+  if gzip then
+    Alcotest.(check string) "gzipped = plain" plain
+      (replay (gzipped "skewed.gz" skewed))
+
 let () =
   Alcotest.run "tracein"
     [
@@ -1269,4 +1375,5 @@ let () =
         ] );
       ( "report",
         [ Alcotest.test_case "simtrace json" `Quick test_report_json ] );
+      ("cli", [ Alcotest.test_case "ctamap simtrace" `Quick test_cli_simtrace ]);
     ]

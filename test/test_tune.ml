@@ -384,6 +384,95 @@ let test_report_shape () =
   | Ok p -> check_bool "params file" true (Space.equal p r.Search.best.Search.point)
   | Error e -> Alcotest.fail e
 
+(* --- the CLI ---------------------------------------------------------- *)
+
+(* A [ctamap tune --json] report: the version marker and members, a
+   best outcome that never loses to the baseline, a [tuned_vs_default]
+   ratio that matches the two cycle counts, the baseline as the first
+   trial, and at most [max_sims] simulations if given. *)
+let check_tune_report ?max_sims ~what j =
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
+  let member name j =
+    match J.member name j with Some v -> v | None -> fail "member %S missing" name
+  in
+  let int name j =
+    match member name j with J.Int i -> i | _ -> fail "%S is not an int" name
+  in
+  if J.member "ctam_tune_version" j <> Some (J.Int 1) then
+    fail "no ctam_tune_version 1";
+  List.iter
+    (fun name ->
+      match member name j with
+      | J.String _ -> ()
+      | _ -> fail "%S is not a string" name)
+    [ "program"; "machine" ];
+  (match member "strategy" j with
+  | J.String ("grid" | "descent" | "halving") -> ()
+  | _ -> fail "unknown strategy");
+  let outcome t =
+    let o = member "outcome" t in
+    let cycles = int "cycles" o and mem = int "mem_accesses" o in
+    if cycles < 0 || mem < 0 then fail "negative counts";
+    (cycles, mem)
+  in
+  let baseline = member "baseline" j in
+  let base_cycles, _ = outcome baseline in
+  let best = outcome (member "best" j) in
+  if best > outcome baseline then fail "the best outcome loses to the default";
+  (match member "tuned_vs_default" j with
+  | J.Float r ->
+      let expect =
+        if base_cycles = 0 then 1.0
+        else float_of_int (fst best) /. float_of_int base_cycles
+      in
+      if Float.abs (r -. expect) > 1e-9 then
+        fail "tuned_vs_default %g is not the cycles ratio %g" r expect
+  | _ -> fail "tuned_vs_default is not a float");
+  let sims = int "simulations" j in
+  if sims < 0 || int "cache_hits" j < 0 then fail "negative counters";
+  (match member "trials" j with
+  | J.List (first :: _ as trials) ->
+      if member "point" first <> member "point" baseline then
+        fail "the first trial is not the baseline";
+      List.iter (fun t -> ignore (outcome t)) trials
+  | _ -> fail "no trials recorded");
+  match max_sims with
+  | Some n when sims > n -> fail "%d simulations, at most %d expected" sims n
+  | _ -> ()
+
+(* A budget-capped [ctamap tune] gives byte-identical reports at -j 1
+   and -j 4 with separate caches, simulates nothing against a warm
+   cache, and saves params that [run] and [compare] take; [run] refuses
+   a negative --alpha. *)
+let test_cli_tune () =
+  Harness.with_temp_dir @@ fun dir ->
+  let file = Filename.concat dir in
+  let cg = [ "cg"; "-m"; "harpertown"; "--scale"; "64" ] in
+  let tune jobs cache json extra =
+    ignore
+      (Harness.out Harness.ctamap
+         (("tune" :: cg)
+         @ [ "--strategy"; "grid"; "--budget"; "6"; "-j"; jobs; "--cache";
+             file cache; "--json"; file json ]
+         @ extra))
+  in
+  tune "1" "c1" "r1.json" [ "--save-params"; file "params.json" ];
+  tune "4" "c2" "r2.json" [];
+  check_string "-j 1 and -j 4 reports"
+    (Harness.read_file (file "r1.json"))
+    (Harness.read_file (file "r2.json"));
+  check_tune_report ~what:"r1.json" (Harness.read_json (file "r1.json"));
+  tune "4" "c1" "r3.json" [];
+  check_tune_report ~max_sims:0 ~what:"warm r3.json"
+    (Harness.read_json (file "r3.json"));
+  let params = [ "--params"; file "params.json" ] in
+  ignore (Harness.out Harness.ctamap (("run" :: cg) @ params));
+  ignore
+    (Harness.out Harness.ctamap (("compare" :: cg) @ params @ [ "-j"; "4" ]));
+  ignore
+    (Harness.refused ~affix:"alpha" Harness.ctamap
+       (("run" :: cg) @ [ "--alpha=-1" ]))
+
 (* The topology fragment as it was built before [Topology.paths]: one
    [Topology.path_of_core] walk per core.  The key text must not move,
    or every warm tune and plan cache would go cold. *)
@@ -499,4 +588,5 @@ let () =
             test_warm_cache_simulates_nothing;
           Alcotest.test_case "report shape" `Quick test_report_shape;
         ] );
+      ("cli", [ Alcotest.test_case "tune, run, compare" `Quick test_cli_tune ]);
     ]

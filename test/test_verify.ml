@@ -328,64 +328,44 @@ let test_run_report_verify () =
 
 (* --- CLI exit codes ----------------------------------------------------- *)
 
-(* Under [dune runtest] the cwd is [_build/default/test] and the binary
-   is a declared dep, so the relative path exists; [dune exec] from the
-   repo root needs the second candidate. *)
-let ctamap =
-  List.find Sys.file_exists
-    [
-      Filename.concat ".." (Filename.concat "bin" "ctamap.exe");
-      "_build/default/bin/ctamap.exe";
-    ]
-
-let run_ctamap args =
-  let out = Filename.temp_file "ctamap_check" ".out" in
-  let code =
-    Sys.command
-      (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote ctamap) args
-         (Filename.quote out))
-  in
-  let ic = open_in_bin out in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove out;
-  (code, text)
-
 let test_cli_exit_codes () =
-  let code, text = run_ctamap "check cg -m nehalem --scale 64" in
-  check_int "clean mapping exits 0" 0 code;
-  check_bool "says verified" true
-    (Astring.String.is_infix ~affix:"mapping verified" text);
+  check_bool "clean mapping exits 0 and says verified" true
+    (Astring.String.is_infix ~affix:"mapping verified"
+       (Harness.out Harness.ctamap
+          [ "check"; "cg"; "-m"; "nehalem"; "--scale"; "64" ]));
   List.iter
     (fun mode ->
-      let code, text =
-        run_ctamap
-          (Printf.sprintf "check sp -m dunnington --scale 64 --inject %s" mode)
-      in
-      check_bool (mode ^ " exits non-zero") true (code <> 0);
-      check_bool (mode ^ " prints diagnostics") true
-        (Astring.String.is_infix ~affix:"mapping INVALID" text))
+      ignore
+        (Harness.refused ~affix:"mapping INVALID" Harness.ctamap
+           [ "check"; "sp"; "-m"; "dunnington"; "--scale"; "64"; "--inject"; mode ]))
     [ "bad-coverage"; "bad-order" ]
 
 let test_cli_json () =
-  let json = Filename.temp_file "ctamap_check" ".json" in
-  let code, _ =
-    run_ctamap
-      (Printf.sprintf "check cg -m nehalem --scale 64 --json %s"
-         (Filename.quote json))
-  in
-  check_int "exit 0" 0 code;
-  let ic = open_in_bin json in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove json;
-  let j = Ctam_util.Json.parse_exn text in
+  Harness.with_temp_dir @@ fun dir ->
+  let json = Filename.concat dir "check.json" in
+  ignore
+    (Harness.out Harness.ctamap
+       [ "check"; "cg"; "-m"; "nehalem"; "--scale"; "64"; "--json"; json ]);
+  let j = Harness.read_json json in
   let checks = Ctam_util.Json.(to_list (member_exn "checks" j)) in
   check_int "one scheme" 1 (List.length checks);
   let report = Ctam_util.Json.member_exn "report" (List.hd checks) in
   check_bool "ok" true Ctam_util.Json.(to_bool (member_exn "ok" report));
   check_int "no issues" 0
     (List.length Ctam_util.Json.(to_list (member_exn "issues" report)))
+
+(* [ctamap check --all-schemes] passes a dependence-free and a
+   dependence-carrying workload on each preset machine. *)
+let test_cli_suite_clean () =
+  List.iter
+    (fun m ->
+      List.iter
+        (fun w ->
+          ignore
+            (Harness.out Harness.ctamap
+               [ "check"; w; "-m"; m; "--scale"; "64"; "--all-schemes" ]))
+        [ "cg"; "sp" ])
+    [ "harpertown"; "nehalem"; "dunnington" ]
 
 let () =
   Alcotest.run "verify"
@@ -430,5 +410,7 @@ let () =
             test_run_report_verify;
           Alcotest.test_case "cli exit codes" `Quick test_cli_exit_codes;
           Alcotest.test_case "cli json" `Quick test_cli_json;
+          Alcotest.test_case "cli suite x machines, all schemes" `Quick
+            test_cli_suite_clean;
         ] );
     ]

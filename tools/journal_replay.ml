@@ -1,5 +1,5 @@
 (* journal_replay: validator and replayer for the mapping daemon's
-   audit journal (tools/check_obs.sh drives it).
+   audit journal (test_serve "observability" drives it).
 
    [journal_replay check FILE [--monotone]] validates the JSONL
    schema: every line is one JSON object with the versioned record

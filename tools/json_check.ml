@@ -2,8 +2,8 @@
    file, or one per line when the file looks like JSON Lines), and that
    every document survives a round-trip through the library's printer:
    [parse (to_string ~minify:true v) = Ok v].  Exits nonzero on the
-   first failure; used by tools/check_report.sh and as a standalone
-   linter for bench_output.json. *)
+   first failure; a standalone linter for reports and
+   bench_output.json. *)
 
 module Json = Ctam_util.Json
 
