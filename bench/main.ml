@@ -661,13 +661,14 @@ let () =
         (if quick then "quick" else "full");
       List.iter
         (fun (name, report) ->
-          Printf.printf "\n###### %s ######\n%s%!" name report)
+          Printf.printf "\n###### %s ######\n%s%!" name (Report.render report))
         (Experiments.all ~quick ?scale ?jobs ())
   | names ->
       List.iter
         (fun name ->
           match Experiments.by_name name with
-          | runner -> Printf.printf "%s%!" (runner ~quick ?scale ())
+          | runner ->
+              Printf.printf "%s%!" (Report.render (runner ~quick ?scale ()))
           | exception Not_found ->
               Printf.eprintf
                 "unknown experiment %s (known: %s, micro, scale-sweep, \

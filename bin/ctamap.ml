@@ -1100,7 +1100,7 @@ let experiment_cmd =
   let run name quick =
     match Ctam_exp.Experiments.by_name name with
     | runner ->
-        print_string (runner ~quick ());
+        print_string (Ctam_exp.Report.render (runner ~quick ()));
         `Ok ()
     | exception Not_found ->
         `Error

@@ -65,18 +65,42 @@ let table ?geomean:glabel ~header rows =
   ^ "\n"
   ^ if starred then "* geomean skips zero/absent cells\n" else ""
 
-let normalized ~base values =
-  if base <= 0. then invalid_arg "Report.normalized: base";
-  List.map (fun v -> v /. base) values
-
-let f2 v = Printf.sprintf "%.2f" v
-let f3 v = Printf.sprintf "%.3f" v
-
-let mean = function
-  | [] -> invalid_arg "Report.mean: empty"
-  | vs -> List.fold_left ( +. ) 0. vs /. float_of_int (List.length vs)
-
-let improvement_pct ~base ~opt = 100. *. (base -. opt) /. base
-
 let section title =
   Printf.sprintf "\n%s\n%s\n" title (String.make (String.length title) '=')
+
+type cell = (float -> string, unit, string) format
+
+let f2 : cell = "%.2f"
+
+type table = {
+  heading : string option;
+  labels : string list;
+  columns : (string * cell) list;
+  rows : (string list * float list) list;
+  geomean : bool;
+}
+
+type block = Table of table | Text of string
+type t = { title : string; blocks : block list }
+
+let render_table t =
+  let cells values =
+    List.map2 (fun (_, fmt) v -> Printf.sprintf fmt v) t.columns values
+  in
+  let column c = List.map (fun (_, values) -> List.nth values c) t.rows in
+  let summary =
+    if t.geomean && t.rows <> [] then
+      [ "geomean" :: cells (List.mapi (fun c _ -> geomean (column c)) t.columns) ]
+    else []
+  in
+  Option.fold ~none:"" ~some:section t.heading
+  ^ table
+      ~header:(t.labels @ List.map fst t.columns)
+      (List.map (fun (labels, vs) -> labels @ cells vs) t.rows @ summary)
+
+let render r =
+  String.concat ""
+    (section r.title
+    :: List.map
+         (function Table t -> render_table t | Text line -> line ^ "\n")
+         r.blocks)

@@ -1,4 +1,5 @@
-(** ASCII tables and normalized bar series for experiment output. *)
+(** ASCII tables for experiment output, and the report value every
+    experiment returns. *)
 
 (** A table: column headers and string rows, left-aligned first column,
     right-aligned others.  With [?geomean:label] a trailing summary row
@@ -10,23 +11,38 @@
 val table :
   ?geomean:string -> header:string list -> string list list -> string
 
-(** [normalized ~base values] divides every value by [base].
-    @raise Invalid_argument if [base <= 0]. *)
-val normalized : base:float -> float list -> float list
-
-val f2 : float -> string
-val f3 : float -> string
-
 (** Geometric mean (the usual summary for normalized ratios).
     @raise Invalid_argument on empty or non-positive input. *)
 val geomean : float list -> float
 
-(** Arithmetic mean.  @raise Invalid_argument on empty input. *)
-val mean : float list -> float
-
-(** [improvement_pct ~base ~opt] is the percentage reduction of [opt]
-    relative to [base] (positive = better). *)
-val improvement_pct : base:float -> opt:float -> float
-
 (** A titled section with underline, for experiment logs. *)
 val section : string -> string
+
+(** {1 Reports} *)
+
+(** How a value column prints its cells, e.g. ["%.2f"]. *)
+type cell = (float -> string, unit, string) format
+
+(** [f2] is ["%.2f"], the format of every normalized-cycles column. *)
+val f2 : cell
+
+type table = {
+  heading : string option;  (** a {!section} above the table *)
+  labels : string list;  (** headers of the leading label columns *)
+  columns : (string * cell) list;  (** header and format of each value column *)
+  rows : (string list * float list) list;  (** each row's labels, then its values *)
+  geomean : bool;
+      (** append a "geomean" row: each column's {!geomean} over its
+          unrounded values, in row order, printed in the column's format *)
+}
+
+type block = Table of table | Text of string  (** a line of text *)
+
+(** An experiment's result: a title and its blocks, numbers kept as
+    numbers until {!render}.  Reports hold no functions, so [=] compares
+    them. *)
+type t = { title : string; blocks : block list }
+
+(** [render r] is [section r.title], then each block: a table through
+    {!table}, a text as its line. *)
+val render : t -> string

@@ -310,49 +310,39 @@ let write_file path json =
   close_out oc
 
 let bench_sweep ?jobs ~quick ~machine () =
-  let workloads = Ctam_workloads.Suite.all in
   let program k =
     if quick then Ctam_workloads.Kernel.small_program k
     else Ctam_workloads.Kernel.program k
   in
-  (* Fan the scheme x workload grid out over domains: every task
-     compiles and simulates with its own Hierarchy, so tasks share
-     nothing mutable.  The JSON is assembled below from the collected
-     stats in input order, so the output is byte-identical to a serial
-     run (asserted by test_exp). *)
-  let tasks =
-    List.concat_map
-      (fun scheme ->
-        List.map (fun (k : Ctam_workloads.Kernel.t) -> (scheme, k)) workloads)
-      Mapping.all_schemes
+  (* Every scheme on every workload, over [jobs] domains: each cell
+     compiles and simulates with its own Hierarchy, so cells share
+     nothing mutable, and the JSON below is assembled from the cells in
+     order, byte-identical to a serial run (asserted by test_exp).
+     [Mapping.all_schemes] starts with Base, each row's baseline. *)
+  let grid =
+    Experiments.grid
+      ~jobs:(Option.value jobs ~default:(Ctam_util.Parallel.default_domains ()))
+      (List.map
+         (fun (k : Ctam_workloads.Kernel.t) ->
+           { Experiments.name = k.name; machine; program = program k })
+         Ctam_workloads.Suite.all)
+      (List.map Experiments.scheme Mapping.all_schemes)
   in
-  let results = Hashtbl.create 64 in
-  List.iter2
-    (fun (scheme, (k : Ctam_workloads.Kernel.t)) stats ->
-      Hashtbl.replace results (scheme, k.name) stats)
-    tasks
-    (Ctam_util.Parallel.map ?domains:jobs
-       (fun (scheme, k) -> Mapping.run scheme ~machine (program k))
-       tasks);
-  let base = Hashtbl.create 16 in
-  List.map
-    (fun scheme ->
+  List.mapi
+    (fun i scheme ->
       let rows =
         List.map
-          (fun (k : Ctam_workloads.Kernel.t) ->
-            let stats : Stats.t = Hashtbl.find results (scheme, k.name) in
-            if scheme = Mapping.Base then
-              Hashtbl.replace base k.name stats.Stats.cycles;
+          (fun ((row : Experiments.row), cells) ->
+            let stats = List.nth cells i in
             let vs_base =
-              match Hashtbl.find_opt base k.name with
-              | Some b when b > 0 ->
-                  Some (float_of_int stats.Stats.cycles /. float_of_int b)
-              | _ -> None
+              if (List.hd cells).Stats.cycles > 0 then
+                Some (List.nth (Experiments.normalize cells) i)
+              else None
             in
             ( vs_base,
               J.Obj
                 ([
-                   ("name", J.String k.name);
+                   ("name", J.String row.name);
                    ("cycles", J.Int stats.Stats.cycles);
                    ("mem_accesses", J.Int stats.Stats.mem_accesses);
                    ("total_accesses", J.Int stats.Stats.total_accesses);
@@ -362,7 +352,7 @@ let bench_sweep ?jobs ~quick ~machine () =
                 match vs_base with
                 | Some r -> [ ("vs_base", J.Float r) ]
                 | None -> []) ))
-          workloads
+          grid
       in
       let ratios = List.filter_map fst rows in
       J.Obj

@@ -92,10 +92,11 @@ val write_file : string -> Ctam_util.Json.t -> unit
     workloads.  The objects are emitted by [bench/main.exe --json] one
     per line, so trajectories diff cleanly across PRs.
 
-    [jobs] fans the scheme x workload grid out over that many domains
-    ({!Ctam_util.Parallel.map}; default
-    [Parallel.default_domains ()]).  Each task builds its own
-    hierarchy, and the objects are assembled from the collected stats
-    in input order, so the result is byte-identical to [~jobs:1]. *)
+    The stats come from {!Experiments.grid} (workloads x schemes) and
+    the ratios from {!Experiments.normalize}.  [jobs] shares the grid's
+    cells among that many domains (default
+    [Parallel.default_domains ()]).  Each cell builds its own
+    hierarchy, and the objects are assembled from the cells in order,
+    so the result is byte-identical to [~jobs:1]. *)
 val bench_sweep :
   ?jobs:int -> quick:bool -> machine:Topology.t -> unit -> Ctam_util.Json.t list

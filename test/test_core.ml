@@ -1,6 +1,6 @@
-(* Tests for the core mapping library: affinity graph, distribution
-   (Fig. 6), scheduling (Fig. 7), baselines, the end-to-end pipeline
-   and the optimal search. *)
+(* Tests for the core mapping library: distribution (Fig. 6),
+   scheduling (Fig. 7), baselines, the end-to-end pipeline and the
+   optimal search. *)
 
 open Ctam_poly
 open Ctam_ir
@@ -49,19 +49,6 @@ let groups_of ?(block = 2048) p =
 
 let total_groups_iters gs =
   List.fold_left (fun a g -> a + Iter_group.size g) 0 gs
-
-(* --- Affinity_graph -------------------------------------------------- *)
-
-let test_affinity_graph () =
-  let _, grouping = groups_of (fig5_program 256) in
-  let g = Affinity_graph.build grouping.Tags.groups in
-  check_int "nodes" 8 (Affinity_graph.num_nodes g);
-  (* Groups 0 (101010...) and 1 (010101...) share no blocks. *)
-  check_int "disjoint tags" 0 (Affinity_graph.weight g 0 1);
-  (* Groups 0 and 2 (001010100000) share blocks 2 and 4. *)
-  check_int "overlap" 2 (Affinity_graph.weight g 0 2);
-  check_bool "edges exist" true (Affinity_graph.edges g <> []);
-  check_bool "total weight positive" true (Affinity_graph.total_weight g > 0)
 
 (* --- Distribute ------------------------------------------------------ *)
 
@@ -879,7 +866,6 @@ let prop_choose_tile_footprint =
 let () =
   Alcotest.run "core"
     [
-      ("affinity", [ Alcotest.test_case "graph" `Quick test_affinity_graph ]);
       ( "distribute",
         [
           Alcotest.test_case "partition preserved" `Quick

@@ -13,13 +13,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_keys = Alcotest.(check (list string))
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ctam-serve-test-%d-%d" (Unix.getpid ()) !counter)
+module H = Harness
 
 let v s = J.Obj [ ("payload", J.String s) ]
 
@@ -77,7 +71,8 @@ let test_byte_bound () =
    reloads.  The contract: every find returns either a miss or exactly
    the value stored under that key — never a torn or foreign one. *)
 let test_concurrent_hit_or_miss () =
-  let dir = fresh_dir () in
+  H.with_temp_dir @@ fun tmp ->
+  let dir = Filename.concat tmp "cache" in
   let c = Plan_cache.create ~dir ~max_entries:3 () in
   let nkeys = 8 in
   let key i = Printf.sprintf "key-%d" (i mod nkeys) in
@@ -262,6 +257,105 @@ let test_resync_pipelined () =
     [ 1; 2; 3 ];
   Domain.join w
 
+(* --- framing totality --------------------------------------------------- *)
+
+(* Every read of [read_frame ~max_bytes:64] over any byte stream is a
+   payload of at most 64 bytes or an error constructor, never an
+   exception, and the reads end at [Closed] or at an [Oversized] out of
+   sync.  [frames_model] says which, frame by frame, from the bytes
+   alone.  Streams stay far below a socket buffer, so writing one whole
+   before reading cannot block. *)
+
+let frame_limit = 64
+
+let header n =
+  String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF))
+
+let frames_model s =
+  let len = String.length s in
+  let rec go pos acc =
+    let fin e = List.rev (Error e :: acc) in
+    if len - pos < 4 then fin Protocol.Closed
+    else
+      let n = Int32.to_int (String.get_int32_be s pos) land 0xFFFF_FFFF in
+      let body = pos + 4 in
+      if n > frame_limit then
+        if n <= Protocol.drain_ceiling && len - body >= n then
+          go (body + n)
+            (Error (Protocol.Oversized { length = n; in_sync = true }) :: acc)
+        else fin (Protocol.Oversized { length = n; in_sync = false })
+      else if len - body >= n then
+        go (body + n) (Ok (String.sub s body n) :: acc)
+      else fin Protocol.Closed
+  in
+  go 0 []
+
+let read_frames s =
+  with_socketpair @@ fun a b ->
+  let rec put off =
+    if off < String.length s then
+      put (off + Unix.write_substring a s off (String.length s - off))
+  in
+  put 0;
+  Unix.shutdown a Unix.SHUTDOWN_SEND;
+  (* Each read that does not end the loop takes at least 4 bytes. *)
+  let rec go acc budget =
+    if budget < 0 then
+      QCheck.Test.fail_reportf "no end after %d reads" (List.length acc)
+    else
+      match Protocol.read_frame ~max_bytes:frame_limit b with
+      | Error (Protocol.Closed | Protocol.Oversized { in_sync = false; _ })
+        as r ->
+          List.rev (r :: acc)
+      | r -> go (r :: acc) (budget - 1)
+  in
+  go [] (String.length s / 4)
+
+let gen_stream =
+  let open QCheck.Gen in
+  let frame n = map (fun body -> header n ^ body) (string_size (return n)) in
+  let limits =
+    [ frame_limit; frame_limit + 1; 4096; Protocol.drain_ceiling;
+      Protocol.drain_ceiling + 1; 0xFFFFFFFF ]
+  in
+  let piece =
+    frequency
+      [
+        (4, int_range 0 frame_limit >>= frame);
+        (2, oneofl [ frame_limit + 1; 200; 1000 ] >>= frame);
+        (* a declared length near a limit, then fewer bytes than it says *)
+        ( 2,
+          map2 (fun n body -> header n ^ body) (oneofl limits)
+            (string_size (int_range 0 (frame_limit + 2))) );
+        ( 1,
+          map2 (fun n k -> String.sub (header n) 0 k) (oneofl limits)
+            (int_range 1 3) );
+        (1, string_size (int_range 1 16));
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 8) piece)
+
+let prop_framing_total =
+  QCheck.Test.make ~name:"framing is total over byte streams" ~count:500
+    (QCheck.make ~print:String.escaped gen_stream)
+    (fun s ->
+      let reads = read_frames s in
+      List.for_all
+        (function Ok p -> String.length p <= frame_limit | Error _ -> true)
+        reads
+      && reads = frames_model s)
+
+let prop_frames_in_order =
+  QCheck.Test.make ~name:"valid frames read back in order" ~count:200
+    (QCheck.make
+       ~print:(fun ps -> String.concat " | " (List.map String.escaped ps))
+       QCheck.Gen.(
+         list_size (int_range 0 20) (string_size (int_range 0 frame_limit))))
+    (fun payloads ->
+      let frame p = header (String.length p) ^ p in
+      read_frames (String.concat "" (List.map frame payloads))
+      = List.map Result.ok payloads @ [ Error Protocol.Closed ])
+
 (* --- Reqctx ----------------------------------------------------------- *)
 
 let test_reqctx () =
@@ -319,8 +413,7 @@ let test_reqctx_logging () =
 (* --- Journal ---------------------------------------------------------- *)
 
 let test_journal_record_and_rotation () =
-  let dir = fresh_dir () in
-  Unix.mkdir dir 0o755;
+  H.with_temp_dir @@ fun dir ->
   let path = Filename.concat dir "journal.jsonl" in
   let ctx = Reqctx.create ~conn:7 () in
   ctx.Reqctx.op <- "run";
@@ -409,7 +502,8 @@ let test_slowlog () =
 (* --- Plan_cache lookup tiers ------------------------------------------ *)
 
 let test_lookup_tiers () =
-  let dir = fresh_dir () in
+  H.with_temp_dir @@ fun tmp ->
+  let dir = Filename.concat tmp "cache" in
   let c = Plan_cache.create ~dir ~max_entries:1 () in
   check_bool "absent" true (Plan_cache.lookup c "a" = Plan_cache.Absent);
   Plan_cache.add c "a" (v "1");
@@ -824,8 +918,7 @@ let read_lines path =
    parse, all carry the same result bytes, and the journal records
    each wire payload byte for byte as its response member. *)
 let test_daemon_replies_canonical () =
-  let dir = fresh_dir () in
-  Unix.mkdir dir 0o755;
+  H.with_temp_dir @@ fun dir ->
   let journal = Filename.concat dir "journal.jsonl" in
   let config =
     {
@@ -956,8 +1049,7 @@ let test_execute_span_names () =
    its slowlog entry, for each cache outcome: an execution that raises
    (here a timeout) contributes no span of its own. *)
 let test_request_span_keys () =
-  let dir = fresh_dir () in
-  Unix.mkdir dir 0o755;
+  H.with_temp_dir @@ fun dir ->
   let journal = Filename.concat dir "journal.jsonl" in
   let config =
     {
@@ -1026,7 +1118,8 @@ let test_request_span_keys () =
 (* --- cache maintenance ------------------------------------------------- *)
 
 let test_purge_then_recompute () =
-  let dir = fresh_dir () in
+  H.with_temp_dir @@ fun tmp ->
+  let dir = Filename.concat tmp "cache" in
   let c = Plan_cache.create ~dir ~max_entries:1 () in
   Plan_cache.add c "a" (v "1");
   Plan_cache.add c "b" (v "2");
@@ -1063,8 +1156,6 @@ let test_purge_then_recompute () =
   check_int "recomputed entry persisted" 1 (plan_entries ())
 
 (* --- a ctamap serve process ------------------------------------------ *)
-
-module H = Harness
 
 (* Raw frames, written and read by hand rather than through [Protocol]:
    the daemon is the subject here, the client library is not. *)
@@ -1541,6 +1632,8 @@ let () =
           Alcotest.test_case "response shapes" `Quick test_response_shapes;
           QCheck_alcotest.to_alcotest prop_ok_pieces_canonical;
           QCheck_alcotest.to_alcotest prop_splice_canonical;
+          QCheck_alcotest.to_alcotest prop_framing_total;
+          QCheck_alcotest.to_alcotest prop_frames_in_order;
           Alcotest.test_case "resync under pipelining" `Quick
             test_resync_pipelined;
         ] );

@@ -14,13 +14,10 @@ let check_string = Alcotest.(check string)
 let machine = Machines.dunnington ~scale:64 ()
 let program = Ctam_workloads.Kernel.small_program Ctam_workloads.Suite.cg
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ctam-tune-test-%d-%d" (Unix.getpid ()) !counter)
+(* A cache directory that does not exist yet, in a temp directory
+   removed after [f]. *)
+let with_cache_dir f =
+  Harness.with_temp_dir @@ fun tmp -> f (Filename.concat tmp "cache")
 
 (* A 3-point space keeps search tests fast: Base collapses to one
    canonical point, Combined keeps both betas. *)
@@ -179,7 +176,7 @@ let test_cache_key_sample_sets () =
     (k ~sample_sets:4 () <> k ~sample_sets:8 ())
 
 let test_cache_store_lookup () =
-  let dir = fresh_dir () in
+  with_cache_dir @@ fun dir ->
   let key =
     Cache.key ~version:"v" ~base_params:Mapping.default_params
       ~machine ~max_cycles:None program (Space.default_point ())
@@ -228,7 +225,7 @@ let make_key () =
    an ordinary counted, logged miss like unparseable bytes are. *)
 let test_cache_non_object_entry () =
   Tel.Metrics.set_enabled true;
-  let dir = fresh_dir () in
+  with_cache_dir @@ fun dir ->
   let key = make_key () in
   Cache.store ~dir key entry;
   let path = Filename.concat dir ("ctam-tune-" ^ Cache.hash key ^ ".json") in
@@ -253,7 +250,7 @@ let test_cache_non_object_entry () =
    optimisation — never an exception. *)
 let test_cache_store_failure () =
   Tel.Metrics.set_enabled true;
-  let dir = fresh_dir () in
+  with_cache_dir @@ fun dir ->
   let key = make_key () in
   (* A directory squatting on the entry path makes the final rename
      fail after the temp file was already written. *)
@@ -271,7 +268,7 @@ let test_cache_store_failure () =
   (* An unwritable cache directory is the same story (meaningless when
      running as root, which bypasses permission checks). *)
   if Unix.geteuid () <> 0 then begin
-    let ro = fresh_dir () in
+    let ro = Filename.concat (Filename.dirname dir) "read-only" in
     Unix.mkdir ro 0o500;
     let before = failures () in
     Cache.store ~dir:ro key entry;
@@ -347,7 +344,7 @@ let test_budget_caps_simulations () =
     <= 0)
 
 let test_warm_cache_simulates_nothing () =
-  let dir = fresh_dir () in
+  with_cache_dir @@ fun dir ->
   let s = { (settings Search.Grid) with Search.cache_dir = Some dir } in
   let cold = Search.run s ~machine ~program_name:"cg" program in
   check_bool "cold run simulates" true (cold.Search.simulations > 0);
