@@ -51,7 +51,9 @@ let micro ?(scale = 16) () =
   let groups = grouping.Ctam_blocks.Tags.groups in
   let dg = Ctam_deps.Dep_graph.create (Array.length groups) in
   let assignment = Ctam_core.Distribute.run machine groups in
-  let stream = Ctam_core.Trace.serial layout nest in
+  let stream =
+    Ctam_cachesim.Engine.force_stream (Ctam_core.Trace.serial layout nest)
+  in
   let hierarchy = Ctam_cachesim.Hierarchy.create machine in
   (* Small galgel never builds a large candidate heap.  These 256 groups
      with four of 32 blocks each share every block among about 32

@@ -5,9 +5,8 @@ let access_addr e = e / 2
 let access_write e = e land 1 = 1
 let decode_access e = (access_addr e, access_write e)
 
-type config = { issue_cost : int; barrier_cost : int }
-
-let default_config = { issue_cost = 1; barrier_cost = 64 }
+let issue_cost = 1
+let barrier_cost = 64
 
 (* Lazy access streams: a cursor hands out encoded accesses a chunk at
    a time, so generator-backed traces never materialize and the engine
@@ -54,12 +53,17 @@ let iter_chunks f = function
 let force_stream = function
   | Dense a -> a
   | Gen c as s ->
+      (* An [int] loop, not [Array.blit]: a blit into an array on the
+         major heap goes through the write barrier for every word. *)
       let out = Array.make c.length 0 in
       let k = ref 0 in
       iter_chunks
         (fun buf n ->
-          Array.blit buf 0 out !k n;
-          k := !k + n)
+          let at = !k in
+          for i = 0 to n - 1 do
+            out.(at + i) <- buf.(i)
+          done;
+          k := at + n)
         s;
       out
 
@@ -225,7 +229,6 @@ let finish h clock busy total_accesses nphases =
    is its own single chunk. *)
 type run = {
   h : Hierarchy.t;
-  config : config;
   probe : Probe.t;
   observed : bool;
   line_size : int;
@@ -266,12 +269,11 @@ type run = {
   mutable accesses : int;
 }
 
-let create_run ~config ~max_cycles h =
+let create_run ~max_cycles h =
   let n = (Hierarchy.topology h).Ctam_arch.Topology.num_cores in
   let probe = Hierarchy.probe h in
   {
     h;
-    config;
     probe;
     observed = not (Probe.is_null probe);
     line_size = Hierarchy.line_size h;
@@ -365,7 +367,7 @@ let exact st c =
   let addr = access_addr e and write = access_write e in
   if st.observed then
     st.probe.Probe.on_access ~core:c ~addr ~line:(addr / st.line_size) ~write;
-  st.config.issue_cost + Hierarchy.access st.h ~core:c ~addr ~write
+  issue_cost + Hierarchy.access st.h ~core:c ~addr ~write
 
 let issue_sampled st c e =
   st.sampled <- st.sampled + 1;
@@ -375,10 +377,10 @@ let issue_sampled st c e =
   in
   st.lat_sum.(c) <- st.lat_sum.(c) + lat;
   st.lat_cnt.(c) <- st.lat_cnt.(c) + 1;
-  st.config.issue_cost + lat
+  issue_cost + lat
 
 let estimate st c =
-  st.config.issue_cost
+  issue_cost
   + if st.lat_cnt.(c) = 0 then st.miss_lat.(c)
     else st.lat_sum.(c) / st.lat_cnt.(c)
 
@@ -504,14 +506,12 @@ let run_phase st step =
 
 (* --- Memoization --------------------------------------------------------- *)
 
-(* Phase key: hierarchy configuration, engine costs, entry cache state,
-   and every stream's length and contents.  A dense stream and the
-   cursor that would generate it mix the same word sequence, so
-   representation does not split the memo. *)
+(* Phase key: hierarchy configuration, entry cache state, and every
+   stream's length and contents.  A dense stream and the cursor that
+   would generate it mix the same word sequence, so representation
+   does not split the memo. *)
 let phase_key st streams =
   let hp = ref (Memo.mix Memo.seed (Hierarchy.config_hash st.h)) in
-  hp := Memo.mix !hp st.config.issue_cost;
-  hp := Memo.mix !hp st.config.barrier_cost;
   let sh1, sh2 = Hierarchy.state_hash st.h in
   hp := Memo.mix (Memo.mix !hp sh1) sh2;
   Array.iter
@@ -565,20 +565,19 @@ let end_phase st pi ~last =
   let tmax = Array.fold_left max 0 st.clock in
   if st.observed then st.probe.Probe.on_phase_end ~phase:pi ~cycles:tmax;
   if not last then begin
-    let resume = tmax + st.config.barrier_cost in
+    let resume = tmax + barrier_cost in
     if st.observed then st.probe.Probe.on_barrier_enter ~phase:pi ~cycles:tmax;
     Array.fill st.clock 0 (Array.length st.clock) resume;
     if st.observed then st.probe.Probe.on_barrier_exit ~phase:pi ~cycles:resume
   end
 
-let run_streams ?(config = default_config) ?max_cycles ?memo h
-    (phases : stream_phase list) =
+let run_streams ?max_cycles ?memo h (phases : stream_phase list) =
   let tel = Tel.Metrics.enabled () in
   let t_start = if tel then Unix.gettimeofday () else 0. in
   check_stream_phases (Hierarchy.topology h).Ctam_arch.Topology.num_cores
     phases;
   Hierarchy.clear h;
-  let st = create_run ~config ~max_cycles h in
+  let st = create_run ~max_cycles h in
   let factor = Hierarchy.sample_factor h in
   let pure = (not st.observed) && st.cap = max_int in
   let step =
@@ -614,16 +613,15 @@ let run_streams ?(config = default_config) ?max_cycles ?memo h
   end;
   stats
 
-let run ?config ?max_cycles h phases =
-  run_streams ?config ?max_cycles h (List.map of_phase phases)
+let run ?max_cycles h phases =
+  run_streams ?max_cycles h (List.map of_phase phases)
 
 (* The seed implementation: an O(num_cores) linear scan for the
    minimum-clock core before every access, over materialized streams.
    Kept as the reference path for the differential tests, the
    heap-vs-scan micro-benchmark and the policy sweep's LRU gate; not
    used by any driver. *)
-let run_reference_streams ?(config = default_config) h
-    (phases : stream_phase list) =
+let run_reference_streams h (phases : stream_phase list) =
   if Hierarchy.sample_factor h > 1 then
     invalid_arg "Engine.run_reference_streams: sampled hierarchy unsupported";
   let tel = Tel.Metrics.enabled () in
@@ -661,7 +659,7 @@ let run_reference_streams ?(config = default_config) h
         if observed then
           probe.Probe.on_access ~core:c ~addr ~line:(addr / line_size) ~write;
         let lat = Hierarchy.access h ~core:c ~addr ~write in
-        let cost = config.issue_cost + lat in
+        let cost = issue_cost + lat in
         clock.(c) <- clock.(c) + cost;
         busy.(c) <- busy.(c) + cost;
         if observed then probe.Probe.on_retire ~core:c ~cycles:clock.(c);
@@ -674,23 +672,23 @@ let run_reference_streams ?(config = default_config) h
         let tmax = Array.fold_left max 0 clock in
         if observed then probe.Probe.on_barrier_enter ~phase:pi ~cycles:tmax;
         for c = 0 to n - 1 do
-          clock.(c) <- tmax + config.barrier_cost
+          clock.(c) <- tmax + barrier_cost
         done;
         if observed then
           probe.Probe.on_barrier_exit ~phase:pi
-            ~cycles:(tmax + config.barrier_cost)
+            ~cycles:(tmax + barrier_cost)
       end)
     phases;
   let stats = finish h clock busy !total_accesses nphases in
   if tel then tel_record tel_scan ~t_start ~accesses:!total_accesses stats;
   stats
 
-let run_reference ?config h phases =
-  run_reference_streams ?config h (List.map of_phase phases)
+let run_reference h phases =
+  run_reference_streams h (List.map of_phase phases)
 
-let run_serial ?config h stream =
+let run_serial h stream =
   let topo = Hierarchy.topology h in
   let n = topo.Ctam_arch.Topology.num_cores in
   let phase = Array.make n [||] in
   phase.(0) <- stream;
-  run ?config h [ phase ]
+  run h [ phase ]

@@ -12,7 +12,11 @@
     alternatively be a {!cursor} that generates the same encoded words
     a chunk at a time — the engine draws chunks lazily, so
     generator-backed traces never materialize, and it reads every
-    access from an array either way. *)
+    access from an array either way.  A dense stream is usually a
+    cursor forced once ({!force_stream}).
+
+    Every access costs {!issue_cost} cycles beyond its latency, and
+    every barrier adds {!barrier_cost} cycles to each core. *)
 
 type phase = int array array
 (** [phase.(core)] is the encoded access stream of [core] in this
@@ -22,12 +26,11 @@ type phase = int array array
 val encode_access : addr:int -> write:bool -> int
 val decode_access : int -> int * bool
 
-type config = {
-  issue_cost : int;    (** cycles to issue each access, beyond latency *)
-  barrier_cost : int;  (** cycles added to every core at each barrier *)
-}
+(** Cycles to issue each access, beyond its latency: 1. *)
+val issue_cost : int
 
-val default_config : config
+(** Cycles added to every core at each barrier: 64. *)
+val barrier_cost : int
 
 (** {2 Lazy streams} *)
 
@@ -53,7 +56,8 @@ val dense : int array -> stream
 val stream_length : stream -> int
 
 (** Materialize a stream: a [Dense] array itself, uncopied; a [Gen]
-    is reset, then its chunks are copied in order.
+    is reset, then its chunks are copied in order into one fresh
+    array.
     @raise Invalid_argument when a cursor ends before its length. *)
 val force_stream : stream -> int array
 
@@ -71,7 +75,7 @@ val stream_concat : stream list -> stream
 
 (** {2 Running} *)
 
-(** [run_streams ?config ?max_cycles ?memo h phases] clears [h],
+(** [run_streams ?max_cycles ?memo h phases] clears [h],
     executes the phases and returns statistics.  The number of
     barriers reported is [max 0 (List.length phases - 1)].  Dense and
     generator-backed streams produce bit-identical event order and
@@ -107,24 +111,21 @@ val stream_concat : stream list -> stream
 
     When [memo] is given, the run is unobserved, and no [max_cycles]
     cap is set, each phase's (entry cache state × stream contents ×
-    hierarchy/engine configuration) is hashed; a table hit replays the
+    hierarchy configuration) is hashed; a table hit replays the
     recorded per-core clock/busy deltas, per-cache counter deltas and
     exit cache state instead of simulating — byte-identical
     statistics.  With a probe or a cap the memo is silently inert.
     @raise Invalid_argument on core-count mismatch, or when a cursor
     ends before its length. *)
 val run_streams :
-  ?config:config ->
   ?max_cycles:int ->
   ?memo:Memo.t ->
   Hierarchy.t ->
   stream_phase list ->
   Stats.t
 
-(** [run ?config ?max_cycles h phases] = {!run_streams} over dense
-    phases. *)
-val run :
-  ?config:config -> ?max_cycles:int -> Hierarchy.t -> phase list -> Stats.t
+(** [run ?max_cycles h phases] = {!run_streams} over dense phases. *)
+val run : ?max_cycles:int -> Hierarchy.t -> phase list -> Stats.t
 
 (** The seed engine: a linear scan over all cores before every access
     instead of {!run_streams}'s index min-heap, over each phase's
@@ -135,12 +136,11 @@ val run :
     heap-vs-scan micro-benchmark and the policy sweep's LRU gate.  No
     sampling (@raise Invalid_argument on a sampled hierarchy), no cap,
     no memo. *)
-val run_reference_streams :
-  ?config:config -> Hierarchy.t -> stream_phase list -> Stats.t
+val run_reference_streams : Hierarchy.t -> stream_phase list -> Stats.t
 
 (** {!run_reference_streams} over dense phases. *)
-val run_reference : ?config:config -> Hierarchy.t -> phase list -> Stats.t
+val run_reference : Hierarchy.t -> phase list -> Stats.t
 
-(** [run_serial ?config h stream] executes a single stream on core 0 —
-    the paper's single-core baseline (Table 2). *)
-val run_serial : ?config:config -> Hierarchy.t -> int array -> Stats.t
+(** [run_serial h stream] executes a single stream on core 0 — the
+    paper's single-core baseline (Table 2). *)
+val run_serial : Hierarchy.t -> int array -> Stats.t

@@ -48,8 +48,8 @@ type t = {
   sample_factor : int;
   config_hash : int;  (* topology+options fingerprint for the phase memo *)
   mutable mem_accesses : int;
-  mutable probe : Probe.t;
-  mutable observed : bool;  (* probe != Probe.null, cached for the hot path *)
+  probe : Probe.t;
+  observed : bool;  (* probe != Probe.null, cached for the hot path *)
 }
 
 let log2_exact n =
@@ -198,10 +198,6 @@ let create ?(coherence = true) ?(probe = Probe.null) ?(sample_sets = 1) topo =
 let topology t = t.topo
 let probe t = t.probe
 
-let set_probe t p =
-  t.probe <- p;
-  t.observed <- not (Probe.is_null p)
-
 (* Put instance [i] on the filled list, keeping it ascending.  A cache
    joins at most once per [clear], so the shifts cost no more than one
    sweep. *)
@@ -317,13 +313,6 @@ let level_stats t =
       { Stats.level = t.levels.(i); hits = hits.(i); misses = misses.(i) })
 
 let mem_accesses t = t.mem_accesses
-
-let sets_at t ~level =
-  Array.fold_left
-    (fun acc inst ->
-      if inst.params.level = level then max acc (Setassoc.sets inst.cache)
-      else acc)
-    0 t.instances
 
 (* A restored image can hold any line in any cache. *)
 let forget_writers t = Array.fill t.w_line 0 (Array.length t.w_line) (-1)

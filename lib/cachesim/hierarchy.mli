@@ -55,10 +55,6 @@ val topology : t -> Ctam_arch.Topology.t
 (** The attached probe ({!Probe.null} when none). *)
 val probe : t -> Probe.t
 
-(** Replace the attached probe (e.g. to observe one run of a shared
-    hierarchy). *)
-val set_probe : t -> Probe.t -> unit
-
 (** [access t ~core ~addr ~write] simulates one byte-address access and
     returns its latency in cycles: the sum of the latencies of every
     cache probed, plus memory latency if all levels miss.  Fills the
@@ -80,10 +76,6 @@ val level_stats : t -> Stats.level_stats list
 
 (** Number of accesses that reached memory. *)
 val mem_accesses : t -> int
-
-(** Largest number of sets of any cache at [level] (0 when the level
-    does not exist) — sizes the set-conflict histograms. *)
-val sets_at : t -> level:int -> int
 
 (** Reset contents and counters, and empty the write filter and the
     filled list. *)

@@ -1,7 +1,7 @@
 (* Per-phase memoization table for the engine (PR 7).
 
    A phase's outcome is a pure function of (entry cache contents,
-   per-core access streams, hierarchy configuration, engine config):
+   per-core access streams, hierarchy configuration):
    the engine only ever starts a phase with uniform per-core clocks
    (zero at the start of a run, [tmax + barrier_cost] for every core
    after each barrier), so the event interleaving inside the phase —

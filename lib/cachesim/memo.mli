@@ -3,11 +3,11 @@
     The engine starts every phase with uniform per-core clocks (zero
     initially, [tmax + barrier_cost] after each barrier), so a phase's
     statistic deltas and exit cache state are a pure function of
-    (entry cache contents, access streams, hierarchy configuration,
-    engine config).  {!Engine.run_streams} hashes that tuple and, on a
-    table hit, replays the recorded deltas and restores the recorded
-    exit state instead of re-simulating — byte-identical results, no
-    per-access work.  Tuning sweeps are the intended consumer: every
+    (entry cache contents, access streams, hierarchy configuration).
+    {!Engine.run_streams} hashes that tuple and, on a table hit,
+    replays the recorded deltas and restores the recorded exit state
+    instead of re-simulating — byte-identical results, no per-access
+    work.  Tuning sweeps are the intended consumer: every
     candidate mapping shares the serial nests and many share whole
     schedules.
 

@@ -18,17 +18,17 @@ let dependence_levels dag =
     (Dep_graph.topo_order dag);
   level
 
-let run ?(params = Mapping.default_params) ?(config = Engine.default_config)
-    ?(steal_cost = default_steal_cost) ~machine program =
+let run ?(params = Mapping.default_params) ?(steal_cost = default_steal_cost)
+    ~machine program =
   let n = machine.Topology.num_cores in
   let line =
     match Topology.caches machine with
     | p :: _ -> p.Topology.line
     | [] -> 64
   in
-  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-  let align = params.Mapping.block_size * line / gcd params.Mapping.block_size line in
-  let layout = Layout.of_program ~align program in
+  let _, layout =
+    Block_map.for_program ~block_size:params.Mapping.block_size ~line program
+  in
   let h = Hierarchy.create machine in
   let clock = Array.make n 0 in
   let busy = Array.make n 0 in
@@ -36,7 +36,7 @@ let run ?(params = Mapping.default_params) ?(config = Engine.default_config)
   let barriers = ref 0 in
   let barrier () =
     let tmax = Array.fold_left max 0 clock in
-    Array.fill clock 0 n (tmax + config.Engine.barrier_cost);
+    Array.fill clock 0 n (tmax + Engine.barrier_cost);
     incr barriers
   in
   (* Execute a batch of streams through a central queue. *)
@@ -71,7 +71,7 @@ let run ?(params = Mapping.default_params) ?(config = Engine.default_config)
         pos.(c) <- pos.(c) + 1;
         incr total_accesses;
         let lat = Hierarchy.access h ~core:c ~addr ~write in
-        let cost = config.Engine.issue_cost + lat in
+        let cost = Engine.issue_cost + lat in
         clock.(c) <- clock.(c) + cost;
         busy.(c) <- busy.(c) + cost;
         refill c;
@@ -83,33 +83,25 @@ let run ?(params = Mapping.default_params) ?(config = Engine.default_config)
   List.iter
     (fun nest ->
       if not nest.Nest.parallel then begin
-        let stream = Trace.serial layout nest in
+        let stream = Engine.force_stream (Trace.serial layout nest) in
         Array.iter
           (fun e ->
             let addr, write = Engine.decode_access e in
             incr total_accesses;
             let lat = Hierarchy.access h ~core:0 ~addr ~write in
-            clock.(0) <- clock.(0) + config.Engine.issue_cost + lat;
-            busy.(0) <- busy.(0) + config.Engine.issue_cost + lat)
+            clock.(0) <- clock.(0) + Engine.issue_cost + lat;
+            busy.(0) <- busy.(0) + Engine.issue_cost + lat)
           stream
       end
       else begin
-        let bm, _ =
-          Block_map.for_program ~block_size:params.Mapping.block_size ~line
-            program
+        let trace g =
+          Engine.force_stream (Trace.of_iterset layout nest g.Iter_group.iters)
         in
-        let grouping =
-          Tags.group_capped ~max_groups:params.Mapping.max_groups nest bm
-        in
-        let dg0 = Group_deps.compute grouping in
-        let groups, dag =
-          if Dep_graph.is_empty dg0 then (grouping.Tags.groups, dg0)
-          else Group_deps.merge_cycles grouping dg0
+        let _grouping, groups, dag =
+          Mapping.grouping_for ~params ~machine program nest
         in
         if Dep_graph.is_empty dag then
-          run_queue
-            (Array.to_list groups
-            |> List.map (fun g -> Trace.of_group layout nest g))
+          run_queue (Array.to_list groups |> List.map trace)
         else begin
           (* Dependence levels become barrier-separated batches. *)
           let levels = dependence_levels dag in
@@ -118,7 +110,7 @@ let run ?(params = Mapping.default_params) ?(config = Engine.default_config)
             let batch =
               Array.to_list groups
               |> List.filter (fun g -> levels.(g.Iter_group.id) = l)
-              |> List.map (fun g -> Trace.of_group layout nest g)
+              |> List.map trace
             in
             run_queue batch;
             if l < max_level then barrier ()

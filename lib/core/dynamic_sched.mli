@@ -16,14 +16,13 @@ open Ctam_cachesim
 (** Cycles charged per queue pull (lock + dispatch). *)
 val default_steal_cost : int
 
-(** [run ?params ?config ?steal_cost ~machine program] executes every
+(** [run ?params ?steal_cost ~machine program] executes every
     parallel nest with central-queue dynamic scheduling (groups in
     lexicographic order; dependence-carrying nests fall back to
     dependence-level phases with the same per-pull cost), serial nests
     on core 0. *)
 val run :
   ?params:Mapping.params ->
-  ?config:Engine.config ->
   ?steal_cost:int ->
   machine:Topology.t ->
   Program.t ->

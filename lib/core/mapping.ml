@@ -171,16 +171,18 @@ let tile_pseudo_groups ~encoder ~tile ~perm iters =
   if !current <> [] then runs := List.rev !current :: !runs;
   List.rev !runs |> List.mapi (fun i run -> pseudo_group ~id:i run)
 
+(* The form a compile hands out a stream in: a dense compile forces
+   each cursor as it is built, so the phases hold arrays and Base+
+   simulates its tile candidates in the requested form. *)
+let emit ~stream s = if stream then s else Engine.dense (Engine.force_stream s)
+
 (* Streams for a schedule.  Barriers exist to enforce dependences; for
    a dependence-free nest the rounds collapse into one phase (keeping
    the round-robin interleaving order per core), exactly like the
    paper, whose Figure 7 inserts synchronization for dependences. *)
 let phases_of_schedule ~stream ~with_barriers layout nest (sched : Schedule.t)
     =
-  let trace gs =
-    if stream then Trace.stream_of_groups layout nest gs
-    else Engine.dense (Trace.of_groups layout nest gs)
-  in
+  let trace gs = emit ~stream (Trace.of_groups layout nest gs) in
   if with_barriers then
     List.map (fun round -> Array.map trace round) sched.Schedule.rounds
   else [ Array.map trace (Schedule.per_core sched) ]
@@ -220,9 +222,7 @@ let compile ?(params = default_params) ?map_topo ?(stream = false) scheme
             (* Serial nest: core 0 executes it as its own phase. *)
             let phase = Array.make n (Engine.dense [||]) in
             phase.(0) <-
-              timed "trace" (fun () ->
-                  if stream then Trace.stream_serial layout nest
-                  else Engine.dense (Trace.serial layout nest));
+              timed "trace" (fun () -> emit ~stream (Trace.serial layout nest));
             infos :=
               {
                 nest_name = nest.Nest.name;
@@ -310,9 +310,7 @@ let compile ?(params = default_params) ?map_topo ?(stream = false) scheme
                 [
                   timed "trace" (fun () ->
                       Array.map
-                        (fun s ->
-                          if stream then Trace.stream_of_iterset layout nest s
-                          else Engine.dense (Trace.of_iterset layout nest s))
+                        (fun s -> emit ~stream (Trace.of_iterset layout nest s))
                         chunks);
                 ]
             | Base_plus ->
@@ -351,8 +349,7 @@ let compile ?(params = default_params) ?map_topo ?(stream = false) scheme
                             let tile = Tiling.uniform (Nest.depth nest) edge in
                             Tiling.apply ~tile ~perm iters
                       in
-                      if stream then Trace.stream_of_iters layout nest ordered
-                      else Engine.dense (Trace.of_iters layout nest ordered))
+                      emit ~stream (Trace.of_iters layout nest ordered))
                     chunks
                 in
                 let best_tile, best_phase =
@@ -540,23 +537,24 @@ let port c ~machine =
 
 let forced_phases c = List.map Engine.force_phase c.phases
 
-let simulate ?config ?coherence ?probe ?max_cycles ?sample_sets ?memo c =
+let simulate ?coherence ?probe ?max_cycles ?sample_sets ?memo c =
   let h = Hierarchy.create ?coherence ?probe ?sample_sets c.machine in
-  Engine.run_streams ?config ?max_cycles ?memo h c.phases
+  Engine.run_streams ?max_cycles ?memo h c.phases
 
-let run ?params ?map_topo ?config ?probe ?stream ?sample_sets ?memo scheme
-    ~machine program =
-  simulate ?config ?probe ?sample_sets ?memo
+let run ?params ?map_topo ?probe ?stream ?sample_sets ?memo scheme ~machine
+    program =
+  simulate ?probe ?sample_sets ?memo
     (compile ?params ?map_topo ?stream scheme ~machine program)
 
-let simulate_serial ?config ~machine program =
+let simulate_serial ~machine program =
   (* One core executes all nests back to back, original order. *)
   let layout =
     Layout.of_program ~align:(line_size machine) program
   in
   let stream =
-    Array.concat
-      (List.map (fun nest -> Trace.serial layout nest) program.Program.nests)
+    Engine.force_stream
+      (Engine.stream_concat
+         (List.map (Trace.serial layout) program.Program.nests))
   in
   let h = Hierarchy.create machine in
-  Engine.run_serial ?config h stream
+  Engine.run_serial h stream

@@ -108,12 +108,12 @@ val timing_keys : string list
     leak into a caller's collector; with telemetry on they are also
     observed as [ctam_phase_seconds{phase="mapping.<key>"}].
 
-    With [~stream:true] the produced [phases] are generator-backed
-    cursors (serial nests and schedule groups regenerate their
-    iterations on demand, Base chunks walk their key sets, Base+
-    chunks keep only their ordered iteration lists) instead of
-    materialized access arrays — same access sequence, a fraction of
-    the memory. *)
+    Every stream is built as a {!Trace} cursor.  By default each is
+    forced into an access array as it is built; with [~stream:true]
+    the produced [phases] keep the cursors (serial nests regenerate
+    their iterations on demand, Base chunks and schedule groups walk
+    their key sets, Base+ chunks keep only their ordered iteration
+    lists) — same access sequence, a fraction of the memory. *)
 val compile :
   ?params:params ->
   ?map_topo:Topology.t ->
@@ -144,8 +144,8 @@ val port : compiled -> machine:Topology.t -> compiled
     dense form consumers like the race replayer index directly. *)
 val forced_phases : compiled -> Engine.phase list
 
-(** [simulate ?config ?coherence ?probe ?max_cycles ?sample_sets ?memo
-    c] builds the machine's hierarchy (with [probe] attached, default
+(** [simulate ?coherence ?probe ?max_cycles ?sample_sets ?memo c]
+    builds the machine's hierarchy (with [probe] attached, default
     null) and runs the phases.  [max_cycles] is the engine's
     early-termination budget (see {!Engine.run_streams}); the
     autotuner uses it to cut clearly-losing configurations short.
@@ -153,7 +153,6 @@ val forced_phases : compiled -> Engine.phase list
     {!Hierarchy.create}); [memo] shares a per-phase memo table across
     runs (see {!Engine.run_streams}). *)
 val simulate :
-  ?config:Engine.config ->
   ?coherence:bool ->
   ?probe:Probe.t ->
   ?max_cycles:int ->
@@ -167,7 +166,6 @@ val simulate :
 val run :
   ?params:params ->
   ?map_topo:Topology.t ->
-  ?config:Engine.config ->
   ?probe:Probe.t ->
   ?stream:bool ->
   ?sample_sets:int ->
@@ -179,8 +177,7 @@ val run :
 
 (** Sequential execution of the whole program on one core of the
     machine (the paper's Table 2 baseline). *)
-val simulate_serial :
-  ?config:Engine.config -> machine:Topology.t -> Program.t -> Stats.t
+val simulate_serial : machine:Topology.t -> Program.t -> Stats.t
 
 (** The grouping + acyclic dependence DAG used for a nest under
     [params] (exposed for {!Optimal} and the examples). *)

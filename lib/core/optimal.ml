@@ -6,7 +6,7 @@ open Ctam_cachesim
 
 type result = { stats : Stats.t; evaluations : int; exact : bool }
 
-let search ?(params = Mapping.default_params) ?config ?(budget = 200)
+let search ?(params = Mapping.default_params) ?(budget = 200)
     ?(exhaustive_limit = 20_000) ~machine program =
   let nest =
     match Program.parallel_nests program with
@@ -63,10 +63,13 @@ let search ?(params = Mapping.default_params) ?config ?(budget = 200)
     in
     let phases =
       List.map
-        (fun round -> Array.map (fun gs -> Trace.of_groups layout nest gs) round)
+        (fun round ->
+          Array.map
+            (fun gs -> Engine.force_stream (Trace.of_groups layout nest gs))
+            round)
         sched.Schedule.rounds
     in
-    Engine.run ?config h phases
+    Engine.run h phases
   in
   (* Seed: the Topology-Aware distribution, reduced to whole parts by
      attributing each distributed fragment (largest first) to the part

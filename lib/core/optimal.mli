@@ -20,7 +20,7 @@ type result = {
   exact : bool;        (** true when exhaustively enumerated *)
 }
 
-(** [search ?params ?config ?budget ?exhaustive_limit ~machine program]
+(** [search ?params ?budget ?exhaustive_limit ~machine program]
     optimizes the mapping of the first parallel nest (the program must
     have exactly one parallel nest).  [budget] caps simulator
     evaluations for local search (default 200); instances with at most
@@ -29,7 +29,6 @@ type result = {
     @raise Invalid_argument if the program has no parallel nest. *)
 val search :
   ?params:Mapping.params ->
-  ?config:Engine.config ->
   ?budget:int ->
   ?exhaustive_limit:int ->
   machine:Topology.t ->

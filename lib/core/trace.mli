@@ -1,52 +1,33 @@
-(** Building simulator access streams from iteration orders. *)
+(** Building simulator access streams from iteration orders.
+
+    Every builder returns a generator-backed
+    {!Ctam_cachesim.Engine.stream} that emits, for each point in order,
+    one encoded access per reference of the nest body (program order:
+    reads of each statement, then its write).  A dense phase is such a
+    stream forced with {!Ctam_cachesim.Engine.force_stream}.  The
+    cursors poll the request deadline once per point and allocate
+    nothing per point. *)
 
 open Ctam_poly
 open Ctam_ir
 open Ctam_blocks
 
-(** [of_iters layout nest iters] emits, for each iteration in order,
-    one encoded access per reference of the nest body (program order:
-    reads of each statement, then its write). *)
-val of_iters : Layout.t -> Nest.t -> int array list -> int array
-
-(** [of_group layout nest g] enumerates the group's iterations in
-    lexicographic order. *)
-val of_group : Layout.t -> Nest.t -> Iter_group.t -> int array
-
-(** [of_groups layout nest gs] concatenates the groups in list order. *)
-val of_groups : Layout.t -> Nest.t -> Iter_group.t list -> int array
-
-(** Whole-nest sequential stream in original program order. *)
-val serial : Layout.t -> Nest.t -> int array
-
-(** [of_iterset layout nest s] lexicographic stream of a set. *)
-val of_iterset : Layout.t -> Nest.t -> Iterset.t -> int array
-
-(** {2 Lazy streams}
-
-    Generator-backed {!Ctam_cachesim.Engine.stream}s yielding exactly
-    the access sequences of the eager builders above, without
-    materializing the access array. *)
-
-(** Lazy {!of_iters}: the iteration list stays the backing store; only
-    the (per-reference larger) access expansion is on demand. *)
-val stream_of_iters :
+(** [of_iters layout nest iters]: the points in list order (Base+
+    chunks, permuted and tiled).  The list stays the backing store. *)
+val of_iters :
   Layout.t -> Nest.t -> int array list -> Ctam_cachesim.Engine.stream
 
-(** Lazy {!of_iterset}: walks the set's keys in order, decoding each
-    into one vector the cursor reuses. *)
-val stream_of_iterset :
+(** [of_iterset layout nest s]: the set's points in lexicographic
+    order, decoded from its keys into one vector the cursor reuses
+    (Base chunks and iteration groups). *)
+val of_iterset :
   Layout.t -> Nest.t -> Iterset.t -> Ctam_cachesim.Engine.stream
 
-(** Lazy {!of_group}: walks a {!Ctam_poly.Codegen} box decomposition
-    of the group's iteration set in global lexicographic order. *)
-val stream_of_group :
-  Layout.t -> Nest.t -> Iter_group.t -> Ctam_cachesim.Engine.stream
-
-(** Lazy {!of_groups}: chains the groups in list order. *)
-val stream_of_groups :
+(** [of_groups layout nest gs]: {!of_iterset} of each group's
+    iterations, chained in list order. *)
+val of_groups :
   Layout.t -> Nest.t -> Iter_group.t list -> Ctam_cachesim.Engine.stream
 
-(** Lazy {!serial}: a domain odometer regenerates program order on
-    every run; nothing is materialized. *)
-val stream_serial : Layout.t -> Nest.t -> Ctam_cachesim.Engine.stream
+(** [serial layout nest]: the whole nest in program order.  A domain
+    odometer regenerates it on every run; nothing is materialized. *)
+val serial : Layout.t -> Nest.t -> Ctam_cachesim.Engine.stream

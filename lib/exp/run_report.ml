@@ -183,7 +183,7 @@ let conflicts_json sink =
            ])
        (Sink.conflicts sink))
 
-let profile ?(params = Mapping.default_params) ?config ?timeline_window
+let profile ?(params = Mapping.default_params) ?timeline_window
     ?(frontend_timings = []) ?(check = false) ?(stream = false)
     ?(sample_sets = 1) scheme ~machine program =
   (* GC image before any pipeline work, so the report's [telemetry]
@@ -204,7 +204,7 @@ let profile ?(params = Mapping.default_params) ?config ?timeline_window
   let stats, simulate_span =
     Span.collect (fun () ->
         Span.with_ "simulate" (fun () ->
-            Mapping.simulate ?config ~probe:(Sink.probe sink)
+            Mapping.simulate ~probe:(Sink.probe sink)
               ?sample_sets:(if sample_sets > 1 then Some sample_sets else None)
               compiled))
   in

@@ -35,10 +35,9 @@ type profile = {
   report : Ctam_util.Json.t;
 }
 
-(** [profile ?params ?config ?frontend_timings ?check scheme ~machine
-    program] compiles, attaches a {!Sink}, simulates,
-    and builds the report, timing each step with a
-    {!Ctam_telemetry.Span}.  [frontend_timings] lets the caller prepend
+(** [profile ?params ?frontend_timings ?check scheme ~machine program]
+    compiles, attaches a {!Sink}, simulates, and builds the report,
+    timing each step with a {!Ctam_telemetry.Span}.  [frontend_timings] lets the caller prepend
     e.g. [("parse", s); ("lower", s)] measured while loading the
     source.  With telemetry on, the frontend timings and the simulation
     are observed as [ctam_phase_seconds{phase}] (["frontend.<key>"],
@@ -59,7 +58,6 @@ type profile = {
     in unobserved runs such as tune sweeps. *)
 val profile :
   ?params:Mapping.params ->
-  ?config:Engine.config ->
   ?timeline_window:int ->
   ?frontend_timings:(string * float) list ->
   ?check:bool ->

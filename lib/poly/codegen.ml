@@ -100,86 +100,6 @@ let enumerate t =
     t.boxes;
   List.rev !pts
 
-(* Restartable lazy enumeration in GLOBAL lexicographic order.  The
-   greedy decomposition emits boxes in the order their lex-smallest
-   points were extracted, but a later box can interleave points between
-   those of an earlier one (grow-innermost-first can leave an L-shaped
-   remainder), so per-box enumeration is not globally lex.  A k-way
-   merge over per-box odometers is: each box yields its points in lex
-   order, and the boxes are disjoint, so the minimum over the box
-   heads is the global next point. *)
-type gen = { next : unit -> int array option; restart : unit -> unit }
-
-let to_gen t =
-  let boxes = Array.of_list t.boxes in
-  let nb = Array.length boxes in
-  let d = t.depth in
-  let cur = Array.map (fun b -> Array.map fst b) boxes in
-  let active = Array.make nb true in
-  (* Lazy advance: [next] hands out box [!last]'s own buffer, so that
-     box's odometer only ticks at the start of the following call —
-     the returned array stays valid until then (callers consume or
-     copy it before pulling again). *)
-  let last = ref (-1) in
-  let restart () =
-    for b = 0 to nb - 1 do
-      Array.iteri (fun j (lo, _) -> cur.(b).(j) <- lo) boxes.(b);
-      active.(b) <- box_cardinal boxes.(b) > 0
-    done;
-    last := -1
-  in
-  restart ();
-  let advance b =
-    let box = boxes.(b) in
-    let iv = cur.(b) in
-    let rec go j =
-      if j < 0 then active.(b) <- false
-      else
-        let lo, hi = box.(j) in
-        if iv.(j) < hi then iv.(j) <- iv.(j) + 1
-        else begin
-          iv.(j) <- lo;
-          go (j - 1)
-        end
-    in
-    go (d - 1)
-  in
-  let lex_less a b =
-    let rec go j =
-      if j >= d then false
-      else if a.(j) < b.(j) then true
-      else if a.(j) > b.(j) then false
-      else go (j + 1)
-    in
-    go 0
-  in
-  let next () =
-    if !last >= 0 then begin
-      advance !last;
-      last := -1
-    end;
-    let best = ref (-1) in
-    for b = 0 to nb - 1 do
-      if active.(b) && (!best < 0 || lex_less cur.(b) cur.(!best)) then
-        best := b
-    done;
-    if !best < 0 then None
-    else begin
-      last := !best;
-      Some cur.(!best)
-    end
-  in
-  { next; restart }
-
-let enumerate_lex t =
-  let g = to_gen t in
-  let rec go acc =
-    match g.next () with
-    | None -> List.rev acc
-    | Some p -> go (Array.copy p :: acc)
-  in
-  go []
-
 let emit ?names ~body t =
   let name j =
     match names with

@@ -3,7 +3,9 @@
     Stand-in for the Omega library's [codegen] utility: given the set
     of iterations in an iteration group, produce a compact union of
     rectangular boxes and emit a C-like loop nest that enumerates
-    exactly those iterations in lexicographic order. *)
+    exactly those iterations, each box in lexicographic order.  It
+    serves the legality check and C emission; the simulator's streams
+    walk a group's {!Iterset} directly and never decompose it. *)
 
 type box = (int * int) array
 (** Per-dimension inclusive [lo, hi] ranges. *)
@@ -21,23 +23,6 @@ val cardinal : t -> int
 (** [enumerate t] lists the covered points, lexicographically per box,
     boxes in extraction order. *)
 val enumerate : t -> int array list
-
-type gen = {
-  next : unit -> int array option;
-  restart : unit -> unit;
-}
-(** A restartable lazy point stream.  The array returned by [next] is
-    an internal buffer valid only until the following [next] call —
-    copy it to retain it. *)
-
-(** [to_gen t] enumerates the covered points in GLOBAL lexicographic
-    order (a k-way merge over per-box odometers — per-box order, as
-    {!enumerate} uses, is not globally lex), one point per [next]
-    call, allocating nothing per point. *)
-val to_gen : t -> gen
-
-(** Eager list of {!to_gen}'s sequence (copies). *)
-val enumerate_lex : t -> int array list
 
 (** Emit a C-like loop nest ([for (i0 = lo; i0 <= hi; i0++) ...]) with
     one nest per box and a [body] statement string at the innermost

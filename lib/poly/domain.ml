@@ -89,6 +89,9 @@ type gen = { next : unit -> int array option; restart : unit -> unit }
 let to_gen t =
   let d = depth t in
   let iv = Array.make d 0 in
+  (* Every point is handed out in the one option box: [next] allocates
+     nothing. *)
+  let point = Some iv in
   let his = Array.make d 0 in
   let started = ref false in
   let finished = ref false in
@@ -127,7 +130,7 @@ let to_gen t =
         finished := true;
         None
       end
-      else if Constrnt.sat_all t.guards iv then Some iv
+      else if Constrnt.sat_all t.guards iv then point
       else next ()
     end
   in

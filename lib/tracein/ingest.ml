@@ -356,8 +356,7 @@ let load ?scan opts src =
 
 (* --- running a trace on a machine -------------------------------------- *)
 
-let run ?(config = Engine.default_config) ?(sample_sets = 1) ?scan:sc ~machine
-    opts src =
+let run ?(sample_sets = 1) ?scan:sc ~machine opts src =
   validate opts;
   let n = machine.Topology.num_cores in
   if opts.cores > n then
@@ -371,7 +370,7 @@ let run ?(config = Engine.default_config) ?(sample_sets = 1) ?scan:sc ~machine
         if i < Array.length strs then strs.(i) else Engine.dense [||])
   in
   let h = Hierarchy.create ~sample_sets machine in
-  let stats = Engine.run_streams ~config h [ padded ] in
+  let stats = Engine.run_streams h [ padded ] in
   (stats, sc)
 
 let report_json ~machine opts sc stats =

@@ -94,7 +94,6 @@ val load : ?scan:scan -> options -> Reader.source -> int array array
     [?scan] as in {!streams}.
     @raise Error when the trace uses more cores than the machine has. *)
 val run :
-  ?config:Ctam_cachesim.Engine.config ->
   ?sample_sets:int ->
   ?scan:scan ->
   machine:Ctam_arch.Topology.t ->

@@ -11,13 +11,13 @@ type outcome = {
 let score o = (o.cycles, o.mem_accesses)
 let compare_outcome a b = compare (score a) (score b)
 
-let evaluate ?base_params ?config ?max_cycles ?stream ?sample_sets ?memo
-    ~machine program point =
+let evaluate ?base_params ?max_cycles ?stream ?sample_sets ?memo ~machine
+    program point =
   let params = Space.params_of ?base:base_params point in
   let compiled =
     Mapping.compile ~params ?stream point.Space.scheme ~machine program
   in
-  let stats = Mapping.simulate ?config ?max_cycles ?sample_sets ?memo compiled in
+  let stats = Mapping.simulate ?max_cycles ?sample_sets ?memo compiled in
   {
     cycles = stats.Ctam_cachesim.Stats.cycles;
     mem_accesses = stats.Ctam_cachesim.Stats.mem_accesses;

@@ -27,8 +27,8 @@ val score : outcome -> int * int
 
 val compare_outcome : outcome -> outcome -> int
 
-(** [evaluate ?base_params ?config ?max_cycles ?stream ?sample_sets
-    ?memo ~machine program point] compiles [program] under
+(** [evaluate ?base_params ?max_cycles ?stream ?sample_sets ?memo
+    ~machine program point] compiles [program] under
     [Space.params_of ?base:base_params point] and simulates it.
     [max_cycles] is the successive-halving budget: the engine stops
     once every core's clock passed it and the outcome comes back
@@ -40,7 +40,6 @@ val compare_outcome : outcome -> outcome -> int
     key ({!Cache.key}). *)
 val evaluate :
   ?base_params:Mapping.params ->
-  ?config:Engine.config ->
   ?max_cycles:int ->
   ?stream:bool ->
   ?sample_sets:int ->

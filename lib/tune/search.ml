@@ -24,7 +24,6 @@ type settings = {
   cache_dir : string option;
   jobs : int option;
   base_params : Mapping.params;
-  config : Engine.config option;
   verify : bool;
   stream : bool;
   sample_sets : int;
@@ -39,7 +38,6 @@ let default_settings =
     cache_dir = None;
     jobs = None;
     base_params = Mapping.default_params;
-    config = None;
     verify = false;
     stream = false;
     sample_sets = 1;
@@ -153,8 +151,8 @@ let eval_batch ctx ?max_cycles ?(ignore_budget = false) points =
   let outcomes =
     Ctam_util.Parallel.map ?domains:ctx.s.jobs
       (fun (p, _) ->
-        Eval.evaluate ~base_params:ctx.s.base_params ?config:ctx.s.config
-          ?max_cycles ~stream:ctx.s.stream
+        Eval.evaluate ~base_params:ctx.s.base_params ?max_cycles
+          ~stream:ctx.s.stream
           ?sample_sets:
             (if ctx.s.sample_sets > 1 then Some ctx.s.sample_sets else None)
           ?memo:ctx.sim_memo ~machine:ctx.machine ctx.program p)

@@ -15,7 +15,6 @@
 
 open Ctam_arch
 open Ctam_ir
-open Ctam_cachesim
 open Ctam_core
 
 type strategy =
@@ -43,7 +42,6 @@ type settings = {
   cache_dir : string option;  (** [None] disables the persistent cache *)
   jobs : int option;          (** [Parallel.map ?domains] *)
   base_params : Mapping.params;
-  config : Engine.config option;
   verify : bool;  (** legality-check the winning mapping *)
   stream : bool;  (** compile generator-backed phases *)
   sample_sets : int;

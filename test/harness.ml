@@ -147,8 +147,29 @@ let refused ?env ?timeout ~affix exe args =
 
 type daemon = { pid : int; socket : string; log : string }
 
+(* Whether the daemon at [socket] answers a ping before [deadline]: a
+   daemon that listens but never replies must not hang the wait. *)
+let answers_ping ~deadline socket =
+  match Ctam_serve.Client.connect socket with
+  | exception Unix.Unix_error _ -> false
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO
+            (Float.max 0.01 (deadline -. Unix.gettimeofday ()));
+          Result.is_ok
+            (Ctam_serve.Client.request fd (J.Obj [ ("op", J.String "ping") ])))
+
+let status_text = function
+  | Unix.WEXITED n -> Printf.sprintf "exited %d" n
+  | Unix.WSIGNALED s -> Printf.sprintf "was killed by signal %d" s
+  | Unix.WSTOPPED s -> Printf.sprintf "was stopped by signal %d" s
+
 (* Start [ctamap serve] with 2 workers, its socket, plan cache and
-   stderr log in [dir], and wait up to 10 s for it to listen. *)
+   stderr log in [dir], and wait up to 10 s until it answers a ping.
+   The socket file is no sign of life: the daemon creates it when it
+   binds, before it listens, and a connection made then is refused. *)
 let start ?(env = []) ?(args = []) dir =
   let socket = Filename.concat dir "daemon.sock" in
   let log = Filename.concat dir "serve.log" in
@@ -164,18 +185,19 @@ let start ?(env = []) ?(args = []) dir =
   in
   let deadline = Unix.gettimeofday () +. 10. in
   let rec wait () =
-    if not (Sys.file_exists socket) then
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ when Unix.gettimeofday () < deadline ->
-          Unix.sleepf 0.01;
-          wait ()
-      | 0, _ ->
-          Unix.kill pid Sys.sigkill;
-          reap pid;
-          Alcotest.failf "ctamap serve never bound %s:\n%s" socket (read_file log)
-      | _ ->
-          Alcotest.failf "ctamap serve exited before binding:\n%s"
-            (read_file log)
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when answers_ping ~deadline socket -> ()
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.01;
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        reap pid;
+        Alcotest.failf "ctamap serve answered no ping on %s within 10 s:\n%s"
+          socket (read_file log)
+    | _, status ->
+        Alcotest.failf "ctamap serve %s before answering a ping:\n%s"
+          (status_text status) (read_file log)
   in
   wait ();
   { pid; socket; log }
@@ -204,7 +226,7 @@ let stop d =
 
 (* [f d] against a daemon started as [start] does, then stopped as
    [stop] does, also when [f] fails (the first failure is the one
-   reported). *)
+   reported, followed by the daemon's log). *)
 let with_serve ?env ?args dir f =
   let d = start ?env ?args dir in
   match f d with
@@ -217,6 +239,8 @@ let with_serve ?env ?args dir f =
        with e' ->
          Printf.eprintf "and stopping the daemon failed: %s\n%!"
            (Printexc.to_string e'));
+      Printf.eprintf "the daemon's log:\n%s\n%!"
+        (try read_file d.log with Sys_error m -> m);
       Printexc.raise_with_backtrace e bt
 
 (* [ctamap client --socket S args]'s standard output. *)

@@ -366,7 +366,7 @@ let test_engine_barrier () =
   check_int "one barrier" 1 stats.Stats.barriers;
   (* Phase 2 starts only after phase 1's max plus the barrier cost. *)
   check_bool "barrier serializes" true
-    (stats.Stats.cycles >= (112 + 1) + Engine.default_config.barrier_cost + 112)
+    (stats.Stats.cycles >= (112 + 1) + Engine.barrier_cost + 112)
 
 let test_engine_sharing_constructive () =
   (* Two cores reading the same lines: the second reader should hit in

@@ -454,11 +454,10 @@ let test_simulate_deterministic () =
   check_int "same misses" s1.Stats.mem_accesses s2.Stats.mem_accesses
 
 let test_stream_compile_matches_dense () =
-  (* Generator-backed compilation must emit the same access sequence
-     as the materialized phases — and therefore bit-identical
-     simulation results — for every scheme (the streamed phases chain
-     Codegen box walks, explicit-order chunks and domain odometers,
-     all asserted here at once). *)
+  (* A streamed compile keeps the cursors a dense compile forces: for
+     every scheme the access sequences agree, and the engine, which
+     draws a cursor's accesses chunk by chunk, simulates them
+     bit-identically. *)
   let p = fig5_program 256 in
   List.iter
     (fun scheme ->
@@ -489,6 +488,161 @@ let test_stream_compile_matches_dense () =
         (Mapping.simulate ~sample_sets:2 streamed2
         = Mapping.simulate ~sample_sets:2 dense2))
     Mapping.all_schemes
+
+(* --- Stream oracle ---------------------------------------------------- *)
+
+(* The access stream of a sequence of points, built apart from
+   [Trace]'s cursors: each point in [iter]'s order, one encoded access
+   per [Nest.refs] entry in program order. *)
+let oracle_stream layout nest iter =
+  let out = ref [] in
+  iter (fun iv ->
+      List.iter
+        (fun r ->
+          out :=
+            Engine.encode_access ~addr:(Layout.ref_addr layout r iv)
+              ~write:(Reference.is_write r)
+            :: !out)
+        (Nest.refs nest));
+  Array.of_list (List.rev !out)
+
+let oracle_iterset layout nest s =
+  oracle_stream layout nest (fun f -> Iterset.iter f s)
+
+let oracle_groups layout nest gs =
+  Array.concat
+    (List.map (fun g -> oracle_iterset layout nest g.Iter_group.iters) gs)
+
+let oracle_serial layout nest =
+  oracle_stream layout nest (fun f -> Domain.iter f nest.Nest.domain)
+
+(* Every builder of [Trace], forced twice (the second force restarts
+   the cursor), against the oracle: the nest's domain, a random subset
+   of it as a set, the subset's points in a random order as a list, and
+   the subset dealt into random groups. *)
+let builders_match_oracle ~rng layout nest =
+  let forced s =
+    let a = Engine.force_stream s in
+    if Engine.force_stream s = a then Some a else None
+  in
+  let dom = nest.Nest.domain in
+  let enc = Iterset.encoder_of_domain dom in
+  let whole = Iterset.of_domain enc dom in
+  let subset =
+    Iterset.of_list enc
+      (List.filter (fun _ -> Random.State.bool rng) (Iterset.to_list whole))
+  in
+  let shuffled =
+    List.map (fun p -> (Random.State.bits rng, p)) (Iterset.to_list subset)
+    |> List.sort compare |> List.map snd
+  in
+  let groups =
+    let k = 1 + Random.State.int rng 4 in
+    let parts = Array.make k [] in
+    Iterset.iter
+      (fun p ->
+        let g = Random.State.int rng k in
+        parts.(g) <- p :: parts.(g))
+      subset;
+    Array.to_list
+      (Array.mapi
+         (fun id pts ->
+           {
+             Iter_group.id;
+             tag = Bitset.create 0;
+             iters = Iterset.of_list enc pts;
+           })
+         parts)
+  in
+  forced (Trace.serial layout nest) = Some (oracle_serial layout nest)
+  && forced (Trace.of_iterset layout nest whole)
+     = Some (oracle_iterset layout nest whole)
+  && forced (Trace.of_iterset layout nest subset)
+     = Some (oracle_iterset layout nest subset)
+  && forced (Trace.of_iters layout nest shuffled)
+     = Some (oracle_stream layout nest (fun f -> List.iter f shuffled))
+  && forced (Trace.of_groups layout nest groups)
+     = Some (oracle_groups layout nest groups)
+
+let test_suite_builders_match_oracle () =
+  let rng = Random.State.make [| 30 |] in
+  List.iter
+    (fun k ->
+      let p = Ctam_workloads.Kernel.small_program k in
+      let _, layout = Block_map.for_program ~block_size:2048 ~line:64 p in
+      List.iter
+        (fun nest ->
+          check_bool
+            (Printf.sprintf "%s/%s" k.Ctam_workloads.Kernel.name
+               nest.Nest.name)
+            true
+            (builders_match_oracle ~rng layout nest))
+        p.Program.nests)
+    Ctam_workloads.Suite.all
+
+let prop_builders_match_oracle =
+  QCheck.Test.make ~count:200 ~name:"Trace builders equal the stream oracle"
+    QCheck.(pair Nest_gen.arbitrary int)
+    (fun (c, seed) ->
+      (* A reference past its array's end fails in both. *)
+      QCheck.assume (not c.Nest_gen.leaves);
+      let _, layout =
+        Block_map.for_program ~block_size:c.Nest_gen.block_size
+          ~line:c.Nest_gen.line c.Nest_gen.program
+      in
+      builders_match_oracle ~rng:(Random.State.make [| seed |]) layout
+        c.Nest_gen.nest)
+
+(* The phases of a compile, rebuilt from its plans with the oracle: a
+   parallel nest's round gives each core its groups in order, a serial
+   nest's gives core 0 the domain.  This also pins the plans mirroring
+   the phases, which [Mapping.segments] relies on.  Base+ plans do not
+   carry its permuted order; its chunks are covered by the builders.
+   Each kernel runs its nest, then the same nest serially; equake and
+   mesa, which take seconds to group, are left out. *)
+let test_compiled_phases_match_oracle () =
+  List.iter
+    (fun k ->
+      let p = Ctam_workloads.Kernel.small_program k in
+      let p =
+        {
+          p with
+          Program.nests =
+            p.Program.nests
+            @ List.map
+                (fun n -> { n with Nest.name = "serial"; parallel = false })
+                p.Program.nests;
+        }
+      in
+      List.iter
+        (fun (scheme, stream) ->
+          let c = Mapping.compile ~stream scheme ~machine p in
+          let rebuilt =
+            List.concat_map
+              (fun plan ->
+                let nest = plan.Mapping.plan_nest in
+                List.map
+                  (Array.map (fun gs ->
+                       if nest.Nest.parallel then
+                         oracle_groups c.Mapping.layout nest gs
+                       else if gs = [] then [||]
+                       else oracle_serial c.Mapping.layout nest))
+                  plan.Mapping.plan_rounds)
+              c.Mapping.plans
+          in
+          check_bool
+            (Printf.sprintf "%s %s%s" k.Ctam_workloads.Kernel.name
+               (Mapping.scheme_name scheme)
+               (if stream then " streamed" else ""))
+            true
+            (Mapping.forced_phases c = rebuilt))
+        (List.concat_map
+           (fun scheme -> [ (scheme, false); (scheme, true) ])
+           Mapping.[ Base; Local; Topology_aware; Combined ]))
+    (List.filter
+       (fun k ->
+         not (List.mem k.Ctam_workloads.Kernel.name [ "equake"; "mesa" ]))
+       Ctam_workloads.Suite.all)
 
 (* Compiles and simulations poll the request deadline: under a 1 ms
    deadline, a full-size compile and the simulation of a full-size plan
@@ -913,6 +1067,14 @@ let () =
           Alcotest.test_case "port" `Quick test_port_shapes;
           Alcotest.test_case "serial" `Quick test_serial_baseline;
           Alcotest.test_case "fig5 wins" `Quick test_topology_beats_base_on_fig5;
+        ] );
+      ( "stream oracle",
+        [
+          Alcotest.test_case "suite nests" `Quick
+            test_suite_builders_match_oracle;
+          QCheck_alcotest.to_alcotest prop_builders_match_oracle;
+          Alcotest.test_case "compiled phases" `Quick
+            test_compiled_phases_match_oracle;
         ] );
       ( "optimal",
         [ Alcotest.test_case "not worse" `Quick test_optimal_not_worse ] );

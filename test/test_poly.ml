@@ -227,46 +227,6 @@ let collect_gen next =
   in
   go ()
 
-let test_codegen_to_gen_lex_order () =
-  (* [to_gen] must yield GLOBAL lexicographic order — the order
-     [Iterset.iter] uses — even when the decomposition's boxes
-     interleave, and restart from the top. *)
-  let enc = enc2 () in
-  let pts =
-    List.filter
-      (fun (i, j) -> not (i >= 2 && j >= 2))
-      (List.concat_map
-         (fun i -> List.map (fun j -> (i, j)) [ 0; 1; 2; 3 ])
-         [ 0; 1; 2; 3 ])
-  in
-  let s = Iterset.of_list enc (List.map (fun (i, j) -> [| i; j |]) pts) in
-  let cg = Codegen.decompose s in
-  check_bool "needs a merge" true (List.length cg.Codegen.boxes > 1);
-  let expected =
-    let acc = ref [] in
-    Iterset.iter (fun iv -> acc := Array.copy iv :: !acc) s;
-    List.rev !acc
-  in
-  let gen = Codegen.to_gen cg in
-  check_bool "global lex order" true (collect_gen gen.Codegen.next = expected);
-  check_bool "eager variant agrees" true (Codegen.enumerate_lex cg = expected);
-  gen.Codegen.restart ();
-  check_bool "restart replays" true (collect_gen gen.Codegen.next = expected)
-
-let prop_codegen_to_gen_matches_iterset =
-  QCheck.Test.make ~name:"Codegen.to_gen == Iterset.iter order" ~count:100
-    QCheck.(list_of_size (Gen.int_range 0 60) (pair (int_range 0 9) (int_range 0 9)))
-    (fun pts ->
-      let enc = enc2 () in
-      let s = Iterset.of_list enc (List.map (fun (i, j) -> [| i; j |]) pts) in
-      let cg = Codegen.decompose s in
-      let expected =
-        let acc = ref [] in
-        Iterset.iter (fun iv -> acc := Array.copy iv :: !acc) s;
-        List.rev !acc
-      in
-      collect_gen (Codegen.to_gen cg).Codegen.next = expected)
-
 let test_domain_to_gen () =
   (* Guard-filtered triangular domain: the odometer must agree with
      [iter] exactly and restart cleanly. *)
@@ -558,11 +518,8 @@ let () =
           Alcotest.test_case "full box" `Quick test_codegen_box;
           Alcotest.test_case "L shape" `Quick test_codegen_l_shape;
           Alcotest.test_case "emit" `Quick test_codegen_emit;
-          Alcotest.test_case "to_gen lex order" `Quick
-            test_codegen_to_gen_lex_order;
           Alcotest.test_case "Domain.to_gen" `Quick test_domain_to_gen;
           QCheck_alcotest.to_alcotest prop_codegen_exact;
           QCheck_alcotest.to_alcotest prop_decompose_guarded;
-          QCheck_alcotest.to_alcotest prop_codegen_to_gen_matches_iterset;
         ] );
     ]

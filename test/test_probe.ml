@@ -96,7 +96,7 @@ let test_recorder_matches_stats_serial () =
   let _, layout =
     Ctam_blocks.Block_map.for_program ~block_size:2048 ~line:64 prog
   in
-  let stream = Ctam_core.Trace.serial layout nest in
+  let stream = Engine.force_stream (Ctam_core.Trace.serial layout nest) in
   let r, probe = recorder () in
   let h = Hierarchy.create ~probe machine in
   let stats = Engine.run_serial h stream in

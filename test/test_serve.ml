@@ -1484,6 +1484,12 @@ let test_deadline_burst () =
         | Some (J.Int n) -> n
         | _ -> Alcotest.fail "stats carry no timeouts count"
       in
+      (* The idle count waits until both workers have answered: each
+         holds one connection, so a ping on each reaches both.  The
+         second worker's domain starts the runtime's backup thread for
+         itself, and until that domain runs the daemon has one thread
+         fewer than when idle. *)
+      Array.iteri (fun c fd -> ping (Printf.sprintf "worker %d" c) fd) fds;
       let before = timeouts () in
       let idle = threads d.H.pid in
       let peak = ref (Option.value idle ~default:0) in
