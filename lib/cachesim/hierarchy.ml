@@ -21,8 +21,7 @@ type t = {
      cores under a cache are contiguous. *)
   core_lo : int array;
   core_hi : int array;
-  coherence : bool;
-  (* Last-writer filter (empty without coherence).  Invariant: if
+  (* Last-writer filter of the write-invalidate sweep.  Invariant: if
      [w_line.(s) = l] and [w_owner.(s) = c >= 0], every cache holding
      [l] is on core [c]'s path.  -1 is an empty slot, or an unknown
      owner. *)
@@ -82,7 +81,7 @@ let check_sample_sets topo n =
 let filter_slots = 1024
 let filter_slot line = ((line * 0x4F1BBCDCBFA53) land max_int) lsr 52
 
-let create ?(coherence = true) ?(probe = Probe.null) ?(sample_sets = 1) topo =
+let create ?(probe = Probe.null) ?(sample_sets = 1) topo =
   let params = Topology.caches topo in
   let line =
     match params with
@@ -166,7 +165,6 @@ let create ?(coherence = true) ?(probe = Probe.null) ?(sample_sets = 1) topo =
     let h = Array.fold_left (fun h p -> Memo.mix_array h p) h paths in
     let h = Memo.mix h topo.Topology.mem_latency in
     let h = Memo.mix h line in
-    let h = Memo.mix h (if coherence then 1 else 0) in
     fst (Memo.mix h sample_sets)
   in
   {
@@ -178,9 +176,8 @@ let create ?(coherence = true) ?(probe = Probe.null) ?(sample_sets = 1) topo =
     path_levels;
     core_lo;
     core_hi;
-    coherence;
-    w_line = Array.make (if coherence then filter_slots else 0) (-1);
-    w_owner = Array.make (if coherence then filter_slots else 0) (-1);
+    w_line = Array.make filter_slots (-1);
+    w_owner = Array.make filter_slots (-1);
     filled = Array.make ninst 0;
     n_filled = 0;
     listed = Array.make ninst false;
@@ -257,7 +254,7 @@ let access t ~core ~addr ~write =
      in ascending instance order, unless the filter shows none holds
      it.  Another core's fill makes the owner unknown.  A cache off the
      filled list is empty, so the sweep skips it. *)
-  if t.coherence && (write || fill_upto >= 0) then begin
+  if write || fill_upto >= 0 then begin
     let s = filter_slot line in
     let known = t.w_line.(s) = line in
     if known && fill_upto >= 0 && t.w_owner.(s) <> core then

@@ -1,7 +1,7 @@
 (** A simulated instance of a cache topology.
 
     Instantiates one {!Setassoc} per cache in a {!Ctam_arch.Topology},
-    maintains inclusive fills along each core's path, and optionally a
+    maintains inclusive fills along each core's path, and a
     write-invalidate coherence action: a write removes the line from
     every cache off the writing core's path, at any level (on
     Dunnington, the other socket's L3 too).  The sweep that does so
@@ -10,14 +10,13 @@
 
 type t
 
-(** [create ?coherence ?probe ?sample_sets topo].  When [coherence] is
-    true (default), a write invalidates the line in every cache that is
-    not on the writing core's path, modelling an invalidation-based
-    protocol.  A fixed 1024-slot last-writer filter skips sweeps it
-    can show would find no copy: each slot remembers a line and the
-    core whose write last swept it, and that core's next write to the
-    line skips the sweep unless another core has filled the line
-    since.  A sweep that does run visits only the caches filled since
+(** [create ?probe ?sample_sets topo].  A write invalidates the line
+    in every cache that is not on the writing core's path, modelling an
+    invalidation-based protocol.  A fixed 1024-slot last-writer filter
+    skips sweeps it can show would find no copy: each slot remembers a
+    line and the core whose write last swept it, and that core's next
+    write to the line skips the sweep unless another core has filled
+    the line since.  A sweep that does run visits only the caches filled since
     the last {!clear} or {!restore} (see {!filled_instances}), so a
     run on a few cores of a wide machine does not probe the empty
     caches of the others.  Statistics and probe events are those of a
@@ -39,7 +38,6 @@ type t
     @raise Invalid_argument otherwise, with {!check_sample_sets}'s
     message. *)
 val create :
-  ?coherence:bool ->
   ?probe:Probe.t ->
   ?sample_sets:int ->
   Ctam_arch.Topology.t ->
@@ -96,7 +94,7 @@ val line_of : t -> int -> int
 val sample_factor : t -> int
 
 (** Fingerprint of (topology geometry, latencies, replacement
-    policies, core paths, coherence, sampling factor) — a component of
+    policies, core paths, sampling factor) — a component of
     the phase-memo key. *)
 val config_hash : t -> int
 

@@ -14,15 +14,25 @@ type cluster = {
   mutable first_key : int;     (* earliest iteration, for proximity ties *)
 }
 
-let cluster_of_group g =
+(* A cluster of [groups], given in assignment order, whose tag has
+   [width] bits. *)
+let cluster ~width groups =
   {
-    tag = g.Iter_group.tag;
-    members = [ g ];
-    size = Iter_group.size g;
+    tag =
+      List.fold_left
+        (fun acc g -> Bitset.union acc g.Iter_group.tag)
+        (Bitset.create width) groups;
+    members = List.rev groups;
+    size = List.fold_left (fun s g -> s + Iter_group.size g) 0 groups;
     alive = true;
     version = 0;
-    first_key = Ctam_poly.Iterset.min_key g.Iter_group.iters;
+    first_key =
+      List.fold_left
+        (fun acc g -> min acc (Ctam_poly.Iterset.min_key g.Iter_group.iters))
+        max_int groups;
   }
+
+let cluster_of_group g = cluster ~width:(Bitset.width g.Iter_group.tag) [ g ]
 
 let cluster_groups c = List.rev c.members
 
@@ -296,72 +306,27 @@ let cluster_into ?(allow_splits = true) k groups =
   while List.length !clusters < k && !progress do
     progress := split_largest ~allow_splits clusters
   done;
-  (* Pad with empty clusters when there are not enough iterations. *)
-  let width =
-    match groups with
-    | g :: _ -> Bitset.width g.Iter_group.tag
-    | [] -> 0
-  in
-  let rec pad cs n =
-    if n <= 0 then cs
-    else
-      pad
-        ({
-           tag = Bitset.create width;
-           members = [];
-           size = 0;
-           alive = true;
-           version = 0;
-           first_key = max_int;
-         }
-        :: cs)
-        (n - 1)
-  in
-  let cs = pad !clusters (k - List.length !clusters) in
-  List.map cluster_groups cs
+  (* Pad with empty clusters, in front, when there are not enough
+     iterations. *)
+  List.init (k - List.length !clusters) (fun _ -> [])
+  @ List.map cluster_groups !clusters
 
 (* --- load balancing ------------------------------------------------ *)
 
 let balance ?(allow_splits = true) ~threshold ~weights clusters =
   let k = Array.length clusters in
   if Array.length weights <> k then invalid_arg "Distribute.balance: weights";
-  let cl =
-    Array.map
-      (fun groups ->
-        let width =
-          match groups with
-          | g :: _ -> Bitset.width g.Iter_group.tag
-          | [] -> 0
-        in
-        let tag =
-          List.fold_left
-            (fun acc g -> Bitset.union acc g.Iter_group.tag)
-            (Bitset.create width) groups
-        in
-        {
-          tag;
-          members = List.rev groups;
-          size = List.fold_left (fun s g -> s + Iter_group.size g) 0 groups;
-          alive = true;
-          version = 0;
-          first_key =
-            List.fold_left
-              (fun acc g ->
-                min acc (Ctam_poly.Iterset.min_key g.Iter_group.iters))
-              max_int groups;
-        })
-      clusters
-  in
-  (* Clusters with a zero-width tag (empty input) adopt the width of a
-     non-empty sibling so unions below stay well-typed. *)
+  (* Every tag takes the width of the groups' tags, so that a cluster
+     given no groups can still take some. *)
   let width =
     Array.fold_left
-      (fun acc c -> max acc (Bitset.width c.tag))
-      0 cl
+      (fun acc groups ->
+        match groups with
+        | g :: _ -> max acc (Bitset.width g.Iter_group.tag)
+        | [] -> acc)
+      0 clusters
   in
-  Array.iter
-    (fun c -> if Bitset.width c.tag <> width then c.tag <- Bitset.create width)
-    cl;
+  let cl = Array.map (cluster ~width) clusters in
   let total = Array.fold_left (fun acc c -> acc + c.size) 0 cl in
   let wsum = Array.fold_left ( + ) 0 weights in
   let avg i = float_of_int (total * weights.(i)) /. float_of_int wsum in
@@ -383,6 +348,47 @@ let balance ?(allow_splits = true) ~threshold ~weights clusters =
     done;
     !best
   in
+  (* The member of donor [d] that [ok] admits with the largest tag dot
+     product against recipient [r], then the first iteration nearest
+     [r]'s first key, then the earliest in [d]'s member list. *)
+  let pick d r ok =
+    let best = ref None in
+    List.iter
+      (fun g ->
+        if ok g then begin
+          let w = Bitset.dot g.Iter_group.tag cl.(r).tag in
+          let key = Ctam_poly.Iterset.min_key g.Iter_group.iters in
+          let dist = abs (key - cl.(r).first_key) in
+          match !best with
+          | Some (_, w', dist') when w' > w || (w' = w && dist' <= dist) -> ()
+          | _ -> best := Some (g, w, dist)
+        end)
+      cl.(d).members;
+    Option.map (fun (g, _, _) -> g) !best
+  in
+  (* Move the first [n] iterations of donor [d]'s member [g] to
+     recipient [r]: all of [g], or a part split off it while the rest
+     stays with [d].  Only a [~key:true] move pulls [r]'s first key
+     forward to the moved iterations.  The balancer passes it for whole
+     groups that fit, not for split parts or the last-resort move, so
+     after those a later proximity tie reads a stale key; making the
+     rule uniform would change plans. *)
+  let move ~key d r g n =
+    let moved, kept =
+      if n = Iter_group.size g then (g, [])
+      else
+        let moved, kept = Iter_group.split_at n g in
+        (moved, [ kept ])
+    in
+    cl.(d).members <- kept @ List.filter (fun x -> x != g) cl.(d).members;
+    cl.(d).size <- cl.(d).size - n;
+    cl.(r).members <- moved :: cl.(r).members;
+    cl.(r).size <- cl.(r).size + n;
+    cl.(r).tag <- Bitset.union cl.(r).tag moved.Iter_group.tag;
+    if key then
+      cl.(r).first_key <-
+        min cl.(r).first_key (Ctam_poly.Iterset.min_key moved.Iter_group.iters)
+  in
   let total_members =
     Array.fold_left (fun acc c -> acc + List.length c.members) 0 cl
   in
@@ -394,92 +400,38 @@ let balance ?(allow_splits = true) ~threshold ~weights clusters =
   let rec loop () =
     Ctam_util.Deadline.check ();
     decr guard;
-    if !guard <= 0 then ()
-    else begin
+    if !guard > 0 then begin
       let d = find_donor () in
-      if d < 0 then ()
-      else begin
-        let r = find_recipient d in
-        if r < 0 then ()
-        else begin
-          (* Whole-group move maximizing affinity with the recipient,
-             keeping both clusters inside their windows. *)
-          let eligible g =
-            let s = Iter_group.size g in
-            cl.(d).size - s >= low d && cl.(r).size + s <= up r
-          in
-          let best = ref None in
-          List.iter
-            (fun g ->
-              if eligible g then begin
-                let w = Bitset.dot g.Iter_group.tag cl.(r).tag in
-                let dist =
-                  abs (Ctam_poly.Iterset.min_key g.Iter_group.iters
-                       - cl.(r).first_key)
-                in
-                match !best with
-                | Some (_, w', dist') when w' > w || (w' = w && dist' <= dist)
-                  -> ()
-                | _ -> best := Some (g, w, dist)
-              end)
-            cl.(d).members;
-          (match !best with
-          | Some (g, _, _) ->
-              cl.(d).members <- List.filter (fun x -> x != g) cl.(d).members;
-              cl.(d).size <- cl.(d).size - Iter_group.size g;
-              cl.(r).members <- g :: cl.(r).members;
-              cl.(r).size <- cl.(r).size + Iter_group.size g;
-              cl.(r).tag <- Bitset.union cl.(r).tag g.Iter_group.tag;
-              cl.(r).first_key <-
-                min cl.(r).first_key
-                  (Ctam_poly.Iterset.min_key g.Iter_group.iters)
-          | None when not allow_splits -> guard := 0
-          | None -> (
-              (* No whole group fits: split the highest-affinity group
-                 and move just enough iterations. *)
-              let want =
-                min
-                  (cl.(d).size - int_of_float (avg d))
-                  (int_of_float (avg r) - cl.(r).size)
-                |> max 1
-              in
-              let pick = ref None in
-              List.iter
-                (fun g ->
-                  let w = Bitset.dot g.Iter_group.tag cl.(r).tag in
-                  let dist =
-                    abs (Ctam_poly.Iterset.min_key g.Iter_group.iters
-                         - cl.(r).first_key)
-                  in
-                  match !pick with
-                  | Some (_, w', dist') when w' > w || (w' = w && dist' <= dist)
-                    -> ()
-                  | _ -> pick := Some (g, w, dist))
-                cl.(d).members;
-              match !pick with
-              | None -> guard := 0 (* donor empty: give up *)
-              | Some (g, _, _) ->
-                  let n = min want (Iter_group.size g - 1) in
-                  if n < 1 then begin
-                    (* Move the whole (size-1) group as a last resort. *)
-                    cl.(d).members <-
-                      List.filter (fun x -> x != g) cl.(d).members;
-                    cl.(d).size <- cl.(d).size - Iter_group.size g;
-                    cl.(r).members <- g :: cl.(r).members;
-                    cl.(r).size <- cl.(r).size + Iter_group.size g;
-                    cl.(r).tag <- Bitset.union cl.(r).tag g.Iter_group.tag
-                  end
-                  else begin
-                    let moved, kept = Iter_group.split_at n g in
-                    cl.(d).members <-
-                      kept :: List.filter (fun x -> x != g) cl.(d).members;
-                    cl.(d).size <- cl.(d).size - n;
-                    cl.(r).members <- moved :: cl.(r).members;
-                    cl.(r).size <- cl.(r).size + n;
-                    cl.(r).tag <- Bitset.union cl.(r).tag moved.Iter_group.tag
-                  end));
-          loop ()
-        end
+      let r = if d < 0 then -1 else find_recipient d in
+      if r >= 0 then begin
+        (* Whole-group move maximizing affinity with the recipient,
+           keeping both clusters inside their windows. *)
+        let fits g =
+          let s = Iter_group.size g in
+          cl.(d).size - s >= low d && cl.(r).size + s <= up r
+        in
+        (match pick d r fits with
+        | Some g -> move ~key:true d r g (Iter_group.size g)
+        | None when not allow_splits -> guard := 0
+        | None -> (
+            (* No whole group fits: split the highest-affinity group
+               and move just enough iterations. *)
+            let want =
+              min
+                (cl.(d).size - int_of_float (avg d))
+                (int_of_float (avg r) - cl.(r).size)
+              |> max 1
+            in
+            match pick d r (fun _ -> true) with
+            | None -> guard := 0 (* donor empty: give up *)
+            | Some g ->
+                (* A one-iteration group moves whole, as a last resort.
+                   Only a negative threshold gets here: otherwise such
+                   a group always fits both windows. *)
+                let n = min want (Iter_group.size g - 1) in
+                let n = if n < 1 then Iter_group.size g else n in
+                move ~key:false d r g n));
+        loop ()
       end
     end
   in
@@ -495,81 +447,32 @@ let balance ?(allow_splits = true) ~threshold ~weights clusters =
     Ctam_util.Deadline.check ();
     decr polish_guard;
     continue_polish := false;
+    let excess i = float_of_int cl.(i).size -. avg i in
     let dmax = ref 0 and dmin = ref 0 in
     for i = 1 to k - 1 do
-      let excess i = float_of_int cl.(i).size -. avg i in
       if excess i > excess !dmax then dmax := i;
       if excess i < excess !dmin then dmin := i
     done;
     let d = !dmax and r = !dmin in
     if d <> r then begin
-      let excess_d = float_of_int cl.(d).size -. avg d in
-      let deficit_r = avg r -. float_of_int cl.(r).size in
-      let want = int_of_float (Float.min excess_d deficit_r) in
+      let want = int_of_float (Float.min (excess d) (-.excess r)) in
       (* Stop near-parity: chasing the last fraction of a percent only
          sprays tiny split fragments across clusters, destroying the
          locality the clustering built. *)
-      let eps =
-        max 1 (int_of_float (0.005 *. avg d))
-      in
-      if want >= eps then begin
-        (* Prefer a whole group no larger than the need; else split. *)
-        let best = ref None in
-        List.iter
-          (fun g ->
-            if Iter_group.size g <= want then begin
-              let w = Bitset.dot g.Iter_group.tag cl.(r).tag in
-              let dist =
-                abs (Ctam_poly.Iterset.min_key g.Iter_group.iters
-                     - cl.(r).first_key)
-              in
-              match !best with
-              | Some (_, w', dist') when w' > w || (w' = w && dist' <= dist) ->
-                  ()
-              | _ -> best := Some (g, w, dist)
-            end)
-          cl.(d).members;
-        match !best with
-        | Some (g, _, _) ->
-            cl.(d).members <- List.filter (fun x -> x != g) cl.(d).members;
-            cl.(d).size <- cl.(d).size - Iter_group.size g;
-            cl.(r).members <- g :: cl.(r).members;
-            cl.(r).size <- cl.(r).size + Iter_group.size g;
-            cl.(r).tag <- Bitset.union cl.(r).tag g.Iter_group.tag;
-            cl.(r).first_key <-
-              min cl.(r).first_key
-                (Ctam_poly.Iterset.min_key g.Iter_group.iters);
+      if want >= max 1 (int_of_float (0.005 *. avg d)) then
+        (* Prefer a whole group no larger than the need; else split
+           the best of the larger ones. *)
+        match pick d r (fun g -> Iter_group.size g <= want) with
+        | Some g ->
+            move ~key:true d r g (Iter_group.size g);
             continue_polish := true
         | None when not allow_splits -> ()
         | None -> (
-            (* All groups too big: split the best one. *)
-            let pick = ref None in
-            List.iter
-              (fun g ->
-                if Iter_group.size g > want then begin
-                  let w = Bitset.dot g.Iter_group.tag cl.(r).tag in
-                  let dist =
-                    abs (Ctam_poly.Iterset.min_key g.Iter_group.iters
-                         - cl.(r).first_key)
-                  in
-                  match !pick with
-                  | Some (_, w', dist') when w' > w || (w' = w && dist' <= dist)
-                    -> ()
-                  | _ -> pick := Some (g, w, dist)
-                end)
-              cl.(d).members;
-            match !pick with
+            match pick d r (fun g -> Iter_group.size g > want) with
             | None -> ()
-            | Some (g, _, _) ->
-                let moved, kept = Iter_group.split_at want g in
-                cl.(d).members <-
-                  kept :: List.filter (fun x -> x != g) cl.(d).members;
-                cl.(d).size <- cl.(d).size - want;
-                cl.(r).members <- moved :: cl.(r).members;
-                cl.(r).size <- cl.(r).size + want;
-                cl.(r).tag <- Bitset.union cl.(r).tag moved.Iter_group.tag;
+            | Some g ->
+                move ~key:false d r g want;
                 continue_polish := true)
-      end
     end
   done;
   Array.map cluster_groups cl

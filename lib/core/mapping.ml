@@ -176,17 +176,6 @@ let tile_pseudo_groups ~encoder ~tile ~perm iters =
    simulates its tile candidates in the requested form. *)
 let emit ~stream s = if stream then s else Engine.dense (Engine.force_stream s)
 
-(* Streams for a schedule.  Barriers exist to enforce dependences; for
-   a dependence-free nest the rounds collapse into one phase (keeping
-   the round-robin interleaving order per core), exactly like the
-   paper, whose Figure 7 inserts synchronization for dependences. *)
-let phases_of_schedule ~stream ~with_barriers layout nest (sched : Schedule.t)
-    =
-  let trace gs = emit ~stream (Trace.of_groups layout nest gs) in
-  if with_barriers then
-    List.map (fun round -> Array.map trace round) sched.Schedule.rounds
-  else [ Array.map trace (Schedule.per_core sched) ]
-
 (* Compile-phase names reported in [compiled.timings], in pipeline
    order. *)
 let timing_keys = [ "group"; "distribute"; "schedule"; "trace" ]
@@ -202,256 +191,198 @@ let compile ?(params = default_params) ?map_topo ?(stream = false) scheme
     Ctam_util.Deadline.check ();
     Ctam_telemetry.Span.with_ key f
   in
-  let infos = ref [] in
-  let plans = ref [] in
-  let push_plan nest rounds barriers =
-    plans := { plan_nest = nest; plan_rounds = rounds; plan_barriers = barriers } :: !plans
+  let plan ?(barriers = false) nest rounds =
+    { plan_nest = nest; plan_rounds = rounds; plan_barriers = barriers }
   in
-  let (layout, phases), spans =
+  let (layout, nests), spans =
     Ctam_telemetry.Span.collect @@ fun () ->
     let block_size =
       timed "group" (fun () -> pick_block_size ~params ~machine:map_topo program)
     in
     let line = line_size map_topo in
-    let bm, layout = Block_map.for_program ~block_size ~line program in
-    ignore bm;
-    ( layout,
-      List.concat_map
-        (fun nest ->
-          if not nest.Nest.parallel then begin
-            (* Serial nest: core 0 executes it as its own phase. *)
-            let phase = Array.make n (Engine.dense [||]) in
-            phase.(0) <-
-              timed "trace" (fun () -> emit ~stream (Trace.serial layout nest));
-            infos :=
-              {
-                nest_name = nest.Nest.name;
-                num_groups = 1;
-                num_rounds = 1;
-                dep_edges = 0;
-                used_block_size = block_size;
-              }
-              :: !infos;
-            let round = Array.make n [] in
-            round.(0) <-
+    let _bm, layout = Block_map.for_program ~block_size ~line program in
+    (* A nest's summary: one round per phase of its plan. *)
+    let info ?(dep_edges = 0) p ~num_groups =
+      {
+        nest_name = p.plan_nest.Nest.name;
+        num_groups;
+        num_rounds = List.length p.plan_rounds;
+        dep_edges;
+        used_block_size = block_size;
+      }
+    in
+    (* The streams of a plan that runs its groups as they stand: each
+       core's groups of each round, chained in order. *)
+    let phases_of_plan p =
+      timed "trace" (fun () ->
+          let trace gs = emit ~stream (Trace.of_groups layout p.plan_nest gs) in
+          List.map (Array.map trace) p.plan_rounds)
+    in
+    let map_nest nest =
+      if not nest.Nest.parallel then begin
+        (* Serial nest: core 0 executes it as its own phase, in program
+           order. *)
+        let phase = Array.make n (Engine.dense [||]) in
+        phase.(0) <-
+          timed "trace" (fun () -> emit ~stream (Trace.serial layout nest));
+        let round = Array.make n [] in
+        round.(0) <-
+          timed "distribute" (fun () ->
+              let dom = nest.Nest.domain in
+              let encoder = Ctam_poly.Iterset.encoder_of_domain dom in
+              [ pseudo_group ~id:0 (Ctam_poly.Iterset.of_domain encoder dom) ]);
+        let p = plan nest [ round ] in
+        (info p ~num_groups:1, p, [ phase ])
+      end
+      else
+        (* The original parallel code must synchronize a loop with
+           carried dependences too: there Base becomes the default
+           chunk distribution with dependence-only scheduling and
+           barrier rounds.  Intra-core reordering is
+           dependence-constrained, so Base+ runs as this synchronized
+           Base on such nests (the paper's Base+ transformations must
+           preserve dependences). *)
+        let synchronized =
+          (scheme = Base || scheme = Base_plus)
+          && timed "group" (fun () -> Dep_test.nest_may_carry_deps nest)
+        in
+        match scheme with
+        | Base when not synchronized ->
+            let round =
               timed "distribute" (fun () ->
-                  let dom = nest.Nest.domain in
-                  let encoder = Ctam_poly.Iterset.encoder_of_domain dom in
-                  [
-                    pseudo_group ~id:0
-                      (Ctam_poly.Iterset.of_domain encoder dom);
-                  ]);
-            push_plan nest [ round ] false;
-            [ phase ]
-          end
-          else
-            let synchronized =
-              (scheme = Base || scheme = Base_plus)
-              && timed "group" (fun () -> Dep_test.nest_may_carry_deps nest)
+                  Array.mapi
+                    (fun c s ->
+                      if Ctam_poly.Iterset.is_empty s then []
+                      else [ pseudo_group ~id:c s ])
+                    (Baselines.block_partition ~n nest))
             in
-            match scheme with
-            | (Base | Base_plus) when synchronized ->
-                (* The original parallel code must synchronize a loop
-                   with carried dependences too: Base becomes the default
-                   chunk distribution with dependence-only scheduling and
-                   barrier rounds.  Intra-core reordering is
-                   dependence-constrained, so Base+ runs as this
-                   synchronized Base on such nests (the paper's Base+
-                   transformations must preserve dependences). *)
-                let _grouping, groups, dag =
-                  timed "group" (fun () ->
-                      grouping_with ~block_size ~line
-                        ~max_groups:params.max_groups program nest)
-                in
-                let assignment =
-                  timed "distribute" (fun () ->
-                      Baselines.default_assignment ~topo:map_topo groups)
-                in
-                let sched =
-                  timed "schedule" (fun () ->
-                      Schedule.run ~alpha:0. ~beta:0. map_topo assignment dag)
-                in
-                infos :=
-                  {
-                    nest_name = nest.Nest.name;
-                    num_groups = Array.length groups;
-                    num_rounds = Schedule.num_rounds sched;
-                    dep_edges = Dep_graph.num_edges dag;
-                    used_block_size = block_size;
-                  }
-                  :: !infos;
-                push_plan nest sched.Schedule.rounds true;
-                timed "trace" (fun () ->
-                    phases_of_schedule ~stream ~with_barriers:true layout nest
-                      sched)
-            | Base ->
-                (* The plan's pseudo-groups and the streams share each
-                   chunk's key array. *)
-                let chunks, round =
-                  timed "distribute" (fun () ->
-                      let chunks = Baselines.block_partition ~n nest in
-                      ( chunks,
-                        Array.mapi
-                          (fun c s ->
-                            if Ctam_poly.Iterset.is_empty s then []
-                            else [ pseudo_group ~id:c s ])
-                          chunks ))
-                in
-                infos :=
-                  {
-                    nest_name = nest.Nest.name;
-                    num_groups = n;
-                    num_rounds = 1;
-                    dep_edges = 0;
-                    used_block_size = block_size;
-                  }
-                  :: !infos;
-                push_plan nest [ round ] false;
-                [
-                  timed "trace" (fun () ->
-                      Array.map
-                        (fun s -> emit ~stream (Trace.of_iterset layout nest s))
-                        chunks);
-                ]
-            | Base_plus ->
-                (* Permutation and tiling reorder each chunk: decode it. *)
-                let sets, chunks =
-                  timed "distribute" (fun () ->
-                      let sets = Baselines.block_partition ~n nest in
-                      (sets, Array.map Ctam_poly.Iterset.to_list sets))
-                in
-                let perm =
-                  timed "schedule" (fun () -> Permute.best_order layout nest)
-                in
-                (* The paper selects the best-performing tile size by
-                   search; candidates include "untiled but permuted" so
-                   Base+ never loses to a plain permutation.  A
-                   [params.tile_edge] override (the autotuner's knob)
-                   replaces the search with that single forced edge. *)
-                let candidates =
-                  match params.tile_edge with
-                  | Some e -> [ Some e ]
-                  | None ->
-                      let t0 =
-                        timed "schedule" (fun () ->
-                            Tiling.choose_tile ~l1_bytes:(l1_capacity map_topo)
-                              layout nest)
-                      in
-                      [ None; Some t0; Some (max 4 (t0 / 2)) ]
-                in
-                let phase_for tile_opt =
-                  Array.map
-                    (fun iters ->
-                      let ordered =
-                        match tile_opt with
-                        | None -> Permute.sort_iters perm iters
+            let p = plan nest [ round ] in
+            (info p ~num_groups:n, p, phases_of_plan p)
+        | Base_plus when not synchronized ->
+            (* Permutation and tiling reorder each chunk: decode it. *)
+            let sets, chunks =
+              timed "distribute" (fun () ->
+                  let sets = Baselines.block_partition ~n nest in
+                  (sets, Array.map Ctam_poly.Iterset.to_list sets))
+            in
+            let perm =
+              timed "schedule" (fun () -> Permute.best_order layout nest)
+            in
+            (* The paper selects the best-performing tile size by
+               search; candidates include "untiled but permuted" so
+               Base+ never loses to a plain permutation.  A
+               [params.tile_edge] override (the autotuner's knob)
+               replaces the search with that single forced edge.  The
+               order is chosen by simulating each candidate's streams,
+               so this plan builds its own. *)
+            let candidates =
+              match params.tile_edge with
+              | Some e -> [ Some e ]
+              | None ->
+                  let t0 =
+                    timed "schedule" (fun () ->
+                        Tiling.choose_tile ~l1_bytes:(l1_capacity map_topo)
+                          layout nest)
+                  in
+                  [ None; Some t0; Some (max 4 (t0 / 2)) ]
+            in
+            let phase_for tile_opt =
+              Array.map
+                (fun iters ->
+                  let ordered =
+                    match tile_opt with
+                    | None -> Permute.sort_iters perm iters
+                    | Some edge ->
+                        let tile = Tiling.uniform (Nest.depth nest) edge in
+                        Tiling.apply ~tile ~perm iters
+                  in
+                  emit ~stream (Trace.of_iters layout nest ordered))
+                chunks
+            in
+            let best_tile, best_phase =
+              timed "trace" (fun () ->
+                  let h = Hierarchy.create map_topo in
+                  List.map
+                    (fun t ->
+                      let phase = phase_for t in
+                      let stats = Engine.run_streams h [ phase ] in
+                      (stats.Stats.cycles, (t, phase)))
+                    candidates
+                  |> List.sort (fun (a, _) (b, _) -> compare a b)
+                  |> List.hd |> snd)
+            in
+            let round =
+              timed "schedule" (fun () ->
+                  Array.map2
+                    (fun s iters ->
+                      if Ctam_poly.Iterset.is_empty s then []
+                      else
+                        match best_tile with
+                        | None -> [ pseudo_group ~id:0 s ]
                         | Some edge ->
-                            let tile = Tiling.uniform (Nest.depth nest) edge in
-                            Tiling.apply ~tile ~perm iters
-                      in
-                      emit ~stream (Trace.of_iters layout nest ordered))
-                    chunks
-                in
-                let best_tile, best_phase =
-                  timed "trace" (fun () ->
-                      let h = Hierarchy.create map_topo in
-                      List.map
-                        (fun t ->
-                          let phase = phase_for t in
-                          let stats = Engine.run_streams h [ phase ] in
-                          (stats.Stats.cycles, (t, phase)))
-                        candidates
-                      |> List.sort (fun (a, _) (b, _) -> compare a b)
-                      |> List.hd |> snd)
-                in
-                infos :=
-                  {
-                    nest_name = nest.Nest.name;
-                    num_groups = n;
-                    num_rounds = 1;
-                    dep_edges = 0;
-                    used_block_size = block_size;
-                  }
-                  :: !infos;
-                let round =
-                  timed "schedule" (fun () ->
-                      Array.map2
-                        (fun s iters ->
-                          if Ctam_poly.Iterset.is_empty s then []
-                          else
-                            match best_tile with
-                            | None -> [ pseudo_group ~id:0 s ]
-                            | Some edge ->
-                                tile_pseudo_groups
-                                  ~encoder:(Ctam_poly.Iterset.encoder s)
-                                  ~tile:(Tiling.uniform (Nest.depth nest) edge)
-                                  ~perm iters)
-                        sets chunks)
-                in
-                push_plan nest [ round ] false;
-                [ best_phase ]
-            | Local | Topology_aware | Combined ->
-                let _grouping, groups, dag =
-                  timed "group" (fun () ->
-                      grouping_with ~block_size ~line
-                        ~max_groups:params.max_groups program nest)
-                in
-                let cluster_mode =
-                  params.dependence_mode = Distribute.Cluster
-                  && not (Dep_graph.is_empty dag)
-                in
-                let assignment =
-                  timed "distribute" (fun () ->
-                      match scheme with
-                      | Local ->
-                          Baselines.default_assignment ~topo:map_topo groups
-                      | Topology_aware | Combined ->
-                          Distribute.run
-                            ~balance_threshold:params.balance_threshold
-                            ~dependence_mode:params.dependence_mode
-                            ~dep_graph:dag map_topo groups
-                      | Base | Base_plus -> assert false)
-                in
-                (* Under the clustering option every dependent set sits on
-                   one core and runs in sequential order, so no barriers
-                   (and no dependence constraints) remain. *)
-                let dag =
-                  if cluster_mode && scheme <> Local then Dep_graph.create 0
-                  else dag
-                in
-                let alpha, beta =
+                            tile_pseudo_groups
+                              ~encoder:(Ctam_poly.Iterset.encoder s)
+                              ~tile:(Tiling.uniform (Nest.depth nest) edge)
+                              ~perm iters)
+                    sets chunks)
+            in
+            let p = plan nest [ round ] in
+            (info p ~num_groups:n, p, [ best_phase ])
+        | Base | Base_plus | Local | Topology_aware | Combined ->
+            let _grouping, groups, dag =
+              timed "group" (fun () ->
+                  grouping_with ~block_size ~line
+                    ~max_groups:params.max_groups program nest)
+            in
+            let assignment =
+              timed "distribute" (fun () ->
                   match scheme with
-                  | Topology_aware -> (0., 0.)  (* dependence-only order *)
-                  | _ -> (params.alpha, params.beta)
-                in
-                let sched =
-                  timed "schedule" (fun () ->
-                      Schedule.run ~alpha ~beta map_topo assignment dag)
-                in
-                (* Figure 7's barriers enforce dependences; on a
-                   dependence-free nest the rounds collapse into one
-                   phase whose per-core order keeps the round-robin
-                   alignment (real barriers would only add noise: each
-                   round then waits for its slowest core). *)
-                let with_barriers = not (Dep_graph.is_empty dag) in
-                infos :=
-                  {
-                    nest_name = nest.Nest.name;
-                    num_groups = Array.length groups;
-                    num_rounds =
-                      (if with_barriers then Schedule.num_rounds sched else 1);
-                    dep_edges = Dep_graph.num_edges dag;
-                    used_block_size = block_size;
-                  }
-                  :: !infos;
-                (if with_barriers then push_plan nest sched.Schedule.rounds true
-                 else
-                   push_plan nest
-                     [ Schedule.per_core sched ]
-                     false);
-                timed "trace" (fun () ->
-                    phases_of_schedule ~stream ~with_barriers layout nest sched))
-        program.Program.nests )
+                  | Base | Base_plus | Local ->
+                      Baselines.default_assignment ~topo:map_topo groups
+                  | Topology_aware | Combined ->
+                      Distribute.run
+                        ~balance_threshold:params.balance_threshold
+                        ~dependence_mode:params.dependence_mode
+                        ~dep_graph:dag map_topo groups)
+            in
+            (* Under the clustering option every dependent set sits on
+               one core and runs in sequential order, so no barriers
+               (and no dependence constraints) remain. *)
+            let dag =
+              match scheme with
+              | (Topology_aware | Combined)
+                when params.dependence_mode = Distribute.Cluster
+                     && not (Dep_graph.is_empty dag) ->
+                  Dep_graph.create 0
+              | _ -> dag
+            in
+            let alpha, beta =
+              match scheme with
+              | Base | Base_plus | Topology_aware ->
+                  (0., 0.) (* dependence-only order *)
+              | Local | Combined -> (params.alpha, params.beta)
+            in
+            let sched =
+              timed "schedule" (fun () ->
+                  Schedule.run ~alpha ~beta map_topo assignment dag)
+            in
+            (* Figure 7's barriers enforce dependences; on a
+               dependence-free nest the rounds collapse into one phase
+               whose per-core order keeps the round-robin alignment
+               (real barriers would only add noise: each round then
+               waits for its slowest core).  Synchronized Base keeps
+               its rounds. *)
+            let p =
+              if synchronized || not (Dep_graph.is_empty dag) then
+                plan ~barriers:true nest sched.Schedule.rounds
+              else plan nest [ Schedule.per_core sched ]
+            in
+            ( info p ~num_groups:(Array.length groups)
+                ~dep_edges:(Dep_graph.num_edges dag),
+              p,
+              phases_of_plan p )
+    in
+    (layout, List.map map_nest program.Program.nests)
   in
   let timings =
     List.map
@@ -478,9 +409,9 @@ let compile ?(params = default_params) ?map_topo ?(stream = false) scheme
     machine;
     program;
     layout;
-    phases;
-    infos = List.rev !infos;
-    plans = List.rev !plans;
+    phases = List.concat_map (fun (_, _, phases) -> phases) nests;
+    infos = List.map (fun (info, _, _) -> info) nests;
+    plans = List.map (fun (_, p, _) -> p) nests;
     timings;
   }
 
@@ -518,7 +449,6 @@ let segments c =
   (phase_tables, List.rev !legend)
 
 let port c ~machine =
-  let n_from = c.map_topo.Topology.num_cores in
   let n_to = machine.Topology.num_cores in
   let phases =
     List.map
@@ -532,13 +462,12 @@ let port c ~machine =
           streams)
       c.phases
   in
-  ignore n_from;
   { c with machine; phases }
 
 let forced_phases c = List.map Engine.force_phase c.phases
 
-let simulate ?coherence ?probe ?max_cycles ?sample_sets ?memo c =
-  let h = Hierarchy.create ?coherence ?probe ?sample_sets c.machine in
+let simulate ?probe ?max_cycles ?sample_sets ?memo c =
+  let h = Hierarchy.create ?probe ?sample_sets c.machine in
   Engine.run_streams ?max_cycles ?memo h c.phases
 
 let run ?params ?map_topo ?probe ?stream ?sample_sets ?memo scheme ~machine

@@ -108,12 +108,22 @@ val timing_keys : string list
     leak into a caller's collector; with telemetry on they are also
     observed as [ctam_phase_seconds{phase="mapping.<key>"}].
 
+    Each nest yields one entry of [infos], one of [plans] and its
+    phases.  A plan made of groups gives its phases itself: each core's
+    groups of each round, chained ({!Trace.of_groups}).  That covers
+    Base's chunks (pseudo-groups), Base and Base+ on nests that carry
+    dependences (synchronized Base), Local, Topology_aware and
+    Combined.  Only two plans build their own streams: a serial nest's
+    ({!Trace.serial}, in program order) and unsynchronized Base+'s
+    (its chunks permuted and tiled, in the order whose simulated
+    candidate ran fastest).
+
     Every stream is built as a {!Trace} cursor.  By default each is
     forced into an access array as it is built; with [~stream:true]
     the produced [phases] keep the cursors (serial nests regenerate
-    their iterations on demand, Base chunks and schedule groups walk
-    their key sets, Base+ chunks keep only their ordered iteration
-    lists) — same access sequence, a fraction of the memory. *)
+    their iterations on demand, plan groups walk their key sets, Base+
+    chunks keep only their ordered iteration lists) — same access
+    sequence, a fraction of the memory. *)
 val compile :
   ?params:params ->
   ?map_topo:Topology.t ->
@@ -144,7 +154,7 @@ val port : compiled -> machine:Topology.t -> compiled
     dense form consumers like the race replayer index directly. *)
 val forced_phases : compiled -> Engine.phase list
 
-(** [simulate ?coherence ?probe ?max_cycles ?sample_sets ?memo c]
+(** [simulate ?probe ?max_cycles ?sample_sets ?memo c]
     builds the machine's hierarchy (with [probe] attached, default
     null) and runs the phases.  [max_cycles] is the engine's
     early-termination budget (see {!Engine.run_streams}); the
@@ -153,7 +163,6 @@ val forced_phases : compiled -> Engine.phase list
     {!Hierarchy.create}); [memo] shares a per-phase memo table across
     runs (see {!Engine.run_streams}). *)
 val simulate :
-  ?coherence:bool ->
   ?probe:Probe.t ->
   ?max_cycles:int ->
   ?sample_sets:int ->

@@ -157,37 +157,30 @@ let run ?(alpha = default_alpha) ?(beta = default_beta) ?quantum topo
     List.iter
       (fun dom ->
         let dom = Array.of_list dom in
-        let m = Array.length dom in
         Array.iteri
           (fun di c ->
             let st = states.(c) in
-            if st.live > 0 then begin
-              let prev_last () =
-                if di = 0 then None else states.(dom.(di - 1)).last
-              in
-              ignore m;
-              (* Each core schedules legal groups in affinity order up
-                 to one work quantum per round (Figure 8's one-group
-                 rounds, generalized to balanced work quanta). *)
-              let round_start = st.iters in
-              let first_pick =
+            (* Each core schedules legal groups in affinity order up to
+               one work quantum per round (Figure 8's one-group rounds,
+               generalized to balanced work quanta).  The very first
+               pick of a domain's first core takes the group with the
+               fewest blocks. *)
+            let round_start = st.iters in
+            let continue = ref true in
+            while
+              !continue && st.live > 0 && st.iters - round_start < quantum
+            do
+              let pick =
                 if !round_index = 0 && di = 0 && st.last = None then
                   least_ones st
                 else
-                  take st (fun g ->
-                      score ~x:(prev_last ()) ~y:st.last g)
+                  let x = if di = 0 then None else states.(dom.(di - 1)).last in
+                  take st (fun g -> score ~x ~y:st.last g)
               in
-              (match first_pick with Some g -> sched c g | None -> ());
-              let continue = ref (first_pick <> None) in
-              while
-                !continue && st.live > 0
-                && st.iters - round_start < quantum
-              do
-                match take st (fun g -> score ~x:(prev_last ()) ~y:st.last g) with
-                | Some g -> sched c g
-                | None -> continue := false
-              done
-            end)
+              match pick with
+              | Some g -> sched c g
+              | None -> continue := false
+            done)
           dom)
       domains;
     (* Barrier: everything scheduled this round becomes visible. *)
@@ -195,7 +188,7 @@ let run ?(alpha = default_alpha) ?(beta = default_beta) ?quantum topo
       (fun o c ->
         origin_done_prev.(o) <- origin_done_prev.(o) + c;
         origin_done_curr.(o) <- 0)
-      (Array.copy origin_done_curr);
+      origin_done_curr;
     let round = Array.map List.rev round in
     if Array.exists (fun l -> l <> []) round then
       rounds := round :: !rounds;

@@ -5,7 +5,12 @@
    input's clusters exactly as this does, equal-priority merges
    included.  Its tables, like the library's, ignore the runtime's
    hashtable seeding ([~random:false]), so the two agree under
-   OCAMLRUNPARAM=R as well. *)
+   OCAMLRUNPARAM=R as well.
+
+   Figure 6's balancing step follows, kept verbatim from before its
+   four group-choice scans became one [pick] and its five copies of
+   the move bookkeeping one [move]: the oracle for
+   [Ctam_core.Distribute.balance]. *)
 
 open Ctam_blocks
 
@@ -274,3 +279,257 @@ let cluster_into ?(allow_splits = true) k groups =
   in
   let cs = pad !clusters (k - List.length !clusters) in
   List.map cluster_groups cs
+
+(* --- load balancing ------------------------------------------------ *)
+
+let balance ?(allow_splits = true) ~threshold ~weights clusters =
+  let k = Array.length clusters in
+  if Array.length weights <> k then invalid_arg "Distribute.balance: weights";
+  let cl =
+    Array.map
+      (fun groups ->
+        let width =
+          match groups with
+          | g :: _ -> Bitset.width g.Iter_group.tag
+          | [] -> 0
+        in
+        let tag =
+          List.fold_left
+            (fun acc g -> Bitset.union acc g.Iter_group.tag)
+            (Bitset.create width) groups
+        in
+        {
+          tag;
+          members = List.rev groups;
+          size = List.fold_left (fun s g -> s + Iter_group.size g) 0 groups;
+          alive = true;
+          version = 0;
+          first_key =
+            List.fold_left
+              (fun acc g ->
+                min acc (Ctam_poly.Iterset.min_key g.Iter_group.iters))
+              max_int groups;
+        })
+      clusters
+  in
+  (* Clusters with a zero-width tag (empty input) adopt the width of a
+     non-empty sibling so unions below stay well-typed. *)
+  let width =
+    Array.fold_left
+      (fun acc c -> max acc (Bitset.width c.tag))
+      0 cl
+  in
+  Array.iter
+    (fun c -> if Bitset.width c.tag <> width then c.tag <- Bitset.create width)
+    cl;
+  let total = Array.fold_left (fun acc c -> acc + c.size) 0 cl in
+  let wsum = Array.fold_left ( + ) 0 weights in
+  let avg i = float_of_int (total * weights.(i)) /. float_of_int wsum in
+  let up i = int_of_float (ceil (avg i *. (1. +. threshold))) in
+  let low i = int_of_float (floor (avg i *. (1. -. threshold))) in
+  let find_donor () =
+    let best = ref (-1) in
+    for i = 0 to k - 1 do
+      if cl.(i).size > up i && (!best < 0 || cl.(i).size - up i > cl.(!best).size - up !best)
+      then best := i
+    done;
+    !best
+  in
+  let find_recipient donor =
+    let best = ref (-1) in
+    let deficit i = avg i -. float_of_int cl.(i).size in
+    for i = 0 to k - 1 do
+      if i <> donor && (!best < 0 || deficit i > deficit !best) then best := i
+    done;
+    !best
+  in
+  let total_members =
+    Array.fold_left (fun acc c -> acc + List.length c.members) 0 cl
+  in
+  (* Every move strictly shrinks some donor's excess; group moves are
+     bounded by a small multiple of the group count in practice. *)
+  let guard = ref ((20 * total_members) + 200) in
+  (* Each move below scans the donor's groups with bitset products, so
+     both loops poll the request deadline once per move. *)
+  let rec loop () =
+    Ctam_util.Deadline.check ();
+    decr guard;
+    if !guard <= 0 then ()
+    else begin
+      let d = find_donor () in
+      if d < 0 then ()
+      else begin
+        let r = find_recipient d in
+        if r < 0 then ()
+        else begin
+          (* Whole-group move maximizing affinity with the recipient,
+             keeping both clusters inside their windows. *)
+          let eligible g =
+            let s = Iter_group.size g in
+            cl.(d).size - s >= low d && cl.(r).size + s <= up r
+          in
+          let best = ref None in
+          List.iter
+            (fun g ->
+              if eligible g then begin
+                let w = Bitset.dot g.Iter_group.tag cl.(r).tag in
+                let dist =
+                  abs (Ctam_poly.Iterset.min_key g.Iter_group.iters
+                       - cl.(r).first_key)
+                in
+                match !best with
+                | Some (_, w', dist') when w' > w || (w' = w && dist' <= dist)
+                  -> ()
+                | _ -> best := Some (g, w, dist)
+              end)
+            cl.(d).members;
+          (match !best with
+          | Some (g, _, _) ->
+              cl.(d).members <- List.filter (fun x -> x != g) cl.(d).members;
+              cl.(d).size <- cl.(d).size - Iter_group.size g;
+              cl.(r).members <- g :: cl.(r).members;
+              cl.(r).size <- cl.(r).size + Iter_group.size g;
+              cl.(r).tag <- Bitset.union cl.(r).tag g.Iter_group.tag;
+              cl.(r).first_key <-
+                min cl.(r).first_key
+                  (Ctam_poly.Iterset.min_key g.Iter_group.iters)
+          | None when not allow_splits -> guard := 0
+          | None -> (
+              (* No whole group fits: split the highest-affinity group
+                 and move just enough iterations. *)
+              let want =
+                min
+                  (cl.(d).size - int_of_float (avg d))
+                  (int_of_float (avg r) - cl.(r).size)
+                |> max 1
+              in
+              let pick = ref None in
+              List.iter
+                (fun g ->
+                  let w = Bitset.dot g.Iter_group.tag cl.(r).tag in
+                  let dist =
+                    abs (Ctam_poly.Iterset.min_key g.Iter_group.iters
+                         - cl.(r).first_key)
+                  in
+                  match !pick with
+                  | Some (_, w', dist') when w' > w || (w' = w && dist' <= dist)
+                    -> ()
+                  | _ -> pick := Some (g, w, dist))
+                cl.(d).members;
+              match !pick with
+              | None -> guard := 0 (* donor empty: give up *)
+              | Some (g, _, _) ->
+                  let n = min want (Iter_group.size g - 1) in
+                  if n < 1 then begin
+                    (* Move the whole (size-1) group as a last resort. *)
+                    cl.(d).members <-
+                      List.filter (fun x -> x != g) cl.(d).members;
+                    cl.(d).size <- cl.(d).size - Iter_group.size g;
+                    cl.(r).members <- g :: cl.(r).members;
+                    cl.(r).size <- cl.(r).size + Iter_group.size g;
+                    cl.(r).tag <- Bitset.union cl.(r).tag g.Iter_group.tag
+                  end
+                  else begin
+                    let moved, kept = Iter_group.split_at n g in
+                    cl.(d).members <-
+                      kept :: List.filter (fun x -> x != g) cl.(d).members;
+                    cl.(d).size <- cl.(d).size - n;
+                    cl.(r).members <- moved :: cl.(r).members;
+                    cl.(r).size <- cl.(r).size + n;
+                    cl.(r).tag <- Bitset.union cl.(r).tag moved.Iter_group.tag
+                  end));
+          loop ()
+        end
+      end
+    end
+  in
+  loop ();
+  (* Polish: the threshold is the *tolerable* imbalance; keep making
+     affinity-best moves from the fullest to the emptiest cluster while
+     they strictly shrink the spread, so the typical result sits well
+     inside the window (a contiguous-chunk baseline is perfectly
+     balanced, and wall-clock time follows the slowest core). *)
+  let polish_guard = ref ((4 * total_members) + 64) in
+  let continue_polish = ref true in
+  while !continue_polish && !polish_guard > 0 do
+    Ctam_util.Deadline.check ();
+    decr polish_guard;
+    continue_polish := false;
+    let dmax = ref 0 and dmin = ref 0 in
+    for i = 1 to k - 1 do
+      let excess i = float_of_int cl.(i).size -. avg i in
+      if excess i > excess !dmax then dmax := i;
+      if excess i < excess !dmin then dmin := i
+    done;
+    let d = !dmax and r = !dmin in
+    if d <> r then begin
+      let excess_d = float_of_int cl.(d).size -. avg d in
+      let deficit_r = avg r -. float_of_int cl.(r).size in
+      let want = int_of_float (Float.min excess_d deficit_r) in
+      (* Stop near-parity: chasing the last fraction of a percent only
+         sprays tiny split fragments across clusters, destroying the
+         locality the clustering built. *)
+      let eps =
+        max 1 (int_of_float (0.005 *. avg d))
+      in
+      if want >= eps then begin
+        (* Prefer a whole group no larger than the need; else split. *)
+        let best = ref None in
+        List.iter
+          (fun g ->
+            if Iter_group.size g <= want then begin
+              let w = Bitset.dot g.Iter_group.tag cl.(r).tag in
+              let dist =
+                abs (Ctam_poly.Iterset.min_key g.Iter_group.iters
+                     - cl.(r).first_key)
+              in
+              match !best with
+              | Some (_, w', dist') when w' > w || (w' = w && dist' <= dist) ->
+                  ()
+              | _ -> best := Some (g, w, dist)
+            end)
+          cl.(d).members;
+        match !best with
+        | Some (g, _, _) ->
+            cl.(d).members <- List.filter (fun x -> x != g) cl.(d).members;
+            cl.(d).size <- cl.(d).size - Iter_group.size g;
+            cl.(r).members <- g :: cl.(r).members;
+            cl.(r).size <- cl.(r).size + Iter_group.size g;
+            cl.(r).tag <- Bitset.union cl.(r).tag g.Iter_group.tag;
+            cl.(r).first_key <-
+              min cl.(r).first_key
+                (Ctam_poly.Iterset.min_key g.Iter_group.iters);
+            continue_polish := true
+        | None when not allow_splits -> ()
+        | None -> (
+            (* All groups too big: split the best one. *)
+            let pick = ref None in
+            List.iter
+              (fun g ->
+                if Iter_group.size g > want then begin
+                  let w = Bitset.dot g.Iter_group.tag cl.(r).tag in
+                  let dist =
+                    abs (Ctam_poly.Iterset.min_key g.Iter_group.iters
+                         - cl.(r).first_key)
+                  in
+                  match !pick with
+                  | Some (_, w', dist') when w' > w || (w' = w && dist' <= dist)
+                    -> ()
+                  | _ -> pick := Some (g, w, dist)
+                end)
+              cl.(d).members;
+            match !pick with
+            | None -> ()
+            | Some (g, _, _) ->
+                let moved, kept = Iter_group.split_at want g in
+                cl.(d).members <-
+                  kept :: List.filter (fun x -> x != g) cl.(d).members;
+                cl.(d).size <- cl.(d).size - want;
+                cl.(r).members <- moved :: cl.(r).members;
+                cl.(r).size <- cl.(r).size + want;
+                cl.(r).tag <- Bitset.union cl.(r).tag moved.Iter_group.tag;
+                continue_polish := true)
+      end
+    end
+  done;
+  Array.map cluster_groups cl

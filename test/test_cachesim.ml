@@ -171,7 +171,7 @@ let test_hierarchy_inclusive_fill () =
     (Hierarchy.access h ~core:0 ~addr:0 ~write:false)
 
 let test_hierarchy_coherence () =
-  let h = Hierarchy.create ~coherence:true (tiny_machine ()) in
+  let h = Hierarchy.create (tiny_machine ()) in
   ignore (Hierarchy.access h ~core:1 ~addr:0 ~write:false);
   check_int "core1 hit" 2 (Hierarchy.access h ~core:1 ~addr:0 ~write:false);
   (* A write by core 0 invalidates core 1's L1 copy. *)

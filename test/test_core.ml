@@ -229,6 +229,97 @@ let prop_cluster_into_matches_oracle =
       view (Distribute.cluster_into ~allow_splits c.k groups)
       = view (Distribute_oracle.cluster_into ~allow_splits c.k groups))
 
+(* The balancer against its pre-refactor oracle.  Clusters may be
+   empty, groups may hold one iteration or dozens (the split moves of
+   both passes), weights are uneven and thresholds run from none to
+   loose.  A one-iteration group always fits both windows when the
+   threshold is not negative, so only the negative thresholds, which
+   [Mapping.validate_params] refuses, reach the last-resort move.
+   First keys sit on a coarse lattice and tags are narrow, so affinity
+   and proximity tie often.  The mesa digest below reaches whole-group
+   moves only. *)
+type balance_case = {
+  b_width : int;
+  clusters : (int list * int * int) list list;  (* set bits, first key, size *)
+  weights : int list;
+  threshold : float;
+  b_allow_splits : bool;
+}
+
+let gen_balance_case =
+  QCheck.Gen.(
+    let* b_width = int_range 1 70 in
+    let gen_group =
+      let* bits = list_size (int_range 0 3) (int_bound (b_width - 1)) in
+      let* first = map (fun l -> 8 * l) (int_bound 40) in
+      let+ size =
+        frequency [ (3, return 1); (3, int_range 2 5); (1, int_range 10 60) ]
+      in
+      (bits, first, size)
+    in
+    let* k = int_range 1 6 in
+    let* clusters =
+      list_repeat k
+        (frequency
+           [ (1, return []); (3, list_size (int_range 1 12) gen_group) ])
+    in
+    let* weights = list_repeat k (int_range 1 4) in
+    let* threshold = oneofl [ -0.2; -0.05; 0.; 0.001; 0.01; 0.05; 0.1; 0.3 ] in
+    let+ b_allow_splits = bool in
+    { b_width; clusters; weights; threshold; b_allow_splits })
+
+let show_balance_case c =
+  Printf.sprintf "width %d, weights [%s], threshold %g, allow_splits %b, %s"
+    c.b_width
+    (String.concat "; " (List.map string_of_int c.weights))
+    c.threshold c.b_allow_splits
+    (String.concat " | "
+       (List.map
+          (fun gs ->
+            String.concat "; "
+              (List.map
+                 (fun (bits, first, size) ->
+                   Printf.sprintf "{%s}@%d+%d"
+                     (String.concat "," (List.map string_of_int bits))
+                     first size)
+                 gs))
+          c.clusters))
+
+let prop_balance_matches_oracle =
+  let enc = Iterset.encoder_of_box [| 0 |] [| 400 |] in
+  QCheck.Test.make ~name:"balance equals the pre-refactor oracle" ~count:500
+    (QCheck.make ~print:show_balance_case gen_balance_case)
+    (fun c ->
+      let id = ref 0 in
+      let clusters =
+        Array.of_list
+          (List.map
+             (List.map (fun (bits, first, size) ->
+                  incr id;
+                  {
+                    Iter_group.id = !id;
+                    tag = Bitset.of_list c.b_width bits;
+                    iters =
+                      Iterset.of_list enc
+                        (List.init size (fun i -> [| first + i |]));
+                  }))
+             c.clusters)
+      in
+      let view =
+        Array.map
+          (List.map (fun g ->
+               ( g.Iter_group.id,
+                 Bitset.to_string g.Iter_group.tag,
+                 Iterset.keys g.Iter_group.iters )))
+      in
+      let weights = Array.of_list c.weights in
+      let allow_splits = c.b_allow_splits and threshold = c.threshold in
+      let ours = Distribute.balance ~allow_splits ~threshold ~weights clusters
+      and oracle =
+        Distribute_oracle.balance ~allow_splits ~threshold ~weights clusters
+      in
+      view ours = view oracle)
+
 (* The sweep's heaviest distribution: mesa's reduced-size grouping
    (2141 groups whose tags span 68 blocks, so weights tie constantly)
    on Dunnington at capacity divisor 16.  The digest of every core's
@@ -596,11 +687,44 @@ let prop_builders_match_oracle =
 (* The phases of a compile, rebuilt from its plans with the oracle: a
    parallel nest's round gives each core its groups in order, a serial
    nest's gives core 0 the domain.  This also pins the plans mirroring
-   the phases, which [Mapping.segments] relies on.  Base+ plans do not
-   carry its permuted order; its chunks are covered by the builders.
-   Each kernel runs its nest, then the same nest serially; equake and
-   mesa, which take seconds to group, are left out. *)
+   the phases, which [Mapping.segments] relies on.  Each case compiles
+   dense and streamed.
+   - Every suite kernel under Base, Local, TopologyAware and Combined
+     runs its nest, then the same nest serially; equake and mesa,
+     which take seconds to group, are left out.
+   - Base+ plans do not carry its permuted order (its chunks are
+     covered by the builders), except where a nest carries
+     dependences: sp and facesim compile as synchronized Base, with
+     barriers.
+   - Figure 5's loop at k = 1 has 8 iterations for 12 cores, so four
+     Base chunks are empty and trace as empty group lists. *)
 let test_compiled_phases_match_oracle () =
+  let check name p schemes =
+    List.iter
+      (fun (scheme, stream) ->
+        let c = Mapping.compile ~stream scheme ~machine p in
+        let rebuilt =
+          List.concat_map
+            (fun plan ->
+              let nest = plan.Mapping.plan_nest in
+              List.map
+                (Array.map (fun gs ->
+                     if nest.Nest.parallel then
+                       oracle_groups c.Mapping.layout nest gs
+                     else if gs = [] then [||]
+                     else oracle_serial c.Mapping.layout nest))
+                plan.Mapping.plan_rounds)
+            c.Mapping.plans
+        in
+        check_bool
+          (Printf.sprintf "%s %s%s" name (Mapping.scheme_name scheme)
+             (if stream then " streamed" else ""))
+          true
+          (Mapping.forced_phases c = rebuilt))
+      (List.concat_map
+         (fun scheme -> [ (scheme, false); (scheme, true) ])
+         schemes)
+  in
   List.iter
     (fun k ->
       let p = Ctam_workloads.Kernel.small_program k in
@@ -614,35 +738,28 @@ let test_compiled_phases_match_oracle () =
                 p.Program.nests;
         }
       in
-      List.iter
-        (fun (scheme, stream) ->
-          let c = Mapping.compile ~stream scheme ~machine p in
-          let rebuilt =
-            List.concat_map
-              (fun plan ->
-                let nest = plan.Mapping.plan_nest in
-                List.map
-                  (Array.map (fun gs ->
-                       if nest.Nest.parallel then
-                         oracle_groups c.Mapping.layout nest gs
-                       else if gs = [] then [||]
-                       else oracle_serial c.Mapping.layout nest))
-                  plan.Mapping.plan_rounds)
-              c.Mapping.plans
-          in
-          check_bool
-            (Printf.sprintf "%s %s%s" k.Ctam_workloads.Kernel.name
-               (Mapping.scheme_name scheme)
-               (if stream then " streamed" else ""))
-            true
-            (Mapping.forced_phases c = rebuilt))
-        (List.concat_map
-           (fun scheme -> [ (scheme, false); (scheme, true) ])
-           Mapping.[ Base; Local; Topology_aware; Combined ]))
+      check k.Ctam_workloads.Kernel.name p
+        Mapping.[ Base; Local; Topology_aware; Combined ])
     (List.filter
        (fun k ->
          not (List.mem k.Ctam_workloads.Kernel.name [ "equake"; "mesa" ]))
-       Ctam_workloads.Suite.all)
+       Ctam_workloads.Suite.all);
+  List.iter
+    (fun name ->
+      let p =
+        Ctam_workloads.Kernel.small_program
+          (Ctam_workloads.Suite.by_name name)
+      in
+      check_bool (name ^ ": Base+ synchronizes") true
+        (List.for_all
+           (fun plan -> plan.Mapping.plan_barriers)
+           (Mapping.compile Mapping.Base_plus ~machine p).Mapping.plans);
+      check name p [ Mapping.Base_plus ])
+    [ "sp"; "facesim" ];
+  let p = fig5_program 1 in
+  check_bool "fig5/1: fewer iterations than cores" true
+    (Nest.trip_count (List.hd p.Program.nests) < machine.Topology.num_cores);
+  check "fig5/1" p Mapping.[ Base; Local; Topology_aware; Combined ]
 
 (* Compiles and simulations poll the request deadline: under a 1 ms
    deadline, a full-size compile and the simulation of a full-size plan
@@ -1030,6 +1147,7 @@ let () =
           Alcotest.test_case "affinity quality" `Quick
             test_distribute_affinity_quality;
           QCheck_alcotest.to_alcotest prop_cluster_into_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_balance_matches_oracle;
           Alcotest.test_case "mesa pinned" `Slow test_distribute_mesa_pinned;
         ] );
       ( "schedule",

@@ -790,19 +790,45 @@ let test_report_diff_sweep_objects () =
 (* The acceptance bar of the parallel driver: --jobs must not change a
    single byte of the JSONL trajectories.  Run the full sweep serially
    and on 4 domains and compare the minified rendering line for line.
-   (scale 64 keeps the caches tiny so the quick sweep stays cheap.) *)
+   (scale 64 keeps the caches tiny so the quick sweep stays cheap.)
+   The serial sweep's simulated numbers are pinned too: the digest of
+   every workload's cycles, mem_accesses, total_accesses and barriers,
+   5 schemes x 12 kernels, recorded before `Distribute.balance` and
+   `Mapping.compile` lost their copies.  A change to any plan fails
+   here. *)
 let test_bench_sweep_parallel_deterministic () =
   let machine = Ctam_arch.Machines.harpertown ~scale:64 () in
   let render objs =
     List.map (Ctam_util.Json.to_string ~minify:true) objs
   in
-  let serial = render (Run_report.bench_sweep ~jobs:1 ~quick:true ~machine ()) in
+  let sweep = Run_report.bench_sweep ~jobs:1 ~quick:true ~machine () in
+  let serial = render sweep in
   let parallel =
     render (Run_report.bench_sweep ~jobs:4 ~quick:true ~machine ())
   in
   Alcotest.(check (list string)) "byte-identical JSONL" serial parallel;
   check_bool "one object per scheme" true
-    (List.length serial = List.length Ctam_core.Mapping.all_schemes)
+    (List.length serial = List.length Ctam_core.Mapping.all_schemes);
+  let numbers = Buffer.create 4096 in
+  List.iter
+    (fun obj ->
+      let scheme = J.to_string_value (J.member_exn "scheme" obj) in
+      List.iter
+        (fun w ->
+          Printf.bprintf numbers "%s/%s" scheme
+            (J.to_string_value (J.member_exn "name" w));
+          List.iter
+            (fun key ->
+              Printf.bprintf numbers " %d" (J.to_int (J.member_exn key w)))
+            [ "cycles"; "mem_accesses"; "total_accesses"; "barriers" ];
+          Buffer.add_char numbers '\n')
+        (J.to_list (J.member_exn "workloads" obj)))
+    sweep;
+  check_bool "5 schemes x 12 kernels" true
+    (List.length (String.split_on_char '\n' (Buffer.contents numbers)) = 61);
+  Alcotest.(check string)
+    "simulated numbers" "e42cb238926819a4750be9a7af2e0649"
+    (Digest.to_hex (Digest.string (Buffer.contents numbers)))
 
 let test_experiments_all_parallel_deterministic () =
   (* Same property for the experiment registry, on a cheap subset:
